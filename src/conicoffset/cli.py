@@ -43,24 +43,46 @@ class SystemExit2(Exception):
     """Argument-level precondition failure (exit code 2)."""
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type: an exact rational such as 3, -4 or 3/2."""
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+
+
+def _floats(text: str) -> tuple:
+    """argparse type: comma-separated decimals."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+
+
 def _conic_from_args(args) -> ConicSpec:
     if args.conic == "parabola":
         if args.p is None:
             raise SystemExit2("--p is required for a parabola")
-        return ConicSpec.parabola(rat(args.p))
+        return ConicSpec.parabola(args.p)
     if args.a is None or args.b is None:
         raise SystemExit2(f"--a and --b are required for a {args.conic}")
     maker = ConicSpec.ellipse if args.conic == "ellipse" else ConicSpec.hyperbola
-    return maker(rat(args.a), rat(args.b))
+    return maker(args.a, args.b)
 
 
 def _add_conic_flags(sub):
     sub.add_argument("--conic", required=True,
                      choices=["parabola", "ellipse", "hyperbola"])
-    sub.add_argument("--p", help="parabola focal parameter (rational, e.g. 1/3)")
-    sub.add_argument("--a", help="major/transverse semi-axis (rational)")
-    sub.add_argument("--b", help="minor/conjugate semi-axis (rational)")
-    sub.add_argument("--r", required=True, help="offset distance (rational)")
+    sub.add_argument("--p", type=_rational,
+                     help="parabola focal parameter (rational, e.g. 1/3)")
+    sub.add_argument("--a", type=_rational,
+                     help="major/transverse semi-axis (rational)")
+    sub.add_argument("--b", type=_rational,
+                     help="minor/conjugate semi-axis (rational)")
+    sub.add_argument("--r", type=_rational, required=True,
+                     help="offset distance (rational)")
 
 
 def _point_json(s):
@@ -146,7 +168,7 @@ def cmd_groebner(args):
 
 def cmd_offset_poly(args):
     conic = _conic_from_args(args)
-    r = rat(args.r)
+    r = args.r
     if args.method == "closed":
         curve = offset_poly_closed_form(conic, r)
     else:
@@ -170,7 +192,7 @@ def cmd_offset_poly(args):
 
 def cmd_singular(args):
     conic = _conic_from_args(args)
-    r = rat(args.r)
+    r = args.r
     if args.method == "elimination":
         rep = singular_points_via_elimination(conic, r)
     else:
@@ -190,7 +212,7 @@ def cmd_singular(args):
 
 def cmd_classify(args):
     conic = _conic_from_args(args)
-    r = rat(args.r)
+    r = args.r
     rep = singular_points(conic, r)
     doc = {
         "conic": rep.conic.describe(),
@@ -208,7 +230,7 @@ def cmd_classify(args):
 def cmd_trace(args):
     with open(args.g) as fh:
         g = poly_from_dict(json.load(fh))
-    bbox = tuple(float(v) for v in args.bbox.split(","))
+    bbox = args.bbox
     if len(bbox) != 4:
         raise SystemExit2("--bbox needs x0,x1,y0,y1")
     traced = trace_implicit(g, bbox, args.res)
@@ -229,10 +251,8 @@ def cmd_trace(args):
 
 
 def cmd_mesh(args):
-    ellipse = ConicSpec.ellipse(rat(args.a), rat(args.b))
-    offsets = tuple(float(v) for v in args.offsets.split(","))
-    stations = tuple(float(v) for v in args.stations.split(","))
-    spec = MeshSpec(ellipse=ellipse, offsets=offsets, y_stations=stations)
+    ellipse = ConicSpec.ellipse(args.a, args.b)
+    spec = MeshSpec(ellipse=ellipse, offsets=args.offsets, y_stations=args.stations)
     mesh = generate_mesh(spec)
     text = export_mesh(mesh, path=args.out)
     if args.svg:
@@ -315,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trace", help="marching-squares trace of a polynomial JSON")
     t.add_argument("--g", required=True, help="polynomial JSON file")
-    t.add_argument("--bbox", required=True, help="x0,x1,y0,y1")
+    t.add_argument("--bbox", type=_floats, required=True, help="x0,x1,y0,y1")
     t.add_argument("--res", type=int, default=512)
     t.add_argument("--svg", help="write an SVG figure here")
     t.add_argument("--mark-singular", action="store_true")
@@ -323,10 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_trace)
 
     m = sub.add_parser("mesh", help="layered FEM mesh over an ellipse")
-    m.add_argument("--a", required=True)
-    m.add_argument("--b", required=True)
-    m.add_argument("--offsets", required=True, help="comma-separated decimals")
-    m.add_argument("--stations", required=True, help="comma-separated y values")
+    m.add_argument("--a", type=_rational, required=True)
+    m.add_argument("--b", type=_rational, required=True)
+    m.add_argument("--offsets", type=_floats, required=True,
+                   help="comma-separated decimals")
+    m.add_argument("--stations", type=_floats, required=True,
+                   help="comma-separated y values")
     m.add_argument("--out", help="write mesh JSON here")
     m.add_argument("--svg", help="write an SVG overlay here")
     m.add_argument("--json", action="store_true")

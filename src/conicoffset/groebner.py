@@ -1,9 +1,28 @@
 """Buchberger's algorithm with basis reduction and elimination-ideal extraction.
 
-The public surface works with :class:`~conicoffset.poly.MultiPoly`; internally
-polynomials are plain ``{exponent-tuple: int}`` dicts kept primitive (coprime
-integer coefficients, positive leading coefficient), so the completion runs on
-exact integer pseudo-reduction with no rational arithmetic in the hot loop.
+The public surface works with :class:`~conicoffset.poly.MultiPoly`.  Inside
+``buchberger`` and ``reduce_basis`` every monomial is one Python int, the
+packed exponent vector of Monagan & Pearce ("Sparse polynomial division using
+a heap", JSC 2011), and a polynomial is a ``{packed-monomial: int}`` dict kept
+primitive (coprime integer coefficients, positive leading coefficient), so the
+completion runs on exact integer pseudo-reduction with no rational arithmetic
+in the hot loop.
+
+Packed layout (see :class:`_Packing`).  Each exponent gets a raw field of
+``width`` bits plus one guard bit above it; the first variable is most
+significant.  Above the raw fields sit the order-key fields, most significant
+first: none for lex; the prefix sums S_n, ..., S_1 (S_k = e_1 + ... + e_k) for
+grevlex; one such set per block for the block order.  Every field is linear in
+the exponents, so comparing two packed ints compares the monomials in the
+order, a product is ``a + b``, a quotient is ``m - lm``, and ``lm | m`` is
+``((m | G) - lm) & G == G`` with G the raw guard bits.  ``width`` is 16 bits,
+or more when twice the bound needs them: ``max_degree`` in ``buchberger``, the
+largest input exponent in ``reduce_basis``.  Lex elimination can form
+exponents above ``max_degree`` before the degree cap sees a remainder, hence
+the headroom.  An exponent that does not fit (in a generator, or in any
+product formed during completion or reduction) sets a guard bit and raises
+ResourceLimitError with the partial statistics; it never wraps.
+
 Pair selection is the normal strategy: a min-heap keyed by (lcm total degree,
 insertion index), which makes runs deterministic.  The classic
 coprime-leading-term and chain criteria prune useless pairs.
@@ -19,11 +38,12 @@ from typing import Sequence
 
 from .errors import OrderError, ResourceLimitError, RingError, ZeroPolyError
 from .poly import (MonomialOrder, MultiPoly, content_normalize, leading_term,
-                   monomial_div, monomial_divides, monomial_lcm, monomial_mul,
-                   total_degree)
+                   monomial_div, monomial_divides, monomial_lcm)
 
 DEFAULT_MAX_PAIRS = 200_000
 DEFAULT_MAX_DEGREE = 40
+MIN_FIELD_BITS = 16
+_OVERFLOW = "exponent overflow: an exponent does not fit its packed field"
 
 
 @dataclass(frozen=True)
@@ -69,15 +89,67 @@ def s_polynomial(p: MultiPoly, q: MultiPoly, order: MonomialOrder) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+class _Packing:
+    """Packed-int monomials for one order; see the module docstring.
+
+    ``units[i]`` is the packed form of the i-th variable, so a monomial packs
+    to ``sum(e_i * units[i])``.  Key fields are wide enough to hold the sum of
+    two in-range monomials, so only the raw guard bits can flag an overflow.
+    """
+
+    __slots__ = ("width", "mask", "guard", "units", "shifts")
+
+    def __init__(self, order: MonomialOrder, bound: int):
+        n = len(order.variables)
+        self.width = width = max(MIN_FIELD_BITS, (2 * bound).bit_length())
+        self.mask = (1 << width) - 1
+        slot = width + 1
+        self.shifts = [slot * (n - 1 - i) for i in range(n)]
+        self.guard = sum(1 << (s + width) for s in self.shifts)
+        units = [1 << s for s in self.shifts]
+        if order.kind == "lex":
+            blocks = []
+        elif order.kind == "grevlex":
+            blocks = [range(n)]
+        else:
+            blocks = [range(order.elim_count), range(order.elim_count, n)]
+        # prefix-sum fields S_len..S_1 of each block, most significant first
+        fields = [blk[:k] for blk in blocks for k in range(len(blk), 0, -1)]
+        key_bits = width + 1 + n.bit_length()
+        shift = slot * n
+        for members in reversed(fields):
+            for i in members:
+                units[i] += 1 << shift
+            shift += key_bits
+        self.units = units
+
+    def pack(self, exps) -> int:
+        if any(e >> self.width for e in exps):
+            raise ResourceLimitError(_OVERFLOW)
+        return sum(e * u for e, u in zip(exps, self.units))
+
+    def unpack(self, m: int) -> tuple:
+        mask = self.mask
+        return tuple((m >> s) & mask for s in self.shifts)
+
+    def int_terms(self, p: MultiPoly) -> dict:
+        """Primitive integer terms of p, keyed by packed monomial."""
+        cn = content_normalize(p)
+        return {self.pack(m): int(c) for m, c in cn.terms.items()}
+
+    def to_poly(self, ring, terms: dict) -> MultiPoly:
+        return MultiPoly(ring, {self.unpack(m): Fraction(c) for m, c in terms.items()})
+
+
+# ---------------------------------------------------------------------------
 # integer engine
 # ---------------------------------------------------------------------------
-# A basis entry is the triple (lm, lc, terms): leading monomial, positive
-# integer leading coefficient, and the primitive term dict.
-
-def _to_int_terms(p: MultiPoly) -> dict:
-    cn = content_normalize(p)
-    return {m: int(c) for m, c in cn.terms.items()}
-
+# A basis entry is the tuple (lm, lc, terms, tail): packed leading monomial,
+# positive integer leading coefficient, the primitive term dict, and the
+# (monomial, coefficient) items of the terms other than the leading one.
 
 def _content_strip(terms: dict) -> dict:
     g = 0
@@ -90,54 +162,67 @@ def _content_strip(terms: dict) -> dict:
     return terms
 
 
-def _make_entry(terms: dict, keyfn):
-    lm = max(terms, key=keyfn)
+def _make_entry(terms: dict):
+    lm = max(terms)
     if terms[lm] < 0:
         terms = {m: -c for m, c in terms.items()}
-    return (lm, terms[lm], terms)
+    return (lm, terms[lm], terms, [(m, c) for m, c in terms.items() if m != lm])
 
 
-def _spair_terms(e1, e2) -> dict:
-    """Integer S-polynomial of two primitive entries."""
-    lm1, lc1, t1 = e1
-    lm2, lc2, t2 = e2
-    lcm_m = monomial_lcm(lm1, lm2)
+def _spair_terms(e1, e2, lcm_m: int, guard: int) -> dict:
+    """Integer S-polynomial of two primitive entries with lcm ``lcm_m``."""
+    lm1, lc1, _, tail1 = e1
+    lm2, lc2, _, tail2 = e2
     g = gcd(lc1, lc2)
     c1, c2 = lc2 // g, lc1 // g
-    q1, q2 = monomial_div(lcm_m, lm1), monomial_div(lcm_m, lm2)
+    q1, q2 = lcm_m - lm1, lcm_m - lm2
     out: dict = {}
-    for m, c in t1.items():
-        out[monomial_mul(q1, m)] = c1 * c
-    for m, c in t2.items():
-        t = monomial_mul(q2, m)
-        v = out.get(t, 0) - c2 * c
-        if v:
-            out[t] = v
+    for m, c in tail1:
+        t = q1 + m
+        if t & guard:
+            raise ResourceLimitError(_OVERFLOW)
+        out[t] = c1 * c
+    for m, c in tail2:
+        t = q2 + m
+        v = out.get(t)
+        if v is None:
+            if t & guard:
+                raise ResourceLimitError(_OVERFLOW)
+            out[t] = -c2 * c
         else:
-            out.pop(t, None)
+            v -= c2 * c
+            if v:
+                out[t] = v
+            else:
+                del out[t]
     return out
 
 
-def _normal_form_int(terms: dict, basis: Sequence, keyfn) -> dict:
+def _normal_form_int(terms: dict, basis: Sequence, guard: int) -> dict:
     """Full normal form of an integer polynomial against basis entries.
 
     Pseudo-reduction: the result equals the true remainder up to a positive
     rational factor, which is harmless because every output is re-stripped to
-    primitive form before use.
+    primitive form before use.  The heap holds negated packed monomials, so
+    it pops the order-largest live term first.
     """
     work = dict(terms)
     done: dict = {}
-    heap = [(tuple(-k for k in keyfn(m)), m) for m in work]
+    lms = [e[0] for e in basis]
+    heap = [-m for m in work]
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     scalings = 0
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heappop(heap)
         c = work.pop(m, 0)
         if c == 0:
             continue
-        for lm, lc, bterms in basis:
-            if monomial_divides(lm, m):
-                q = monomial_div(m, lm)
+        mg = m | guard
+        for idx, lm in enumerate(lms):
+            if (mg - lm) & guard == guard:
+                q = m - lm
+                _, lc, _, tail = basis[idx]
                 g = gcd(c, lc) if c > 0 else gcd(-c, lc)
                 scale, factor = lc // g, c // g
                 if scale != 1:
@@ -146,17 +231,20 @@ def _normal_form_int(terms: dict, basis: Sequence, keyfn) -> dict:
                     for k in done:
                         done[k] *= scale
                     scalings += 1
-                for bm, bc in bterms.items():
-                    if bm == lm:
-                        continue
-                    t = monomial_mul(q, bm)
-                    v = work.get(t, 0) - factor * bc
-                    if v:
-                        if t not in work:
-                            heapq.heappush(heap, (tuple(-k for k in keyfn(t)), t))
-                        work[t] = v
+                for bm, bc in tail:
+                    t = q + bm
+                    v = work.get(t)
+                    if v is None:
+                        if t & guard:
+                            raise ResourceLimitError(_OVERFLOW)
+                        heappush(heap, -t)
+                        work[t] = -factor * bc
                     else:
-                        work.pop(t, None)
+                        v -= factor * bc
+                        if v:
+                            work[t] = v
+                        else:
+                            del work[t]
                 if scalings >= 24 and done:
                     merged = _content_strip({**done, **work})
                     for k in work:
@@ -185,37 +273,48 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     """Complete the ideal's generators to a (non-reduced) Groebner basis.
 
     Raises ResourceLimitError (carrying partial statistics) when more than
-    ``max_pairs`` S-pairs are processed or a remainder exceeds total degree
-    ``max_degree``.
+    ``max_pairs`` S-pairs are processed, a remainder exceeds total degree
+    ``max_degree``, or an exponent overflows its packed field.
     """
     if tuple(order.variables) != ideal.ring:
         raise OrderError("order variables do not match the ideal ring")
-    keyfn = order.key
-    basis = []
-    for gen in ideal.generators:
-        basis.append(_make_entry(_to_int_terms(gen), keyfn))
-
+    packing = _Packing(order, max_degree)
+    guard = packing.guard
     stats = {"pairs_considered": 0, "pairs_skipped_criteria": 0, "reductions": 0}
+    basis: list = []
+    lms: list = []  # packed leading monomials, parallel to basis
+    lm_exps: list = []  # their exponent tuples, for pair lcms
     heap: list = []
     pending: set = set()
     counter = 0
-
-    def push_pairs(j):
-        nonlocal counter
-        lm_j = basis[j][0]
-        for i in range(j):
-            lcm_m = monomial_lcm(basis[i][0], lm_j)
-            heapq.heappush(heap, (total_degree(lcm_m), counter, i, j, lcm_m))
-            pending.add((i, j))
-            counter += 1
-
-    for j in range(len(basis)):
-        push_pairs(j)
 
     def fail(msg):
         stats["basis_size"] = len(basis)
         stats["pending_pairs"] = len(pending)
         return ResourceLimitError(msg, stats=dict(stats))
+
+    def add_member(terms):
+        entry = _make_entry(terms)
+        basis.append(entry)
+        lms.append(entry[0])
+        lm_exps.append(packing.unpack(entry[0]))
+
+    def push_pairs(j):
+        nonlocal counter
+        e_j = lm_exps[j]
+        for i in range(j):
+            lcm_e = tuple(a if a > b else b for a, b in zip(lm_exps[i], e_j))
+            heapq.heappush(heap, (sum(lcm_e), counter, i, j, packing.pack(lcm_e)))
+            pending.add((i, j))
+            counter += 1
+
+    try:
+        for gen in ideal.generators:
+            add_member(packing.int_terms(gen))
+    except ResourceLimitError as exc:
+        raise fail(str(exc)) from None
+    for j in range(len(basis)):
+        push_pairs(j)
 
     while heap:
         _, _, i, j, lcm_m = heapq.heappop(heap)
@@ -223,40 +322,38 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
         stats["pairs_considered"] += 1
         if stats["pairs_considered"] > max_pairs:
             raise fail(f"pair budget exceeded ({max_pairs})")
-        lm_i, lm_j = basis[i][0], basis[j][0]
         # coprime leading terms: S-pair reduces to zero, skip
-        if monomial_mul(lm_i, lm_j) == lcm_m:
+        if lms[i] + lms[j] == lcm_m:
             stats["pairs_skipped_criteria"] += 1
             continue
         # chain criterion: some other basis member divides the lcm and both
         # its pairs with i and j are already settled
         skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if monomial_divides(basis[k][0], lcm_m):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
+        lcm_g = lcm_m | guard
+        for k, lm_k in enumerate(lms):
+            if (lcm_g - lm_k) & guard == guard and k != i and k != j:
+                pik = (i, k) if i < k else (k, i)
+                pjk = (j, k) if j < k else (k, j)
                 if pik not in pending and pjk not in pending:
                     skip = True
                     break
         if skip:
             stats["pairs_skipped_criteria"] += 1
             continue
-        s_terms = _spair_terms(basis[i], basis[j])
         stats["reductions"] += 1
-        rem = _normal_form_int(s_terms, basis, keyfn)
+        try:
+            rem = _normal_form_int(
+                _spair_terms(basis[i], basis[j], lcm_m, guard), basis, guard)
+        except ResourceLimitError as exc:
+            raise fail(str(exc)) from None
         if rem:
-            deg = max(total_degree(m) for m in rem)
+            deg = max(sum(packing.unpack(m)) for m in rem)
             if deg > max_degree:
                 raise fail(f"degree cap exceeded ({deg} > {max_degree})")
-            basis.append(_make_entry(rem, keyfn))
+            add_member(rem)
             push_pairs(len(basis) - 1)
 
-    polys = tuple(
-        MultiPoly(ideal.ring, {m: Fraction(c) for m, c in terms.items()})
-        for (_, _, terms) in basis
-    )
+    polys = tuple(packing.to_poly(ideal.ring, terms) for (_, _, terms, _) in basis)
     stats["basis_size"] = len(polys)
     stats["degree_multiset"] = sorted((p.degree() for p in polys), reverse=True)
     return GroebnerBasis(order=order, polys=polys, reduced=False, stats=stats)
@@ -285,22 +382,24 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     coefficients with positive leading coefficient), sorted with the largest
     leading monomial first.
     """
-    keyfn = gb.order.key
     minimal = minimalize(gb)
-    entries = [_make_entry(_to_int_terms(p), keyfn) for p in minimal.polys]
+    bound = max((e for p in minimal.polys for m in p.terms for e in m), default=0)
+    packing = _Packing(gb.order, bound)
+    entries = [_make_entry(packing.int_terms(p)) for p in minimal.polys]
     reduced_entries = []
-    for idx, entry in enumerate(entries):
-        others = [e for k, e in enumerate(entries) if k != idx]
-        rem = _normal_form_int(dict(entry[2]), others, keyfn)
-        if rem:
-            new = _make_entry(rem, keyfn)
-            reduced_entries.append(new)
-            entries[idx] = new
-    reduced_entries.sort(key=lambda e: keyfn(e[0]), reverse=True)
-    polys = tuple(
-        MultiPoly(gb.order.variables, {m: Fraction(c) for m, c in terms.items()})
-        for (_, _, terms) in reduced_entries
-    )
+    try:
+        for idx, entry in enumerate(entries):
+            others = [e for k, e in enumerate(entries) if k != idx]
+            rem = _normal_form_int(entry[2], others, packing.guard)
+            if rem:
+                new = _make_entry(rem)
+                reduced_entries.append(new)
+                entries[idx] = new
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(str(exc), stats=dict(gb.stats)) from None
+    reduced_entries.sort(key=lambda e: e[0], reverse=True)
+    polys = tuple(packing.to_poly(gb.order.variables, terms)
+                  for (_, _, terms, _) in reduced_entries)
     stats = dict(gb.stats)
     stats["minimal_size"] = len(minimal.polys)
     stats["reduced_size"] = len(polys)

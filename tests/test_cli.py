@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conicoffset.cli import main
 from conicoffset.poly import parse_poly, poly_to_dict
 
@@ -112,6 +114,21 @@ def test_exit_code_precondition(capsys):
     assert code == 2
     code, _, _ = run(capsys, "offset-poly", "--conic", "parabola", "--r", "1/4")
     assert code == 2  # missing --p
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("classify", "--conic", "ellipse", "--a=1/0", "--b", "1", "--r", "1/4"), "--a"),
+    (("classify", "--conic", "ellipse", "--a=x", "--b", "1", "--r", "1/4"), "--a"),
+    (("mesh", "--a", "4", "--b", "2", "--offsets", "abc", "--stations", "1"),
+     "--offsets"),
+])
+def test_exit_code_malformed_number(capsys, argv, flag):
+    # a value that does not parse is an argument error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: not a" in err
 
 
 def test_exit_code_resource_limit(capsys):

@@ -1,5 +1,6 @@
 """Buchberger pipeline: completion, reduction, elimination, limits."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -7,12 +8,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from conicoffset.conics import ConicSpec, build_ideal
+from conicoffset import conics, reference
+from conicoffset.conics import ConicSpec, build_ideal, offset_poly_closed_form
 from conicoffset.errors import OrderError, ResourceLimitError, ZeroPolyError
-from conicoffset.groebner import (Ideal, buchberger, elimination_ideal,
-                                  minimalize, reduce_basis, s_polynomial)
-from conicoffset.poly import (MultiPoly, block, format_poly, grevlex, lex,
-                              parse_poly, reduce)
+from conicoffset.groebner import (Ideal, _Packing, buchberger,
+                                  elimination_ideal, minimalize, reduce_basis,
+                                  s_polynomial)
+from conicoffset.poly import (MultiPoly, block, content_normalize, format_poly,
+                              gradient, grevlex, lex, monomial_divides,
+                              monomial_mul, parse_poly, poly_dumps, reduce)
+from conicoffset.verify import conic_from_case
 
 R2 = ("x", "y")
 X = MultiPoly.variable(R2, "x")
@@ -169,3 +174,184 @@ def test_symbolic_parabola_basis_shape():
     gr = reduce_basis(buchberger(ideal, lex(ideal.ring)))
     assert len(gr.polys) == 14
     assert gr.degree_multiset() == [7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 3, 2, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+R5 = ("v", "w", "x", "y", "z")
+PACK_ORDERS = [lex(R5), grevlex(R5), block(R5, 2)]
+
+
+def _random_monomials(seed, count=300, top=(1 << 15) - 1):
+    # mostly small exponents, so divisibility and ties are frequent, plus
+    # some near the top of a 16-bit field
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        hi = rng.choice((2, 4, 4, 4, top // 2, top))
+        out.append(tuple(rng.randint(0, hi) for _ in R5))
+    return out
+
+
+def _same_degree_partner(rng, u):
+    # move part of one exponent to another variable: equal total degree, so
+    # the comparison is decided by the lower key fields
+    i, j = rng.sample(range(len(u)), 2)
+    room = min(u[i], (1 << 16) - 1 - u[j])
+    shift = rng.randint(0, room)
+    v = list(u)
+    v[i] -= shift
+    v[j] += shift
+    return tuple(v)
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=lambda o: o.kind)
+def test_packed_comparison_matches_order_key(order):
+    pk = _Packing(order, 40)
+    rng = random.Random(14)
+    mons = _random_monomials(11, top=(1 << 16) - 1)
+    pairs = list(zip(mons, mons[1:] + mons[:1]))
+    pairs += [(u, _same_degree_partner(rng, u)) for u in mons]
+    for u, v in pairs:
+        assert (pk.pack(u) < pk.pack(v)) == (order.key(u) < order.key(v))
+        assert (pk.pack(u) == pk.pack(v)) == (u == v)
+    assert max(mons, key=pk.pack) == max(mons, key=order.key)
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=lambda o: o.kind)
+def test_packed_divisibility_matches_monomial_divides(order):
+    pk = _Packing(order, 40)
+    g = pk.guard
+    mons = _random_monomials(12, top=(1 << 16) - 1)
+    hits = 0
+    for n, m in itertools.product(mons[:60], mons[:60]):
+        packed = ((pk.pack(m) | g) - pk.pack(n)) & g == g
+        assert packed == monomial_divides(n, m)
+        if packed:
+            hits += 1
+            assert pk.pack(m) - pk.pack(n) == pk.pack(
+                tuple(a - b for a, b in zip(m, n)))
+    assert hits > 100
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=lambda o: o.kind)
+def test_packed_addition_matches_monomial_mul(order):
+    pk = _Packing(order, 40)
+    mons = _random_monomials(13)
+    for u, v in zip(mons, reversed(mons)):
+        assert pk.unpack(pk.pack(u)) == u
+        assert pk.pack(u) + pk.pack(v) == pk.pack(monomial_mul(u, v))
+    top = (1 << pk.width) - 1
+    assert (pk.pack((top, 0, 0, 0, 0)) + pk.pack((1, 0, 0, 0, 0))) & pk.guard
+
+
+def test_exponent_overflow_raises():
+    o = lex(R2)
+    wide = 1 << _Packing(o, 40).width
+    with pytest.raises(ResourceLimitError) as exc:
+        buchberger(Ideal(R2, (X ** wide - Y, X * Y - 1)), o)
+    assert "overflow" in str(exc.value)
+    assert exc.value.stats["pairs_considered"] == 0
+    # y^40000 fits a field, but reducing x^2 by x - y^40000 forms y^80000
+    with pytest.raises(ResourceLimitError) as exc:
+        buchberger(Ideal(R2, (X - Y ** 40000, X ** 2)), o)
+    assert "overflow" in str(exc.value)
+    assert exc.value.stats["reductions"] == 1
+
+
+# ---------------------------------------------------------------------------
+# golden bases: sha256 of the poly_dumps of each reduced basis plus the
+# completion counters (pairs_considered, pairs_skipped_criteria, reductions,
+# basis_size), recorded with the tuple-monomial engine that preceded packing
+# ---------------------------------------------------------------------------
+
+def _fingerprint(gb):
+    text = "\n".join(poly_dumps(p, gb.order) for p in gb.polys)
+    s = gb.stats
+    return (hashlib.sha256(text.encode()).hexdigest(), s["pairs_considered"],
+            s["pairs_skipped_criteria"], s["reductions"], s["basis_size"])
+
+
+GOLDEN_SMALL = {
+    ("textbook", "lex"): (
+        "8184753b008788e53e71bf47432f82d1d8e59cbf038dcc12893e8d15b237add0", 6, 2, 4, 4),
+    ("textbook", "grevlex"): (
+        "fd09c32d46c5899520267971d959672b7d62c58d6d160978171d4a50c801a7a9", 3, 1, 2, 3),
+    ("textbook", "block"): (
+        "8184753b008788e53e71bf47432f82d1d8e59cbf038dcc12893e8d15b237add0", 6, 2, 4, 4),
+    ("clo", "lex"): (
+        "dd8a6d9eae4cddc4f1d00aa3003120d7e5c9166aebfd4878ff37611fd924cab7", 15, 8, 7, 6),
+    ("clo", "grevlex"): (
+        "13aecab0a5608f5be93892d00bf547cb35debf8643fa0a628dbdc69f213fc0f7", 10, 5, 5, 5),
+    ("case4", "grevlex"): (
+        "e2346c20e11e1e4b913c3f5ee45e16a7357a61ec6fe341fb2ac0d732b7a5b7c0", 21, 12, 9, 7),
+    ("parabola-symbolic", "lex"): (
+        "4815cb8d5c2df500c508d53fc0e5ba7c8c920512c94acae91d72d56ec464a424", 91, 57, 34, 14),
+}
+
+GOLDEN_BLOCK_CASES = {
+    1: ("b457f392b1efb0aac97cd87d68eb770d9ecce56a96544605b7c273dadd9a99c9", 78, 58, 20, 13),
+    2: ("d0857b5a330f1cf038192e76123968044bc6c4bc24b421036ed7c85705a39d75", 45, 25, 20, 10),
+    3: ("9b67f2d30dea1f9791666a665426994cef1699a1dd0af7624ccedb9b8fe214b3", 78, 58, 20, 13),
+    4: ("bd1dfbf6b9186a571418ec4be3363c590a76c70a731141a3cc4726b468254f57", 78, 53, 25, 13),
+    5: ("fa0a85e66271215eb85b64b4a823363dc81e32413a5d49cf0fe067a9b220f5bd", 66, 42, 24, 12),
+    6: ("4c21cf42b0be31f87816cbe2fe69adbb4e609a95284630634f0e4a8affa52e3a", 78, 53, 25, 13),
+    7: ("c8610a6e6db3addbcee289c0c25e0b98f1a424053aefa2d3d6c04a0cd75c5ab6", 78, 53, 25, 13),
+    8: ("1f52aaab6dc0ad2d3f4194d079f636c0ac721b7052d5755bffa9655b015ec767", 66, 42, 24, 12),
+    9: ("bc8c3a70e3f6a5cf97d751003b7239c93b4de7f7ed0ebdd60ff27bb09b4c419e", 78, 53, 25, 13),
+}
+
+# the two lex runs of the elimination singular-point route on case 5
+# (ellipse a=3, b=3/2, r=3/4): keep x (ring y>x), then keep y (ring x>y)
+GOLDEN_UNIVARIATE = [
+    ("82473089ef5840cad07868686e16c8bfc88cf6c76025a22e924e0464cb4e241f", 300, 269, 31, 25),
+    ("fb8da81c41343f336557a038f874fd9f421c318945c85751a737af401a961c9f", 406, 367, 39, 29),
+]
+
+
+def _small_ideal(name):
+    if name == "textbook":
+        return Ideal(R2, (parse_poly("x^2 - y", R2), parse_poly("x*y - 1", R2)))
+    if name == "clo":
+        return Ideal(R2, (parse_poly("x^3 - 2*x*y", R2),
+                          parse_poly("x^2*y - 2*y^2 + x", R2)))
+    if name == "case4":
+        c = reference.case(4)
+        return build_ideal(conic_from_case(c), F(c["r"]))
+    return build_ideal("parabola")
+
+
+@pytest.mark.parametrize("name,kind", sorted(GOLDEN_SMALL))
+def test_golden_small_bases(name, kind):
+    ideal = _small_ideal(name)
+    order = {"lex": lex, "grevlex": grevlex}.get(kind)
+    order = order(ideal.ring) if order else block(ideal.ring, 1)
+    gb = reduce_basis(buchberger(ideal, order))
+    assert _fingerprint(gb) == GOLDEN_SMALL[(name, kind)]
+
+
+@pytest.mark.parametrize("case_id", sorted(GOLDEN_BLOCK_CASES))
+def test_golden_block_elimination_cases(case_id):
+    c = reference.case(case_id)
+    ideal = build_ideal(conic_from_case(c), F(c["r"]))
+    gb = reduce_basis(buchberger(ideal, block(ideal.ring, 2)))
+    assert _fingerprint(gb) == GOLDEN_BLOCK_CASES[case_id]
+
+
+def test_golden_univariate_lex_runs(monkeypatch):
+    seen = []
+
+    def recording(gb):
+        out = reduce_basis(gb)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(conics, "reduce_basis", recording)
+    c = reference.case(5)
+    g = offset_poly_closed_form(conic_from_case(c), F(c["r"])).g
+    system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])))
+    conics._univariate_along(system, "x", "y", 200_000, 200)
+    conics._univariate_along(system, "y", "x", 200_000, 200)
+    assert [_fingerprint(gb) for gb in seen] == GOLDEN_UNIVARIATE
