@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -363,9 +364,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _bind_negative_values(argv) -> list:
+    """Join a value such as -1/2 or -1.5,1 to the long option before it.
+
+    argparse takes a word that starts with '-' for an option unless it is a
+    plain negative number, so '--p -1/2' would leave --p without a value;
+    '--p=-1/2' is what it means.
+    """
+    out = []
+    for word in argv:
+        if (out and _NEGATIVE_VALUE.match(word) and out[-1].startswith("--")
+                and out[-1] != "--" and "=" not in out[-1]):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_bind_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SystemExit2 as exc:

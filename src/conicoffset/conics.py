@@ -104,6 +104,25 @@ def r_crit(conic: ConicSpec) -> Fraction:
     return conic.b ** 2 / conic.a
 
 
+def base_conic_poly(kind, params, x=None, y=None) -> MultiPoly:
+    """The base conic's polynomial: 4 p y - x^2, or b^2 y^2 +- a^2 x^2 - a^2 b^2
+    (+ for the ellipse, - for the hyperbola).
+
+    `params` maps p, or a and b, to rationals or to polynomials over the ring
+    of `x` and `y`; x and y default to the variables of the ring ("x", "y").
+    The float layer sums terms in the order of the result's terms, so the
+    expression below fixes that order.
+    """
+    if x is None:
+        ring = ("x", "y")
+        x, y = MultiPoly.variable(ring, "x"), MultiPoly.variable(ring, "y")
+    if kind == PARABOLA:
+        return 4 * params["p"] * y - x ** 2
+    a, b = params["a"], params["b"]
+    sign = 1 if kind == ELLIPSE else -1
+    return b ** 2 * y ** 2 + sign * a ** 2 * x ** 2 - a ** 2 * b ** 2
+
+
 def _generators(ring, kind, values=None):
     v = {name: MultiPoly.variable(ring, name) for name in ring}
 
@@ -116,12 +135,12 @@ def _generators(ring, kind, values=None):
     r = sym("r")
     if kind == PARABOLA:
         p = sym("p")
-        f1 = 4 * p * y0 - x0 ** 2
+        f1 = base_conic_poly(kind, {"p": p}, x0, y0)
         f3 = 2 * x * p - 2 * x0 * p + x0 * y - x0 * y0
     else:
         a, b = sym("a"), sym("b")
         sign = 1 if kind == ELLIPSE else -1
-        f1 = b ** 2 * y0 ** 2 + sign * a ** 2 * x0 ** 2 - a ** 2 * b ** 2
+        f1 = base_conic_poly(kind, {"a": a, "b": b}, x0, y0)
         f3 = b ** 2 * (x - x0) * y0 - sign * a ** 2 * (y - y0) * x0
     f2 = (y - y0) ** 2 + (x - x0) ** 2 - r ** 2
     return f1, f2, f3

@@ -4,6 +4,17 @@ parametric offset oracle, implicit-curve tracing, and SVG figure output.
 Everything downstream of the exact algebra lives here.  Tolerances are always
 scaled by the largest absolute coefficient of the polynomial at hand, since
 normalized offset polynomials carry coefficients anywhere between 1 and 1e8.
+
+Point evaluation is compile once, evaluate many: xy_evaluator turns an exact
+polynomial into a float closure once (coefficients converted and grouped by
+x-power), and the tracing, snapping and mesh loops call that closure.
+eval_poly is the one-point form of the same path.  Bit identity is part of
+the contract: the closure's floating-point operations and their order are
+fixed, so traced vertices, SVG text and exported meshes stay identical byte
+for byte; golden hashes in tests/test_curve.py and tests/test_mesh.py pin
+them.  A dense or numpy Horner would reorder the sums and change those bytes.
+_grid_eval, the vectorized sign pass of the trace, adds only the y-powers
+present (a 0.0 filler there could turn a -0.0 into 0.0).
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import (ConicSpec, ELLIPSE, PARABOLA,
+from .conics import (ConicSpec, ELLIPSE, PARABOLA, base_conic_poly,
                      offset_poly_closed_form, singular_points)
 from .errors import ParamError, PreconditionError, VarError
 from .poly import MultiPoly, gradient
@@ -43,17 +54,21 @@ def max_abs_coeff(g: MultiPoly) -> float:
     return max(abs(float(c)) for c in g.terms.values())
 
 
-def eval_poly(g: MultiPoly, pt, **params) -> float:
-    """Evaluate a polynomial at a point: Horner in y inside x-power groups.
+def xy_evaluator(g: MultiPoly, **params):
+    """Compile g once into a float evaluator ``(x, y) -> float``.
 
-    `pt` supplies x and y; any further ring variables must be given as
-    keyword arguments, otherwise VarError.
+    Everything that does not depend on the point happens here, once: the
+    check for ring variables other than x and y without a keyword value
+    (VarError), ``float`` of every coefficient times the powers of the
+    keyword parameters, and the grouping of terms by x-power in term order,
+    each group a tuple of float coefficients from the highest y-power down
+    with 0.0 where a power is missing.  The closure runs Horner in y inside
+    each group, starting from 0.0, and adds each group times x to its power.
+    That fixed order of operations is the bit-identity contract of the float
+    layer (see the module docstring).
     """
-    x, y = (pt.x, pt.y) if isinstance(pt, Point2) else (pt[0], pt[1])
-    values = {"x": float(x), "y": float(y)}
-    for k, v in params.items():
-        values[k] = float(v)
-    missing = [v for v in g.ring if v not in values]
+    values = {k: float(v) for k, v in params.items()}
+    missing = [v for v in g.ring if v not in values and v not in ("x", "y")]
     if missing:
         raise VarError(f"unassigned variables {missing}")
     ix = g.ring.index("x") if "x" in g.ring else None
@@ -64,18 +79,35 @@ def eval_poly(g: MultiPoly, pt, **params) -> float:
         for k, e in enumerate(m):
             if e and k != ix and k != iy:
                 t *= values[g.ring[k]] ** e
-        key = m[ix] if ix is not None else 0
+        ypows = by_xpow.setdefault(m[ix] if ix is not None else 0, {})
         ye = m[iy] if iy is not None else 0
-        by_xpow.setdefault(key, {})
-        by_xpow[key][ye] = by_xpow[key].get(ye, 0.0) + t
-    total = 0.0
-    yv = values.get("y", 0.0)
-    for xe, ypows in by_xpow.items():
-        acc = 0.0
-        for e in range(max(ypows), -1, -1):
-            acc = acc * yv + ypows.get(e, 0.0)
-        total += acc * values.get("x", 1.0) ** xe
-    return total
+        ypows[ye] = ypows.get(ye, 0.0) + t
+    groups = tuple((xe, tuple(ypows.get(e, 0.0)
+                              for e in range(max(ypows), -1, -1)))
+                   for xe, ypows in by_xpow.items())
+
+    def evaluate(x, y) -> float:
+        xv, yv = float(x), float(y)
+        total = 0.0
+        for xe, coeffs in groups:
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * yv + c
+            total += acc * xv ** xe
+        return total
+    return evaluate
+
+
+def eval_poly(g: MultiPoly, pt, **params) -> float:
+    """Evaluate a polynomial at one point: ``xy_evaluator(g, **params)(x, y)``.
+
+    `pt` supplies x and y (a Point2 or a pair); any further ring variables
+    must be given as keyword arguments, otherwise VarError.  Code that
+    evaluates one polynomial at many points compiles it once with
+    xy_evaluator instead; both give the same floats bit for bit.
+    """
+    x, y = (pt.x, pt.y) if isinstance(pt, Point2) else (pt[0], pt[1])
+    return xy_evaluator(g, **params)(x, y)
 
 
 def _grid_eval(g: MultiPoly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -216,12 +248,13 @@ def max_curvature(conic: ConicSpec, samples: int = 4096) -> float:
     return max(fc, fd, ks[best])
 
 
-def _newton_project(g, gx, gy, x, y, steps=1, max_step=float("inf")):
-    # damped Newton along the gradient: near a singular point the raw step
-    # explodes, so halve it until |g| actually decreases (or give up)
-    v = eval_poly(g, (x, y))
+def _newton_project(f, fx, fy, x, y, steps=1, max_step=float("inf")):
+    # damped Newton along the gradient of the compiled g, gx, gy: near a
+    # singular point the raw step explodes, so halve it until |g| actually
+    # decreases (or give up)
+    v = f(x, y)
     for _ in range(steps):
-        dx, dy = eval_poly(gx, (x, y)), eval_poly(gy, (x, y))
+        dx, dy = fx(x, y), fy(x, y)
         n2 = dx * dx + dy * dy
         if n2 == 0.0 or not math.isfinite(n2):
             break
@@ -232,7 +265,7 @@ def _newton_project(g, gx, gy, x, y, steps=1, max_step=float("inf")):
             sx, sy = sx * shrink, sy * shrink
         moved = False
         for _ in range(6):
-            v2 = eval_poly(g, (x - sx, y - sy))
+            v2 = f(x - sx, y - sy)
             if abs(v2) < abs(v):
                 x, y, v = x - sx, y - sy, v2
                 moved = True
@@ -279,6 +312,7 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
     if crossing_cells.size == 0:
         return TracedCurve(polylines=(), bbox=(xmin, xmax, ymin, ymax),
                            resolution=resolution)
+    f, fx, fy = xy_evaluator(g), xy_evaluator(gx), xy_evaluator(gy)
     segments = []
     for i, j in crossing_cells:
         corner_vals = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
@@ -293,7 +327,7 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
 
         if code in (5, 10):
             # saddle cell: resolve the pairing by the sign at the center
-            center = eval_poly(g, ((xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2))
+            center = f((xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2)
             neg_center = center < 0.0
             if code == 5:  # corners 0 and 2 negative
                 pairs = [(0, 3), (1, 2)] if neg_center else [(0, 1), (2, 3)]
@@ -314,7 +348,7 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
         out = []
         for pt in (pa, pb):
             if pt not in cache:
-                cache[pt] = _newton_project(g, gx, gy, pt[0], pt[1],
+                cache[pt] = _newton_project(f, fx, fy, pt[0], pt[1],
                                             newton_steps, max_step=cell)
             out.append(cache[pt])
         polished.append((pa, pb, out[0], out[1]))
@@ -398,12 +432,14 @@ def _snap_singular_vertices(polylines, g, gx, gy, bbox, cell):
     _, gyy = gradient(gy, ["x", "y"])
     g_scale = max_abs_coeff(g)
     grad_scale = max(max_abs_coeff(gx), max_abs_coeff(gy))
+    f, f_x, f_y = xy_evaluator(g), xy_evaluator(gx), xy_evaluator(gy)
+    f_xx, f_xy, f_yy = xy_evaluator(gxx), xy_evaluator(gxy), xy_evaluator(gyy)
 
     def singular_newton(x, y):
         for _ in range(60):
-            fx, fy = eval_poly(gx, (x, y)), eval_poly(gy, (x, y))
-            a11, a12 = eval_poly(gxx, (x, y)), eval_poly(gxy, (x, y))
-            a22 = eval_poly(gyy, (x, y))
+            fx, fy = f_x(x, y), f_y(x, y)
+            a11, a12 = f_xx(x, y), f_xy(x, y)
+            a22 = f_yy(x, y)
             det = a11 * a22 - a12 * a12
             if det == 0.0 or not math.isfinite(det):
                 return None
@@ -415,10 +451,9 @@ def _snap_singular_vertices(polylines, g, gx, gy, bbox, cell):
                 break
         if not (xmin <= x <= xmax and ymin <= y <= ymax):
             return None
-        if abs(eval_poly(g, (x, y))) > 1e-9 * g_scale:
+        if abs(f(x, y)) > 1e-9 * g_scale:
             return None
-        if math.hypot(eval_poly(gx, (x, y)), eval_poly(gy, (x, y))) \
-                > 1e-9 * grad_scale:
+        if math.hypot(f_x(x, y), f_y(x, y)) > 1e-9 * grad_scale:
             return None
         return (x, y)
 
@@ -426,8 +461,8 @@ def _snap_singular_vertices(polylines, g, gx, gy, bbox, cell):
         # definite Hessian => isolated real zero (a virtual singular point,
         # not on the closure of the curve); nodes are indefinite, cusps
         # degenerate
-        a11, a12 = eval_poly(gxx, (x, y)), eval_poly(gxy, (x, y))
-        a22 = eval_poly(gyy, (x, y))
+        a11, a12 = f_xx(x, y), f_xy(x, y)
+        a22 = f_yy(x, y)
         det = a11 * a22 - a12 * a12
         mag = (abs(a11) + abs(a12) + abs(a22)) ** 2
         return det > 1e-8 * mag
@@ -435,8 +470,7 @@ def _snap_singular_vertices(polylines, g, gx, gy, bbox, cell):
     # seeds: per-polyline local minima of the gradient magnitude
     seeds = []
     for pl in polylines:
-        graded = [(math.hypot(eval_poly(gx, (p.x, p.y)),
-                              eval_poly(gy, (p.x, p.y))) / grad_scale, p)
+        graded = [(math.hypot(f_x(p.x, p.y), f_y(p.x, p.y)) / grad_scale, p)
                   for p in pl]
         graded.sort(key=lambda t: t[0])
         seeds.extend(p for _, p in graded[:max(4, len(graded) // 25)])
@@ -587,7 +621,7 @@ def offset_figure(conic: ConicSpec, r, bbox=None, resolution: int = 512,
             a, b = float(conic.a), float(conic.b)
             bbox = (-b - 3 * rf - 1, b + 3 * rf + 1, -a - 3 * rf - 1, a + 3 * rf + 1)
     offset_curve = trace_implicit(g, bbox, resolution)
-    base = _base_conic_poly(conic)
+    base = base_conic_poly(conic.kind, conic.param_map())
     base_curve = trace_implicit(base, bbox, resolution)
     markers = []
     if mark_singular:
@@ -595,13 +629,3 @@ def offset_figure(conic: ConicSpec, r, bbox=None, resolution: int = 512,
         markers = [Point2(*s.as_floats()) for s in rep.points]
     return plot_svg([offset_curve, base_curve], markers, path=path,
                     styles=[("#1f77b4", None), ("#777777", "6,4")])
-
-
-def _base_conic_poly(conic: ConicSpec) -> MultiPoly:
-    ring = ("x", "y")
-    x, y = MultiPoly.variable(ring, "x"), MultiPoly.variable(ring, "y")
-    if conic.kind == PARABOLA:
-        return 4 * conic.p * y - x ** 2
-    sign = 1 if conic.kind == ELLIPSE else -1
-    return conic.b ** 2 * y ** 2 + sign * conic.a ** 2 * x ** 2 \
-        - conic.a ** 2 * conic.b ** 2

@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conics import ConicSpec, ELLIPSE, offset_poly_closed_form, r_crit
-from .curve import Point2, eval_poly, max_abs_coeff
+from .conics import (ConicSpec, ELLIPSE, base_conic_poly,
+                     offset_poly_closed_form, r_crit)
+from .curve import Point2, max_abs_coeff, xy_evaluator
 from .errors import RootRefineError, SpecError
-from .poly import MultiPoly, gradient
+from .poly import gradient
 
 COLUMN_ORDER_NOTE = (
     "columns counter-clockwise: left branch stations top to bottom, bottom "
@@ -99,18 +100,21 @@ def _signed_offsets(spec: MeshSpec):
     return down + [0.0] + list(spec.offsets)
 
 
-def _refine_along_normal(g, gx, gy, base, normal, t0, scale,
+def _refine_along_normal(f, fx, fy, base, normal, t0, scale,
                          tol=1e-10, max_iter=50):
-    """Newton on g restricted to the normal line, seeded at distance t0."""
+    """Newton on g restricted to the normal line, seeded at distance t0.
+
+    `f`, `fx` and `fy` are g and its gradient compiled by xy_evaluator.
+    """
     bx, by = base
     nx, ny = normal
     t = t0
     for _ in range(max_iter):
         x, y = bx + t * nx, by + t * ny
-        v = eval_poly(g, (x, y))
+        v = f(x, y)
         if abs(v) <= tol * scale:
             return x, y
-        d = eval_poly(gx, (x, y)) * nx + eval_poly(gy, (x, y)) * ny
+        d = fx(x, y) * nx + fy(x, y) * ny
         if d == 0.0 or not math.isfinite(d):
             break
         t -= v / d
@@ -133,7 +137,8 @@ def generate_mesh(spec: MeshSpec) -> Mesh:
     for o in spec.offsets:
         g = offset_poly_closed_form(spec.ellipse, _as_fraction(o)).g
         gx, gy = gradient(g, ["x", "y"])
-        layers[o] = (g, gx, gy, max_abs_coeff(g))
+        layers[o] = (xy_evaluator(g), xy_evaluator(gx), xy_evaluator(gy),
+                     max_abs_coeff(g))
 
     def station_column(y0, branch):
         # branch -1 = left (x<0), +1 = right (x>0)
@@ -146,8 +151,8 @@ def generate_mesh(spec: MeshSpec) -> Mesh:
             if s == 0.0:
                 col.append(Point2(x0, y0))
                 continue
-            g, gx, gy, scale = layers[abs(s)]
-            x, y = _refine_along_normal(g, gx, gy, (x0, y0), (nx, ny), s, scale)
+            f, fx, fy, scale = layers[abs(s)]
+            x, y = _refine_along_normal(f, fx, fy, (x0, y0), (nx, ny), s, scale)
             col.append(Point2(x, y))
         return col
 
@@ -224,19 +229,14 @@ def load_mesh(source) -> Mesh:
 def mesh_figure(spec: MeshSpec, mesh: Mesh, resolution: int = 384, path=None) -> str:
     """SVG overlay: the ellipse, its offset layers, and the mesh nodes."""
     from .curve import plot_svg, trace_implicit
-    from .conics import offset_poly_closed_form as opcf
 
     a, b = float(spec.ellipse.a), float(spec.ellipse.b)
     margin = spec.offsets[-1] + 0.4
     bbox = (-b - margin, b + margin, -a - margin, a + margin)
-    curves = []
-    ring = ("x", "y")
-    x, y = MultiPoly.variable(ring, "x"), MultiPoly.variable(ring, "y")
-    base = spec.ellipse.b ** 2 * y ** 2 + spec.ellipse.a ** 2 * x ** 2 \
-        - spec.ellipse.a ** 2 * spec.ellipse.b ** 2
-    curves.append(trace_implicit(base, bbox, resolution))
+    base = base_conic_poly(ELLIPSE, spec.ellipse.param_map())
+    curves = [trace_implicit(base, bbox, resolution)]
     for o in spec.offsets:
-        g = opcf(spec.ellipse, _as_fraction(o)).g
+        g = offset_poly_closed_form(spec.ellipse, _as_fraction(o)).g
         curves.append(trace_implicit(g, bbox, resolution))
     markers = mesh.flat_nodes()
     styles = [("#555555", "6,4")] + [("#1f77b4", None)] * len(spec.offsets)

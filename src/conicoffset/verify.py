@@ -14,7 +14,7 @@ from .conics import (ConicSpec, build_ideal, offset_poly_closed_form,
                      offset_poly_elimination, singular_points)
 from .groebner import buchberger, reduce_basis
 from .mesh import MeshSpec, generate_mesh
-from .curve import eval_poly, max_abs_coeff
+from .curve import max_abs_coeff, xy_evaluator
 from .poly import MultiPoly, content_normalize, lex, parse_poly
 
 SINGULAR_TOL = 1e-9
@@ -165,8 +165,8 @@ def verify_mesh() -> dict:
             res = max(abs((p.x / b) ** 2 + (p.y / a) ** 2 - 1) for p in row)
         else:
             g = offset_poly_closed_form(ellipse, Fraction(repr(abs(s)))).g
-            sc = max_abs_coeff(g)
-            res = max(abs(eval_poly(g, (p.x, p.y))) / sc for p in row)
+            sc, f = max_abs_coeff(g), xy_evaluator(g)
+            res = max(abs(f(p.x, p.y)) / sc for p in row)
         worst = max(worst, res)
     checks = {
         "rows": mesh.rows == mc["rows"],

@@ -131,6 +131,31 @@ def test_exit_code_malformed_number(capsys, argv, flag):
     assert f"error: argument {flag}: not a" in err
 
 
+@pytest.mark.parametrize("before,flag,value,after,code", [
+    (("classify", "--conic", "parabola"), "--p", "-1/2", ("--r", "1/4"), 0),
+    (("classify", "--conic", "hyperbola", "--a", "2"), "--b", "-1",
+     ("--r", "1/4"), 2),  # b < 0 is refused by ConicSpec, not by argparse
+    (("mesh", "--a", "3", "--b", "2", "--offsets", "0.1"), "--stations",
+     "-1.5,1", (), 2),  # ascending stations are refused by MeshSpec
+    (("mesh", "--a", "3", "--b", "2", "--offsets", "0.1"), "--stations",
+     "-.5,-1.5", ("--json",), 0),
+    (("trace", "--g", "{g}"), "--bbox", "-3,3,-3,3", ("--res", "32", "--json"),
+     0),
+])
+def test_negative_value_as_own_word(tmp_path, capsys, before, flag, value,
+                                    after, code):
+    # '--opt -1/2' means the same as '--opt=-1/2', not a missing value
+    g = tmp_path / "g.json"
+    run(capsys, "offset-poly", "--conic", "ellipse", "--a", "2", "--b", "1",
+        "--r", "1/4", "--out", str(g))
+    before = tuple(w.format(g=g) for w in before)
+    joined = run(capsys, *before, f"{flag}={value}", *after)
+    split = run(capsys, *before, flag, value, *after)
+    assert split == joined
+    assert joined[0] == code
+    assert joined[1] if code == 0 else "error:" in joined[2]
+
+
 def test_exit_code_resource_limit(capsys):
     code, _, err = run(capsys, "offset-poly", "--conic", "ellipse", "--a", "3",
                        "--b", "3/2", "--r", "1/2", "--method", "elim",

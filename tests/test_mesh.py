@@ -1,5 +1,6 @@
 """Layered mesh generation: counts, node accuracy, export, validation."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from conicoffset.curve import eval_poly, max_abs_coeff
 from conicoffset.errors import SpecError
 from conicoffset.mesh import (MeshSpec, export_mesh, generate_mesh, load_mesh,
                               mesh_figure)
+from conicoffset.reference import MESH_CASE
 
 ELL42 = ConicSpec.ellipse(4, 2)
 STATIONS = (3.75, 3.0, 2.0, 1.0, 0.0, -1.0, -2.0, -3.0, -3.75)
@@ -159,3 +161,27 @@ def test_mesh_figure(reference_mesh, tmp_path):
     svg = mesh_figure(spec, mesh, resolution=64, path=str(out))
     assert svg.count("<circle") == 140
     assert out.read_text() == svg
+
+
+# Golden bytes of the reference mesh, recorded with the per-call evaluator
+# (see test_curve.py): export_mesh prints 17 significant digits and the
+# figure every traced vertex, so any change in float order shows here.
+GOLDEN_MESH_EXPORT = (
+    "b6052af8463b07539685cc9edb9a0cd1461fa30fccce48235c64363d32e06873")
+GOLDEN_MESH_FIGURE = (
+    "8fdff1c9026eb577052cf76d48c7aee0e9d7cb1916c82c70122d840afa736e92")
+
+
+def _mesh_case_spec():
+    mc = MESH_CASE
+    return MeshSpec(ellipse=ConicSpec.ellipse(F(mc["a"]), F(mc["b"])),
+                    offsets=mc["offsets"], y_stations=mc["stations"])
+
+
+def test_golden_mesh_export_and_figure():
+    spec = _mesh_case_spec()
+    mesh = generate_mesh(spec)
+    assert hashlib.sha256(export_mesh(mesh).encode()).hexdigest() \
+        == GOLDEN_MESH_EXPORT
+    assert hashlib.sha256(mesh_figure(spec, mesh).encode()).hexdigest() \
+        == GOLDEN_MESH_FIGURE
