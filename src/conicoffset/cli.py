@@ -8,6 +8,7 @@ deterministic (sorted keys, no timestamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -384,8 +385,14 @@ def _bind_negative_values(argv) -> list:
     return out
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _shared_parser()
     args = ap.parse_args(_bind_negative_values(
         sys.argv[1:] if argv is None else argv))
     try:

@@ -9,6 +9,13 @@ semi-axis a along the y-axis and a >= b > 0.  The offset curve at distance
 r > 0 is the zero set of a single polynomial g(x, y) containing both parallel
 lines, one on each side of the base conic.
 
+Singular points have two independent routes.  ``singular_points`` reads the
+closed-form catalogue.  ``singular_points_via_elimination`` computes one
+reduced grevlex Groebner basis of <g, g_x, g_y>, takes the minimal
+polynomials of multiplication by x and by y on the quotient ring (the
+generators of the elimination ideals in x alone and in y alone), solves them
+exactly and pairs the roots.
+
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
 """
@@ -25,8 +32,9 @@ import mpmath as mp
 from . import cardano
 from .errors import EliminationError, ParamError, RootPairingError
 from .fixtures import general_offset_poly
-from .groebner import Ideal, buchberger, elimination_ideal, reduce_basis
-from .poly import (MultiPoly, block, content_normalize, gradient, lex,
+from .groebner import (Ideal, buchberger, elimination_ideal, minimal_polynomials,
+                       reduce_basis)
+from .poly import (MultiPoly, block, content_normalize, gradient, grevlex, lex,
                    substitute)
 
 VARIETY_RING = ("y0", "x0", "x", "y")
@@ -268,16 +276,30 @@ def _mpf(v) -> mp.mpf:
     return mp.mpf(v)
 
 
-def _eval_mp(poly: MultiPoly, coords: dict) -> mp.mpf:
-    vals = [coords[name] for name in poly.ring]
-    total = mp.mpf(0)
-    for m, c in poly.terms.items():
-        term = _mpf(c)
-        for v, e in zip(vals, m):
-            if e:
-                term *= v ** e
-        total += term
-    return total
+def _mp_evaluator(poly: MultiPoly):
+    """Compile poly for mpmath evaluation: ``f(vals)`` with vals in ring order.
+
+    Each coefficient becomes an mpf once, at the working precision of this
+    call, so compile under the same precision as the evaluations.  Per point
+    each power v ** e is computed once and shared; every term is then the
+    coefficient times its powers in ring order, summed from mpf(0) in term
+    order, so the result is bit-identical to evaluating term by term.
+    """
+    powers = sorted({(i, e) for m in poly.terms for i, e in enumerate(m) if e})
+    slot = {key: k for k, key in enumerate(powers)}
+    terms = [(_mpf(c), [slot[(i, e)] for i, e in enumerate(m) if e])
+             for m, c in poly.terms.items()]
+
+    def evaluate(vals) -> mp.mpf:
+        pw = [vals[i] ** e for i, e in powers]
+        total = mp.mpf(0)
+        for term, factors in terms:
+            for k in factors:
+                term *= pw[k]
+            total += term
+        return total
+
+    return evaluate
 
 
 def _max_abs_coeff(poly: MultiPoly) -> mp.mpf:
@@ -367,21 +389,25 @@ def _hyperbola_split_xy(a: Fraction, b: Fraction, r: Fraction):
     return mp.sqrt(max(x2, mp.mpf(0))), -y_neg  # positive-y magnitude
 
 
-def _finish_report(conic, r, rc, regime, raw_points, complex_count, outside, source):
-    """Attach gradient residuals, round, dedupe, and freeze the report."""
-    g = offset_poly_closed_form(conic, r).g
+def _finish_report(g, conic, r, rc, regime, raw_points, complex_count, outside,
+                   source):
+    """Attach gradient residuals, round, dedupe, and freeze the report.
+
+    ``g`` is the closed-form offset polynomial; the residuals use its raw
+    (not content-normalized) gradient.
+    """
     gx, gy = gradient(g, ["x", "y"])
     scale = max(_max_abs_coeff(q) for q in (g, gx, gy))
+    eval_gx, eval_gy = _mp_evaluator(gx), _mp_evaluator(gy)
     points = []
     seen = []
     for (xv, yv, tag) in raw_points:
-        coords = {"x": _mpf(xv), "y": _mpf(yv)}
-        key = (coords["x"], coords["y"])
+        key = (_mpf(xv), _mpf(yv))
         if any(abs(key[0] - s[0]) < mp.mpf("1e-40") and
                abs(key[1] - s[1]) < mp.mpf("1e-40") for s in seen):
             continue
         seen.append(key)
-        res = mp.sqrt(_eval_mp(gx, coords) ** 2 + _eval_mp(gy, coords) ** 2) / scale
+        res = mp.sqrt(eval_gx(key) ** 2 + eval_gy(key) ** 2) / scale
         points.append(SingularPoint(x=_exact_or_float(xv), y=_exact_or_float(yv),
                                     tag=tag, residual_grad=float(res)))
     points.sort(key=lambda s: (float(s.y), float(s.x)))
@@ -405,6 +431,7 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
     axis_tag = {SUBCRITICAL: VIRTUAL, CRITICAL: ON_CURVE, SUPERCRITICAL: ON_CURVE}[regime]
     raw = []
     outside = False
+    g = offset_poly_closed_form(conic, r).g
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         if conic.kind == PARABOLA:
             p = conic.p
@@ -454,7 +481,7 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
                     raw.append((sx, sy, SPLIT))
             elif regime == SUBCRITICAL:
                 complex_count += 4
-        return _finish_report(conic, r, rc, regime, raw, complex_count,
+        return _finish_report(g, conic, r, rc, regime, raw, complex_count,
                               outside, "closed-form")
 
 
@@ -466,12 +493,14 @@ def _newton_drift(g: MultiPoly, x0, y0, iters: int = 30):
     gx, gy = gradient(g, ["x", "y"])
     gxx, gxy = gradient(gx, ["x", "y"])
     _, gyy = gradient(gy, ["x", "y"])
+    eval_gx, eval_gy, eval_gxx, eval_gxy, eval_gyy = (
+        _mp_evaluator(q) for q in (gx, gy, gxx, gxy, gyy))
     x, y = x0, y0
     for _ in range(iters):
-        coords = {"x": x, "y": y}
-        fx, fy = _eval_mp(gx, coords), _eval_mp(gy, coords)
-        a11, a12 = _eval_mp(gxx, coords), _eval_mp(gxy, coords)
-        a22 = _eval_mp(gyy, coords)
+        pt = (x, y)
+        fx, fy = eval_gx(pt), eval_gy(pt)
+        a11, a12 = eval_gxx(pt), eval_gxy(pt)
+        a22 = eval_gyy(pt)
         det = a11 * a22 - a12 * a12
         if det == 0:
             return None
@@ -483,36 +512,40 @@ def _newton_drift(g: MultiPoly, x0, y0, iters: int = 30):
     return abs(x - x0) + abs(y - y0)
 
 
-def _univariate_along(polys, keep: str, drop: str, max_pairs, max_degree):
-    """Eliminate one coordinate from the singular system; return the
-    univariate generator's ascending coefficient list."""
-    ring = (drop, keep)
+def _singular_eliminants(system, max_pairs: int = 200_000,
+                        max_degree: int = 200) -> list:
+    """The generators of the intersections of I = <system> with Q[x] and
+    with Q[y], in the ring (x, y).
 
-    def remap(p):
-        iy, ix = p.ring.index(drop), p.ring.index(keep)
-        return MultiPoly(ring, {(m[iy], m[ix]): c for m, c in p.terms.items()})
-
-    ideal = Ideal(ring, tuple(remap(q) for q in polys))
-    gb = reduce_basis(buchberger(ideal, lex(ring), max_pairs=max_pairs,
-                                 max_degree=max_degree))
-    kept = elimination_ideal(gb, {keep})
-    if len(kept) != 1:
-        raise EliminationError(
-            f"expected one univariate generator in {keep}, got {len(kept)}")
-    uni = kept[0]
-    deg = uni.degree()
-    cs = [Fraction(0)] * (deg + 1)
-    for m, c in uni.terms.items():
-        cs[m[1]] = c
-    return cs
+    One reduced grevlex basis of I, then the minimal polynomial of
+    multiplication by x and by y on Q[x, y]/I
+    (``groebner.minimal_polynomials``).  Each comes back as its ascending
+    coefficient list, primitive with a positive leading coefficient.  Raises
+    EliminationError when the common zeros of the system are not finite.
+    """
+    ring = ("x", "y")
+    gb = reduce_basis(buchberger(Ideal(ring, tuple(system)), grevlex(ring),
+                                 max_pairs=max_pairs, max_degree=max_degree))
+    out = []
+    for pos, uni in enumerate(minimal_polynomials(gb, ring)):
+        cs = [Fraction(0)] * (uni.degree() + 1)
+        for m, c in uni.terms.items():
+            cs[m[pos]] = c
+        out.append(cs)
+    return out
 
 
 def singular_points_via_elimination(conic: ConicSpec, r,
                                     max_pairs: int = 200_000,
                                     max_degree: int = 200) -> SingularPointReport:
     """Independent singular-point route: eliminate each coordinate from
-    <grad g, g>, solve the resulting even/cubic factors exactly (Cardano),
+    <g, grad g>, solve the resulting even/cubic factors exactly (Cardano),
     and pair the candidate coordinates by residual filtering.
+
+    The eliminants come from one reduced grevlex basis of <g, g_x, g_y> and
+    the minimal polynomials of multiplication by x and by y on its quotient
+    (``_singular_eliminants``): the same polynomials as the lex elimination
+    ideals, from a single Buchberger completion.
     """
     r = _frac(r)
     if r <= 0:
@@ -524,31 +557,31 @@ def singular_points_via_elimination(conic: ConicSpec, r,
     regime = _regime(r, rc)
     axis_tag = {SUBCRITICAL: VIRTUAL, CRITICAL: ON_CURVE, SUPERCRITICAL: ON_CURVE}[regime]
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        xs = cardano.real_roots_exact(
-            _univariate_along(system, "x", "y", max_pairs, max_degree))
-        ys = cardano.real_roots_exact(
-            _univariate_along(system, "y", "x", max_pairs, max_degree))
+        x_uni, y_uni = _singular_eliminants(system, max_pairs, max_degree)
+        xs = cardano.real_roots_exact(x_uni)
+        ys = cardano.real_roots_exact(y_uni)
         scale = max(_max_abs_coeff(q) for q in system)
+        evaluators = [_mp_evaluator(q) for q in system]
         accept = mp.mpf("1e-35")
         reject = mp.mpf("1e-12")
         raw = []
         for xv, yv in product(xs, ys):
-            coords = {"x": _mpf(xv), "y": _mpf(yv)}
-            res = max(abs(_eval_mp(q, coords)) for q in system) / scale
+            pt = (_mpf(xv), _mpf(yv))
+            res = max(abs(f(pt)) for f in evaluators) / scale
             if res < accept:
-                tag = axis_tag if coords["x"] == 0 else SPLIT
+                tag = axis_tag if pt[0] == 0 else SPLIT
                 raw.append((xv, yv, tag))
             elif res < reject:
                 # gray zone: a true singular point is a fixed point of Newton
                 # on the gradient system; a cross-pairing of coordinates from
                 # two different points migrates away
-                moved = _newton_drift(g, coords["x"], coords["y"])
+                moved = _newton_drift(g, pt[0], pt[1])
                 if moved is None:
                     raise RootPairingError(
                         f"candidate ({float(xv)}, {float(yv)}) has borderline "
                         f"residual {float(res):.2e} and Newton did not settle")
                 if moved < mp.mpf("1e-30"):
-                    tag = axis_tag if coords["x"] == 0 else SPLIT
+                    tag = axis_tag if pt[0] == 0 else SPLIT
                     raw.append((xv, yv, tag))
         if not raw:
             raise RootPairingError("no candidate survived residual filtering")
@@ -556,5 +589,5 @@ def singular_points_via_elimination(conic: ConicSpec, r,
         complex_count = singular_points(conic, r).complex_count
         outside = (conic.kind != PARABOLA
                    and not (conic.a > conic.b > r))
-        return _finish_report(conic, r, rc, regime, raw, complex_count,
+        return _finish_report(g, conic, r, rc, regime, raw, complex_count,
                               outside, "elimination")

@@ -26,6 +26,10 @@ ResourceLimitError with the partial statistics; it never wraps.
 Pair selection is the normal strategy: a min-heap keyed by (lcm total degree,
 insertion index), which makes runs deterministic.  The classic
 coprime-leading-term and chain criteria prune useless pairs.
+
+For a zero-dimensional ideal, ``minimal_polynomials`` gets the univariate
+eliminants from a basis in any order (typically a cheap grevlex one) by
+linear algebra in the quotient ring, in place of a lex completion.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .errors import OrderError, ResourceLimitError, RingError, ZeroPolyError
+from .errors import (EliminationError, OrderError, ResourceLimitError,
+                     RingError, ZeroPolyError)
 from .poly import (MonomialOrder, MultiPoly, content_normalize, leading_term,
                    monomial_div, monomial_divides, monomial_lcm)
 
@@ -423,3 +428,168 @@ def elimination_ideal(gb: GroebnerBasis, keep) -> list:
         raise OrderError(
             f"order {gb.order.kind} over {ring} does not eliminate {sorted(dropped)}")
     return [p for p in gb.polys if p.support_vars() <= keep]
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomials in a zero-dimensional quotient
+# ---------------------------------------------------------------------------
+
+def _normal_form_scaled(terms: dict, basis: Sequence, guard: int):
+    """Normal form of an integer polynomial with its pseudo-division factor.
+
+    Returns ``(rem, mult)`` with ``rem == mult * NF(terms)`` exactly, ``mult``
+    a positive integer: the same pseudo-reduction as ``_normal_form_int``,
+    with no content stripping, so the scale is known.
+    """
+    work = dict(terms)
+    done: dict = {}
+    lms = [e[0] for e in basis]
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    mult = 1
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if c == 0:
+            continue
+        mg = m | guard
+        for idx, lm in enumerate(lms):
+            if (mg - lm) & guard == guard:
+                q = m - lm
+                _, lc, _, tail = basis[idx]
+                g = gcd(c, lc)
+                scale, factor = lc // g, c // g
+                if scale != 1:
+                    work = {k: v * scale for k, v in work.items()}
+                    done = {k: v * scale for k, v in done.items()}
+                    mult *= scale
+                for bm, bc in tail:
+                    t = q + bm
+                    v = work.get(t)
+                    if v is None:
+                        if t & guard:
+                            raise ResourceLimitError(_OVERFLOW)
+                        heapq.heappush(heap, -t)
+                        work[t] = -factor * bc
+                    elif v == factor * bc:
+                        del work[t]
+                    else:
+                        work[t] = v - factor * bc
+                break
+        else:
+            done[m] = c
+    return done, mult
+
+
+def _staircase(lms: list, units: list, guard: int) -> dict:
+    """Standard monomials under the packed leading monomials ``lms``, each
+    mapped to its index; grown from 1, so finite only when every variable
+    has a pure power among ``lms``."""
+    def standard(m):
+        mg = m | guard
+        return all((mg - lm) & guard != guard for lm in lms)
+
+    index: dict = {}
+    todo = [0] if standard(0) else []
+    while todo:
+        m = todo.pop()
+        if m not in index:
+            index[m] = len(index)
+            todo.extend(t for t in (m + u for u in units)
+                        if t not in index and standard(t))
+    return index
+
+
+def _krylov_relation(index: dict, unit: int, entries: list, guard: int) -> list:
+    """Coefficients c_0..c_n (ascending, rational) of the first linear
+    relation sum c_k NF(v^k) = 0, v the variable packed as ``unit``."""
+    # integer matrix N of multiplication by v on the standard monomials, as
+    # columns of (row, value) pairs; the rational matrix is N / den
+    images = [index.get(m + unit) for m in index]
+    border = {i: _normal_form_scaled({m + unit: 1}, entries, guard)
+              for i, m in enumerate(index) if images[i] is None}
+    den = lcm(*(mult for _, mult in border.values()))
+    cols = [[(j, den)] if j is not None else
+            [(index[t], c * (den // border[i][1])) for t, c in border[i][0].items()]
+            for i, j in enumerate(images)]
+    # Krylov vectors u = scale * NF(v^k) stay primitive integer lists; each
+    # echelon row carries the combination of the u_k it stands for
+    u = [0] * len(index)
+    u[index[0]] = 1
+    scale = Fraction(1)
+    scales, rows = [], []
+    while True:
+        vec, combo = u, [0] * len(scales) + [1]
+        scales.append(scale)
+        for piv, row, rcombo in rows:
+            c = vec[piv]
+            if c:
+                g = gcd(row[piv], c)
+                a, b = row[piv] // g, c // g
+                vec = [a * x - b * y for x, y in zip(vec, row)]
+                combo = ([a * x - b * y for x, y in zip(combo, rcombo)]
+                         + [a * x for x in combo[len(rcombo):]])
+        if not any(vec):
+            return [c * s for c, s in zip(combo, scales)]
+        g = gcd(*vec, *combo)
+        rows.append((next(i for i, x in enumerate(vec) if x),
+                     [x // g for x in vec], [x // g for x in combo]))
+        nxt = [0] * len(index)
+        for c, col in zip(u, cols):
+            if c:
+                for j, val in col:
+                    nxt[j] += c * val
+        g = gcd(*nxt) or 1  # 0 when v is nilpotent: v^k lies in I
+        u = [x // g for x in nxt]
+        scale = scale * den / g
+
+
+def minimal_polynomials(gb: GroebnerBasis, variables) -> list:
+    """Minimal polynomial of multiplication by each variable on Q[ring]/I.
+
+    ``gb`` is a Groebner basis, in any order, of a zero-dimensional ideal I.
+    The standard monomials (those no leading monomial divides) are a basis of
+    the quotient.  For each variable v the Krylov sequence of normal forms
+    1, v, v^2, ... is followed, through the integer matrix of multiplication
+    by v, until its first linear dependency over Q.  That relation is the
+    monic generator of the intersection of I with Q[v]: the univariate member
+    a reduced lex basis with v last would hold (the change of order of
+    Faugere, Gianni, Lazard & Mora, JSC 1993).  Each result is a MultiPoly of
+    the basis ring, primitive with a positive leading coefficient.
+
+    Raises EliminationError when I is not zero-dimensional, that is when some
+    variable has no pure power among the leading monomials.
+    """
+    ring = gb.order.variables
+    unknown = set(variables) - set(ring)
+    if unknown:
+        raise OrderError(f"unknown variables {sorted(unknown)}")
+    bound = max((e for p in gb.polys for m in p.terms for e in m), default=0)
+    packing = _Packing(gb.order, bound)
+    entries = []
+    for p in gb.polys:  # integer multiples; a normal form needs no content
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        entries.append(_make_entry({packing.pack(m): c.numerator * (den // c.denominator)
+                                    for m, c in p.terms.items()}))
+    lm_exps = [packing.unpack(e[0]) for e in entries]
+    for i, name in enumerate(ring):
+        if not any(sum(lm) == lm[i] for lm in lm_exps):
+            raise EliminationError(
+                f"ideal is not zero-dimensional: no leading monomial is a "
+                f"pure power of {name}")
+    index = _staircase([e[0] for e in entries], packing.units, packing.guard)
+    out = []
+    for name in variables:
+        pos = ring.index(name)
+        if not index:  # I is the whole ring
+            out.append(MultiPoly.const(ring, 1))
+            continue
+        coeffs = _krylov_relation(index, packing.units[pos], entries, packing.guard)
+        terms = {}
+        for k, c in enumerate(coeffs):
+            if c:
+                exps = [0] * len(ring)
+                exps[pos] = k
+                terms[tuple(exps)] = c
+        out.append(content_normalize(MultiPoly(ring, terms)))
+    return out

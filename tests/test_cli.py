@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from conicoffset import cli, reference
 from conicoffset.cli import main
 from conicoffset.poly import parse_poly, poly_to_dict
+from conicoffset.verify import conic_from_case
 
 
 def run(capsys, *argv):
@@ -161,6 +165,83 @@ def test_exit_code_resource_limit(capsys):
                        "--b", "3/2", "--r", "1/2", "--method", "elim",
                        "--max-pairs", "2")
     assert code == 3 and "resource limit" in err
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):
+    # main reuses one parser per process; a sequence of calls through it,
+    # failures included, prints and exits exactly as fresh parsers do
+    calls = [
+        ("classify", "--conic", "parabola", "--p", "-1/2", "--r", "1/4"),
+        ("classify", "--conic", "ellipse", "--a=1/0", "--b", "1", "--r", "1/4"),
+        ("singular", "--conic", "hyperbola", "--a", "3/2", "--b", "1",
+         "--r", "4/3", "--method", "elimination", "--format", "json"),
+        ("classify", "--conic", "ellipse", "--a", "1", "--b", "2", "--r", "1/4"),
+        ("offset-poly", "--conic", "ellipse", "--a", "3", "--b", "3/2",
+         "--r", "1/2", "--method", "elim", "--max-pairs", "2"),
+        ("offset-poly", "--conic", "ellipse", "--a", "3", "--b", "3/2",
+         "--r", "1/2", "--json"),
+        ("mesh", "--a", "4", "--b", "2", "--offsets", "abc", "--stations", "1"),
+        ("classify", "--conic", "hyperbola", "--a", "2", "--b", "1",
+         "--r", "1/4", "--json"),
+        ("classify", "--conic", "parabola", "--p", "1/3", "--r", "1/4"),
+    ]
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+    shared = [_outcome(capsys, argv) for argv in calls]
+    assert [c for c, _, _ in shared] == [0, 2, 0, 2, 3, 0, 2, 0, 0]
+    assert shared[-1][1].startswith("r_crit = ")  # no --json carried over
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = [_outcome(capsys, argv) for argv in calls]
+    assert shared == fresh
+
+
+# sha256 of `singular ... --format json` stdout for reference cases 1..9,
+# both routes; recorded before the elimination route moved from two lex runs
+# to one grevlex basis and compiled mp evaluators
+GOLDEN_SINGULAR = {
+    1: ("4f9fddb063291d61b587ac0ee7f8f45f7ea80cc52a81cb0af56536afb9fbbbe2",
+        "5acf3e3cc4a114bd25d34859d6553313ef09ba59f21ef6483ccfa56592e61d4a"),
+    2: ("41640d659a04abee06d2e178cece0fba3042b81e0b2d50f19c4e9aab40a935e2",
+        "976f7a2623c054190c5a99c0165b01523503f71ed2d4c6e604a5332606be7e74"),
+    3: ("b3c0c5bd62aeae26ef5e74cc2e140712cdcd7b6eb92fa88a13ab7ddbe8c18f79",
+        "7cde33aa8c4b0f07b76c1d789d6fb2bdec86ee7caef25400984e74daf65d8e2d"),
+    4: ("b97c28de754b2181d6fd099e1bcc914dae6ce65095c3bf97bb8b07070b18210e",
+        "6340f552bfc461a497524b44630a774fb02029ee6ba0d77bef427dc8c97a6f5d"),
+    5: ("b1d36fc56d1210b533269701b0d1bfca6f4b7b4b90c539f7b96463c1c636c051",
+        "0ca284aa975aa2d2ed5b41af244ac908c2a7dadd9e4d2921e9ac7176b659ae3a"),
+    6: ("94f973185411fb9bb55b4dad7bb4a3d677cbc42b25d97fd0c8b2fbee7e261ec5",
+        "2efb213ce6ef117cd8d01be94cdc0afe014d596b12f24b6a105a90d1996b2d3b"),
+    7: ("1728cdab981ed01a71d53126ce95715be293afc72d9307776df9ef65e69ca73a",
+        "18a3f80316eb86a2a4e008aa404f101d6762fd82bb0a93969e4961ff6c6b704d"),
+    8: ("a0a8ddc9601904c2357f4aff99cc2698e0172881d812daae4d85d8e5f0b04de7",
+        "be1c24edeb6af497fdaf6bf83ca6927ea69468a949a6680f1fc9244a693d7fc3"),
+    9: ("faf6af705460001fc7998be08bedbc054dcd7bcb33fe08f856d206f78fdc9859",
+        "611ca3b918e75cbb09512a12bc25ce3b2fd476784f1c92865d77c62d3bff8495"),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(GOLDEN_SINGULAR))
+def test_golden_singular_reports(capsys, case_id):
+    c = reference.case(case_id)
+    conic = conic_from_case(c)
+    flags = [f"--{k}={v}" for k, v in conic.params]
+    got = []
+    for method in ("closed", "elimination"):
+        code, out, _ = run(capsys, "singular", "--conic", conic.kind, *flags,
+                           f"--r={Fraction(c['r'])}", "--method", method,
+                           "--format", "json")
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == GOLDEN_SINGULAR[case_id]
 
 
 def test_verify_paper_subset(capsys):

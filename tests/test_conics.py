@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from conicoffset import reference
+from conicoffset import conics, reference
 from conicoffset.conics import (ConicSpec, build_ideal, offset_poly_closed_form,
                                 offset_poly_elimination, r_crit, singular_points,
                                 singular_points_via_elimination)
-from conicoffset.errors import ParamError
+from conicoffset.errors import ParamError, ResourceLimitError
 from conicoffset.poly import (content_normalize, gradient, parse_poly,
                               substitute)
 from conicoffset.verify import conic_from_case, expected_points, proportional
@@ -286,6 +286,71 @@ def test_via_elimination_agrees(case_id):
     assert len(ge) == len(gc)
     for (ax, ay), (bx, by) in zip(ge, gc):
         assert abs(ax - bx) <= 1e-9 and abs(ay - by) <= 1e-9
+
+
+def test_via_elimination_one_grevlex_completion(monkeypatch):
+    # one Buchberger completion per call (no lex runs), and one closed form
+    # of its own besides the one inside singular_points
+    orders, closed = [], []
+    real_bb, real_cf = conics.buchberger, conics.offset_poly_closed_form
+
+    def counting_bb(ideal, order, **kw):
+        orders.append(order.kind)
+        return real_bb(ideal, order, **kw)
+
+    def counting_cf(*args):
+        closed.append(args)
+        return real_cf(*args)
+
+    monkeypatch.setattr(conics, "buchberger", counting_bb)
+    monkeypatch.setattr(conics, "offset_poly_closed_form", counting_cf)
+    case = reference.case(6)
+    singular_points_via_elimination(conic_from_case(case), F(case["r"]))
+    assert orders == ["grevlex"]
+    assert len(closed) == 2
+
+
+def test_via_elimination_honours_limits():
+    conic = ConicSpec.ellipse(3, F(3, 2))
+    with pytest.raises(ResourceLimitError):
+        singular_points_via_elimination(conic, F(3, 4), max_pairs=5)
+    with pytest.raises(ResourceLimitError):
+        singular_points_via_elimination(conic, F(3, 4), max_degree=4)
+
+
+def _reference_eval_mp(poly, coords):
+    # verbatim copy of the per-call evaluator the compiled one replaced
+    vals = [coords[name] for name in poly.ring]
+    total = mp.mpf(0)
+    for m, c in poly.terms.items():
+        term = conics._mpf(c)
+        for v, e in zip(vals, m):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("case_id", range(1, 10))
+def test_mp_evaluator_bit_identical(case_id):
+    case = reference.case(case_id)
+    g = offset_poly_closed_form(conic_from_case(case), F(case["r"])).g
+    gx, gy = gradient(g, ["x", "y"])
+    gxx, gxy = gradient(gx, ["x", "y"])
+    _, gyy = gradient(gy, ["x", "y"])
+    rng = random.Random(2000 + case_id)
+    with mp.workdps(conics.RADICAL_DPS):
+        pts = [(conics._mpf(F(rng.randint(-400, 400), rng.randint(1, 97))),
+                conics._mpf(F(rng.randint(-400, 400), rng.randint(1, 97))))
+               for _ in range(40)]
+        pts += [(mp.sqrt(2), -mp.cbrt(3)), (mp.mpf(0), mp.mpf(-1) / 3),
+                (mp.mpf(5) / 7, mp.mpf(0)), (mp.mpf(0), mp.mpf(0))]
+        for p in (g, gx, gy, content_normalize(gx), content_normalize(gy),
+                  gxx, gxy, gyy):
+            ev = conics._mp_evaluator(p)
+            for x, y in pts:
+                want = _reference_eval_mp(p, {"x": x, "y": y})
+                assert ev((x, y))._mpf_ == want._mpf_
 
 
 def test_via_elimination_subcritical_parabola_axis_only():

@@ -10,10 +10,11 @@ import pytest
 
 from conicoffset import conics, reference
 from conicoffset.conics import ConicSpec, build_ideal, offset_poly_closed_form
-from conicoffset.errors import OrderError, ResourceLimitError, ZeroPolyError
+from conicoffset.errors import (ConicOffsetError, EliminationError, OrderError,
+                               ResourceLimitError, ZeroPolyError)
 from conicoffset.groebner import (Ideal, _Packing, buchberger,
-                                  elimination_ideal, minimalize, reduce_basis,
-                                  s_polynomial)
+                                  elimination_ideal, minimal_polynomials,
+                                  minimalize, reduce_basis, s_polynomial)
 from conicoffset.poly import (MultiPoly, block, content_normalize, format_poly,
                               gradient, grevlex, lex, monomial_divides,
                               monomial_mul, parse_poly, poly_dumps, reduce)
@@ -340,18 +341,125 @@ def test_golden_block_elimination_cases(case_id):
     assert _fingerprint(gb) == GOLDEN_BLOCK_CASES[case_id]
 
 
-def test_golden_univariate_lex_runs(monkeypatch):
-    seen = []
+def _lex_univariate(system, keep, drop):
+    """The lex elimination the singular-point route used before it computed
+    minimal polynomials, kept as the oracle: ring (drop, keep), lex order,
+    max_pairs=200_000, max_degree=200; returns the reduced basis and the
+    ascending coefficient list of its univariate member."""
+    ring = (drop, keep)
 
-    def recording(gb):
-        out = reduce_basis(gb)
-        seen.append(out)
-        return out
+    def remap(p):
+        iy, ix = p.ring.index(drop), p.ring.index(keep)
+        return MultiPoly(ring, {(m[iy], m[ix]): c for m, c in p.terms.items()})
 
-    monkeypatch.setattr(conics, "reduce_basis", recording)
+    ideal = Ideal(ring, tuple(remap(q) for q in system))
+    gb = reduce_basis(buchberger(ideal, lex(ring), max_pairs=200_000,
+                                 max_degree=200))
+    kept = elimination_ideal(gb, {keep})
+    if len(kept) != 1:
+        raise EliminationError(
+            f"expected one univariate generator in {keep}, got {len(kept)}")
+    cs = [F(0)] * (kept[0].degree() + 1)
+    for m, c in kept[0].terms.items():
+        cs[m[1]] = c
+    return gb, cs
+
+
+def _singular_system(conic, r):
+    g = offset_poly_closed_form(conic, r).g
+    return (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])))
+
+
+def test_golden_univariate_lex_runs():
     c = reference.case(5)
-    g = offset_poly_closed_form(conic_from_case(c), F(c["r"])).g
-    system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])))
-    conics._univariate_along(system, "x", "y", 200_000, 200)
-    conics._univariate_along(system, "y", "x", 200_000, 200)
-    assert [_fingerprint(gb) for gb in seen] == GOLDEN_UNIVARIATE
+    system = _singular_system(conic_from_case(c), F(c["r"]))
+    runs = [_lex_univariate(system, "x", "y"), _lex_univariate(system, "y", "x")]
+    assert [_fingerprint(gb) for gb, _ in runs] == GOLDEN_UNIVARIATE
+    # the grevlex basis and its minimal polynomials give the univariate
+    # members of those two lex bases, coefficient for coefficient
+    assert conics._singular_eliminants(system) == [cs for _, cs in runs]
+
+
+def _rand_q(rng, lo, hi):
+    """A rational strictly between lo and hi with a small denominator."""
+    den = rng.randint(1, 9)
+    return lo + (hi - lo) * F(rng.randint(1, 8 * den - 1), 8 * den)
+
+
+def _eliminant_cases(seed):
+    """Seeded random rational conics, each with offsets below, at and above
+    r_crit and, for the central conics, at b, a, a^2/b and beyond."""
+    rng = random.Random(seed)
+    p = _rand_q(rng, F(1, 4), F(3))
+    a = _rand_q(rng, F(1), F(5))
+    b = _rand_q(rng, a / 3, a)
+    for conic in (ConicSpec.parabola(p), ConicSpec.parabola(-p)):
+        rc = 2 * p
+        for r in (rc / 3, rc, _rand_q(rng, rc, 2 * rc), 3 * rc):
+            yield conic, r
+    for conic in (ConicSpec.ellipse(a, b), ConicSpec.hyperbola(a, b)):
+        rc = b * b / a
+        for r in (rc / 2, rc, (rc + b) / 2, b, (b + a) / 2, a, a * a / b,
+                  _rand_q(rng, a * a / b, 2 * a * a / b), 3 * a * a / b):
+            yield conic, r
+    rect = ConicSpec.hyperbola(b, b)  # a == b: r_crit == a == b
+    for r in (b / 2, b, _rand_q(rng, b, 2 * b), 3 * b):
+        yield rect, r
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except ConicOffsetError as exc:
+        return None, type(exc)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_eliminants_match_lex_oracle(seed):
+    for conic, r in _eliminant_cases(seed):
+        system = _singular_system(conic, r)
+        got, got_err = _outcome(lambda: conics._singular_eliminants(system))
+        want, want_err = _outcome(lambda: [_lex_univariate(system, "x", "y")[1],
+                                           _lex_univariate(system, "y", "x")[1]])
+        assert (got, got_err) == (want, want_err), (conic.describe(), r)
+
+
+def test_eliminants_not_finite_raise_like_lex():
+    # g = h^2 is singular along all of h = 0: no finite eliminant exists
+    h = X ** 2 + Y ** 2 - 1
+    system = (h ** 2, *(content_normalize(q) for q in gradient(h ** 2, ["x", "y"])))
+    with pytest.raises(EliminationError):
+        conics._singular_eliminants(system)
+    with pytest.raises(EliminationError):
+        _lex_univariate(system, "x", "y")
+
+
+@pytest.mark.parametrize("name", ["textbook", "clo"])
+@pytest.mark.parametrize("kind", ["lex", "grevlex"])
+def test_minimal_polynomials_generate_elimination_ideals(name, kind):
+    ideal = _small_ideal(name)
+    gb = reduce_basis(buchberger(ideal, {"lex": lex, "grevlex": grevlex}[kind](R2)))
+    mx, my = minimal_polynomials(gb, ("x", "y"))
+    # the univariate members of the two lex bases, with x last and y last
+    lex_y = reduce_basis(buchberger(ideal, lex(R2)))
+    yx = Ideal(("y", "x"), tuple(MultiPoly(("y", "x"), {(m[1], m[0]): c
+                                                         for m, c in q.terms.items()})
+                                 for q in ideal.generators))
+    lex_x = reduce_basis(buchberger(yx, lex(("y", "x"))))
+    (uy,) = elimination_ideal(lex_y, {"y"})
+    (ux,) = elimination_ideal(lex_x, {"x"})
+    assert my == uy
+    assert mx == MultiPoly(R2, {(m[1], 0): c for m, c in ux.terms.items()})
+    assert my.support_vars() == {"y"} and mx.support_vars() == {"x"}
+
+
+def test_minimal_polynomials_edge_cases():
+    gb = reduce_basis(buchberger(Ideal(R2, (X - 2, X - 3)), grevlex(R2)))
+    assert minimal_polynomials(gb, ["y"]) == [MultiPoly.const(R2, 1)]
+    gb = reduce_basis(buchberger(Ideal(R2, (X ** 2 - 2, Y - X)), grevlex(R2)))
+    assert minimal_polynomials(gb, ["y"]) == [Y ** 2 - 2]
+    with pytest.raises(EliminationError):
+        minimal_polynomials(reduce_basis(buchberger(Ideal(R2, (X * Y,)),
+                                                    grevlex(R2))), ["x"])
+    with pytest.raises(OrderError):
+        minimal_polynomials(gb, ["z"])
