@@ -17,7 +17,8 @@ the exponents, so comparing two packed ints compares the monomials in the
 order, a product is ``a + b``, a quotient is ``m - lm``, and ``lm | m`` is
 ``((m | G) - lm) & G == G`` with G the raw guard bits.  ``width`` is 16 bits,
 or more when twice the bound needs them: ``max_degree`` in ``buchberger``, the
-largest input exponent in ``reduce_basis``.  Lex elimination can form
+largest input exponent when a basis is packed afresh.  A packed form handed
+on is reused only where it is no narrower than that.  Lex elimination can form
 exponents above ``max_degree`` before the degree cap sees a remainder, hence
 the headroom.  An exponent that does not fit (in a generator, or in any
 product formed during completion or reduction) sets a guard bit and raises
@@ -25,7 +26,20 @@ ResourceLimitError with the partial statistics; it never wraps.
 
 Pair selection is the normal strategy: a min-heap keyed by (lcm total degree,
 insertion index), which makes runs deterministic.  The classic
-coprime-leading-term and chain criteria prune useless pairs.
+coprime-leading-term and chain criteria prune useless pairs.  Each term is
+reduced by the first basis member whose leading monomial divides it.  Since
+a completion only appends members, ``buchberger`` keeps a first-divisor cache
+for its normal forms: a packed monomial maps to that member's index, or to
+"none among the first k", so a term already proved irreducible is rescanned
+only against the members added since.
+
+The basis stays packed from completion through reduction.  ``buchberger``
+and ``reduce_basis`` leave their packed entries on the ``GroebnerBasis`` they
+return (a private field that ``dataclasses.replace`` and hand-built bases do
+not carry), and ``reduce_basis`` and ``minimal_polynomials`` start from them,
+so no ``Fraction`` round trip sits between the stages.  A basis without them
+is packed from its polys.  The ``MultiPoly`` outputs are built once, through
+a constructor that skips re-validation.
 
 For a zero-dimensional ideal, ``minimal_polynomials`` gets the univariate
 eliminants from a basis in any order (typically a cheap grevlex one) by
@@ -78,6 +92,10 @@ class GroebnerBasis:
     polys: tuple
     reduced: bool = False
     stats: dict = field(default_factory=dict)
+    # (packing, entries) behind ``polys``, set only by the function that
+    # made them; ``dataclasses.replace`` and hand-built bases start without
+    _packed: tuple | None = field(default=None, init=False, compare=False,
+                                  repr=False)
 
     def degree_multiset(self):
         return sorted((p.degree() for p in self.polys), reverse=True)
@@ -103,9 +121,12 @@ class _Packing:
     ``units[i]`` is the packed form of the i-th variable, so a monomial packs
     to ``sum(e_i * units[i])``.  Key fields are wide enough to hold the sum of
     two in-range monomials, so only the raw guard bits can flag an overflow.
+    ``degree_fields`` are the (shift, mask) fields whose sum is the total
+    degree: one per block for grevlex and block orders, every raw field for
+    lex.
     """
 
-    __slots__ = ("width", "mask", "guard", "units", "shifts")
+    __slots__ = ("width", "mask", "guard", "units", "shifts", "degree_fields")
 
     def __init__(self, order: MonomialOrder, bound: int):
         n = len(order.variables)
@@ -121,15 +142,21 @@ class _Packing:
             blocks = [range(n)]
         else:
             blocks = [range(order.elim_count), range(order.elim_count, n)]
-        # prefix-sum fields S_len..S_1 of each block, most significant first
-        fields = [blk[:k] for blk in blocks for k in range(len(blk), 0, -1)]
+        # prefix-sum fields S_len..S_1 of each block, most significant first;
+        # a block's S_len field is its share of the total degree
+        fields = [(blk[:k], k == len(blk)) for blk in blocks
+                  for k in range(len(blk), 0, -1)]
         key_bits = width + 1 + n.bit_length()
         shift = slot * n
-        for members in reversed(fields):
+        degree_fields = [] if blocks else [(s, self.mask) for s in self.shifts]
+        for members, whole in reversed(fields):
             for i in members:
                 units[i] += 1 << shift
+            if whole:
+                degree_fields.append((shift, (1 << key_bits) - 1))
             shift += key_bits
         self.units = units
+        self.degree_fields = degree_fields
 
     def pack(self, exps) -> int:
         if any(e >> self.width for e in exps):
@@ -140,13 +167,13 @@ class _Packing:
         mask = self.mask
         return tuple((m >> s) & mask for s in self.shifts)
 
-    def int_terms(self, p: MultiPoly) -> dict:
-        """Primitive integer terms of p, keyed by packed monomial."""
-        cn = content_normalize(p)
-        return {self.pack(m): int(c) for m, c in cn.terms.items()}
+    def degree(self, m: int) -> int:
+        """Total degree of a packed monomial."""
+        return sum((m >> s) & k for s, k in self.degree_fields)
 
-    def to_poly(self, ring, terms: dict) -> MultiPoly:
-        return MultiPoly(ring, {self.unpack(m): Fraction(c) for m, c in terms.items()})
+    def to_poly(self, ring: tuple, terms: dict) -> MultiPoly:
+        return MultiPoly._trusted(
+            ring, {self.unpack(m): Fraction(c) for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +182,14 @@ class _Packing:
 # A basis entry is the tuple (lm, lc, terms, tail): packed leading monomial,
 # positive integer leading coefficient, the primitive term dict, and the
 # (monomial, coefficient) items of the terms other than the leading one.
+
+def _int_terms(packing: _Packing, p: MultiPoly) -> dict:
+    """Primitive integer terms of p, keyed by packed monomial: p times the
+    lcm of its denominators, divided by the gcd of the results."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return _content_strip({packing.pack(m): c.numerator * (den // c.denominator)
+                           for m, c in p.terms.items()})
+
 
 def _content_strip(terms: dict) -> dict:
     g = 0
@@ -172,6 +207,11 @@ def _make_entry(terms: dict):
     if terms[lm] < 0:
         terms = {m: -c for m, c in terms.items()}
     return (lm, terms[lm], terms, [(m, c) for m, c in terms.items() if m != lm])
+
+
+def _coeff_bits(entries) -> int:
+    """Largest coefficient bit length among the entries' terms."""
+    return max((c.bit_length() for e in entries for c in e[2].values()), default=0)
 
 
 def _spair_terms(e1, e2, lcm_m: int, guard: int) -> dict:
@@ -203,17 +243,26 @@ def _spair_terms(e1, e2, lcm_m: int, guard: int) -> dict:
     return out
 
 
-def _normal_form_int(terms: dict, basis: Sequence, guard: int) -> dict:
+def _normal_form_int(terms: dict, basis: Sequence, guard: int,
+                     first: dict | None = None) -> dict:
     """Full normal form of an integer polynomial against basis entries.
 
     Pseudo-reduction: the result equals the true remainder up to a positive
     rational factor, which is harmless because every output is re-stripped to
     primitive form before use.  The heap holds negated packed monomials, so
-    it pops the order-largest live term first.
+    it pops the order-largest live term first.  Each term is reduced by the
+    first member, in basis order, whose leading monomial divides it.
+
+    ``first`` is an optional first-divisor cache for a basis that only grows
+    by appending, as during one completion.  It maps a packed monomial to the
+    index of its first divisor, or to ``~k`` when none of the first k members
+    divides it; a miss then rescans only the members added since.  Either
+    way the divisor is the one the full scan would choose.
     """
     work = dict(terms)
     done: dict = {}
     lms = [e[0] for e in basis]
+    nlms = len(lms)
     heap = [-m for m in work]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -223,49 +272,85 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int) -> dict:
         c = work.pop(m, 0)
         if c == 0:
             continue
-        mg = m | guard
-        for idx, lm in enumerate(lms):
-            if (mg - lm) & guard == guard:
-                q = m - lm
-                _, lc, _, tail = basis[idx]
-                g = gcd(c, lc) if c > 0 else gcd(-c, lc)
-                scale, factor = lc // g, c // g
-                if scale != 1:
-                    for k in work:
-                        work[k] *= scale
-                    for k in done:
-                        done[k] *= scale
-                    scalings += 1
-                for bm, bc in tail:
-                    t = q + bm
-                    v = work.get(t)
-                    if v is None:
-                        if t & guard:
-                            raise ResourceLimitError(_OVERFLOW)
-                        heappush(heap, -t)
-                        work[t] = -factor * bc
-                    else:
-                        v -= factor * bc
-                        if v:
-                            work[t] = v
-                        else:
-                            del work[t]
-                if scalings >= 24 and done:
-                    merged = _content_strip({**done, **work})
-                    for k in work:
-                        work[k] = merged[k]
-                    for k in done:
-                        done[k] = merged[k]
-                    scalings = 0
-                elif scalings >= 24:
-                    stripped = _content_strip(work)
-                    if stripped is not work:
-                        work.update(stripped)
-                    scalings = 0
-                break
-        else:
-            done[m] = c
+        idx = -1 if first is None else first.get(m, -1)
+        if idx < 0:
+            start = ~idx
+            mg = m | guard
+            for idx, lm in enumerate(lms[start:] if start else lms, start):
+                if (mg - lm) & guard == guard:
+                    break
+            else:
+                idx = ~nlms
+            if first is not None:
+                first[m] = idx
+            if idx < 0:
+                done[m] = c
+                continue
+        _, lc, _, tail = basis[idx]
+        q = m - lms[idx]
+        g = gcd(c, lc) if c > 0 else gcd(-c, lc)
+        scale, factor = lc // g, c // g
+        if scale != 1:
+            for k in work:
+                work[k] *= scale
+            for k in done:
+                done[k] *= scale
+            scalings += 1
+        for bm, bc in tail:
+            t = q + bm
+            v = work.get(t)
+            if v is None:
+                if t & guard:
+                    raise ResourceLimitError(_OVERFLOW)
+                heappush(heap, -t)
+                work[t] = -factor * bc
+            else:
+                v -= factor * bc
+                if v:
+                    work[t] = v
+                else:
+                    del work[t]
+        if scalings >= 24 and done:
+            merged = _content_strip({**done, **work})
+            for k in work:
+                work[k] = merged[k]
+            for k in done:
+                done[k] = merged[k]
+            scalings = 0
+        elif scalings >= 24:
+            stripped = _content_strip(work)
+            if stripped is not work:
+                work.update(stripped)
+            scalings = 0
     return _content_strip(done)
+
+
+def _with_packed(gb: GroebnerBasis, packing: _Packing, entries: list) -> GroebnerBasis:
+    object.__setattr__(gb, "_packed", (packing, entries))
+    return gb
+
+
+def _packed_basis(gb: GroebnerBasis):
+    """``(packing, entries)`` for ``gb.polys``.
+
+    Reuses the packed form the producing function left on ``gb`` when its
+    fields are no narrower than a fresh packing's would be (no exponent sets
+    a field's top bit), and widens it otherwise.  A basis without one is
+    packed from its polys, made primitive.
+    """
+    if gb._packed is not None:
+        packing, entries = gb._packed
+        top = packing.guard >> 1  # the highest raw bit of every field
+        if not any(m & top for e in entries for m in e[2]):
+            return packing, entries
+        bound = max(x for e in entries for m in e[2] for x in packing.unpack(m))
+        wide = _Packing(gb.order, bound)
+        return wide, [_make_entry({wide.pack(packing.unpack(m)): c
+                                   for m, c in e[2].items()}) for e in entries]
+    bound = max((e for p in gb.polys for m in p.terms for e in m), default=0)
+    packing = _Packing(gb.order, bound)
+    entries = [_make_entry(_int_terms(packing, p)) for p in gb.polys]
+    return packing, entries
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +376,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     lm_exps: list = []  # their exponent tuples, for pair lcms
     heap: list = []
     pending: set = set()
+    first: dict = {}  # first-divisor cache of _normal_form_int
     counter = 0
 
     def fail(msg):
@@ -315,7 +401,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
 
     try:
         for gen in ideal.generators:
-            add_member(packing.int_terms(gen))
+            add_member(_int_terms(packing, gen))
     except ResourceLimitError as exc:
         raise fail(str(exc)) from None
     for j in range(len(basis)):
@@ -348,11 +434,11 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
         stats["reductions"] += 1
         try:
             rem = _normal_form_int(
-                _spair_terms(basis[i], basis[j], lcm_m, guard), basis, guard)
+                _spair_terms(basis[i], basis[j], lcm_m, guard), basis, guard, first)
         except ResourceLimitError as exc:
             raise fail(str(exc)) from None
         if rem:
-            deg = max(sum(packing.unpack(m)) for m in rem)
+            deg = max(map(packing.degree, rem))
             if deg > max_degree:
                 raise fail(f"degree cap exceeded ({deg} > {max_degree})")
             add_member(rem)
@@ -361,7 +447,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     polys = tuple(packing.to_poly(ideal.ring, terms) for (_, _, terms, _) in basis)
     stats["basis_size"] = len(polys)
     stats["degree_multiset"] = sorted((p.degree() for p in polys), reverse=True)
-    return GroebnerBasis(order=order, polys=polys, reduced=False, stats=stats)
+    stats["coeff_bits_max"] = _coeff_bits(basis)
+    return _with_packed(GroebnerBasis(order=order, polys=polys, reduced=False,
+                                      stats=stats), packing, basis)
 
 
 def minimalize(gb: GroebnerBasis) -> GroebnerBasis:
@@ -386,29 +474,44 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     monic-vs-primitive normalization, fixed here as primitive integer
     coefficients with positive leading coefficient), sorted with the largest
     leading monomial first.
+
+    The work is done on packed integer entries: the ones ``buchberger`` (or
+    an earlier ``reduce_basis``) left on ``gb`` when present, else
+    ``gb.polys`` packed and made primitive, so the usual
+    ``reduce_basis(buchberger(...))`` chain never goes through ``Fraction``.
+    Minimalizing is a stable sort by packed leading monomial, which is the
+    order key, and each member is reduced against the others with no
+    first-divisor cache, since its reducer list differs per member.  The
+    result keeps its own entries for ``minimal_polynomials``.
     """
-    minimal = minimalize(gb)
-    bound = max((e for p in minimal.polys for m in p.terms for e in m), default=0)
-    packing = _Packing(gb.order, bound)
-    entries = [_make_entry(packing.int_terms(p)) for p in minimal.polys]
+    packing, entries = _packed_basis(gb)
+    guard = packing.guard
+    kept: list = []
+    for entry in sorted(entries, key=lambda e: e[0]):
+        mg = entry[0] | guard
+        if all((mg - k[0]) & guard != guard for k in kept):
+            kept.append(entry)
     reduced_entries = []
     try:
-        for idx, entry in enumerate(entries):
-            others = [e for k, e in enumerate(entries) if k != idx]
-            rem = _normal_form_int(entry[2], others, packing.guard)
+        for idx, entry in enumerate(kept):
+            others = [e for k, e in enumerate(kept) if k != idx]
+            rem = _normal_form_int(entry[2], others, guard)
             if rem:
                 new = _make_entry(rem)
                 reduced_entries.append(new)
-                entries[idx] = new
+                kept[idx] = new
     except ResourceLimitError as exc:
-        raise ResourceLimitError(str(exc), stats=dict(gb.stats)) from None
+        partial = {k: v for k, v in gb.stats.items() if k != "coeff_bits_max"}
+        raise ResourceLimitError(str(exc), stats=partial) from None
     reduced_entries.sort(key=lambda e: e[0], reverse=True)
     polys = tuple(packing.to_poly(gb.order.variables, terms)
                   for (_, _, terms, _) in reduced_entries)
     stats = dict(gb.stats)
-    stats["minimal_size"] = len(minimal.polys)
+    stats["minimal_size"] = len(kept)
     stats["reduced_size"] = len(polys)
-    return GroebnerBasis(gb.order, polys, reduced=True, stats=stats)
+    stats["coeff_bits_max"] = _coeff_bits(reduced_entries)
+    return _with_packed(GroebnerBasis(gb.order, polys, reduced=True, stats=stats),
+                        packing, reduced_entries)
 
 
 def elimination_ideal(gb: GroebnerBasis, keep) -> list:
@@ -564,13 +667,7 @@ def minimal_polynomials(gb: GroebnerBasis, variables) -> list:
     unknown = set(variables) - set(ring)
     if unknown:
         raise OrderError(f"unknown variables {sorted(unknown)}")
-    bound = max((e for p in gb.polys for m in p.terms for e in m), default=0)
-    packing = _Packing(gb.order, bound)
-    entries = []
-    for p in gb.polys:  # integer multiples; a normal form needs no content
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        entries.append(_make_entry({packing.pack(m): c.numerator * (den // c.denominator)
-                                    for m, c in p.terms.items()}))
+    packing, entries = _packed_basis(gb)
     lm_exps = [packing.unpack(e[0]) for e in entries]
     for i, name in enumerate(ring):
         if not any(sum(lm) == lm[i] for lm in lm_exps):

@@ -183,6 +183,16 @@ class MultiPoly:
         exp[ring.index(name)] = 1
         return cls(ring, {tuple(exp): Fraction(1)})
 
+    @classmethod
+    def _trusted(cls, ring: tuple, terms: dict) -> "MultiPoly":
+        """Wrap terms already in canonical form without re-validating them:
+        ``ring`` a tuple, every monomial an int tuple of its length, every
+        coefficient a nonzero Fraction.  Takes ownership of ``terms``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -272,6 +272,48 @@ def test_groebner_block_order(tmp_path, capsys):
     assert any(all(t["exp"][0] == 0 for t in p["terms"]) for p in doc["basis"])
 
 
+# sha256 of `groebner --json` stdout, recorded before the basis stayed packed
+# from completion through reduction
+GROEBNER_SYSTEMS = {
+    "clo": ("x^3 - 2*x*y", "x^2*y - 2*y^2 + x"),
+    "frac": ("-3/2*x^2*y + 1/3*y^2 - x", "2/5*x*y^2 - 7*y + 1/4"),
+}
+GOLDEN_GROEBNER_JSON = {
+    ("clo", "lex", False): "474a5fb736a57dadd677d41dbdd04117e4986dbb24a17646ead4ec7ad6c057ad",
+    ("clo", "lex", True): "aa0e66d1c62cd973324bd3146c6b2d63c02d506dca4a12e7ee50bf5604165edb",
+    ("clo", "grevlex", False): "3cc7118f24fb600e28d12bdc3a5e41eab4b24f275c2f6bea4a20534c66333ad1",
+    ("clo", "grevlex", True): "614d124ce0d1056f65bef67e772f45256051c131b24c0ad7ad05076adffc9085",
+    ("clo", "block:1", False): "41664e95aac7ff043995e684d0f59490ea6411988127274dde0af0e0de6fe844",
+    ("clo", "block:1", True): "2ffce4727b3152802e7cd8cbe3c65dbae6387033e1ddb7a442e98bf054e99153",
+    ("frac", "lex", False): "07157655e3efd5712798384fa6a0fae22c3f500dea06500eae7e9759b42e8fa3",
+    ("frac", "lex", True): "0da51033e3c72090424a1cba75f47a30a2a0d1576626d85f909bab9b7dc5ef07",
+    ("frac", "grevlex", False): "b21992026fe1e4110a9b0fffc724032f18f428adc55c324fb7ffe74e8c193579",
+    ("frac", "grevlex", True): "9d0f2a6400abf9100a9dfcbfef10f6f83363e3fdb65eb4202c5924543725a06e",
+    ("frac", "block:1", False): "4056917431cd40bc21802f650ab7a72a09d6a214f7a9fa5819a6df9bd84dbb36",
+    ("frac", "block:1", True): "b0322e7648b8460b298390d724e877f0025824583bac9cf25920d4db3893b567",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROEBNER_SYSTEMS))
+def test_golden_groebner_json(tmp_path, capsys, name):
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps([poly_to_dict(parse_poly(t, ("x", "y")))
+                               for t in GROEBNER_SYSTEMS[name]]))
+    base = ["groebner", "--in", str(src), "--vars", "x,y", "--json"]
+    for (key, order, raw), want in GOLDEN_GROEBNER_JSON.items():
+        if key == name:
+            code, out, _ = run(capsys, *base, "--order", order,
+                               *(["--no-reduce"] if raw else []))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want
+    # exit 3 reports the partial statistics, with no basis-wide fields
+    code, out, err = run(capsys, *base, "--order", "lex", "--max-pairs", "2")
+    assert (code, out) == (3, "")
+    assert err == ('resource limit: pair budget exceeded (2) (stats: {"basis_size":4,'
+                   '"pairs_considered":3,"pairs_skipped_criteria":0,'
+                   '"pending_pairs":3,"reductions":2})\n')
+
+
 def test_cross_process_determinism():
     # byte-identical stdout across separate interpreter processes (different
     # hash seeds), for a representative subcommand mix

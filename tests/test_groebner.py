@@ -1,5 +1,6 @@
 """Buchberger pipeline: completion, reduction, elimination, limits."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -12,12 +13,13 @@ from conicoffset import conics, reference
 from conicoffset.conics import ConicSpec, build_ideal, offset_poly_closed_form
 from conicoffset.errors import (ConicOffsetError, EliminationError, OrderError,
                                ResourceLimitError, ZeroPolyError)
-from conicoffset.groebner import (Ideal, _Packing, buchberger,
+from conicoffset.groebner import (GroebnerBasis, Ideal, _Packing, buchberger,
                                   elimination_ideal, minimal_polynomials,
                                   minimalize, reduce_basis, s_polynomial)
 from conicoffset.poly import (MultiPoly, block, content_normalize, format_poly,
-                              gradient, grevlex, lex, monomial_divides,
-                              monomial_mul, parse_poly, poly_dumps, reduce)
+                              gradient, grevlex, leading_term, lex,
+                              monomial_divides, monomial_mul, parse_poly,
+                              poly_dumps, reduce)
 from conicoffset.verify import conic_from_case
 
 R2 = ("x", "y")
@@ -248,6 +250,13 @@ def test_packed_addition_matches_monomial_mul(order):
     assert (pk.pack((top, 0, 0, 0, 0)) + pk.pack((1, 0, 0, 0, 0))) & pk.guard
 
 
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=lambda o: o.kind)
+def test_packed_degree_matches_total_degree(order):
+    pk = _Packing(order, 40)
+    for u in _random_monomials(15, top=(1 << 16) - 1):
+        assert pk.degree(pk.pack(u)) == sum(u)
+
+
 def test_exponent_overflow_raises():
     o = lex(R2)
     wide = 1 << _Packing(o, 40).width
@@ -463,3 +472,124 @@ def test_minimal_polynomials_edge_cases():
                                                     grevlex(R2))), ["x"])
     with pytest.raises(OrderError):
         minimal_polynomials(gb, ["z"])
+
+
+# ---------------------------------------------------------------------------
+# packed hand-off: buchberger -> reduce_basis -> minimal_polynomials
+# ---------------------------------------------------------------------------
+
+def _dumps(polys, order):
+    return [poly_dumps(p, order) for p in polys]
+
+
+def _orders(ring):
+    return {"lex": lex(ring), "grevlex": grevlex(ring), "block": block(ring, 1)}
+
+
+def _hand_built(gb):
+    """gb's polys without their packed form, and as non-primitive Fraction
+    multiples with negative leading coefficients plus a redundant member."""
+    first = gb.polys[0]
+    x = MultiPoly.variable(first.ring, first.ring[0])
+    plain = GroebnerBasis(gb.order, gb.polys)
+    scaled = GroebnerBasis(gb.order, tuple(F(-3, 7) * p for p in gb.polys)
+                           + (F(5, 2) * x * first,))
+    assert all(leading_term(p, gb.order)[1] < 0 for p in scaled.polys[:-1])
+    return plain, scaled
+
+
+@pytest.mark.parametrize("name,kind", [
+    (n, k) for n in ("textbook", "clo") for k in ("lex", "grevlex", "block")
+] + [("case4", "grevlex"), ("case4", "block")])
+def test_reduce_basis_same_from_packed_and_hand_built(name, kind):
+    ideal = _small_ideal(name)
+    gb = buchberger(ideal, _orders(ideal.ring)[kind])
+    want = _dumps(reduce_basis(gb).polys, gb.order)
+    for hand in _hand_built(gb):
+        assert _dumps(reduce_basis(hand).polys, gb.order) == want
+
+
+@pytest.mark.parametrize("name", ["textbook", "clo"])
+@pytest.mark.parametrize("kind", ["lex", "grevlex", "block"])
+def test_minimal_polynomials_same_from_packed_and_hand_built(name, kind):
+    gb = buchberger(_small_ideal(name), _orders(R2)[kind])
+    reduced = reduce_basis(gb)
+    want = _dumps(minimal_polynomials(reduced, R2), gb.order)
+    plain, scaled = _hand_built(gb)
+    for basis in (gb, plain, scaled, reduce_basis(plain), reduce_basis(scaled),
+                  GroebnerBasis(gb.order, reduced.polys)):
+        assert _dumps(minimal_polynomials(basis, R2), gb.order) == want
+
+
+def test_replaced_basis_is_reduced_from_its_new_polys():
+    o = grevlex(R2)
+    gb = buchberger(_small_ideal("textbook"), o)
+    other = buchberger(_small_ideal("clo"), o)
+    swapped = dataclasses.replace(gb, polys=other.polys)
+    assert _dumps(reduce_basis(swapped).polys, o) == _dumps(reduce_basis(other).polys, o)
+    assert minimal_polynomials(swapped, R2) == minimal_polynomials(other, R2)
+    reduced = reduce_basis(gb)
+    swapped = dataclasses.replace(reduced, polys=reduce_basis(other).polys)
+    assert minimal_polynomials(swapped, R2) == minimal_polynomials(other, R2)
+
+
+def test_reduce_basis_widens_a_narrow_packed_form():
+    # y^2 reduces by y - z^40000 to z^80000, which needs a field wider than
+    # the one buchberger packs into for max_degree 40; the pair is coprime,
+    # so only reduce_basis forms it
+    r3 = ("x", "y", "z")
+    x, y, z = (MultiPoly.variable(r3, v) for v in r3)
+    o = lex(r3)
+    gb = buchberger(Ideal(r3, (x ** 2 + y ** 2, y - z ** 40000)), o)
+    assert gb.stats["reductions"] == 0
+    reduced = reduce_basis(gb)
+    assert reduced.polys == (x ** 2 + z ** 80000, y - z ** 40000)
+    assert _dumps(reduce_basis(GroebnerBasis(o, gb.polys)).polys, o) == \
+        _dumps(reduced.polys, o)
+
+
+@pytest.mark.parametrize("name,kind", sorted(GOLDEN_SMALL))
+def test_engine_polys_are_canonical(name, kind):
+    ideal = _small_ideal(name)
+    order = _orders(ideal.ring)[kind]
+    gb = buchberger(ideal, order)
+    for p in gb.polys + reduce_basis(gb).polys:
+        fresh = MultiPoly(p.ring, dict(p.terms))
+        assert p == fresh and fresh == p and hash(p) == hash(fresh)
+        assert type(p.ring) is tuple and p.ring == ideal.ring
+        for m, c in p.terms.items():
+            assert type(m) is tuple and len(m) == len(p.ring)
+            assert all(type(e) is int and e >= 0 for e in m)
+            assert type(c) is F and c != 0
+
+
+def _coeff_bits(polys):
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for p in polys for c in p.terms.values()), default=0)
+
+
+@pytest.mark.parametrize("name,kind", sorted(GOLDEN_SMALL))
+def test_coeff_bits_max_matches_polys(name, kind):
+    ideal = _small_ideal(name)
+    gb = buchberger(ideal, _orders(ideal.ring)[kind])
+    reduced = reduce_basis(gb)
+    assert gb.stats["coeff_bits_max"] == _coeff_bits(gb.polys)
+    assert reduced.stats["coeff_bits_max"] == _coeff_bits(reduced.polys)
+    hand = reduce_basis(_hand_built(gb)[1])
+    assert hand.stats["coeff_bits_max"] == _coeff_bits(hand.polys)
+
+
+def test_partial_stats_have_no_coeff_bits():
+    ideal = build_ideal(ConicSpec.parabola(F(1, 3)), F(1, 4))
+    with pytest.raises(ResourceLimitError) as exc:
+        buchberger(ideal, lex(ideal.ring), max_pairs=3)
+    assert "coeff_bits_max" not in exc.value.stats
+    # reducing x^3 y^3 z^40000 by x*y - z^40000 three times forms z^160000
+    r3 = ("x", "y", "z")
+    x, y, z = (MultiPoly.variable(r3, v) for v in r3)
+    gb = GroebnerBasis(lex(r3), (x * y - z ** 40000, x ** 4 + x ** 3 * y ** 3 * z ** 40000),
+                       stats={"pairs_considered": 1, "coeff_bits_max": 1})
+    with pytest.raises(ResourceLimitError) as exc:
+        reduce_basis(gb)
+    assert "overflow" in str(exc.value)
+    assert exc.value.stats == {"pairs_considered": 1}
