@@ -1,16 +1,19 @@
 """Exact univariate helpers and real cubic solving by Cardano's formulas.
 
-Polynomials here are ascending lists of Fractions.  Discriminant signs and all
-factor arithmetic are decided exactly over the rationals; only the final
-radicals are evaluated numerically, with mpmath at the caller's working
-precision (the package convention is 60 decimal digits, i.e. 50 guard digits
-past a float).
+Polynomials here are ascending lists of Fractions.  The square-free split
+and ``poly_gcd`` clear denominators once and run over the integers, on
+primitive coefficient lists with pseudo-remainder gcds and exact integer
+division; only the factors they return become monic Fractions again.
+Discriminant signs are decided exactly on rationals; only the final radicals
+are evaluated numerically, with mpmath at the caller's working precision
+(the package convention is 60 decimal digits, i.e. 50 guard digits past a
+float).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath as mp
 
@@ -27,14 +30,6 @@ def normalize(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def monic(cs):
-    cs = normalize(cs)
-    if not cs:
-        return cs
-    lead = cs[-1]
-    return [c / lead for c in cs]
 
 
 def poly_divmod(a, b):
@@ -57,11 +52,8 @@ def poly_divmod(a, b):
 
 
 def poly_gcd(a, b):
-    a, b = monic(a), monic(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, monic(r)
-    return a
+    """The monic gcd of two rational polynomials ([] when both are zero)."""
+    return _monic(_int_gcd(_primitive(a), _primitive(b)))
 
 
 def derivative(cs):
@@ -76,23 +68,83 @@ def eval_poly_at(cs, t):
 
 
 def squarefree_decomposition(cs):
-    """Yun's algorithm: [(multiplicity, monic square-free factor), ...]."""
-    p = monic(cs)
+    """Yun's algorithm: [(multiplicity, monic square-free factor), ...].
+
+    Runs on the primitive integer form of `cs`; the factors are unique up
+    to a scalar, so they equal the split computed over the rationals.
+    """
+    p = _primitive(cs)
     if len(p) <= 1:
         return []
     out = []
-    c = poly_gcd(p, derivative(p))
-    w, _ = poly_divmod(p, c)
+    c = _int_gcd(p, _primitive(derivative(p)))
+    w = _int_exact_div(p, c)
     i = 1
     while len(w) > 1:
-        y = poly_gcd(w, c)
-        qi, _ = poly_divmod(w, y)
+        y = _int_gcd(w, c)
+        qi = _int_exact_div(w, y)
         if len(qi) > 1:
-            out.append((i, monic(qi)))
+            out.append((i, _monic(qi)))
         w = y
-        c, _ = poly_divmod(c, y)
+        c = _int_exact_div(c, y)
         i += 1
     return out
+
+
+# integer coefficient lists: primitive means coprime integer coefficients
+# with a positive leading one; [] is the zero polynomial
+
+def _primitive(cs):
+    """The primitive integer list proportional to the rational list `cs`."""
+    cs = normalize(cs)
+    if not cs:
+        return cs
+    den = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    content = gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return [v // content for v in ints]
+
+
+def _monic(ints):
+    return [Fraction(v, ints[-1]) for v in ints] if ints else []
+
+
+def _pseudo_rem(a, b):
+    """The pseudo-remainder: lc(b)**(deg a - deg b + 1) * a mod b over the
+    integers, for deg a >= deg b."""
+    a = list(a)
+    lead, n = b[-1], len(b)
+    while len(a) >= n:
+        top, k = a.pop(), len(a) - n + 1
+        a = [lead * v for v in a]
+        for i, bv in enumerate(b[:-1]):
+            a[i + k] -= top * bv
+        a = normalize(a)
+    return a
+
+
+def _int_gcd(a, b):
+    """Primitive gcd of two primitive integer lists (primitive PRS)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return a
+
+
+def _int_exact_div(a, b):
+    """The quotient of primitive integer lists where b divides a: by Gauss's
+    lemma it is itself an integer list, so every step divides exactly."""
+    a = list(a)
+    lead, n = b[-1], len(b)
+    q = [0] * (len(a) - n + 1)
+    for k in range(len(q) - 1, -1, -1):
+        v = q[k] = a[k + n - 1] // lead
+        for i, bv in enumerate(b):
+            a[i + k] -= v * bv
+    return q
 
 
 def real_cbrt(x):

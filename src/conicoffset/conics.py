@@ -25,7 +25,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import mpmath as mp
 
@@ -34,8 +36,7 @@ from .errors import EliminationError, ParamError, RootPairingError
 from .fixtures import general_offset_poly
 from .groebner import (Ideal, buchberger, elimination_ideal, minimal_polynomials,
                        reduce_basis)
-from .poly import (MultiPoly, block, content_normalize, gradient, grevlex, lex,
-                   substitute)
+from .poly import MultiPoly, block, content_normalize, gradient, grevlex, lex
 
 VARIETY_RING = ("y0", "x0", "x", "y")
 PARABOLA_SYMBOLIC_RING = ("y0", "x0", "x", "y", "r", "p")
@@ -90,11 +91,16 @@ class ConicSpec:
     def param_map(self) -> dict:
         return dict(self.params)
 
-    def __getattr__(self, name):
-        d = dict(object.__getattribute__(self, "params"))
-        if name in d:
-            return d[name]
+    # p, a and b by name; a parameter the kind lacks raises AttributeError
+    def _param(self, name):
+        for key, value in self.params:
+            if key == name:
+                return value
         raise AttributeError(name)
+
+    p = property(lambda self: self._param("p"))
+    a = property(lambda self: self._param("a"))
+    b = property(lambda self: self._param("b"))
 
     def describe(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params)
@@ -201,15 +207,70 @@ def _restrict_xy(p: MultiPoly) -> MultiPoly:
     return MultiPoly(("x", "y"), terms)
 
 
+@lru_cache(maxsize=None)
+def _closed_form_program(kind: str):
+    """The stored general offset polynomial of `kind` as an integer program.
+
+    Returns ``(names, tops, terms, ranked)``: the parameters in fixture ring
+    order; each one's largest exponent; for every fixture term, in fixture
+    term order, ``(integer coefficient, slots, (ex, ey))``, where ``slots``
+    index one power per parameter in the list of the tables of powers
+    0..top of each parameter in turn; and the distinct (ex, ey) monomials in
+    descending grevlex order.  Built on first use and kept, one entry per
+    kind.
+    """
+    general = general_offset_poly(kind)
+    ix, iy = general.ring.index("x"), general.ring.index("y")
+    params = [i for i in range(len(general.ring)) if i not in (ix, iy)]
+    tops = tuple(max(m[i] for m in general.terms) for i in params)
+    starts = [sum(tops[:j]) + j for j in range(len(params))]
+    terms = tuple((c.numerator, tuple(s + m[i] for s, i in zip(starts, params)),
+                   (m[ix], m[iy]))
+                  for m, c in general.terms.items())
+    ranked = tuple(sorted({t[2] for t in terms}, key=grevlex(("x", "y")).key,
+                          reverse=True))
+    return tuple(general.ring[i] for i in params), tops, terms, ranked
+
+
 def offset_poly_closed_form(conic: ConicSpec, r) -> OffsetCurve:
-    """Specialize the stored general offset polynomial; exact and immediate."""
+    """Specialize the stored general offset polynomial; exact and immediate.
+
+    The work is in integers.  With each parameter v = n/d of top degree T in
+    the fixture, a term's factor v**e becomes n**e * d**(T - e): every term is
+    scaled by the same positive integer, the product of the d**T.  Terms are
+    summed per (x, y) monomial in fixture order, a monomial leaving the sum
+    when its partial sum cancels and re-entering at the end when a later term
+    brings it back, then the integer content is divided out and the sign set
+    by the grevlex-leading term.  That is term for term what
+    ``content_normalize`` gives for the ``Fraction`` substitution, in the same
+    term order.  The order matters: the mp and float evaluators sum terms in
+    it, so it fixes their rounding (at r = a, r = b or r = r_crit some
+    monomials cancel and come back, e.g. ellipse(2, 1) at r = 1).
+    """
     r = _frac(r)
     if r <= 0:
         raise ParamError("offset r must be positive")
+    names, tops, program, ranked = _closed_form_program(conic.kind)
     values = dict(conic.params)
     values["r"] = r
-    g = substitute(general_offset_poly(conic.kind), values)
-    g = content_normalize(_restrict_xy(g))
+    powers = []
+    for name, top in zip(names, tops):
+        n, d = values[name].numerator, values[name].denominator
+        powers += [n ** e * d ** (top - e) for e in range(top + 1)]
+    out: dict = {}
+    for c, slots, m in program:
+        for k in slots:
+            c *= powers[k]
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    content = gcd(*out.values())
+    if out[next(m for m in ranked if m in out)] < 0:
+        content = -content
+    g = MultiPoly._trusted(("x", "y"),
+                           {m: Fraction(c // content) for m, c in out.items()})
     return OffsetCurve(conic=conic, r=r, g=g, source="closed-form")
 
 
@@ -303,7 +364,10 @@ def _mp_evaluator(poly: MultiPoly):
 
 
 def _max_abs_coeff(poly: MultiPoly) -> mp.mpf:
-    return max(abs(_mpf(c)) for c in poly.terms.values())
+    # rounding an integer to an mpf is monotone, so for the integer
+    # polynomials this sees the max of the exact values rounds to the max of
+    # the rounded ones
+    return _mpf(max(abs(c) for c in poly.terms.values()))
 
 
 def _exact_or_float(v):
@@ -567,7 +631,14 @@ def singular_points_via_elimination(conic: ConicSpec, r,
         raw = []
         for xv, yv in product(xs, ys):
             pt = (_mpf(xv), _mpf(yv))
-            res = max(abs(f(pt)) for f in evaluators) / scale
+            # the scaled max of |g|, |g_x|, |g_y|; once a partial max reaches
+            # `reject` the full one does too, so the rest need not be evaluated
+            peak = mp.mpf(0)
+            for f in evaluators:
+                peak = max(peak, abs(f(pt)))
+                res = peak / scale
+                if res >= reject:
+                    break
             if res < accept:
                 tag = axis_tag if pt[0] == 0 else SPLIT
                 raw.append((xv, yv, tag))

@@ -1,10 +1,13 @@
 """Closed-form offset-curve polynomials, stored once as text fixtures.
 
 Each constant is the implicit polynomial of the two parallel lines at
-offset r from the conic, with the conic parameters kept symbolic.  The
-text form is parsed once on first use and cached.  These fixtures are
-validated against the elimination pipeline by the test suite, so a
-transcription slip cannot survive unnoticed.
+offset r from the conic, with the conic parameters kept symbolic; every
+coefficient is an integer.  The text form is parsed once on first use and
+cached.  ``conics.offset_poly_closed_form`` turns each parsed fixture, once
+per kind, into an integer program that it specializes per call, and the
+fixture's term order is the order in which that program sums terms.  These
+fixtures are validated against the elimination pipeline by the test suite,
+so a transcription slip cannot survive unnoticed.
 """
 
 from functools import lru_cache

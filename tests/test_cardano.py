@@ -1,13 +1,18 @@
 """Exact univariate helpers and Cardano-based real root extraction."""
 
+import random
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
-from conicoffset.cardano import (eval_poly_at, fraction_sqrt, poly_divmod,
-                                 poly_gcd, real_cbrt, real_roots_cubic,
-                                 real_roots_exact, squarefree_decomposition)
+from conicoffset import conics, reference
+from conicoffset.cardano import (derivative, eval_poly_at, fraction_sqrt,
+                                 normalize, poly_divmod, poly_gcd, real_cbrt,
+                                 real_roots_cubic, real_roots_exact,
+                                 squarefree_decomposition)
+from conicoffset.poly import content_normalize, gradient
+from conicoffset.verify import conic_from_case
 
 
 def poly_mul(a, b):
@@ -81,3 +86,76 @@ def test_real_roots_exact_even_square_structure():
 def test_real_roots_exact_rational():
     p = poly_mul(poly_mul([F(-1), F(1)], [F(-1), F(1)]), [F(2), F(1)])
     assert real_roots_exact(p) == [F(-2), F(1)]
+
+
+# verbatim copy of the Fraction-based square-free split the integer one
+# replaced, with the helpers it used
+def _old_monic(cs):
+    cs = normalize(cs)
+    if not cs:
+        return cs
+    lead = cs[-1]
+    return [c / lead for c in cs]
+
+
+def _old_poly_gcd(a, b):
+    a, b = _old_monic(a), _old_monic(b)
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, _old_monic(r)
+    return a
+
+
+def _old_squarefree_decomposition(cs):
+    p = _old_monic(cs)
+    if len(p) <= 1:
+        return []
+    out = []
+    c = _old_poly_gcd(p, derivative(p))
+    w, _ = poly_divmod(p, c)
+    i = 1
+    while len(w) > 1:
+        y = _old_poly_gcd(w, c)
+        qi, _ = poly_divmod(w, y)
+        if len(qi) > 1:
+            out.append((i, _old_monic(qi)))
+        w = y
+        c, _ = poly_divmod(c, y)
+        i += 1
+    return out
+
+
+def _reference_eliminants():
+    out = []
+    for case_id in range(1, 10):
+        case = reference.case(case_id)
+        g = conics.offset_poly_closed_form(conic_from_case(case), F(case["r"])).g
+        system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])))
+        out.extend(conics._singular_eliminants(system))
+    return out
+
+
+def _random_products(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = [F(rng.randint(-50, 50) or 1, rng.randint(1, 40))]
+        for _ in range(rng.randint(1, 4)):
+            factor = [F(rng.randint(-30, 30), rng.randint(1, 30))
+                      for _ in range(rng.randint(1, 3))]
+            factor.append(F(rng.choice([-1, 1]) * rng.randint(1, 25),
+                            rng.randint(1, 25)))
+            for _ in range(rng.randint(1, 3)):
+                p = poly_mul(p, factor)
+        out.append(p)
+    return out
+
+
+def test_squarefree_matches_rational_oracle():
+    inputs = _reference_eliminants() + _random_products(91, 300)
+    for cs in inputs:
+        assert squarefree_decomposition(cs) == _old_squarefree_decomposition(cs)
+    products = _random_products(92, 60)
+    for a, b, c in zip(products, products[1:], products[2:]):
+        ab, bc = poly_mul(a, b), poly_mul(b, c)
+        assert poly_gcd(ab, bc) == _old_poly_gcd(ab, bc)

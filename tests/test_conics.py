@@ -1,5 +1,7 @@
 """Conic machinery: ideals, offset polynomials, critical offsets, singular points."""
 
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -11,8 +13,9 @@ from conicoffset.conics import (ConicSpec, build_ideal, offset_poly_closed_form,
                                 offset_poly_elimination, r_crit, singular_points,
                                 singular_points_via_elimination)
 from conicoffset.errors import ParamError, ResourceLimitError
+from conicoffset.fixtures import general_offset_poly
 from conicoffset.poly import (content_normalize, gradient, parse_poly,
-                              substitute)
+                              poly_dumps, substitute)
 from conicoffset.verify import conic_from_case, expected_points, proportional
 
 
@@ -27,6 +30,28 @@ def test_conic_spec_validation():
         ConicSpec.hyperbola(1, 2)
     assert ConicSpec.hyperbola(1, 1).a == 1  # rectangular allowed
     assert ConicSpec.parabola(F(-1, 2)).p == F(-1, 2)
+
+
+def test_conic_spec_parameter_lookup():
+    e = ConicSpec.ellipse(2, 1)
+    assert (e.a, e.b) == (F(2), F(1))
+    assert ConicSpec.parabola(F(-1, 2)).p == F(-1, 2)
+    with pytest.raises(AttributeError):
+        e.p
+    with pytest.raises(AttributeError):
+        ConicSpec.parabola(1).a
+    assert not hasattr(e, "r")
+    assert repr(e) == ("ConicSpec(kind='ellipse', params=(('a', Fraction(2, 1)), "
+                       "('b', Fraction(1, 1))))")
+    assert e == ConicSpec("ellipse", (("a", F(2)), ("b", F(1))))
+    assert hash(e) == hash(ConicSpec.ellipse(2, 1))
+    assert e != ConicSpec.hyperbola(2, 1)
+    h = dataclasses.replace(e, kind="hyperbola")
+    assert h == ConicSpec.hyperbola(2, 1) and h.a == 2
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert pickle.loads(pickle.dumps(e)).b == 1
+    assert e.describe() == "ellipse(a=2, b=1)"
+    assert e.param_map() == {"a": 2, "b": 1}
 
 
 def test_r_crit_values():
@@ -108,6 +133,68 @@ def random_conics(kind, count, seed):
                 out.append(ConicSpec.ellipse(a, b) if kind == "ellipse"
                            else ConicSpec.hyperbola(a, b))
     return out
+
+
+def _substituted_closed_form(conic, r):
+    # the Fraction route the integer specialization replaced
+    values = dict(conic.params)
+    values["r"] = r
+    return content_normalize(conics._restrict_xy(
+        substitute(general_offset_poly(conic.kind), values)))
+
+
+# a monomial's partial sum cancels and a later term brings it back
+REAPPEARING_TERM_CASES = [(ConicSpec.ellipse(2, 1), F(1)),
+                          (ConicSpec.hyperbola(2, 1), F(3))]
+
+
+def _closed_form_cases():
+    cases = list(REAPPEARING_TERM_CASES)
+    rng = random.Random(4242)
+
+    def q(big=False):
+        den = rng.randint(10 ** 8, 10 ** 9) if big else rng.randint(1, 9)
+        return F(rng.randint(1, 12 * den), den)
+
+    for k in range(24):
+        big = k % 3 == 0
+        conics_here = [ConicSpec.parabola(-q(big)), ConicSpec.parabola(q(big))]
+        b = q(big)
+        conics_here += [ConicSpec.ellipse(b + q(big), b),
+                        ConicSpec.hyperbola(b, b),
+                        ConicSpec.hyperbola(b + q(big), b)]
+        for conic in conics_here:
+            rc = r_crit(conic)
+            rs = [rc / 3, rc, rc * 2, q(big)]
+            if conic.kind != "parabola":
+                a, b_ = conic.a, conic.b
+                rs += [b_, a, a * a / b_, a * a / b_ + q(big)]
+            cases.extend((conic, r) for r in rs)
+    return cases
+
+
+def test_closed_form_fixture_coefficients_are_integers():
+    for kind in ("parabola", "ellipse", "hyperbola"):
+        assert all(c.denominator == 1
+                   for c in general_offset_poly(kind).terms.values())
+
+
+def test_closed_form_matches_substitution_term_for_term():
+    for conic, r in _closed_form_cases():
+        got = offset_poly_closed_form(conic, r).g
+        want = _substituted_closed_form(conic, r)
+        assert list(got.terms.items()) == list(want.terms.items()), (conic, r)
+        assert poly_dumps(got) == poly_dumps(want)
+    # the returning monomial moves to the end: the order differs from the
+    # order of first sight, so summing per monomial would get it wrong
+    for conic, r in REAPPEARING_TERM_CASES:
+        general = general_offset_poly(conic.kind)
+        ix, iy = general.ring.index("x"), general.ring.index("y")
+        got = list(offset_poly_closed_form(conic, r).g.terms)
+        first_seen = [m for m in dict.fromkeys((e[ix], e[iy])
+                                               for e in general.terms)
+                      if m in got]
+        assert sorted(got) == sorted(first_seen) and got != first_seen
 
 
 @pytest.mark.parametrize("kind", ["parabola", "ellipse", "hyperbola"])
@@ -345,6 +432,10 @@ def test_mp_evaluator_bit_identical(case_id):
                for _ in range(40)]
         pts += [(mp.sqrt(2), -mp.cbrt(3)), (mp.mpf(0), mp.mpf(-1) / 3),
                 (mp.mpf(5) / 7, mp.mpf(0)), (mp.mpf(0), mp.mpf(0))]
+        for p in (g, gx, gy):
+            # the max of the exact values rounds to the max of the rounded
+            want = max(abs(conics._mpf(c)) for c in p.terms.values())
+            assert conics._max_abs_coeff(p)._mpf_ == want._mpf_
         for p in (g, gx, gy, content_normalize(gx), content_normalize(gy),
                   gxx, gxy, gyy):
             ev = conics._mp_evaluator(p)
