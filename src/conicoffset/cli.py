@@ -205,10 +205,7 @@ def cmd_singular(args):
     for p in doc["points"]:
         lines.append(f"  ({p['x']}, {p['y']})  [{p['tag']}]  "
                      f"|grad| residual {p['residual_grad']:.2e}")
-    if args.format == "json":
-        print(_dump(doc))
-    else:
-        _emit(args, doc, text="\n".join(lines))
+    _emit(args, doc, text=None if args.format == "json" else "\n".join(lines))
     return EXIT_OK
 
 
@@ -327,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_conic_flags(s)
     s.add_argument("--method", choices=["closed", "elimination"], default="closed")
     s.add_argument("--format", choices=["text", "json"], default="text")
-    s.add_argument("--json", action="store_true")
+    s.add_argument("--json", action="store_const", dest="format", const="json",
+                   help="same as --format json")
     s.set_defaults(func=cmd_singular)
 
     c = sub.add_parser("classify", help="offset regime against the critical offset")

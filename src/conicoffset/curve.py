@@ -15,6 +15,11 @@ for byte; golden hashes in tests/test_curve.py and tests/test_mesh.py pin
 them.  A dense or numpy Horner would reorder the sums and change those bytes.
 _grid_eval, the vectorized sign pass of the trace, adds only the y-powers
 present (a 0.0 filler there could turn a -0.0 into 0.0).
+
+The tracer solves each vertex on its own grid edge: one bracketed 1-D
+solver (Illinois regula falsi with a bisection fallback) between the two
+grid nodes whose signs differ, so no vertex leaves its edge, and segments are
+chained through the edges they share, with no float tolerance.
 """
 
 from __future__ import annotations
@@ -248,44 +253,63 @@ def max_curvature(conic: ConicSpec, samples: int = 4096) -> float:
     return max(fc, fd, ks[best])
 
 
-def _newton_project(f, fx, fy, x, y, steps=1, max_step=float("inf")):
-    # damped Newton along the gradient of the compiled g, gx, gy: near a
-    # singular point the raw step explodes, so halve it until |g| actually
-    # decreases (or give up)
-    v = f(x, y)
-    for _ in range(steps):
-        dx, dy = fx(x, y), fy(x, y)
-        n2 = dx * dx + dy * dy
-        if n2 == 0.0 or not math.isfinite(n2):
-            break
-        sx, sy = v * dx / n2, v * dy / n2
-        length = math.hypot(sx, sy)
-        if length > max_step:
-            shrink = max_step / length
-            sx, sy = sx * shrink, sy * shrink
-        moved = False
-        for _ in range(6):
-            v2 = f(x - sx, y - sy)
-            if abs(v2) < abs(v):
-                x, y, v = x - sx, y - sy, v2
-                moved = True
-                break
-            sx, sy = sx / 2, sy / 2
-        if not moved:
-            break
-    return x, y
+_BRACKET_WIDTH = 1e-13  # stop width, in edge units
 
 
-def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
-                   newton_steps: int = 3) -> TracedCurve:
-    """Marching-squares contour of g = 0 with damped-Newton vertex polish.
+def _bracketed_root(phi, lo, hi, flo, fhi):
+    """Root of phi on [lo, hi], given flo = phi(lo) and fhi = phi(hi) of
+    opposite signs.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 1971): when the same end
+    moves twice running, the other end's stored value is halved.  When it has
+    moved three times running the step is a bisection instead: near a double
+    zero of phi beside the bracket (a virtual singular point) regula falsi
+    alone walks into that zero until rounding fakes a sign change.  The
+    bracket never widens, so the root stays between lo and hi.  Stops on an
+    exact zero or once the bracket is narrower than _BRACKET_WIDTH, and
+    returns the end with the smaller |phi|.
+    """
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    slo, shi = flo, fhi  # the stored end values, halved by the Illinois rule
+    moved, run = 0, 0  # the end that moved last (-1 lo, +1 hi), and how often
+    while hi - lo > _BRACKET_WIDTH:
+        if run >= 3:
+            t = 0.5 * (lo + hi)
+        else:
+            t = min(hi, lo + (hi - lo) * (slo / (slo - shi)))
+        ft = phi(t)
+        if ft == 0.0:
+            return t
+        side = -1 if (ft < 0.0) == (flo < 0.0) else 1
+        run = run + 1 if side == moved else 1
+        moved = side
+        if side < 0:
+            lo, flo, slo = t, ft, ft
+            if run >= 2:
+                shi *= 0.5
+        else:
+            hi, fhi, shi = t, ft, ft
+            if run >= 2:
+                slo *= 0.5
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
+def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
+    """Marching-squares contour of g = 0 with each vertex solved on its edge.
 
     Cells are scanned row-major; saddle cells (two opposite sign pairs) are
-    disambiguated by the sign at the cell center.  Segments sharing endpoints
-    within half a grid cell are chained into polylines; singular points of
-    the variety adjacent to the trace are pinned exactly (see
-    _snap_singular_vertices).  Output is a pure function of the inputs; every
-    vertex satisfies |g| <= 1e-6 * max|coeff|.
+    disambiguated by the sign at the cell center.  Every crossing grid edge
+    gets one vertex, the root of g along that edge found by a bracketed
+    solver (_bracketed_root), so the vertex lies on its edge: its x is a grid
+    x-value or its y a grid y-value.  A segment joins two crossing edges of a
+    cell, and segments are chained through the edges they share, so a closed
+    curve comes back to its first vertex and an open polyline ends on the
+    bbox boundary.  Singular points of the variety adjacent to the trace are
+    pinned exactly (see _snap_singular_vertices).  Output is a pure function
+    of the inputs; every vertex satisfies |g| <= 1e-6 * max|coeff|.
     """
     if resolution < 8:
         raise ParamError("resolution must be at least 8")
@@ -295,11 +319,6 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
     xs = np.linspace(xmin, xmax, resolution + 1)
     ys = np.linspace(ymin, ymax, resolution + 1)
     vals = _grid_eval(g, xs, ys)
-    gx, gy = gradient(g, ["x", "y"])
-
-    def interp(xa, ya, va, xb, yb, vb):
-        t = va / (va - vb) if va != vb else 0.5
-        return (float(xa + t * (xb - xa)), float(ya + t * (yb - ya)))
 
     neg = vals < 0.0
     codes = (neg[:-1, :-1].astype(np.int8)
@@ -312,19 +331,12 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
     if crossing_cells.size == 0:
         return TracedCurve(polylines=(), bbox=(xmin, xmax, ymin, ymax),
                            resolution=resolution)
-    f, fx, fy = xy_evaluator(g), xy_evaluator(gx), xy_evaluator(gy)
+    f = xy_evaluator(g)
+    # a segment is a pair of edge keys; an edge key is the pair of its grid
+    # nodes, lower index first, so the two cells beside an edge name it alike
     segments = []
-    for i, j in crossing_cells:
-        corner_vals = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
+    for i, j in crossing_cells.tolist():
         code = int(codes[i, j])
-        cx = (xs[i], xs[i + 1], xs[i + 1], xs[i])
-        cy = (ys[j], ys[j], ys[j + 1], ys[j + 1])
-
-        def edge_point(e):
-            a, b = edges[e]
-            return interp(cx[a], cy[a], corner_vals[a],
-                          cx[b], cy[b], corner_vals[b])
-
         if code in (5, 10):
             # saddle cell: resolve the pairing by the sign at the center
             center = f((xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2)
@@ -334,81 +346,56 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
             else:  # corners 1 and 3 negative
                 pairs = [(0, 1), (2, 3)] if neg_center else [(0, 3), (1, 2)]
         else:
-            crossing = [e for e, (a, b) in enumerate(edges)
-                        if (corner_vals[a] < 0.0) != (corner_vals[b] < 0.0)]
-            pairs = [tuple(crossing)]
-        for ea, eb in pairs:
-            segments.append((edge_point(ea), edge_point(eb)))
+            pairs = [tuple(e for e, (a, b) in enumerate(edges)
+                           if (code >> a ^ code >> b) & 1)]
+        keys = (((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1)),
+                ((i, j + 1), (i + 1, j + 1)), ((i, j), (i, j + 1)))
+        segments.extend((keys[ea], keys[eb]) for ea, eb in pairs)
 
-    # Newton-polish segment endpoints
-    cell = 0.5 * min((xmax - xmin), (ymax - ymin)) / resolution
-    polished = []
-    cache = {}
-    for pa, pb in segments:
-        out = []
-        for pt in (pa, pb):
-            if pt not in cache:
-                cache[pt] = _newton_project(f, fx, fy, pt[0], pt[1],
-                                            newton_steps, max_step=cell)
-            out.append(cache[pt])
-        polished.append((pa, pb, out[0], out[1]))
+    by_edge: dict = {}
+    for idx, seg in enumerate(segments):
+        for key in seg:
+            by_edge.setdefault(key, []).append(idx)
 
-    # chain segments whose raw endpoints coincide within grid tolerance;
-    # matching scans the 3x3 neighborhood of the quantized bucket so that
-    # float jitter at bucket boundaries cannot break a chain
-    tol = 0.5 * min((xmax - xmin), (ymax - ymin)) / resolution
+    xl, yl = xs.tolist(), ys.tolist()
 
-    def bucket(p):
-        return (int(round(p[0] / tol)), int(round(p[1] / tol)))
+    def solve(key):
+        (ia, ja), (ib, jb) = key
+        xa, ya, xb, yb = xl[ia], yl[ja], xl[ib], yl[jb]
+        dx, dy = xb - xa, yb - ya
+        t = _bracketed_root(lambda u: f(xa + u * dx, ya + u * dy), 0.0, 1.0,
+                            float(vals[ia, ja]), float(vals[ib, jb]))
+        return Point2(xa + t * dx, ya + t * dy)
 
-    adj: dict = {}
-    for idx, (pa, pb, _, _) in enumerate(polished):
-        adj.setdefault(bucket(pa), []).append((idx, 0, pa))
-        adj.setdefault(bucket(pb), []).append((idx, 1, pb))
+    vertex = {key: solve(key) for key in by_edge}
 
-    used = [False] * len(polished)
+    used = [False] * len(segments)
 
-    def take_neighbor(endpoint):
-        bx, by = bucket(endpoint)
-        best = None
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for idx, end, p in adj.get((bx + dx, by + dy), ()):
-                    if used[idx]:
-                        continue
-                    d = math.hypot(p[0] - endpoint[0], p[1] - endpoint[1])
-                    if d <= tol and (best is None or d < best[0]):
-                        best = (d, idx, end)
-        return best
+    def walk(key):
+        # the edges passed by taking, each time, the unused segment through
+        # the current edge
+        passed = [key]
+        while True:
+            nxt = next((k for k in by_edge[key] if not used[k]), None)
+            if nxt is None:
+                return passed
+            used[nxt] = True
+            a, b = segments[nxt]
+            key = b if a == key else a
+            passed.append(key)
 
     polylines = []
-    for start in range(len(polished)):
+    for start, (first, second) in enumerate(segments):
         if used[start]:
             continue
         used[start] = True
-        pa, pb, qa, qb = polished[start]
-        chain_raw = [pa, pb]
-        chain = [qa, qb]
-        for direction in (1, 0):
-            while True:
-                endpoint = chain_raw[-1] if direction else chain_raw[0]
-                hit = take_neighbor(endpoint)
-                if hit is None:
-                    break
-                _, idx, end = hit
-                used[idx] = True
-                pa2, pb2, qa2, qb2 = polished[idx]
-                raw_new, pol_new = ((pb2, qb2) if end == 0 else (pa2, qa2))
-                if direction:
-                    chain_raw.append(raw_new)
-                    chain.append(pol_new)
-                else:
-                    chain_raw.insert(0, raw_new)
-                    chain.insert(0, pol_new)
-        polylines.append([Point2(x, y) for x, y in chain])
+        forward = walk(second)
+        backward = walk(first)
+        polylines.append([vertex[k] for k in backward[::-1] + forward])
 
-    polylines, tips = _snap_singular_vertices(polylines, g, gx, gy,
-                                              (xmin, xmax, ymin, ymax), 2 * tol)
+    cell = min(xmax - xmin, ymax - ymin) / resolution
+    polylines, tips = _snap_singular_vertices(polylines, g,
+                                              (xmin, xmax, ymin, ymax), cell)
     polylines = [tuple(pl) for pl in polylines]
     polylines.sort(key=lambda pl: (pl[0].x, pl[0].y, len(pl)))
     tips = tuple(sorted(tips, key=lambda p: (p.x, p.y)))
@@ -417,17 +404,22 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
                        singular_vertices=tips)
 
 
-def _snap_singular_vertices(polylines, g, gx, gy, bbox, cell):
+def _snap_singular_vertices(polylines, g, bbox, cell):
     """Pin the trace to nearby singular points of the variety.
 
     Marching squares cannot resolve a cusp tip (the beak is thinner than a
     grid cell near it) and places no vertex exactly on a node.  This pass
     seeds Newton iteration on the gradient system from the lowest-|grad g|
-    vertices, keeps converged points that lie on the variety within a few
-    cells, splices each into the nearest passing segments, and drops the tiny
-    aliasing rings marching squares leaves around a cusp.
+    vertices and keeps converged points that lie on the variety within a few
+    cells.  It splices each tip on the closure of the curve (node or cusp)
+    into the nearest passing segments; an isolated tip (a virtual singular
+    point) is reported only.  A tiny closed ring (at most 12 vertices, all
+    within 4 cells) around any tip is dropped: it is rounding aliasing, since
+    near a cusp the beak is thinner than a cell and near an isolated zero g
+    does not change sign.  `cell` is the grid step of the shorter bbox side.
     """
     xmin, xmax, ymin, ymax = bbox
+    gx, gy = gradient(g, ["x", "y"])
     gxx, gxy = gradient(gx, ["x", "y"])
     _, gyy = gradient(gy, ["x", "y"])
     g_scale = max_abs_coeff(g)
@@ -460,12 +452,14 @@ def _snap_singular_vertices(polylines, g, gx, gy, bbox, cell):
     def is_isolated(x, y):
         # definite Hessian => isolated real zero (a virtual singular point,
         # not on the closure of the curve); nodes are indefinite, cusps
-        # degenerate
+        # degenerate.  A float cusp tip reads det/mag up to about 1e-5 either
+        # side of 0 (the critical offsets' degenerate points the most), a
+        # virtual point above 1e-3 even at 0.999 r_crit: 1e-4 parts them
         a11, a12 = f_xx(x, y), f_xy(x, y)
         a22 = f_yy(x, y)
         det = a11 * a22 - a12 * a12
         mag = (abs(a11) + abs(a12) + abs(a22)) ** 2
-        return det > 1e-8 * mag
+        return det > 1e-4 * mag
 
     # seeds: per-polyline local minima of the gradient magnitude
     seeds = []
@@ -492,12 +486,12 @@ def _snap_singular_vertices(polylines, g, gx, gy, bbox, cell):
     # stay off the trace
     on_curve_tips = [t for t in tips if not is_isolated(t.x, t.y)]
 
-    # drop tiny aliasing rings hugging an on-curve tip
+    # drop tiny aliasing rings hugging any tip
     def is_ring_artifact(pl):
         if len(pl) > 12 or pl[0] != pl[-1]:
             return False
         return any(all(math.hypot(p.x - t.x, p.y - t.y) <= 4 * cell for p in pl)
-                   for t in on_curve_tips)
+                   for t in tips)
 
     polylines = [pl for pl in polylines if not is_ring_artifact(pl)]
 

@@ -8,6 +8,7 @@ import pytest
 
 from conicoffset import cli, reference
 from conicoffset.cli import main
+from conicoffset.conics import ConicSpec, offset_poly_closed_form
 from conicoffset.poly import parse_poly, poly_to_dict
 from conicoffset.verify import conic_from_case
 
@@ -45,6 +46,29 @@ def test_singular_json(capsys):
     doc = json.loads(stdout)
     assert doc["count"] == 6 and doc["regime"] == "supercritical"
     assert doc["r_crit"] == "3/4"
+
+
+SINGULAR_TEXT = """\
+r_crit = 3/4  regime = supercritical  6 real point(s), 2 complex
+  (-0.27684418911358416, -1.7450940736957248)  [split]  |grad| residual 4.02e-61
+  (0.27684418911358416, -1.7450940736957248)  [split]  |grad| residual 4.02e-61
+  (0, -1.1902380714238083)  [on-curve]  |grad| residual 7.47e-63
+  (0, 1.1902380714238083)  [on-curve]  |grad| residual 7.47e-63
+  (-0.27684418911358416, 1.7450940736957248)  [split]  |grad| residual 4.02e-61
+  (0.27684418911358416, 1.7450940736957248)  [split]  |grad| residual 4.02e-61
+"""
+
+
+def test_singular_json_spellings(capsys):
+    # --json is an alias of --format json; text stays the default
+    conic = ("singular", "--conic", "ellipse", "--a", "3", "--b", "3/2",
+             "--r", "4/3")
+    outs = [run(capsys, *conic, *flags) for flags in
+            (("--format", "json"), ("--json",), ("--format", "text"), ())]
+    assert [code for code, _, _ in outs] == [0, 0, 0, 0]
+    assert outs[0][1] == outs[1][1]
+    assert json.loads(outs[1][1])["count"] == 6
+    assert outs[2][1] == outs[3][1] == SINGULAR_TEXT
 
 
 def test_singular_elimination_method(capsys):
@@ -314,7 +338,7 @@ def test_golden_groebner_json(tmp_path, capsys, name):
                    '"pending_pairs":3,"reductions":2})\n')
 
 
-def test_cross_process_determinism():
+def test_cross_process_determinism(tmp_path):
     # byte-identical stdout across separate interpreter processes (different
     # hash seeds), for a representative subcommand mix
     import os
@@ -343,3 +367,13 @@ def test_cross_process_determinism():
                  ["singular", "--conic", "ellipse", "--a", "3", "--b", "3/2",
                   "--r", "4/3", "--format", "json"]):
         assert run_proc(args, "0") == run_proc(args, "12345")
+
+    # the tracer: stdout and SVG bytes
+    g = offset_poly_closed_form(ConicSpec.ellipse(3, Fraction(3, 2)),
+                                Fraction(4, 3)).g
+    gfile, svg = tmp_path / "g.json", tmp_path / "trace.svg"
+    gfile.write_text(json.dumps(poly_to_dict(g)))
+    args = ["trace", "--g", str(gfile), "--bbox=-4,4,-5,5", "--res", "128",
+            "--mark-singular", "--svg", str(svg), "--json"]
+    runs = [(run_proc(args, seed), svg.read_bytes()) for seed in ("0", "12345")]
+    assert runs[0] == runs[1]

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conicoffset.conics import (ConicSpec, offset_poly_closed_form, r_crit,
@@ -94,10 +95,15 @@ def test_trace_resolution_precondition():
 
 def test_trace_vertex_residuals():
     # type invariant: every vertex within 1e-6 * max|coeff|, cusps included
+    # the last two pass close to isolated zeros of g, which draw a vertex
+    # that leaves its grid edge off the curve
     for conic, r, bbox, res in [
         (ConicSpec.ellipse(3, F(3, 2)), F(1, 2), (-3, 3, -4, 4), 256),
         (ConicSpec.parabola(F(1, 3)), F(3, 2), (-3, 3, -1.5, 4), 512),
+        (ConicSpec.ellipse(F(41, 4), 9), F(7), None, 512),
+        (ConicSpec.hyperbola(4, 2), F(17, 3), None, 256),
     ]:
+        bbox = bbox or figure_bbox(conic, r)
         g = offset_poly_closed_form(conic, r).g
         tc = trace_implicit(g, bbox, res)
         scale = max_abs_coeff(g)
@@ -106,15 +112,68 @@ def test_trace_vertex_residuals():
         assert worst <= 1e-6 * scale
 
 
-def test_trace_passes_through_singular_points():
-    case = ref_case(3)
+def test_trace_axis_vertices_exact():
+    # ellipse(41/4, 9) at r = 7 < r_crit: on x = 0 the offsets cross at
+    # y = +-(a - r) and +-(a + r), beside the virtual point (0, 3.0832)
+    conic, r = ConicSpec.ellipse(F(41, 4), 9), F(7)
+    g = offset_poly_closed_form(conic, r).g
+    tc = trace_implicit(g, figure_bbox(conic, r), 512)
+    on_axis = sorted(p.y for pl in tc.polylines for p in pl if p.x == 0.0)
+    want = [-69 / 4, -13 / 4, 13 / 4, 69 / 4]
+    assert sorted(set(on_axis)) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("case_id", range(1, 10))
+def test_trace_vertices_on_grid_edges(case_id):
+    # every vertex but a pinned singular point lies on its grid edge, and a
+    # polyline is closed or ends on the bbox boundary at both ends
+    case = ref_case(case_id)
     conic = conic_from_case(case)
-    g = offset_poly_closed_form(conic, F(case["r"])).g
-    tc = trace_implicit(g, (-3, 3, -1.5, 4), 512)
-    rep = singular_points(conic, F(case["r"]))
-    for s in rep.points:
-        assert dist_to_trace(tc, *s.as_floats()) <= 1e-3
-    assert len(tc.singular_vertices) == 3
+    r = F(case["r"])
+    g = offset_poly_closed_form(conic, r).g
+    xmin, xmax, ymin, ymax = bbox = figure_bbox(conic, r)
+    tc = trace_implicit(g, bbox, 256)
+    xs = set(np.linspace(xmin, xmax, 257).tolist())
+    ys = set(np.linspace(ymin, ymax, 257).tolist())
+    pinned = set(tc.singular_vertices)
+    for pl in tc.polylines:
+        for p in pl:
+            assert p in pinned or p.x in xs or p.y in ys, p
+        if pl[0] != pl[-1]:
+            for p in (pl[0], pl[-1]):
+                assert p.x in (xmin, xmax) or p.y in (ymin, ymax), p
+
+
+@pytest.mark.parametrize("case_id", [4, 6])
+def test_trace_no_alias_rings(case_id):
+    # two closed curves each: no 3-vertex ring at the grid node (1, 0) of
+    # case 4, no aliasing rings at the cusps of case 6
+    case = ref_case(case_id)
+    conic = conic_from_case(case)
+    r = F(case["r"])
+    g = offset_poly_closed_form(conic, r).g
+    tc = trace_implicit(g, figure_bbox(conic, r), 256)
+    assert len(tc.polylines) == 2
+    assert all(pl[0] == pl[-1] and len(pl) > 12 for pl in tc.polylines)
+
+
+def test_trace_passes_through_singular_points():
+    # the right-hand cusps of case 6 at 256 and the degenerate on-curve
+    # points of a critical offset have a float Hessian determinant of a few
+    # 1e-8 to 1e-6 times its squared size, and are spliced like the others
+    hyp = ConicSpec.hyperbola(F(26, 3), F(2, 3))
+    for conic, r, bbox, res, tips in [
+        (conic_from_case(ref_case(3)), F(ref_case(3)["r"]), (-3, 3, -1.5, 4),
+         512, 3),
+        (conic_from_case(ref_case(6)), F(ref_case(6)["r"]), None, 256, 6),
+        (hyp, r_crit(hyp), None, 512, 2),
+    ]:
+        g = offset_poly_closed_form(conic, r).g
+        tc = trace_implicit(g, bbox or figure_bbox(conic, r), res)
+        rep = singular_points(conic, r)
+        for s in rep.points:
+            assert dist_to_trace(tc, *s.as_floats()) <= 1e-3
+        assert len(tc.singular_vertices) == tips
 
 
 def test_trace_determinism():
@@ -199,10 +258,10 @@ def test_offset_figure_marker_counts(case_id, markers, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Golden float outputs, recorded with the per-call evaluator that
-# reference_eval_poly below copies.  They pin every float of the trace and
-# the SVG (and, in test_mesh.py, of the mesh) bit for bit: a change in the
-# order of floating-point operations changes them.
+# Golden float outputs, recorded with vertices solved on their grid edges
+# and the compiled evaluator.  They pin every float of the trace and the SVG
+# (and, in test_mesh.py, of the mesh) bit for bit: a change in the order of
+# floating-point operations changes them.
 # ---------------------------------------------------------------------------
 
 def figure_bbox(conic, r):
@@ -228,22 +287,22 @@ def trace_digest(tc):
 
 
 GOLDEN_TRACE_256 = {
-    1: "6c9066127d9835a28c2e93c74f4f7d824fc62b833ced1c9f64394988b8546255",
-    2: "a3e5e97110eab52ed9ac95709c5be3b473f7ba04a0f28845b1bda4c8031bb563",
-    3: "4de57b9c1d9db278e429055a81b7467558ca8539c26b56a3877adb4943c1daf3",
-    4: "8b2e525783268de010d3bc2a66ef6e50ef308757e2943ec165f269cd685daa8e",
-    5: "9a33ed4f451f3dad652d3d4c091c9e583b10843c5262799d8cf3c3d6b92a922c",
-    6: "55479be88145beb0fe4801edf4250180df38b4b7a45ba7f9823b95b9b89c3945",
-    7: "09682c216f824d5c41896a5d3599f19a8a5d838085cc86ef5c86fb7bc458ae02",
-    8: "8c342c8294e0ecfaf33d52fda0f55366ad4b80c5f4349642124c205299101bae",
-    9: "2016fa0920ff60e13ee0383b494c0d4d598e53b1e327a6ca8257f4504dfea7e9",
+    1: "20a08e4179fe7dbde357aa2ead5b93eabfad1b98e81ef0c0ff8b6e7749b68708",
+    2: "e7d2645b24dddb016dc7146e5f26ea98641a0999c9a8e3118c3775487a4c8f9b",
+    3: "9d2f18bac1f15c63e0000d24ea458e2187dc1b126359967c2347e88e40063a22",
+    4: "dbf68cda202991e2ced71cf88be4ad2c8e2523d5599045e79284101fc613ff6c",
+    5: "65a1c235dc2da5a403c7ebc569101ba746303e9e6d584b0f9427a80ba5a2e10b",
+    6: "18d78be9498dfddf6c03ee108d9024fe9a78411617cac8664189480ee6b7b39f",
+    7: "491c1cc2499701a794cec0490f04efa6a67806cbf6224c9e1def3e33b109c702",
+    8: "ece8fa58bc9c25829af7429cad0e072f8e8030943f5a64bcd913a06c093a624c",
+    9: "51a39a09ad422dbf347c0dd4991384542cd0d34525f4c6013d75a74f75e958b3",
 }
 
 # one parabola (supercritical), one ellipse (critical), one hyperbola
 GOLDEN_FIGURE_SVG = {
-    3: "b19e399b91a78c35ca14131943d05b8e1e25fedd4b9b9d9c38e4f8bcffd66e5c",
-    5: "4988649ba1e2dfb245b8b06e167dbda5f2cc435ba247910fa3b7ba6749c3e3ad",
-    7: "be985ad55b6ecfe968e126a33c38c1da2ee70afa1d82aa609ca695f90b1028cc",
+    3: "2ff2e87b8ab56102442938917d102fa67ce91d52ace56acf842511f9a131a4f0",
+    5: "751e935d48130ab42865fc69ba332fd5e2910264721b1f85756b4ad09a88b92a",
+    7: "d289ae469c1e020ae7cca501dfc34ad6e0b57b5b01d4ab37d39f2be5a6823e87",
 }
 
 

@@ -163,13 +163,14 @@ def test_mesh_figure(reference_mesh, tmp_path):
     assert out.read_text() == svg
 
 
-# Golden bytes of the reference mesh, recorded with the per-call evaluator
-# (see test_curve.py): export_mesh prints 17 significant digits and the
-# figure every traced vertex, so any change in float order shows here.
+# Golden bytes of the reference mesh (see test_curve.py): export_mesh prints
+# 17 significant digits and the figure every traced vertex, so any change in
+# float order shows here.  The figure digest was recorded with the traced
+# vertices solved on their grid edges.
 GOLDEN_MESH_EXPORT = (
     "b6052af8463b07539685cc9edb9a0cd1461fa30fccce48235c64363d32e06873")
 GOLDEN_MESH_FIGURE = (
-    "8fdff1c9026eb577052cf76d48c7aee0e9d7cb1916c82c70122d840afa736e92")
+    "d39c0514aa97a6690cd588c9aff8ea6c218f38f14197891b281f10cbf594e265")
 
 
 def _mesh_case_spec():
