@@ -87,6 +87,20 @@ def _add_conic_flags(sub):
                      help="offset distance (rational)")
 
 
+def _load_polys(fh, parse):
+    """``parse`` applied to the JSON document read from ``fh``.
+
+    A file that is not JSON or does not describe polynomials (a missing key,
+    a wrong type, an exponent vector of the wrong length, a zero
+    denominator) raises SystemExit2 instead of a traceback.
+    """
+    try:
+        return parse(json.load(fh))
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise SystemExit2(f"malformed polynomial JSON in {fh.name}: "
+                          f"{type(exc).__name__}: {exc}") from None
+
+
 def _point_json(s):
     def enc(v):
         return _frac_str(v) if isinstance(v, Fraction) else float(v)
@@ -113,17 +127,20 @@ def _report_json(rep):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _poly_list(data) -> list:
+    return [poly_from_dict(pd)
+            for pd in (data if isinstance(data, list) else data["polys"])]
+
+
 def cmd_groebner(args):
     if args.infile == "-":
-        data = json.load(sys.stdin)
+        polys_in = _load_polys(sys.stdin, _poly_list)
     else:
         with open(args.infile) as fh:
-            data = json.load(fh)
-    polys_in = data if isinstance(data, list) else data["polys"]
+            polys_in = _load_polys(fh, _poly_list)
     variables = tuple(args.vars.split(","))
     gens = []
-    for pd in polys_in:
-        p = poly_from_dict(pd)
+    for p in polys_in:
         if tuple(p.ring) != variables:
             terms = {}
             for m, c in p.terms.items():
@@ -228,7 +245,7 @@ def cmd_classify(args):
 
 def cmd_trace(args):
     with open(args.g) as fh:
-        g = poly_from_dict(json.load(fh))
+        g = _load_polys(fh, poly_from_dict)
     bbox = args.bbox
     if len(bbox) != 4:
         raise SystemExit2("--bbox needs x0,x1,y0,y1")

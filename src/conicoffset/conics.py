@@ -15,6 +15,12 @@ reduced grevlex Groebner basis of <g, g_x, g_y>, takes the minimal
 polynomials of multiplication by x and by y on the quotient ring (the
 generators of the elimination ideals in x alone and in y alone), solves them
 exactly and pairs the roots.
+Both routes share one report path and one complex-point rule: a report
+counts the non-real singular points whose coordinates are each real or
+purely imaginary.  An ellipse's catalogue changes shape at b^2/a (r_crit),
+b, a and a^2/b, its smallest and largest radii of curvature (the paper ties
+critical offsets to curvature); above a^2/b the four split points are
+complex, and comparing r*b with a^2 decides that exactly.
 
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
@@ -370,12 +376,6 @@ def _max_abs_coeff(poly: MultiPoly) -> mp.mpf:
     return _mpf(max(abs(c) for c in poly.terms.values()))
 
 
-def _exact_or_float(v):
-    if isinstance(v, Fraction):
-        return v
-    return float(v)
-
-
 def _sqrt_exact(q: Fraction):
     """sqrt of a nonnegative rational: Fraction when perfect, else mpf."""
     s = cardano.fraction_sqrt(q)
@@ -384,16 +384,44 @@ def _sqrt_exact(q: Fraction):
     return mp.sqrt(_mpf(q))
 
 
-def _neg(v):
-    return -v
+def _report_start(conic: ConicSpec, r):
+    """Validate r; return (r, r_crit, regime, axis tag, closed-form g)."""
+    r = _frac(r)
+    if r <= 0:
+        raise ParamError("offset r must be positive")
+    rc = r_crit(conic)
+    regime = SUBCRITICAL if r < rc else CRITICAL if r == rc else SUPERCRITICAL
+    axis_tag = VIRTUAL if regime == SUBCRITICAL else ON_CURVE
+    return r, rc, regime, axis_tag, offset_poly_closed_form(conic, r).g
 
 
-def _regime(r: Fraction, rc: Fraction) -> str:
-    if r < rc:
-        return SUBCRITICAL
-    if r == rc:
-        return CRITICAL
-    return SUPERCRITICAL
+def _axis_squares(conic: ConicSpec, r: Fraction):
+    """(t12, t34) of a central conic: the squares y^2 of the axis pair
+    (0, +-sqrt(t12)) and x^2 of the equator pair (+-sqrt(t34), 0)."""
+    a, b = conic.a, conic.b
+    if conic.kind == ELLIPSE:
+        return ((a * a - b * b) * (b * b - r * r) / (b * b),
+                (a * a - b * b) * (r * r - a * a) / (a * a))
+    return ((a * a + b * b) * (r * r + b * b) / (b * b),
+            (a * a + b * b) * (r * r - a * a) / (a * a))
+
+
+def _complex_count(conic: ConicSpec, r: Fraction, regime: str) -> int:
+    """The complex singular points a report names, counted exactly.
+
+    They are the non-real common zeros of g, g_x and g_y whose coordinates
+    are each real or purely imaginary; the 4 (parabola) or 8 (central conic)
+    zeros with both coordinates non-real are not counted.  The parabola's
+    pair is complex up to r_crit.  A central conic's axis and equator pairs
+    are complex while t12 resp. t34 < 0, and its 4 split points below r_crit
+    and, for the ellipse, above a^2/b, where they have real x and imaginary y.
+    """
+    if conic.kind == PARABOLA:
+        return 0 if regime == SUPERCRITICAL else 2
+    t12, t34 = _axis_squares(conic, r)
+    split_complex = (regime == SUBCRITICAL
+                     or (conic.kind == ELLIPSE and r * conic.b > conic.a ** 2))
+    return 2 * (t12 < 0) + 2 * (t34 < 0) + 4 * split_complex
 
 
 def _parabola_split_xy(p: Fraction, r: Fraction):
@@ -453,9 +481,9 @@ def _hyperbola_split_xy(a: Fraction, b: Fraction, r: Fraction):
     return mp.sqrt(max(x2, mp.mpf(0))), -y_neg  # positive-y magnitude
 
 
-def _finish_report(g, conic, r, rc, regime, raw_points, complex_count, outside,
-                   source):
-    """Attach gradient residuals, round, dedupe, and freeze the report.
+def _finish_report(g, conic, r, rc, regime, raw_points, source):
+    """Attach gradient residuals, round, dedupe, count the complex points and
+    freeze the report.
 
     ``g`` is the closed-form offset polynomial; the residuals use its raw
     (not content-normalized) gradient.
@@ -472,11 +500,13 @@ def _finish_report(g, conic, r, rc, regime, raw_points, complex_count, outside,
             continue
         seen.append(key)
         res = mp.sqrt(eval_gx(key) ** 2 + eval_gy(key) ** 2) / scale
-        points.append(SingularPoint(x=_exact_or_float(xv), y=_exact_or_float(yv),
-                                    tag=tag, residual_grad=float(res)))
+        x, y = (v if isinstance(v, Fraction) else float(v) for v in (xv, yv))
+        points.append(SingularPoint(x=x, y=y, tag=tag, residual_grad=float(res)))
     points.sort(key=lambda s: (float(s.y), float(s.x)))
+    outside = conic.kind != PARABOLA and not (conic.a > conic.b > r)
     return SingularPointReport(conic=conic, r=r, r_crit=rc, regime=regime,
-                               points=tuple(points), complex_count=complex_count,
+                               points=tuple(points),
+                               complex_count=_complex_count(conic, r, regime),
                                outside_reference_range=outside, source=source)
 
 
@@ -487,15 +517,8 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
     is rational and 50-guard-digit float rounding otherwise; every point
     carries its scaled gradient residual.
     """
-    r = _frac(r)
-    if r <= 0:
-        raise ParamError("offset r must be positive")
-    rc = r_crit(conic)
-    regime = _regime(r, rc)
-    axis_tag = {SUBCRITICAL: VIRTUAL, CRITICAL: ON_CURVE, SUPERCRITICAL: ON_CURVE}[regime]
+    r, rc, regime, axis_tag, g = _report_start(conic, r)
     raw = []
-    outside = False
-    g = offset_poly_closed_form(conic, r).g
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         if conic.kind == PARABOLA:
             p = conic.p
@@ -503,50 +526,32 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
             flip = p < 0
             y1 = w + r * r / (4 * w)
             raw.append((Fraction(0), -y1 if flip else y1, axis_tag))
-            complex_count = 2
             if regime == SUPERCRITICAL:
                 alpha, ysplit = _parabola_split_xy(w, r)
                 if flip:
                     ysplit = -ysplit
-                raw.append((alpha, ysplit, SPLIT))
-                raw.append((-alpha, ysplit, SPLIT))
-                complex_count = 0
+                raw += [(alpha, ysplit, SPLIT), (-alpha, ysplit, SPLIT)]
         else:
             a, b = conic.a, conic.b
-            outside = not (a > b > r)
-            complex_count = 0
-            if conic.kind == ELLIPSE:
-                t12 = (a * a - b * b) * (b * b - r * r) / (b * b)
-                t34 = (a * a - b * b) * (r * r - a * a) / (a * a)
-            else:
-                t12 = (a * a + b * b) * (r * r + b * b) / (b * b)
-                t34 = (a * a + b * b) * (r * r - a * a) / (a * a)
+            t12, t34 = _axis_squares(conic, r)
+            # a zero square gives one point: _sqrt_exact returns Fraction(0)
+            # and the report drops the duplicate
             if t12 >= 0:
                 yv = _sqrt_exact(t12)
-                if yv != 0:
-                    raw.append((Fraction(0), yv, axis_tag))
-                    raw.append((Fraction(0), _neg(yv), axis_tag))
-                else:
-                    raw.append((Fraction(0), Fraction(0), axis_tag))
-            else:
-                complex_count += 2
+                raw += [(Fraction(0), yv, axis_tag), (Fraction(0), -yv, axis_tag)]
             if t34 >= 0:
                 xv = _sqrt_exact(t34)
-                raw.append((xv, Fraction(0), SPLIT))
-                if xv != 0:
-                    raw.append((_neg(xv), Fraction(0), SPLIT))
-            else:
-                complex_count += 2
-            if regime == SUPERCRITICAL:
+                raw += [(xv, Fraction(0), SPLIT), (-xv, Fraction(0), SPLIT)]
+            # the ellipse's split points are real only below a^2/b; at a^2/b
+            # they are the equator pair, above it they are complex
+            if regime == SUPERCRITICAL and (conic.kind == HYPERBOLA
+                                            or r * b < a * a):
                 split = (_ellipse_split_xy if conic.kind == ELLIPSE
                          else _hyperbola_split_xy)
                 xs, ys = split(a, b, r)
                 for sx, sy in product((xs, -xs), (ys, -ys)):
                     raw.append((sx, sy, SPLIT))
-            elif regime == SUBCRITICAL:
-                complex_count += 4
-        return _finish_report(g, conic, r, rc, regime, raw, complex_count,
-                              outside, "closed-form")
+        return _finish_report(g, conic, r, rc, regime, raw, "closed-form")
 
 
 def _newton_drift(g: MultiPoly, x0, y0, iters: int = 30):
@@ -611,15 +616,9 @@ def singular_points_via_elimination(conic: ConicSpec, r,
     (``_singular_eliminants``): the same polynomials as the lex elimination
     ideals, from a single Buchberger completion.
     """
-    r = _frac(r)
-    if r <= 0:
-        raise ParamError("offset r must be positive")
-    g = offset_poly_closed_form(conic, r).g
+    r, rc, regime, axis_tag, g = _report_start(conic, r)
     gx, gy = (content_normalize(q) for q in gradient(g, ["x", "y"]))
     system = (g, gx, gy)
-    rc = r_crit(conic)
-    regime = _regime(r, rc)
-    axis_tag = {SUBCRITICAL: VIRTUAL, CRITICAL: ON_CURVE, SUPERCRITICAL: ON_CURVE}[regime]
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         x_uni, y_uni = _singular_eliminants(system, max_pairs, max_degree)
         xs = cardano.real_roots_exact(x_uni)
@@ -656,9 +655,4 @@ def singular_points_via_elimination(conic: ConicSpec, r,
                     raw.append((xv, yv, tag))
         if not raw:
             raise RootPairingError("no candidate survived residual filtering")
-        # complex companions are whatever the closed-form catalogue says
-        complex_count = singular_points(conic, r).complex_count
-        outside = (conic.kind != PARABOLA
-                   and not (conic.a > conic.b > r))
-        return _finish_report(g, conic, r, rc, regime, raw, complex_count,
-                              outside, "elimination")
+        return _finish_report(g, conic, r, rc, regime, raw, "elimination")

@@ -184,6 +184,52 @@ def test_negative_value_as_own_word(tmp_path, capsys, before, flag, value,
     assert joined[1] if code == 0 else "error:" in joined[2]
 
 
+# one polynomial each: not JSON, no "terms", an exponent vector of the wrong
+# length, a zero denominator
+BAD_POLY_JSON = {
+    "not-json": '{"vars": ["x", "y"], "terms": [',
+    "no-terms": '{"vars": ["x", "y"]}',
+    "short-exponent": '{"vars": ["x", "y"], "terms": '
+                      '[{"exp": [2], "num": "1", "den": "1"}]}',
+    "zero-denominator": '{"vars": ["x", "y"], "terms": '
+                        '[{"exp": [2, 0], "num": "1", "den": "0"}]}',
+}
+
+
+@pytest.mark.parametrize("command", ["trace", "groebner"])
+@pytest.mark.parametrize("defect", sorted(BAD_POLY_JSON))
+def test_malformed_polynomial_json_exits_2(tmp_path, capsys, command, defect):
+    src = tmp_path / "g.json"
+    if command == "trace":
+        src.write_text(BAD_POLY_JSON[defect])
+        argv = ("trace", "--g", str(src), "--bbox=-1,1,-1,1", "--res", "16")
+    else:
+        src.write_text(f"[{BAD_POLY_JSON[defect]}]")
+        argv = ("groebner", "--in", str(src), "--vars", "x,y")
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: malformed polynomial JSON")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("a,b,r", [("39/4", "9", "85/8"), ("39/4", "9", "12"),
+                                   ("4/3", "1", "16/9"), ("5/3", "1", "25/9")])
+def test_ellipse_offsets_at_and_beyond_a2_over_b(capsys, a, b, r):
+    conic = ("--conic", "ellipse", "--a", a, "--b", b, "--r", r, "--json")
+    code, stdout, err = run(capsys, "classify", *conic)
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["counts"]["real"] == 2
+    docs = []
+    for method in ("closed", "elimination"):
+        code, stdout, err = run(capsys, "singular", *conic, "--method", method)
+        assert (code, err) == (0, "")
+        docs.append(json.loads(stdout))
+    assert [d["count"] for d in docs] == [2, 2]
+    assert docs[0]["complex_count"] == docs[1]["complex_count"]
+    for pc, pe in zip(docs[0]["points"], docs[1]["points"]):
+        assert abs(pc["x_float"] - pe["x_float"]) <= 1e-9
+
+
 def test_exit_code_resource_limit(capsys):
     code, _, err = run(capsys, "offset-poly", "--conic", "ellipse", "--a", "3",
                        "--b", "3/2", "--r", "1/2", "--method", "elim",

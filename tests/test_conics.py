@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from conicoffset import conics, reference
+from conicoffset import cardano, conics, reference
 from conicoffset.conics import (ConicSpec, build_ideal, offset_poly_closed_form,
                                 offset_poly_elimination, r_crit, singular_points,
                                 singular_points_via_elimination)
@@ -376,8 +376,8 @@ def test_via_elimination_agrees(case_id):
 
 
 def test_via_elimination_one_grevlex_completion(monkeypatch):
-    # one Buchberger completion per call (no lex runs), and one closed form
-    # of its own besides the one inside singular_points
+    # one Buchberger completion per call (no lex runs), one closed form, and
+    # no call into the closed-form catalogue
     orders, closed = [], []
     real_bb, real_cf = conics.buchberger, conics.offset_poly_closed_form
 
@@ -391,10 +391,15 @@ def test_via_elimination_one_grevlex_completion(monkeypatch):
 
     monkeypatch.setattr(conics, "buchberger", counting_bb)
     monkeypatch.setattr(conics, "offset_poly_closed_form", counting_cf)
+
+    def no_catalogue(*args):
+        raise AssertionError("the elimination route read the catalogue")
+
+    monkeypatch.setattr(conics, "singular_points", no_catalogue)
     case = reference.case(6)
     singular_points_via_elimination(conic_from_case(case), F(case["r"]))
     assert orders == ["grevlex"]
-    assert len(closed) == 2
+    assert len(closed) == 1
 
 
 def test_via_elimination_honours_limits():
@@ -467,6 +472,116 @@ def test_via_elimination_split_coordinate_value():
     val = sum(float(c) * float(splits[0].x) ** m[0] for m, c in spec.terms.items())
     scale = max(abs(float(c)) for c in spec.terms.values())
     assert abs(val) / scale < 1e-10
+
+
+# Above a^2/b, the ellipse's largest radius of curvature, its four split
+# points are complex (real x, imaginary y); at a^2/b they are the equator pair
+# (+-(a^2 - b^2)/b, 0).  Either way the real points are that pair alone.
+BEYOND_SPLIT_CASES = [
+    (ConicSpec.ellipse(F(39, 4), 9), F(85, 8), None, 6),
+    (ConicSpec.ellipse(F(39, 4), 9), F(12), None, 6),
+    (ConicSpec.ellipse(F(39, 4), 9), F(169, 16), F(25, 16), 2),
+    (ConicSpec.ellipse(F(4, 3), 1), F(16, 9), F(7, 9), 2),
+    (ConicSpec.ellipse(F(5, 3), 1), F(25, 9), F(16, 9), 2),
+]
+
+
+@pytest.mark.parametrize("conic,r,x_exact,complex_count", BEYOND_SPLIT_CASES)
+def test_ellipse_split_points_at_and_beyond_largest_curvature_radius(
+        conic, r, x_exact, complex_count):
+    a, b = conic.a, conic.b
+    t34 = (a * a - b * b) * (r * r - a * a) / (a * a)  # x^2 of the equator pair
+    rep_c = singular_points(conic, r)
+    rep_e = singular_points_via_elimination(conic, r)
+    for rep in (rep_c, rep_e):
+        assert rep.complex_count == complex_count
+        assert [s.tag for s in rep.points] == ["split", "split"]
+        assert [s.y for s in rep.points] == [0, 0]
+        assert abs(float(rep.points[1].x) - float(t34) ** 0.5) <= 1e-9
+        assert all(s.residual_grad <= 1e-9 for s in rep.points)
+    for sc, se in zip(rep_c.points, rep_e.points):
+        assert abs(float(sc.x) - float(se.x)) <= 1e-9
+    if x_exact is not None:
+        assert [s.x for s in rep_c.points] == [-x_exact, x_exact]
+        assert all(isinstance(s.x, F) for s in rep_c.points)
+
+
+def _independent_complex_count(g):
+    # the common zeros of g, g_x, g_y from mp.polyroots of the square-free
+    # parts of the two eliminants, paired by residual; counted: the non-real
+    # ones whose x^2 and y^2 are both real
+    system = [g] + [content_normalize(q) for q in gradient(g, ["x", "y"])]
+    with mp.workdps(conics.RADICAL_DPS):
+        roots = []
+        for cs in conics._singular_eliminants(system):
+            roots.append([t for _, f in cardano.squarefree_decomposition(cs)
+                          if len(f) > 1
+                          for t in mp.polyroots([conics._mpf(c) for c in f[::-1]],
+                                                maxsteps=200, extraprec=200)])
+        evaluators = [conics._mp_evaluator(q) for q in system]
+        scale = max(conics._max_abs_coeff(q) for q in system)
+        tol = mp.mpf("1e-30")
+        count = 0
+        for x in roots[0]:
+            for y in roots[1]:
+                if max(abs(f((x, y))) for f in evaluators) / scale >= tol:
+                    continue
+                real = abs(mp.im(x)) < tol and abs(mp.im(y)) < tol
+                if (not real and abs(mp.im(x * x)) < tol
+                        and abs(mp.im(y * y)) < tol):
+                    count += 1
+        return count
+
+
+def _property_offsets(conic):
+    # r below, at and above r_crit; for central conics also at b, at a, at
+    # a^2/b (the ellipse's largest radius of curvature) and beyond it
+    rc = r_crit(conic)
+    if conic.kind == "parabola":
+        return [rc / 2, rc, rc * 3 / 2, rc * 3]
+    a, b = conic.a, conic.b
+    return sorted({rc / 2, rc, (rc + b) / 2, b, a, a * a / b, 2 * a * a / b})
+
+
+def _parameter_space_conics():
+    # seeded random rationals: parabolas with p < 0 and p > 0, ellipses,
+    # hyperbolas, and a rectangular hyperbola (a == b)
+    rng = random.Random(9001)
+
+    def q(hi):
+        return F(rng.randint(1, hi), rng.randint(1, 6))
+
+    out = [ConicSpec.parabola(-q(8)), ConicSpec.parabola(q(8)),
+           ConicSpec.parabola(-q(8))]
+    for _ in range(3):
+        b = q(12)
+        out += [ConicSpec.ellipse(b + q(8), b), ConicSpec.hyperbola(b + q(8), b)]
+    return out + [ConicSpec.hyperbola(b, b)]
+
+
+# (conic, offset) positions whose complex count is also checked against the
+# independent polyroots count: p < 0 below and above r_crit; an ellipse at
+# r_crit/2, b, a^2/b and 2a^2/b; the rectangular hyperbola at r_crit/2, 2a
+INDEPENDENT_COUNT = {0: (0, 3), 3: (0, 3, 5, 6), 9: (0, 2)}
+
+
+def test_singular_routes_agree_over_parameter_space():
+    for i, conic in enumerate(_parameter_space_conics()):
+        for k, r in enumerate(_property_offsets(conic)):
+            g = offset_poly_closed_form(conic, r).g
+            assert g == offset_poly_elimination(conic, r).g, (conic, r)
+            rep_c = singular_points(conic, r)
+            rep_e = singular_points_via_elimination(conic, r)
+            assert len(rep_c.points) == len(rep_e.points), (conic, r)
+            assert rep_c.complex_count == rep_e.complex_count, (conic, r)
+            for sc, se in zip(rep_c.points, rep_e.points):
+                assert abs(float(sc.x) - float(se.x)) <= 1e-9, (conic, r)
+                assert abs(float(sc.y) - float(se.y)) <= 1e-9, (conic, r)
+            assert all(s.residual_grad <= 1e-9
+                       for s in rep_c.points + rep_e.points), (conic, r)
+            if k in INDEPENDENT_COUNT.get(i, ()):
+                assert rep_c.complex_count == _independent_complex_count(g), \
+                    (conic, r)
 
 
 def test_ellipse_outside_reference_range_flag():

@@ -24,11 +24,20 @@ CIRCLE = parse_poly("x^2+y^2-1", ("x", "y"))
 
 
 def dist_to_trace(tc, px, py):
-    best = float("inf")
-    for pl in tc.polylines:
-        for a, b in zip(pl, pl[1:]):
-            best = min(best, _segment_distance(px, py, a, b))
-    return best
+    """Distance from (px, py) to the nearest segment of the trace, measured
+    as ``_segment_distance`` does, in one numpy pass over all segments; with
+    arrays px and py, one distance per point."""
+    a = np.array([(p.x, p.y) for pl in tc.polylines for p in pl[:-1]])
+    v = np.array([(q.x - p.x, q.y - p.y) for pl in tc.polylines
+                  for p, q in zip(pl, pl[1:])])
+    px, py = np.asarray(px, float)[..., None], np.asarray(py, float)[..., None]
+    L2 = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    # a zero-length segment has t = 0: the distance to its end point
+    t = ((px - a[:, 0]) * v[:, 0] + (py - a[:, 1]) * v[:, 1]) \
+        / np.where(L2 == 0.0, 1.0, L2)
+    t = np.clip(t, 0.0, 1.0)
+    return np.hypot(px - (a[:, 0] + t * v[:, 0]),
+                    py - (a[:, 1] + t * v[:, 1])).min(axis=-1)
 
 
 def test_eval_poly():
@@ -195,8 +204,21 @@ def test_oracle_equivalence_hausdorff():
         pts = [p for p in parametric_offset_samples(conic, float(r), 500)
                if bbox[0] + cell < p.x < bbox[1] - cell
                and bbox[2] + cell < p.y < bbox[3] - cell]
-        worst = max(dist_to_trace(tc, p.x, p.y) for p in pts)
+        worst = dist_to_trace(tc, [p.x for p in pts], [p.y for p in pts]).max()
         assert worst <= 2 * cell, (conic.kind, worst, cell)
+
+
+def test_dist_to_trace_matches_segment_loop():
+    # the numpy helper against the per-segment loop it replaced
+    tc = trace_implicit(CIRCLE, (-2, 2, -2, 2), 64)
+    rng = random.Random(5)
+    pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(40)]
+    got = dist_to_trace(tc, [x for x, _ in pts], [y for _, y in pts])
+    for (x, y), d in zip(pts, got):
+        want = min(_segment_distance(x, y, a, b)
+                   for pl in tc.polylines for a, b in zip(pl, pl[1:]))
+        assert abs(d - want) <= 1e-15
+        assert dist_to_trace(tc, x, y) == d
 
 
 def test_virtual_point_isolation_shrinks():
