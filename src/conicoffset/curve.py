@@ -8,13 +8,16 @@ normalized offset polynomials carry coefficients anywhere between 1 and 1e8.
 Point evaluation is compile once, evaluate many: xy_evaluator turns an exact
 polynomial into a float closure once (coefficients converted and grouped by
 x-power), and the tracing, snapping and mesh loops call that closure.
-eval_poly is the one-point form of the same path.  Bit identity is part of
-the contract: the closure's floating-point operations and their order are
-fixed, so traced vertices, SVG text and exported meshes stay identical byte
-for byte; golden hashes in tests/test_curve.py and tests/test_mesh.py pin
-them.  A dense or numpy Horner would reorder the sums and change those bytes.
-_grid_eval, the vectorized sign pass of the trace, adds only the y-powers
-present (a 0.0 filler there could turn a -0.0 into 0.0).
+eval_poly is the one-point form of the same path, and _grid_eval, the
+vectorized sign pass of the trace, runs the same groups over numpy arrays.
+Bit identity is part of the contract: the closure's floating-point
+operations and their order are fixed, so traced vertices, SVG text and
+exported meshes stay identical byte for byte; golden hashes in
+tests/test_curve.py and tests/test_mesh.py pin them.  A dense or numpy
+Horner would reorder the sums and change those bytes.
+In the grid a 0.0 filler can turn a -0.0 into 0.0; the trace reads a node
+value only through ``< 0.0``, ``== 0.0`` and ``abs``, which do not tell the
+two apart.
 
 The tracer solves each vertex on its own grid edge: one bracketed 1-D
 solver (Illinois regula falsi with a bisection fallback) between the two
@@ -59,18 +62,14 @@ def max_abs_coeff(g: MultiPoly) -> float:
     return max(abs(float(c)) for c in g.terms.values())
 
 
-def xy_evaluator(g: MultiPoly, **params):
-    """Compile g once into a float evaluator ``(x, y) -> float``.
+def _xpow_groups(g: MultiPoly, **params) -> tuple:
+    """The compile step of the float evaluators: g's terms grouped by x-power.
 
-    Everything that does not depend on the point happens here, once: the
-    check for ring variables other than x and y without a keyword value
-    (VarError), ``float`` of every coefficient times the powers of the
-    keyword parameters, and the grouping of terms by x-power in term order,
-    each group a tuple of float coefficients from the highest y-power down
-    with 0.0 where a power is missing.  The closure runs Horner in y inside
-    each group, starting from 0.0, and adds each group times x to its power.
-    That fixed order of operations is the bit-identity contract of the float
-    layer (see the module docstring).
+    Raises VarError for ring variables other than x and y without a keyword
+    value.  Every coefficient becomes ``float`` times the powers of the
+    keyword parameters; the groups follow the first appearance of each
+    x-power in term order, each a pair (x-power, float coefficients from the
+    highest y-power down, with 0.0 where a power is missing).
     """
     values = {k: float(v) for k, v in params.items()}
     missing = [v for v in g.ring if v not in values and v not in ("x", "y")]
@@ -87,9 +86,21 @@ def xy_evaluator(g: MultiPoly, **params):
         ypows = by_xpow.setdefault(m[ix] if ix is not None else 0, {})
         ye = m[iy] if iy is not None else 0
         ypows[ye] = ypows.get(ye, 0.0) + t
-    groups = tuple((xe, tuple(ypows.get(e, 0.0)
-                              for e in range(max(ypows), -1, -1)))
-                   for xe, ypows in by_xpow.items())
+    return tuple((xe, tuple(ypows.get(e, 0.0)
+                            for e in range(max(ypows), -1, -1)))
+                 for xe, ypows in by_xpow.items())
+
+
+def xy_evaluator(g: MultiPoly, **params):
+    """Compile g once into a float evaluator ``(x, y) -> float``.
+
+    The point-independent work happens once, in _xpow_groups (VarError for
+    an unassigned ring variable).  The closure runs Horner in y inside each
+    group, starting from 0.0, and adds each group times x to its power.
+    That fixed order of operations is the bit-identity contract of the float
+    layer (see the module docstring).
+    """
+    groups = _xpow_groups(g, **params)
 
     def evaluate(x, y) -> float:
         xv, yv = float(x), float(y)
@@ -115,21 +126,16 @@ def eval_poly(g: MultiPoly, pt, **params) -> float:
     return xy_evaluator(g, **params)(x, y)
 
 
-def _grid_eval(g: MultiPoly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on the tensor grid: Horner in y per x-power."""
-    ix, iy = g.ring.index("x"), g.ring.index("y")
-    by_xpow: dict = {}
-    for m, c in g.terms.items():
-        by_xpow.setdefault(m[ix], {})[m[iy]] = float(c)
+def _grid_eval(groups, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation of _xpow_groups output on the tensor grid: the
+    closure's Horner in y per x-power, one numpy array per group."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     out = np.zeros_like(X)
-    for xe, ypows in by_xpow.items():
-        deg = max(ypows)
+    for xe, coeffs in groups:
         acc = np.zeros_like(Y)
-        for e in range(deg, -1, -1):
+        for c in coeffs:
             acc *= Y
-            if e in ypows:
-                acc += ypows[e]
+            acc += c
         out += acc * np.power(X, xe)
     return out
 
@@ -318,7 +324,7 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
         raise ParamError("empty bounding box")
     xs = np.linspace(xmin, xmax, resolution + 1)
     ys = np.linspace(ymin, ymax, resolution + 1)
-    vals = _grid_eval(g, xs, ys)
+    vals = _grid_eval(_xpow_groups(g), xs, ys)
 
     neg = vals < 0.0
     codes = (neg[:-1, :-1].astype(np.int8)
