@@ -1,4 +1,5 @@
-"""Exact univariate helpers and real cubic solving by Cardano's formulas.
+"""Exact univariate helpers, real cubic solving by Cardano's formulas, and
+real-root isolation for any square-free factor.
 
 Polynomials here are ascending lists of Fractions.  The square-free split
 and ``poly_gcd`` clear denominators once and run over the integers, on
@@ -7,7 +8,9 @@ division; only the factors they return become monic Fractions again.
 Discriminant signs are decided exactly on rationals; only the final radicals
 are evaluated numerically, with mpmath at the caller's working precision
 (the package convention is 60 decimal digits, i.e. 50 guard digits past a
-float).
+float).  Any other square-free factor has its real roots isolated exactly by
+a Sturm sequence, then narrowed by ``bracketed_root``, the package's one
+bracketed 1-D solver (the tracer runs it on floats along its grid edges).
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import mpmath as mp
-
-from .errors import RootPairingError
 
 
 # ---------------------------------------------------------------------------
@@ -163,26 +164,26 @@ def fraction_sqrt(q: Fraction):
     return None
 
 
+def sqrt_exact(q: Fraction):
+    """sqrt of a nonnegative rational: Fraction when perfect, else mpf."""
+    s = fraction_sqrt(q)
+    return s if s is not None else mp.sqrt(_root_key(q))
+
+
 # ---------------------------------------------------------------------------
 # closed-form real roots, degree <= 3
 # ---------------------------------------------------------------------------
-
-def real_roots_linear(cs):
-    return [Fraction(-cs[0], 1) / cs[1]]
-
 
 def real_roots_quadratic(cs):
     c0, c1, c2 = cs
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         return []
-    s = fraction_sqrt(disc)
-    if s is not None:
+    s = sqrt_exact(disc)
+    if isinstance(s, Fraction):
         return sorted({(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)})
-    sd = mp.sqrt(mp.mpf(disc.numerator) / disc.denominator)
-    c1f = mp.mpf(c1.numerator) / c1.denominator
-    c2f = mp.mpf(c2.numerator) / c2.denominator
-    return sorted([(-c1f + sd) / (2 * c2f), (-c1f - sd) / (2 * c2f)])
+    c1f, c2f = _root_key(c1), _root_key(c2)
+    return sorted([(-c1f + s) / (2 * c2f), (-c1f - s) / (2 * c2f)])
 
 
 def real_roots_cubic(cs):
@@ -223,36 +224,26 @@ def real_roots_exact(cs):
 
     Strategy: strip the root at zero, exploit evenness by substituting
     z = t^2, split into square-free factors (Yun), and finish each factor of
-    degree <= 3 in closed form.  The elimination univariates this package
-    produces always decompose into such factors; anything else raises
-    RootPairingError rather than guessing.
+    degree <= 3 in closed form; any other factor goes to Sturm isolation
+    (_real_roots_sturm).  The conic offsets' eliminants always split into
+    closed-form factors, so their reports keep their exact values.
 
-    Returns a sorted list of roots, exact Fractions where the closed forms
-    are rational and mpmath floats otherwise.
+    Returns a sorted list of roots, exact Fractions where they are found
+    rational and mpmath floats at the working precision otherwise.
     """
     cs = normalize([Fraction(c) for c in cs])
     if not cs:
         raise ValueError("zero polynomial has every root")
     roots = set()
-    mult0 = 0
     while cs[0] == 0:
         cs = cs[1:]
-        mult0 += 1
-    if mult0:
-        roots.add(Fraction(0))
+        roots = {Fraction(0)}
     if len(cs) == 1:
         return sorted(roots, key=_root_key)
     if all(c == 0 for i, c in enumerate(cs) if i % 2 == 1) and len(cs) > 4:
         for z in real_roots_exact(cs[::2]):
-            if isinstance(z, Fraction):
-                if z > 0:
-                    s = fraction_sqrt(z)
-                    v = s if s is not None else mp.sqrt(mp.mpf(z.numerator) / z.denominator)
-                    roots.update({v, -v})
-                elif z == 0:
-                    roots.add(Fraction(0))
-            elif z > 0:
-                v = mp.sqrt(z)
+            if z > 0:
+                v = sqrt_exact(z) if isinstance(z, Fraction) else mp.sqrt(z)
                 roots.update({v, -v})
             elif z == 0:
                 roots.add(Fraction(0))
@@ -260,7 +251,7 @@ def real_roots_exact(cs):
     for _, factor in squarefree_decomposition(cs):
         deg = len(factor) - 1
         if deg == 1:
-            roots.update(real_roots_linear(factor))
+            roots.add(-factor[0] / factor[1])
         elif deg == 2:
             roots.update(real_roots_quadratic(factor))
         elif deg == 3:
@@ -268,10 +259,95 @@ def real_roots_exact(cs):
         elif all(c == 0 for i, c in enumerate(factor) if i % 2 == 1):
             roots.update(real_roots_exact(factor))
         else:
-            raise RootPairingError(
-                f"irreducible factor of degree {deg} exceeds closed-form range")
+            roots.update(_real_roots_sturm(_primitive(factor)))
     return sorted(roots, key=_root_key)
 
 
 def _root_key(v):
     return mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v
+
+
+# ---------------------------------------------------------------------------
+# any square-free factor: Sturm isolation, then bracketed refinement
+# ---------------------------------------------------------------------------
+
+def bracketed_root(phi, lo, hi, flo, fhi, width):
+    """Root of phi on [lo, hi], floats or mpfs, given flo = phi(lo) and
+    fhi = phi(hi) of opposite signs.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 1971): when the same end
+    moves twice running, the other end's stored value is halved; when it has
+    moved three times running the step is a bisection instead (near a double
+    zero of phi beside the bracket, regula falsi alone walks into it until
+    rounding fakes a sign change).  The bracket never widens.  Stops on an
+    exact zero or once the bracket is no wider than `width` (a few ulps of lo
+    and hi at least), and returns the end with the smaller |phi|.
+    """
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    slo, shi = flo, fhi  # the stored end values, halved by the Illinois rule
+    moved, run = 0, 0  # the end that moved last (-1 lo, +1 hi), and how often
+    while hi - lo > width:
+        if run >= 3:
+            t = 0.5 * (lo + hi)
+        else:
+            t = min(hi, lo + (hi - lo) * (slo / (slo - shi)))
+        ft = phi(t)
+        if ft == 0.0:
+            return t
+        side = -1 if (ft < 0.0) == (flo < 0.0) else 1
+        run = run + 1 if side == moved else 1
+        moved = side
+        if side < 0:
+            lo, flo, slo = t, ft, ft
+            if run >= 2:
+                shi *= 0.5
+        else:
+            hi, fhi, shi = t, ft, ft
+            if run >= 2:
+                slo *= 0.5
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
+def _real_roots_sturm(p):
+    """The real roots of a square-free primitive integer list p, degree >= 1.
+
+    The Sturm sequence (p, p', then negated pseudo-remainders by positive-led
+    divisors over their positive contents, so no sign flips) counts the roots
+    in (a, b] as the drop in its sign changes from a to b.  Bisection at
+    dyadic midpoints splits (-bound, bound] (Cauchy's bound, rounded up to a
+    power of two) until each interval holds one root, which bracketed_root
+    narrows at the working precision.  A midpoint that is a root is kept as a
+    Fraction and divided out, and the search starts over on the quotient.
+    """
+    seq = [p, derivative(p)]
+    while len(seq[-1]) > 1:
+        b = seq[-1] if seq[-1][-1] > 0 else [-v for v in seq[-1]]
+        rem = _pseudo_rem(seq[-2], b)
+        content = gcd(*rem)
+        seq.append([-v // content for v in rem])
+
+    def changes(t):
+        signs = [v > 0 for v in (eval_poly_at(s, t) for s in seq) if v]
+        return sum(u != w for u, w in zip(signs, signs[1:]))
+
+    bound = Fraction(2 ** (2 + max(map(abs, p)) // p[-1]).bit_length())
+    todo, roots = [(-bound, bound, changes(-bound), changes(bound))], []
+    while todo:
+        a, b, va, vb = todo.pop()
+        if va - vb == 1:
+            lo, hi = _root_key(a), _root_key(b)
+            roots.append(bracketed_root(
+                lambda t: eval_poly_at(p, t), lo, hi,
+                _root_key(eval_poly_at(p, a)), _root_key(eval_poly_at(p, b)),
+                8 * mp.eps * max(abs(lo), abs(hi))))
+        elif va > vb:
+            m = (a + b) / 2
+            if eval_poly_at(p, m) == 0:
+                rest = _int_exact_div(p, [-m.numerator, m.denominator])
+                return [m] + (_real_roots_sturm(rest) if len(rest) > 1 else [])
+            vm = changes(m)
+            todo += [(a, m, va, vm), (m, b, vm, vb)]
+    return roots

@@ -10,13 +10,13 @@ r > 0 is the zero set of a single polynomial g(x, y) containing both parallel
 lines, one on each side of the base conic.
 
 Singular points have two independent routes.  ``singular_points`` reads the
-closed-form catalogue.  ``singular_points_via_elimination`` computes one
-reduced grevlex Groebner basis of <g, g_x, g_y>, takes the minimal
-polynomials of multiplication by x and by y on the quotient ring (the
-generators of the elimination ideals in x alone and in y alone), solves them
-exactly and pairs the roots.
-Both routes share one report path and one complex-point rule: a report
-counts the non-real singular points whose coordinates are each real or
+closed-form catalogue.  ``singular_points_via_elimination`` reports
+``singular_locus``, which serves any g (the tracer pins it too): one reduced
+grevlex Groebner basis of <g, g_x, g_y>, the minimal polynomials of
+multiplication by x and by y on the quotient ring (the generators of the
+elimination ideals in x alone and in y alone), their exact real roots, and
+pairing.  Both routes share one report path and one complex-point rule: a
+report counts the non-real singular points whose coordinates are each real or
 purely imaginary.  An ellipse's catalogue changes shape at b^2/a (r_crit),
 b, a and a^2/b, its smallest and largest radii of curvature (the paper ties
 critical offsets to curvature); above a^2/b the four split points are
@@ -376,14 +376,6 @@ def _max_abs_coeff(poly: MultiPoly) -> mp.mpf:
     return _mpf(max(abs(c) for c in poly.terms.values()))
 
 
-def _sqrt_exact(q: Fraction):
-    """sqrt of a nonnegative rational: Fraction when perfect, else mpf."""
-    s = cardano.fraction_sqrt(q)
-    if s is not None:
-        return s
-    return mp.sqrt(_mpf(q))
-
-
 def _report_start(conic: ConicSpec, r):
     """Validate r; return (r, r_crit, regime, axis tag, closed-form g)."""
     r = _frac(r)
@@ -534,13 +526,13 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
         else:
             a, b = conic.a, conic.b
             t12, t34 = _axis_squares(conic, r)
-            # a zero square gives one point: _sqrt_exact returns Fraction(0)
+            # a zero square gives one point: sqrt_exact returns Fraction(0)
             # and the report drops the duplicate
             if t12 >= 0:
-                yv = _sqrt_exact(t12)
+                yv = cardano.sqrt_exact(t12)
                 raw += [(Fraction(0), yv, axis_tag), (Fraction(0), -yv, axis_tag)]
             if t34 >= 0:
-                xv = _sqrt_exact(t34)
+                xv = cardano.sqrt_exact(t34)
                 raw += [(xv, Fraction(0), SPLIT), (-xv, Fraction(0), SPLIT)]
             # the ellipse's split points are real only below a^2/b; at a^2/b
             # they are the equator pair, above it they are complex
@@ -604,21 +596,19 @@ def _singular_eliminants(system, max_pairs: int = 200_000,
     return out
 
 
-def singular_points_via_elimination(conic: ConicSpec, r,
-                                    max_pairs: int = 200_000,
-                                    max_degree: int = 200) -> SingularPointReport:
-    """Independent singular-point route: eliminate each coordinate from
-    <g, grad g>, solve the resulting even/cubic factors exactly (Cardano),
-    and pair the candidate coordinates by residual filtering.
+def singular_locus(g: MultiPoly, max_pairs: int = 200_000,
+                   max_degree: int = 200) -> list:
+    """The real common zeros of g, g_x and g_y, for any g over ("x", "y"), as
+    (x, y) pairs in pairing order, each a Fraction or a RADICAL_DPS mpf.
 
-    The eliminants come from one reduced grevlex basis of <g, g_x, g_y> and
-    the minimal polynomials of multiplication by x and by y on its quotient
-    (``_singular_eliminants``): the same polynomials as the lex elimination
-    ideals, from a single Buchberger completion.
+    The eliminants of <g, grad g> (zero gradient components left out) are
+    solved by ``real_roots_exact``, and the coordinates paired by residual,
+    with a Newton-drift test in the gray zone.  Raises EliminationError when
+    the zeros are not finite (g has a repeated factor).
     """
-    r, rc, regime, axis_tag, g = _report_start(conic, r)
-    gx, gy = (content_normalize(q) for q in gradient(g, ["x", "y"]))
-    system = (g, gx, gy)
+    g = content_normalize(g)
+    system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])
+                   if not q.is_zero()))
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         x_uni, y_uni = _singular_eliminants(system, max_pairs, max_degree)
         xs = cardano.real_roots_exact(x_uni)
@@ -627,7 +617,7 @@ def singular_points_via_elimination(conic: ConicSpec, r,
         evaluators = [_mp_evaluator(q) for q in system]
         accept = mp.mpf("1e-35")
         reject = mp.mpf("1e-12")
-        raw = []
+        points = []
         for xv, yv in product(xs, ys):
             pt = (_mpf(xv), _mpf(yv))
             # the scaled max of |g|, |g_x|, |g_y|; once a partial max reaches
@@ -639,8 +629,7 @@ def singular_points_via_elimination(conic: ConicSpec, r,
                 if res >= reject:
                     break
             if res < accept:
-                tag = axis_tag if pt[0] == 0 else SPLIT
-                raw.append((xv, yv, tag))
+                points.append((xv, yv))
             elif res < reject:
                 # gray zone: a true singular point is a fixed point of Newton
                 # on the gradient system; a cross-pairing of coordinates from
@@ -651,8 +640,20 @@ def singular_points_via_elimination(conic: ConicSpec, r,
                         f"candidate ({float(xv)}, {float(yv)}) has borderline "
                         f"residual {float(res):.2e} and Newton did not settle")
                 if moved < mp.mpf("1e-30"):
-                    tag = axis_tag if pt[0] == 0 else SPLIT
-                    raw.append((xv, yv, tag))
+                    points.append((xv, yv))
+        return points
+
+
+def singular_points_via_elimination(conic: ConicSpec, r,
+                                    max_pairs: int = 200_000,
+                                    max_degree: int = 200) -> SingularPointReport:
+    """Independent singular-point route: ``singular_locus`` of the offset
+    polynomial, tagged by axis, through the shared report path.  Raises
+    RootPairingError when no real point survives the pairing."""
+    r, rc, regime, axis_tag, g = _report_start(conic, r)
+    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
+        raw = [(xv, yv, axis_tag if xv == 0 else SPLIT)
+               for xv, yv in singular_locus(g, max_pairs, max_degree)]
         if not raw:
             raise RootPairingError("no candidate survived residual filtering")
         return _finish_report(g, conic, r, rc, regime, raw, "elimination")

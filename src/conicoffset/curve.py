@@ -14,15 +14,14 @@ Bit identity is part of the contract: the closure's floating-point
 operations and their order are fixed, so traced vertices, SVG text and
 exported meshes stay identical byte for byte; golden hashes in
 tests/test_curve.py and tests/test_mesh.py pin them.  A dense or numpy
-Horner would reorder the sums and change those bytes.
-In the grid a 0.0 filler can turn a -0.0 into 0.0; the trace reads a node
-value only through ``< 0.0``, ``== 0.0`` and ``abs``, which do not tell the
-two apart.
+Horner would reorder the sums and change those bytes.  In the grid a 0.0
+filler can turn a -0.0 into 0.0, which no sign test of the trace tells apart.
 
 The tracer solves each vertex on its own grid edge: one bracketed 1-D
 solver (Illinois regula falsi with a bisection fallback) between the two
 grid nodes whose signs differ, so no vertex leaves its edge, and segments are
-chained through the edges they share, with no float tolerance.
+chained through the edges they share, with no float tolerance; its singular
+points come from the exact layer.
 """
 
 from __future__ import annotations
@@ -30,11 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
-from .conics import (ConicSpec, ELLIPSE, PARABOLA, base_conic_poly,
-                     offset_poly_closed_form, singular_points)
-from .errors import ParamError, PreconditionError, VarError
+from .cardano import bracketed_root
+from .conics import (ConicSpec, ELLIPSE, PARABOLA, RADICAL_DPS, _RADICAL_LOCK,
+                     _mp_evaluator, _mpf, base_conic_poly,
+                     offset_poly_closed_form, singular_locus, singular_points)
+from .errors import (EliminationError, ParamError, PreconditionError,
+                     RingError, VarError)
 from .poly import MultiPoly, gradient
 
 
@@ -52,7 +55,7 @@ class TracedCurve:
     polylines: tuple  # tuple of tuples of Point2
     bbox: tuple  # (xmin, xmax, ymin, ymax)
     resolution: int
-    singular_vertices: tuple = ()  # variety singular points pinned by the trace
+    singular_vertices: tuple = ()  # the real singular points of g in the bbox
 
     def vertex_count(self):
         return sum(len(p) for p in self.polylines)
@@ -63,13 +66,11 @@ def max_abs_coeff(g: MultiPoly) -> float:
 
 
 def _xpow_groups(g: MultiPoly, **params) -> tuple:
-    """The compile step of the float evaluators: g's terms grouped by x-power.
-
-    Raises VarError for ring variables other than x and y without a keyword
-    value.  Every coefficient becomes ``float`` times the powers of the
-    keyword parameters; the groups follow the first appearance of each
-    x-power in term order, each a pair (x-power, float coefficients from the
-    highest y-power down, with 0.0 where a power is missing).
+    """The compile step of the float evaluators: VarError for a ring variable
+    other than x and y without a keyword value, ``float`` of every
+    coefficient times the powers of the keyword parameters, and the terms
+    grouped by x-power in term order, each group a tuple of float
+    coefficients from the highest y-power down with 0.0 where one is missing.
     """
     values = {k: float(v) for k, v in params.items()}
     missing = [v for v in g.ring if v not in values and v not in ("x", "y")]
@@ -92,14 +93,9 @@ def _xpow_groups(g: MultiPoly, **params) -> tuple:
 
 
 def xy_evaluator(g: MultiPoly, **params):
-    """Compile g once into a float evaluator ``(x, y) -> float``.
-
-    The point-independent work happens once, in _xpow_groups (VarError for
-    an unassigned ring variable).  The closure runs Horner in y inside each
-    group, starting from 0.0, and adds each group times x to its power.
-    That fixed order of operations is the bit-identity contract of the float
-    layer (see the module docstring).
-    """
+    """Compile g once (_xpow_groups) into a float evaluator (x, y) -> float:
+    Horner in y per group from 0.0, each group times x to its power added in
+    turn, the fixed order of the bit-identity contract (module docstring)."""
     groups = _xpow_groups(g, **params)
 
     def evaluate(x, y) -> float:
@@ -127,8 +123,7 @@ def eval_poly(g: MultiPoly, pt, **params) -> float:
 
 
 def _grid_eval(groups, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of _xpow_groups output on the tensor grid: the
-    closure's Horner in y per x-power, one numpy array per group."""
+    """xy_evaluator's closure over the tensor grid, one array per group."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     out = np.zeros_like(X)
     for xe, coeffs in groups:
@@ -259,72 +254,46 @@ def max_curvature(conic: ConicSpec, samples: int = 4096) -> float:
     return max(fc, fd, ks[best])
 
 
-_BRACKET_WIDTH = 1e-13  # stop width, in edge units
-
-
-def _bracketed_root(phi, lo, hi, flo, fhi):
-    """Root of phi on [lo, hi], given flo = phi(lo) and fhi = phi(hi) of
-    opposite signs.
-
-    Illinois regula falsi (Dowell & Jarratt, BIT 1971): when the same end
-    moves twice running, the other end's stored value is halved.  When it has
-    moved three times running the step is a bisection instead: near a double
-    zero of phi beside the bracket (a virtual singular point) regula falsi
-    alone walks into that zero until rounding fakes a sign change.  The
-    bracket never widens, so the root stays between lo and hi.  Stops on an
-    exact zero or once the bracket is narrower than _BRACKET_WIDTH, and
-    returns the end with the smaller |phi|.
-    """
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    slo, shi = flo, fhi  # the stored end values, halved by the Illinois rule
-    moved, run = 0, 0  # the end that moved last (-1 lo, +1 hi), and how often
-    while hi - lo > _BRACKET_WIDTH:
-        if run >= 3:
-            t = 0.5 * (lo + hi)
-        else:
-            t = min(hi, lo + (hi - lo) * (slo / (slo - shi)))
-        ft = phi(t)
-        if ft == 0.0:
-            return t
-        side = -1 if (ft < 0.0) == (flo < 0.0) else 1
-        run = run + 1 if side == moved else 1
-        moved = side
-        if side < 0:
-            lo, flo, slo = t, ft, ft
-            if run >= 2:
-                shi *= 0.5
-        else:
-            hi, fhi, shi = t, ft, ft
-            if run >= 2:
-                slo *= 0.5
-    return lo if abs(flo) <= abs(fhi) else hi
-
-
 def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     """Marching-squares contour of g = 0 with each vertex solved on its edge.
 
     Cells are scanned row-major; saddle cells (two opposite sign pairs) are
     disambiguated by the sign at the cell center.  Every crossing grid edge
     gets one vertex, the root of g along that edge found by a bracketed
-    solver (_bracketed_root), so the vertex lies on its edge: its x is a grid
-    x-value or its y a grid y-value.  A segment joins two crossing edges of a
-    cell, and segments are chained through the edges they share, so a closed
-    curve comes back to its first vertex and an open polyline ends on the
-    bbox boundary.  Singular points of the variety adjacent to the trace are
-    pinned exactly (see _snap_singular_vertices).  Output is a pure function
-    of the inputs; every vertex satisfies |g| <= 1e-6 * max|coeff|.
+    solver (cardano.bracketed_root), so the vertex lies on its edge: its x is
+    a grid x-value or its y a grid y-value.  A segment joins two crossing
+    edges of a cell, and segments are chained through the edges they share,
+    so a closed curve comes back to its first vertex and an open polyline
+    ends on the bbox boundary.  Output is a pure function of the inputs;
+    every vertex satisfies |g| <= 1e-6 * max|coeff|.
+
+    When any cell crosses, the trace pins every real singular point of g in
+    the closed bbox: conics.singular_locus(g), rounded to float.  A pin is
+    isolated (a virtual point, reported only) when its Hessian, at
+    RADICAL_DPS digits, is definite: det > 10^(-RADICAL_DPS/2) *
+    (|g_xx| + |g_xy| + |g_yy|)^2, where an entry below 10^(-RADICAL_DPS/2)
+    of the sum of its terms' sizes counts as 0.  A node reads det < 0, a
+    cusp 0 to the working precision; those and an all-zero Hessian are
+    spliced into the curve.  A locus that is not finite (g has a repeated
+    factor, as x^2*y has) gives no pins.  The pins cost one exact Groebner
+    completion of <g, g_x, g_y>: a few ms for a conic offset, seconds or
+    more for a dense g of degree 8; ResourceLimitError propagates.  g must be
+    over the ring ("x", "y") (RingError), the bbox finite and g finite on its
+    grid (ParamError).
     """
+    if g.ring != ("x", "y"):
+        raise RingError(f"trace needs a polynomial over (x, y), not {g.ring}")
     if resolution < 8:
         raise ParamError("resolution must be at least 8")
     xmin, xmax, ymin, ymax = (float(v) for v in bbox)
     if not (xmax > xmin and ymax > ymin):
         raise ParamError("empty bounding box")
-    xs = np.linspace(xmin, xmax, resolution + 1)
-    ys = np.linspace(ymin, ymax, resolution + 1)
-    vals = _grid_eval(_xpow_groups(g), xs, ys)
+    with np.errstate(all="ignore"):
+        xs = np.linspace(xmin, xmax, resolution + 1)
+        ys = np.linspace(ymin, ymax, resolution + 1)
+        vals = _grid_eval(_xpow_groups(g), xs, ys)
+    if not all(np.isfinite(v).all() for v in (xs, ys, vals)):
+        raise ParamError("bounding box or g not finite on the grid")
 
     neg = vals < 0.0
     codes = (neg[:-1, :-1].astype(np.int8)
@@ -369,8 +338,9 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
         (ia, ja), (ib, jb) = key
         xa, ya, xb, yb = xl[ia], yl[ja], xl[ib], yl[jb]
         dx, dy = xb - xa, yb - ya
-        t = _bracketed_root(lambda u: f(xa + u * dx, ya + u * dy), 0.0, 1.0,
-                            float(vals[ia, ja]), float(vals[ib, jb]))
+        t = bracketed_root(lambda u: f(xa + u * dx, ya + u * dy), 0.0, 1.0,
+                           float(vals[ia, ja]), float(vals[ib, jb]),
+                           1e-13)  # the stop width, in edge units
         return Point2(xa + t * dx, ya + t * dy)
 
     vertex = {key: solve(key) for key in by_edge}
@@ -411,86 +381,42 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
 
 
 def _snap_singular_vertices(polylines, g, bbox, cell):
-    """Pin the trace to nearby singular points of the variety.
+    """Pin the trace to the singular points of g (see trace_implicit).
 
-    Marching squares cannot resolve a cusp tip (the beak is thinner than a
-    grid cell near it) and places no vertex exactly on a node.  This pass
-    seeds Newton iteration on the gradient system from the lowest-|grad g|
-    vertices and keeps converged points that lie on the variety within a few
-    cells.  It splices each tip on the closure of the curve (node or cusp)
-    into the nearest passing segments; an isolated tip (a virtual singular
-    point) is reported only.  A tiny closed ring (at most 12 vertices, all
-    within 4 cells) around any tip is dropped: it is rounding aliasing, since
-    near a cusp the beak is thinner than a cell and near an isolated zero g
-    does not change sign.  `cell` is the grid step of the shorter bbox side.
+    Each on-curve tip is spliced into the nearest segment of every polyline
+    within 4 cells.  A tiny closed ring (at most 12 vertices, all within 4
+    cells) around any tip is dropped: it is rounding aliasing, since near a
+    cusp the beak is thinner than a cell and near an isolated zero g does
+    not change sign.  `cell` is the grid step of the shorter bbox side.
     """
     xmin, xmax, ymin, ymax = bbox
+    try:
+        locus = singular_locus(g)
+    except EliminationError:
+        return polylines, []  # a repeated factor: no finite set to pin
     gx, gy = gradient(g, ["x", "y"])
-    gxx, gxy = gradient(gx, ["x", "y"])
-    _, gyy = gradient(gy, ["x", "y"])
-    g_scale = max_abs_coeff(g)
-    grad_scale = max(max_abs_coeff(gx), max_abs_coeff(gy))
-    f, f_x, f_y = xy_evaluator(g), xy_evaluator(gx), xy_evaluator(gy)
-    f_xx, f_xy, f_yy = xy_evaluator(gxx), xy_evaluator(gxy), xy_evaluator(gyy)
-
-    def singular_newton(x, y):
-        for _ in range(60):
-            fx, fy = f_x(x, y), f_y(x, y)
-            a11, a12 = f_xx(x, y), f_xy(x, y)
-            a22 = f_yy(x, y)
-            det = a11 * a22 - a12 * a12
-            if det == 0.0 or not math.isfinite(det):
-                return None
-            dx = (-fx * a22 + fy * a12) / det
-            dy = (-fy * a11 + fx * a12) / det
-            x += dx
-            y += dy
-            if math.hypot(dx, dy) < 1e-14:
-                break
-        if not (xmin <= x <= xmax and ymin <= y <= ymax):
-            return None
-        if abs(f(x, y)) > 1e-9 * g_scale:
-            return None
-        if math.hypot(f_x(x, y), f_y(x, y)) > 1e-9 * grad_scale:
-            return None
-        return (x, y)
-
-    def is_isolated(x, y):
-        # definite Hessian => isolated real zero (a virtual singular point,
-        # not on the closure of the curve); nodes are indefinite, cusps
-        # degenerate.  A float cusp tip reads det/mag up to about 1e-5 either
-        # side of 0 (the critical offsets' degenerate points the most), a
-        # virtual point above 1e-3 even at 0.999 r_crit: 1e-4 parts them
-        a11, a12 = f_xx(x, y), f_xy(x, y)
-        a22 = f_yy(x, y)
-        det = a11 * a22 - a12 * a12
-        mag = (abs(a11) + abs(a12) + abs(a22)) ** 2
-        return det > 1e-4 * mag
-
-    # seeds: per-polyline local minima of the gradient magnitude
-    seeds = []
-    for pl in polylines:
-        graded = [(math.hypot(f_x(p.x, p.y), f_y(p.x, p.y)) / grad_scale, p)
-                  for p in pl]
-        graded.sort(key=lambda t: t[0])
-        seeds.extend(p for _, p in graded[:max(4, len(graded) // 25)])
-        seeds.extend((pl[0], pl[-1]))
-
-    tips = []
-    for s in seeds:
-        hit = singular_newton(s.x, s.y)
-        if hit is None or math.hypot(hit[0] - s.x, hit[1] - s.y) > 6 * cell:
-            continue
-        if all(math.hypot(hit[0] - t.x, hit[1] - t.y) > cell for t in tips):
-            tips.append(Point2(*hit))
-
-    if not tips:
-        return polylines, tips
-
-    # only singular points on the closure of the curve (nodes, cusps) get
-    # spliced into polylines; isolated virtual points are reported but must
-    # stay off the trace
-    on_curve_tips = [t for t in tips if not is_isolated(t.x, t.y)]
+    tips, on_curve_tips = [], []
+    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
+        bound = mp.mpf(10) ** -(RADICAL_DPS // 2)
+        # each Hessian entry with the sum of its terms' sizes: below `bound`
+        # of that sum an entry is rounding noise (at (0, 10/7) on ellipse
+        # (7/4, 3/4) at r_crit, an exact 0 reads 1.7e-49 and det/mag 0.25)
+        hessian = [(_mp_evaluator(q), _mp_evaluator(MultiPoly(
+            q.ring, {m: abs(c) for m, c in q.terms.items()})))
+            for q in (*gradient(gx, ["x", "y"]), *gradient(gy, ["y"]))]
+        for xv, yv in locus:
+            tip = Point2(float(xv), float(yv))
+            if not (xmin <= tip.x <= xmax and ymin <= tip.y <= ymax):
+                continue
+            tips.append(tip)
+            pt = (_mpf(xv), _mpf(yv))
+            entries = [(h(pt), size((abs(pt[0]), abs(pt[1]))))
+                       for h, size in hessian]
+            a11, a12, a22 = (v if abs(v) > bound * s else 0
+                             for v, s in entries)
+            mag = (abs(a11) + abs(a12) + abs(a22)) ** 2
+            if not a11 * a22 - a12 * a12 > bound * mag:
+                on_curve_tips.append(tip)
 
     # drop tiny aliasing rings hugging any tip
     def is_ring_artifact(pl):
@@ -506,15 +432,12 @@ def _snap_singular_vertices(polylines, g, bbox, cell):
     for pl in polylines:
         new_pl = list(pl)
         for t in on_curve_tips:
-            best = None
-            for i in range(len(new_pl) - 1):
-                a, b = new_pl[i], new_pl[i + 1]
-                d = _segment_distance(t.x, t.y, a, b)
-                if best is None or d < best[0]:
-                    best = (d, i)
-            if best is not None and best[0] <= 4 * cell and \
-                    all(q != t for q in new_pl):
-                new_pl.insert(best[1] + 1, t)
+            if len(new_pl) < 2 or t in new_pl:
+                continue
+            d, i = min((_segment_distance(t.x, t.y, a, b), i)
+                       for i, (a, b) in enumerate(zip(new_pl, new_pl[1:])))
+            if d <= 4 * cell:
+                new_pl.insert(i + 1, t)
         out.append(new_pl)
     return out, tips
 

@@ -159,3 +159,40 @@ def test_squarefree_matches_rational_oracle():
     for a, b, c in zip(products, products[1:], products[2:]):
         ab, bc = poly_mul(a, b), poly_mul(b, c)
         assert poly_gcd(ab, bc) == _old_poly_gcd(ab, bc)
+
+
+def _isolation_inputs():
+    """Square-free integer polynomials whose one square-free factor is odd,
+    of degree 5, 7 or 9, beyond Cardano and the even substitution; the last
+    one also has the rational roots -1/3 and 1/2."""
+    rng = random.Random(2006)
+    out = []
+    for deg in (5, 7, 9):
+        found = 0
+        while found < 3:
+            p = [F(rng.randint(-20, 20)) for _ in range(deg)]
+            p.append(F(rng.randint(1, 9)))
+            parts = squarefree_decomposition(p)
+            if p[0] and len(parts) == 1 and parts[0][0] == 1:
+                out.append(p)
+                found += 1
+    out.append(poly_mul(poly_mul(out[0], [F(1), F(3)]), [F(-1), F(2)]))
+    return out
+
+
+def test_real_roots_exact_isolates_any_square_free_factor():
+    # the roots of factors no closed form solves, against mpmath's polyroots
+    with mp.workdps(60):
+        for p in _isolation_inputs():
+            got = real_roots_exact(p)
+            found = mp.polyroots([mp.mpf(c.numerator) for c in reversed(p)],
+                                 maxsteps=200, extraprec=200)
+            want = sorted(mp.re(z) for z in found
+                          if abs(mp.im(z)) < mp.mpf("1e-30"))
+            assert len(got) == len(want), p
+            for r, w in zip(got, want):
+                v = mp.mpf(r.numerator) / r.denominator \
+                    if isinstance(r, F) else r
+                assert abs(v - w) < mp.mpf("1e-40"), (p, r, w)
+    # a midpoint of the bisection that is a root comes back exact
+    assert F(1, 2) in real_roots_exact(_isolation_inputs()[-1])

@@ -212,6 +212,26 @@ def test_malformed_polynomial_json_exits_2(tmp_path, capsys, command, defect):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text,ring,bbox", [
+    ("x^2+y^2-1", ("x", "y"), "--bbox=-inf,inf,-1,1"),
+    ("x^2+y^2-1", ("x", "y"), "--bbox=-1e308,1e308,-1,1"),
+    ("x^2-1", ("x",), "--bbox=-2,2,-2,2"),
+    ("x^2+y^2-r^2", ("x", "y", "r"), "--bbox=-2,2,-2,2"),
+    ("x^2+y^2-r^2", ("x", "y", "r"), "--bbox=5,6,5,6"),
+])
+def test_trace_refuses_what_it_cannot_trace(tmp_path, capsys, text, ring,
+                                            bbox):
+    # a non-finite bounding box and a polynomial not over (x, y) are typed
+    # errors (exit 2), with no traceback, warning or non-standard JSON
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(poly_to_dict(parse_poly(text, ring))))
+    code, stdout, err = run(capsys, "trace", "--g", str(src), bbox,
+                            "--res", "16", "--json")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("a,b,r", [("39/4", "9", "85/8"), ("39/4", "9", "12"),
                                    ("4/3", "1", "16/9"), ("5/3", "1", "25/9")])
 def test_ellipse_offsets_at_and_beyond_a2_over_b(capsys, a, b, r):

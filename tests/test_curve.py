@@ -15,8 +15,9 @@ from conicoffset.curve import (Point2, conic_point_and_normal, curvature,
                                offset_figure, parametric_offset_samples,
                                plot_svg, trace_implicit, xy_evaluator,
                                _segment_distance)
-from conicoffset.errors import ParamError, PreconditionError, VarError
-from conicoffset.poly import gradient, parse_poly
+from conicoffset.errors import (ParamError, PreconditionError, RingError,
+                                VarError)
+from conicoffset.poly import MultiPoly, gradient, parse_poly
 from conicoffset.reference import case as ref_case
 from conicoffset.verify import conic_from_case
 
@@ -135,13 +136,19 @@ def test_trace_axis_vertices_exact():
 @pytest.mark.parametrize("case_id", range(1, 10))
 def test_trace_vertices_on_grid_edges(case_id):
     # every vertex but a pinned singular point lies on its grid edge, and a
-    # polyline is closed or ends on the bbox boundary at both ends
+    # polyline is closed or ends on the bbox boundary at both ends; the pins
+    # are the catalogue's singular points in the bbox (a cross-route check)
     case = ref_case(case_id)
     conic = conic_from_case(case)
     r = F(case["r"])
     g = offset_poly_closed_form(conic, r).g
     xmin, xmax, ymin, ymax = bbox = figure_bbox(conic, r)
     tc = trace_implicit(g, bbox, 256)
+    want = sorted(s.as_floats() for s in singular_points(conic, r).points
+                  if xmin <= s.x <= xmax and ymin <= s.y <= ymax)
+    got = sorted(tuple(p) for p in tc.singular_vertices)
+    assert len(got) == len(want)
+    assert np.abs(np.subtract(got, want)).max(initial=0.0) <= 1e-9
     xs = set(np.linspace(xmin, xmax, 257).tolist())
     ys = set(np.linspace(ymin, ymax, 257).tolist())
     pinned = set(tc.singular_vertices)
@@ -167,15 +174,18 @@ def test_trace_no_alias_rings(case_id):
 
 
 def test_trace_passes_through_singular_points():
-    # the right-hand cusps of case 6 at 256 and the degenerate on-curve
-    # points of a critical offset have a float Hessian determinant of a few
-    # 1e-8 to 1e-6 times its squared size, and are spliced like the others
+    # every pin here is on the curve and spliced into it: the node of case
+    # 3, the cusps and nodes of case 6, and the degenerate points of two
+    # critical offsets, whose Hessian is exactly zero; at (0, +-10/7) its
+    # 60-digit value is rounding noise that must not read as definite
     hyp = ConicSpec.hyperbola(F(26, 3), F(2, 3))
+    ell = ConicSpec.ellipse(F(7, 4), F(3, 4))
     for conic, r, bbox, res, tips in [
         (conic_from_case(ref_case(3)), F(ref_case(3)["r"]), (-3, 3, -1.5, 4),
          512, 3),
         (conic_from_case(ref_case(6)), F(ref_case(6)["r"]), None, 256, 6),
         (hyp, r_crit(hyp), None, 512, 2),
+        (ell, r_crit(ell), None, 256, 2),
     ]:
         g = offset_poly_closed_form(conic, r).g
         tc = trace_implicit(g, bbox or figure_bbox(conic, r), res)
@@ -183,6 +193,64 @@ def test_trace_passes_through_singular_points():
         for s in rep.points:
             assert dist_to_trace(tc, *s.as_floats()) <= 1e-3
         assert len(tc.singular_vertices) == tips
+        for t in tc.singular_vertices:
+            assert any(t in pl for pl in tc.polylines), (conic, t)
+
+
+@pytest.mark.parametrize("res", [96, 128])
+def test_trace_pins_every_cusp_at_low_resolution(res):
+    # reference case 6 has four cusps and two nodes; each is pinned and the
+    # trace passes through it, however coarse the grid near the beaks
+    case = ref_case(6)
+    conic, r = conic_from_case(case), F(case["r"])
+    g = offset_poly_closed_form(conic, r).g
+    tc = trace_implicit(g, figure_bbox(conic, r), res)
+    points = singular_points(conic, r).points
+    assert len(points) == len(tc.singular_vertices) == 6
+    for s in points:
+        assert dist_to_trace(tc, *s.as_floats()) <= 1e-9
+
+
+XY = ("x", "y")
+X, Y = MultiPoly.variable(XY, "x"), MultiPoly.variable(XY, "y")
+
+
+@pytest.mark.parametrize("f1,f2,crossings", [
+    (Y - X ** 2, Y - X ** 5 + X - F(1, 3), 3),
+    (X ** 2 + Y ** 2 - 1, Y - X ** 3 + F(1, 2) * X - F(1, 5), 2),
+])
+def test_trace_pins_crossings_of_two_curves(f1, f2, crossings):
+    # the nodes of f1 * f2 are where the factor curves cross; their
+    # eliminants have odd factors of degree 5 and more, found by isolation
+    tc = trace_implicit(f1 * f2, (-2, 2, -2, 2), 256)
+    assert len(tc.singular_vertices) == crossings
+    for p in tc.singular_vertices:
+        assert abs(eval_poly(f1, p)) <= 1e-12
+        assert abs(eval_poly(f2, p)) <= 1e-12
+
+
+def test_trace_repeated_factor_has_no_pins():
+    # x^2 * y: the whole line x = 0 is singular, so nothing finite to pin;
+    # the grid avoids x = 0 and y = 0, and the trace is the line y = 0
+    tc = trace_implicit(X ** 2 * Y, (-2, 2, -2, 2), 63)
+    assert tc.singular_vertices == ()
+    (pl,) = tc.polylines
+    assert {pl[0].x, pl[-1].x} == {-2.0, 2.0}
+    assert max(abs(p.y) for p in pl) <= 1e-12
+
+
+@pytest.mark.parametrize("poly,bbox,error", [
+    (CIRCLE, (-math.inf, math.inf, -1, 1), ParamError),
+    (CIRCLE, (-1e308, 1e308, -1, 1), ParamError),
+    (CIRCLE, (-1e200, 1e200, -1, 1), ParamError),  # g overflows on the grid
+    (CIRCLE, (-1, math.nan, -1, 1), ParamError),
+    (parse_poly("x^2-1", ("x",)), (-2, 2, -2, 2), RingError),
+    (parse_poly("x^2+y^2-r^2", ("x", "y", "r")), (-2, 2, -2, 2), RingError),
+    (parse_poly("x^2+y^2-r^2", ("x", "y", "r")), (5, 6, 5, 6), RingError),
+])
+def test_trace_refuses_what_it_cannot_trace(poly, bbox, error):
+    with pytest.raises(error):
+        trace_implicit(poly, bbox, 16)
 
 
 def test_trace_determinism():
@@ -309,15 +377,15 @@ def trace_digest(tc):
 
 
 GOLDEN_TRACE_256 = {
-    1: "20a08e4179fe7dbde357aa2ead5b93eabfad1b98e81ef0c0ff8b6e7749b68708",
-    2: "e7d2645b24dddb016dc7146e5f26ea98641a0999c9a8e3118c3775487a4c8f9b",
-    3: "9d2f18bac1f15c63e0000d24ea458e2187dc1b126359967c2347e88e40063a22",
-    4: "dbf68cda202991e2ced71cf88be4ad2c8e2523d5599045e79284101fc613ff6c",
-    5: "65a1c235dc2da5a403c7ebc569101ba746303e9e6d584b0f9427a80ba5a2e10b",
-    6: "18d78be9498dfddf6c03ee108d9024fe9a78411617cac8664189480ee6b7b39f",
-    7: "491c1cc2499701a794cec0490f04efa6a67806cbf6224c9e1def3e33b109c702",
-    8: "ece8fa58bc9c25829af7429cad0e072f8e8030943f5a64bcd913a06c093a624c",
-    9: "51a39a09ad422dbf347c0dd4991384542cd0d34525f4c6013d75a74f75e958b3",
+    1: "b0738a5ad123c24316d173beece7bc164dc81b4d7e622d80db723e4b244dbb70",
+    2: "6cdba842ccde1e57aaa1ca81edca29eb4ec8be801608428fc859a71e8e070604",
+    3: "b9b5bf08a8afb78d213ac718c1024cdcca008b259a2b2b7bb8f7bce06e57f6f6",
+    4: "49a7421a69cc917914f1245c83cce02dbd6480f1dc1b08ff68bca11251c194c1",
+    5: "d63895f5fe8b26997a1becc8e0f5a066340c382cf44ad84a5a75e8ed7643892b",
+    6: "e80a04649644d9a5580ae0e325d2b7fedb2115f967b8cb2e5714acdace5a1d0f",
+    7: "6d6b9f6cb83dc5f31129ca5125a0ae208b6572b93a855793539f02121de8efe1",
+    8: "bd743d433690bc8f48dcc0a8a99e99dc1e13a9a6e91521b9bbe1d1729781e4ef",
+    9: "7d0d738337f695e6120db22c1a400c88c3d299378cc27e001ef4f8cb94d33471",
 }
 
 # one parabola (supercritical), one ellipse (critical), one hyperbola
