@@ -15,12 +15,15 @@ closed-form catalogue.  ``singular_points_via_elimination`` reports
 grevlex Groebner basis of <g, g_x, g_y>, the minimal polynomials of
 multiplication by x and by y on the quotient ring (the generators of the
 elimination ideals in x alone and in y alone), their exact real roots, and
-pairing.  Both routes share one report path and one complex-point rule: a
-report counts the non-real singular points whose coordinates are each real or
-purely imaginary.  An ellipse's catalogue changes shape at b^2/a (r_crit),
-b, a and a^2/b, its smallest and largest radii of curvature (the paper ties
-critical offsets to curvature); above a^2/b the four split points are
-complex, and comparing r*b with a^2 decides that exactly.
+pairing by residual.  A pair whose residual is neither clearly small nor
+clearly large is judged again with the roots isolated at twice the working
+precision; no Newton iteration is involved.  Both routes share one report
+path and one complex-point rule: a report counts the non-real singular
+points whose coordinates are each real or purely imaginary.  An ellipse's
+catalogue changes shape at b^2/a (r_crit), b, a and a^2/b, its smallest and
+largest radii of curvature (the paper ties critical offsets to curvature);
+above a^2/b the four split points are complex, and comparing r*b with a^2
+decides that exactly.
 
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
@@ -42,13 +45,17 @@ from .errors import EliminationError, ParamError, RootPairingError
 from .fixtures import general_offset_poly
 from .groebner import (Ideal, buchberger, elimination_ideal, minimal_polynomials,
                        reduce_basis)
-from .poly import MultiPoly, block, content_normalize, gradient, grevlex, lex
+from .poly import (MultiPoly, block, content_normalize, gradient, grevlex, lex,
+                   substitute)
 
 VARIETY_RING = ("y0", "x0", "x", "y")
 PARABOLA_SYMBOLIC_RING = ("y0", "x0", "x", "y", "r", "p")
 CENTRAL_SYMBOLIC_RING = ("y0", "x0", "x", "y", "a", "b", "r")
 
 RADICAL_DPS = 60  # 50 guard digits past double precision
+# singular_locus: a candidate's residual below PAIR_ACCEPT makes it a point,
+# one from PAIR_REJECT up does not; in between it is judged at 2 * RADICAL_DPS
+PAIR_ACCEPT, PAIR_REJECT = "1e-35", "1e-12"
 
 # mpmath's working precision is process-global; radical evaluation blocks
 # serialize on this lock so concurrent singular-point calls stay safe
@@ -143,27 +150,25 @@ def base_conic_poly(kind, params, x=None, y=None) -> MultiPoly:
     return b ** 2 * y ** 2 + sign * a ** 2 * x ** 2 - a ** 2 * b ** 2
 
 
-def _generators(ring, kind, values=None):
+@lru_cache(maxsize=None)
+def _generators(kind):
+    """The envelope generators f1, f2, f3 of `kind` with the offset and the
+    conic parameters as ring variables: ``(ring, (f1, f2, f3))``.  Built on
+    first use and kept, one entry per kind."""
+    ring = PARABOLA_SYMBOLIC_RING if kind == PARABOLA else CENTRAL_SYMBOLIC_RING
     v = {name: MultiPoly.variable(ring, name) for name in ring}
-
-    def sym(name):
-        if values and name in values:
-            return MultiPoly.const(ring, values[name])
-        return v[name]
-
-    y0, x0, x, y = v["y0"], v["x0"], v["x"], v["y"]
-    r = sym("r")
+    y0, x0, x, y, r = v["y0"], v["x0"], v["x"], v["y"], v["r"]
     if kind == PARABOLA:
-        p = sym("p")
+        p = v["p"]
         f1 = base_conic_poly(kind, {"p": p}, x0, y0)
         f3 = 2 * x * p - 2 * x0 * p + x0 * y - x0 * y0
     else:
-        a, b = sym("a"), sym("b")
+        a, b = v["a"], v["b"]
         sign = 1 if kind == ELLIPSE else -1
         f1 = base_conic_poly(kind, {"a": a, "b": b}, x0, y0)
         f3 = b ** 2 * (x - x0) * y0 - sign * a ** 2 * (y - y0) * x0
     f2 = (y - y0) ** 2 + (x - x0) ** 2 - r ** 2
-    return f1, f2, f3
+    return ring, (f1, f2, f3)
 
 
 def build_ideal(conic, r=None) -> Ideal:
@@ -177,18 +182,15 @@ def build_ideal(conic, r=None) -> Ideal:
     kind = conic if isinstance(conic, str) else conic.kind
     if kind not in (PARABOLA, ELLIPSE, HYPERBOLA):
         raise ParamError(f"unknown conic kind {kind!r}")
-    if r is None:
-        ring = PARABOLA_SYMBOLIC_RING if kind == PARABOLA else CENTRAL_SYMBOLIC_RING
-        gens = _generators(ring, kind)
-    else:
+    ring, gens = _generators(kind)
+    if r is not None:
         if not isinstance(conic, ConicSpec):
             raise ParamError("a ConicSpec is required for a specialized ideal")
         r = _frac(r)
         if r <= 0:
             raise ParamError("offset r must be positive")
-        values = dict(conic.params)
-        values["r"] = r
-        gens = _generators(VARIETY_RING, kind, values)
+        values = conic.param_map() | {"r": r}
+        gens = tuple(substitute(f, values) for f in gens)
         ring = VARIETY_RING
     return Ideal(ring, tuple(content_normalize(f) for f in gens))
 
@@ -546,33 +548,6 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
         return _finish_report(g, conic, r, rc, regime, raw, "closed-form")
 
 
-def _newton_drift(g: MultiPoly, x0, y0, iters: int = 30):
-    """Total displacement of Newton iteration on (g_x, g_y) from (x0, y0).
-
-    Returns None when the Hessian degenerates before settling.
-    """
-    gx, gy = gradient(g, ["x", "y"])
-    gxx, gxy = gradient(gx, ["x", "y"])
-    _, gyy = gradient(gy, ["x", "y"])
-    eval_gx, eval_gy, eval_gxx, eval_gxy, eval_gyy = (
-        _mp_evaluator(q) for q in (gx, gy, gxx, gxy, gyy))
-    x, y = x0, y0
-    for _ in range(iters):
-        pt = (x, y)
-        fx, fy = eval_gx(pt), eval_gy(pt)
-        a11, a12 = eval_gxx(pt), eval_gxy(pt)
-        a22 = eval_gyy(pt)
-        det = a11 * a22 - a12 * a12
-        if det == 0:
-            return None
-        dx = (-fx * a22 + fy * a12) / det
-        dy = (-fy * a11 + fx * a12) / det
-        x, y = x + dx, y + dy
-        if abs(dx) + abs(dy) < mp.mpf("1e-45"):
-            break
-    return abs(x - x0) + abs(y - y0)
-
-
 def _singular_eliminants(system, max_pairs: int = 200_000,
                         max_degree: int = 200) -> list:
     """The generators of the intersections of I = <system> with Q[x] and
@@ -596,51 +571,64 @@ def _singular_eliminants(system, max_pairs: int = 200_000,
     return out
 
 
+def _pairing(system, eliminants):
+    """At the working precision: the real roots of the two eliminants, and
+    the residual of a candidate (x, y), the max of |q(x, y)| over the system
+    divided by its largest coefficient size.  Once a partial max reaches
+    PAIR_REJECT the full one does too, so the residual stops there."""
+    xs, ys = (cardano.real_roots_exact(cs) for cs in eliminants)
+    scale = max(_max_abs_coeff(q) for q in system)
+    evaluators = [_mp_evaluator(q) for q in system]
+    reject = mp.mpf(PAIR_REJECT)
+
+    def residual(xv, yv):
+        pt = (_mpf(xv), _mpf(yv))
+        peak = mp.mpf(0)
+        for f in evaluators:
+            peak = max(peak, abs(f(pt)))
+            res = peak / scale
+            if res >= reject:
+                break
+        return res
+
+    return xs, ys, residual
+
+
 def singular_locus(g: MultiPoly, max_pairs: int = 200_000,
                    max_degree: int = 200) -> list:
     """The real common zeros of g, g_x and g_y, for any g over ("x", "y"), as
     (x, y) pairs in pairing order, each a Fraction or a RADICAL_DPS mpf.
 
     The eliminants of <g, grad g> (zero gradient components left out) are
-    solved by ``real_roots_exact``, and the coordinates paired by residual,
-    with a Newton-drift test in the gray zone.  Raises EliminationError when
-    the zeros are not finite (g has a repeated factor).
+    solved by ``real_roots_exact``, and every (x root, y root) pair is judged
+    by its residual.  Below PAIR_ACCEPT it is a point; from PAIR_REJECT up it
+    is not.  A pair in between is judged again with the roots of both
+    eliminants isolated at twice RADICAL_DPS (once per call): a true point's
+    residual falls with the precision and a cross-pairing of coordinates from
+    two different points does not, so the pair is kept when that residual is
+    below 10^-RADICAL_DPS.  Raises EliminationError when the zeros are not
+    finite (g has a repeated factor).
     """
     g = content_normalize(g)
     system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])
                    if not q.is_zero()))
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        x_uni, y_uni = _singular_eliminants(system, max_pairs, max_degree)
-        xs = cardano.real_roots_exact(x_uni)
-        ys = cardano.real_roots_exact(y_uni)
-        scale = max(_max_abs_coeff(q) for q in system)
-        evaluators = [_mp_evaluator(q) for q in system]
-        accept = mp.mpf("1e-35")
-        reject = mp.mpf("1e-12")
+        eliminants = _singular_eliminants(system, max_pairs, max_degree)
+        xs, ys, residual = _pairing(system, eliminants)
+        accept, reject = mp.mpf(PAIR_ACCEPT), mp.mpf(PAIR_REJECT)
+        fine = None
         points = []
-        for xv, yv in product(xs, ys):
-            pt = (_mpf(xv), _mpf(yv))
-            # the scaled max of |g|, |g_x|, |g_y|; once a partial max reaches
-            # `reject` the full one does too, so the rest need not be evaluated
-            peak = mp.mpf(0)
-            for f in evaluators:
-                peak = max(peak, abs(f(pt)))
-                res = peak / scale
-                if res >= reject:
-                    break
+        for (i, xv), (j, yv) in product(enumerate(xs), enumerate(ys)):
+            res = residual(xv, yv)
             if res < accept:
                 points.append((xv, yv))
             elif res < reject:
-                # gray zone: a true singular point is a fixed point of Newton
-                # on the gradient system; a cross-pairing of coordinates from
-                # two different points migrates away
-                moved = _newton_drift(g, pt[0], pt[1])
-                if moved is None:
-                    raise RootPairingError(
-                        f"candidate ({float(xv)}, {float(yv)}) has borderline "
-                        f"residual {float(res):.2e} and Newton did not settle")
-                if moved < mp.mpf("1e-30"):
-                    points.append((xv, yv))
+                with mp.workdps(2 * RADICAL_DPS):
+                    if fine is None:
+                        fine = _pairing(system, eliminants)
+                    fxs, fys, fine_residual = fine
+                    if fine_residual(fxs[i], fys[j]) < mp.mpf(10) ** -RADICAL_DPS:
+                        points.append((xv, yv))
         return points
 
 
@@ -648,7 +636,10 @@ def singular_points_via_elimination(conic: ConicSpec, r,
                                     max_pairs: int = 200_000,
                                     max_degree: int = 200) -> SingularPointReport:
     """Independent singular-point route: ``singular_locus`` of the offset
-    polynomial, tagged by axis, through the shared report path.  Raises
+    polynomial, tagged by axis, through the shared report path.
+
+    Coordinates come out at RADICAL_DPS digits; a borderline pairing is
+    decided at twice that precision (see ``singular_locus``).  Raises
     RootPairingError when no real point survives the pairing."""
     r, rc, regime, axis_tag, g = _report_start(conic, r)
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):

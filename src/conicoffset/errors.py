@@ -41,7 +41,8 @@ class ResourceLimitError(ConicOffsetError):
 
 
 class RootPairingError(ConicOffsetError):
-    """Residual filtering could not unambiguously pair candidate roots."""
+    """No pair of eliminant roots survived residual pairing as a real
+    singular point."""
 
 
 class RootRefineError(ConicOffsetError):

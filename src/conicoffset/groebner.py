@@ -51,6 +51,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
@@ -187,19 +188,20 @@ def _int_terms(packing: _Packing, p: MultiPoly) -> dict:
     """Primitive integer terms of p, keyed by packed monomial: p times the
     lcm of its denominators, divided by the gcd of the results."""
     den = lcm(*(c.denominator for c in p.terms.values()))
-    return _content_strip({packing.pack(m): c.numerator * (den // c.denominator)
-                           for m, c in p.terms.items()})
+    terms = {packing.pack(m): c.numerator * (den // c.denominator)
+             for m, c in p.terms.items()}
+    g = _content(terms.values())
+    return {m: c // g for m, c in terms.items()} if g > 1 else terms
 
 
-def _content_strip(terms: dict) -> dict:
+def _content(coeffs) -> int:
+    """The gcd of some ints, stopping at the first 1; 0 when there are none."""
     g = 0
-    for c in terms.values():
+    for c in coeffs:
         g = gcd(g, c)
         if g == 1:
-            return terms
-    if g > 1:
-        return {m: c // g for m, c in terms.items()}
-    return terms
+            break
+    return g
 
 
 def _make_entry(terms: dict):
@@ -244,14 +246,17 @@ def _spair_terms(e1, e2, lcm_m: int, guard: int) -> dict:
 
 
 def _normal_form_int(terms: dict, basis: Sequence, guard: int,
-                     first: dict | None = None) -> dict:
+                     first: dict | None = None) -> tuple:
     """Full normal form of an integer polynomial against basis entries.
 
-    Pseudo-reduction: the result equals the true remainder up to a positive
-    rational factor, which is harmless because every output is re-stripped to
-    primitive form before use.  The heap holds negated packed monomials, so
-    it pops the order-largest live term first.  Each term is reduced by the
-    first member, in basis order, whose leading monomial divides it.
+    Returns ``(rem, num, den)``: the primitive remainder and the positive
+    factor num/den by which it differs from the true normal form, so
+    ``rem == num/den * NF(terms)`` exactly.  The reduction is integer
+    pseudo-division: num gathers the scalings that clear a leading
+    coefficient and den the contents stripped off the remainder, the only
+    steps that change the factor.  The heap holds negated packed monomials,
+    so it pops the order-largest live term first.  Each term is reduced by
+    the first member, in basis order, whose leading monomial divides it.
 
     ``first`` is an optional first-divisor cache for a basis that only grows
     by appending, as during one completion.  It maps a packed monomial to the
@@ -267,6 +272,7 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
     scalings = 0
+    num = den = 1
     while heap:
         m = -heappop(heap)
         c = work.pop(m, 0)
@@ -295,6 +301,7 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
                 work[k] *= scale
             for k in done:
                 done[k] *= scale
+            num *= scale
             scalings += 1
         for bm, bc in tail:
             t = q + bm
@@ -310,19 +317,19 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
                     work[t] = v
                 else:
                     del work[t]
-        if scalings >= 24 and done:
-            merged = _content_strip({**done, **work})
-            for k in work:
-                work[k] = merged[k]
-            for k in done:
-                done[k] = merged[k]
+        if scalings >= 24:
+            g = _content(chain(done.values(), work.values()))
+            if g > 1:
+                for k in work:
+                    work[k] //= g
+                for k in done:
+                    done[k] //= g
+                den *= g
             scalings = 0
-        elif scalings >= 24:
-            stripped = _content_strip(work)
-            if stripped is not work:
-                work.update(stripped)
-            scalings = 0
-    return _content_strip(done)
+    g = _content(done.values())
+    if g > 1:
+        return {m: c // g for m, c in done.items()}, num, den * g
+    return done, num, den
 
 
 def _with_packed(gb: GroebnerBasis, packing: _Packing, entries: list) -> GroebnerBasis:
@@ -433,7 +440,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
             continue
         stats["reductions"] += 1
         try:
-            rem = _normal_form_int(
+            rem, _, _ = _normal_form_int(
                 _spair_terms(basis[i], basis[j], lcm_m, guard), basis, guard, first)
         except ResourceLimitError as exc:
             raise fail(str(exc)) from None
@@ -495,7 +502,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     try:
         for idx, entry in enumerate(kept):
             others = [e for k, e in enumerate(kept) if k != idx]
-            rem = _normal_form_int(entry[2], others, guard)
+            rem, _, _ = _normal_form_int(entry[2], others, guard)
             if rem:
                 new = _make_entry(rem)
                 reduced_entries.append(new)
@@ -537,53 +544,6 @@ def elimination_ideal(gb: GroebnerBasis, keep) -> list:
 # minimal polynomials in a zero-dimensional quotient
 # ---------------------------------------------------------------------------
 
-def _normal_form_scaled(terms: dict, basis: Sequence, guard: int):
-    """Normal form of an integer polynomial with its pseudo-division factor.
-
-    Returns ``(rem, mult)`` with ``rem == mult * NF(terms)`` exactly, ``mult``
-    a positive integer: the same pseudo-reduction as ``_normal_form_int``,
-    with no content stripping, so the scale is known.
-    """
-    work = dict(terms)
-    done: dict = {}
-    lms = [e[0] for e in basis]
-    heap = [-m for m in work]
-    heapq.heapify(heap)
-    mult = 1
-    while heap:
-        m = -heapq.heappop(heap)
-        c = work.pop(m, 0)
-        if c == 0:
-            continue
-        mg = m | guard
-        for idx, lm in enumerate(lms):
-            if (mg - lm) & guard == guard:
-                q = m - lm
-                _, lc, _, tail = basis[idx]
-                g = gcd(c, lc)
-                scale, factor = lc // g, c // g
-                if scale != 1:
-                    work = {k: v * scale for k, v in work.items()}
-                    done = {k: v * scale for k, v in done.items()}
-                    mult *= scale
-                for bm, bc in tail:
-                    t = q + bm
-                    v = work.get(t)
-                    if v is None:
-                        if t & guard:
-                            raise ResourceLimitError(_OVERFLOW)
-                        heapq.heappush(heap, -t)
-                        work[t] = -factor * bc
-                    elif v == factor * bc:
-                        del work[t]
-                    else:
-                        work[t] = v - factor * bc
-                break
-        else:
-            done[m] = c
-    return done, mult
-
-
 def _staircase(lms: list, units: list, guard: int) -> dict:
     """Standard monomials under the packed leading monomials ``lms``, each
     mapped to its index; grown from 1, so finite only when every variable
@@ -607,14 +567,24 @@ def _krylov_relation(index: dict, unit: int, entries: list, guard: int) -> list:
     """Coefficients c_0..c_n (ascending, rational) of the first linear
     relation sum c_k NF(v^k) = 0, v the variable packed as ``unit``."""
     # integer matrix N of multiplication by v on the standard monomials, as
-    # columns of (row, value) pairs; the rational matrix is N / den
+    # columns of (row, value) pairs; the rational matrix is N / den.  A border
+    # monomial's NF is its primitive remainder over the factor that
+    # _normal_form_int returns, so den is the lcm of those factors' numerators
     images = [index.get(m + unit) for m in index]
-    border = {i: _normal_form_scaled({m + unit: 1}, entries, guard)
-              for i, m in enumerate(index) if images[i] is None}
-    den = lcm(*(mult for _, mult in border.values()))
-    cols = [[(j, den)] if j is not None else
-            [(index[t], c * (den // border[i][1])) for t, c in border[i][0].items()]
-            for i, j in enumerate(images)]
+    border = {}
+    for i, m in enumerate(index):
+        if images[i] is None:
+            rem, num, d = _normal_form_int({m + unit: 1}, entries, guard)
+            border[i] = rem, Fraction(d, num)  # NF = rem * d / num
+    den = lcm(*(inv.denominator for _, inv in border.values()))
+    cols = []
+    for i, j in enumerate(images):
+        if j is None:
+            rem, inv = border[i]
+            k = inv.numerator * (den // inv.denominator)
+            cols.append([(index[t], c * k) for t, c in rem.items()])
+        else:
+            cols.append([(j, den)])
     # Krylov vectors u = scale * NF(v^k) stay primitive integer lists; each
     # echelon row carries the combination of the u_k it stands for
     u = [0] * len(index)
@@ -657,8 +627,11 @@ def minimal_polynomials(gb: GroebnerBasis, variables) -> list:
     by v, until its first linear dependency over Q.  That relation is the
     monic generator of the intersection of I with Q[v]: the univariate member
     a reduced lex basis with v last would hold (the change of order of
-    Faugere, Gianni, Lazard & Mora, JSC 1993).  Each result is a MultiPoly of
-    the basis ring, primitive with a positive leading coefficient.
+    Faugere, Gianni, Lazard & Mora, JSC 1993).  The matrix's columns at the
+    border of the staircase are ``_normal_form_int`` remainders, brought to
+    one integer scale by the exact factor each one returns.  Each result is a
+    MultiPoly of the basis ring, primitive with a positive leading
+    coefficient.
 
     Raises EliminationError when I is not zero-dimensional, that is when some
     variable has no pure power among the leading monomials.

@@ -13,9 +13,10 @@ from conicoffset import conics, reference
 from conicoffset.conics import ConicSpec, build_ideal, offset_poly_closed_form
 from conicoffset.errors import (ConicOffsetError, EliminationError, OrderError,
                                ResourceLimitError, ZeroPolyError)
-from conicoffset.groebner import (GroebnerBasis, Ideal, _Packing, buchberger,
-                                  elimination_ideal, minimal_polynomials,
-                                  minimalize, reduce_basis, s_polynomial)
+from conicoffset.groebner import (GroebnerBasis, Ideal, _normal_form_int,
+                                  _Packing, buchberger, elimination_ideal,
+                                  minimal_polynomials, minimalize, reduce_basis,
+                                  s_polynomial)
 from conicoffset.poly import (MultiPoly, block, content_normalize, format_poly,
                               gradient, grevlex, leading_term, lex,
                               monomial_divides, monomial_mul, parse_poly,
@@ -546,6 +547,37 @@ def test_reduce_basis_widens_a_narrow_packed_form():
     assert reduced.polys == (x ** 2 + z ** 80000, y - z ** 40000)
     assert _dumps(reduce_basis(GroebnerBasis(o, gb.polys)).polys, o) == \
         _dumps(reduced.polys, o)
+
+
+@pytest.mark.parametrize("name,kind", sorted(GOLDEN_SMALL))
+def test_normal_form_factor_is_exact(name, kind):
+    # the integer normal form is primitive and equals its returned factor
+    # num/den times the Fraction remainder of poly.reduce, term for term,
+    # with and without a first-divisor cache shared across the inputs
+    ideal = _small_ideal(name)
+    order = _orders(ideal.ring)[kind]
+    gb = reduce_basis(buchberger(ideal, order))
+    packing, entries = gb._packed
+    ring = ideal.ring
+    rng = random.Random(f"{name}:{kind}")
+    inputs = []
+    for k in range(9):
+        # degrees up to 9, enough for case4 to strip content mid-reduction
+        p = MultiPoly(ring, {tuple(rng.randint(0, k + 1) for _ in ring):
+                             F(rng.randint(-50, 50)) for _ in range(rng.randint(1, 6))})
+        if k % 3:  # an ideal member (normal form 0), or one plus the constant k
+            p = p * ideal.generators[k % len(ideal.generators)] + (k % 3 - 1) * k
+        if not p.is_zero():
+            inputs.append(p)
+    first: dict = {}
+    for p in inputs:
+        want, _ = reduce(p, list(gb.polys), order)
+        terms = {packing.pack(m): int(c) for m, c in p.terms.items()}
+        for cache in (None, first):
+            rem, num, den = _normal_form_int(terms, entries, packing.guard, cache)
+            assert num > 0 and den > 0
+            assert math.gcd(*rem.values()) in (0, 1)
+            assert packing.to_poly(ring, rem) == F(num, den) * want
 
 
 @pytest.mark.parametrize("name,kind", sorted(GOLDEN_SMALL))
