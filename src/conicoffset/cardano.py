@@ -7,10 +7,10 @@ primitive coefficient lists with pseudo-remainder gcds and exact integer
 division; only the factors they return become monic Fractions again.
 Discriminant signs are decided exactly on rationals; only the final radicals
 are evaluated numerically, with mpmath at the caller's working precision
-(the package convention is 60 decimal digits, i.e. 50 guard digits past a
-float).  Any other square-free factor has its real roots isolated exactly by
-a Sturm sequence, then narrowed by ``bracketed_root``, the package's one
-bracketed 1-D solver (the tracer runs it on floats along its grid edges).
+(``conics.RADICAL_DPS`` digits), entered through ``to_mpf``.  Any other
+square-free factor has its real roots isolated exactly by a Sturm sequence,
+then narrowed by ``bracketed_root``, the package's one bracketed 1-D solver
+(the tracer runs it on floats along its grid edges).
 """
 
 from __future__ import annotations
@@ -61,10 +61,16 @@ def derivative(cs):
     return normalize([c * i for i, c in enumerate(cs)][1:])
 
 
+def to_mpf(v) -> mp.mpf:
+    if isinstance(v, Fraction):
+        return mp.mpf(v.numerator) / v.denominator
+    return mp.mpf(v)
+
+
 def eval_poly_at(cs, t):
     acc = mp.mpf(0) if not isinstance(t, Fraction) else Fraction(0)
     for c in reversed(cs):
-        acc = acc * t + (c if isinstance(t, Fraction) else mp.mpf(c.numerator) / c.denominator)
+        acc = acc * t + (c if isinstance(t, Fraction) else to_mpf(c))
     return acc
 
 
@@ -167,7 +173,7 @@ def fraction_sqrt(q: Fraction):
 def sqrt_exact(q: Fraction):
     """sqrt of a nonnegative rational: Fraction when perfect, else mpf."""
     s = fraction_sqrt(q)
-    return s if s is not None else mp.sqrt(_root_key(q))
+    return s if s is not None else mp.sqrt(to_mpf(q))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +188,7 @@ def real_roots_quadratic(cs):
     s = sqrt_exact(disc)
     if isinstance(s, Fraction):
         return sorted({(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)})
-    c1f, c2f = _root_key(c1), _root_key(c2)
+    c1f, c2f = to_mpf(c1), to_mpf(c2)
     return sorted([(-c1f + s) / (2 * c2f), (-c1f - s) / (2 * c2f)])
 
 
@@ -205,9 +211,7 @@ def real_roots_cubic(cs):
         double = -3 * q / (2 * p)
         simple = 3 * q / p
         return sorted({double + shift, simple + shift})
-    pf = mp.mpf(p.numerator) / p.denominator
-    qf = mp.mpf(q.numerator) / q.denominator
-    sf = mp.mpf(shift.numerator) / shift.denominator
+    pf, qf, sf = to_mpf(p), to_mpf(q), to_mpf(shift)
     if disc < 0:
         # one real root: Cardano with real cube roots
         rad = mp.sqrt(qf * qf / 4 + pf**3 / 27)
@@ -239,7 +243,7 @@ def real_roots_exact(cs):
         cs = cs[1:]
         roots = {Fraction(0)}
     if len(cs) == 1:
-        return sorted(roots, key=_root_key)
+        return sorted(roots, key=to_mpf)
     if all(c == 0 for i, c in enumerate(cs) if i % 2 == 1) and len(cs) > 4:
         for z in real_roots_exact(cs[::2]):
             if z > 0:
@@ -247,7 +251,7 @@ def real_roots_exact(cs):
                 roots.update({v, -v})
             elif z == 0:
                 roots.add(Fraction(0))
-        return sorted(roots, key=_root_key)
+        return sorted(roots, key=to_mpf)
     for _, factor in squarefree_decomposition(cs):
         deg = len(factor) - 1
         if deg == 1:
@@ -260,11 +264,7 @@ def real_roots_exact(cs):
             roots.update(real_roots_exact(factor))
         else:
             roots.update(_real_roots_sturm(_primitive(factor)))
-    return sorted(roots, key=_root_key)
-
-
-def _root_key(v):
-    return mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else v
+    return sorted(roots, key=to_mpf)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +338,10 @@ def _real_roots_sturm(p):
     while todo:
         a, b, va, vb = todo.pop()
         if va - vb == 1:
-            lo, hi = _root_key(a), _root_key(b)
+            lo, hi = to_mpf(a), to_mpf(b)
             roots.append(bracketed_root(
                 lambda t: eval_poly_at(p, t), lo, hi,
-                _root_key(eval_poly_at(p, a)), _root_key(eval_poly_at(p, b)),
+                to_mpf(eval_poly_at(p, a)), to_mpf(eval_poly_at(p, b)),
                 8 * mp.eps * max(abs(lo), abs(hi))))
         elif va > vb:
             m = (a + b) / 2

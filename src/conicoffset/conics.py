@@ -27,6 +27,7 @@ decides that exactly.
 
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
+``hessian_definite`` tells the tracer which of its pins are isolated.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from math import gcd
 
 import mpmath as mp
 
 from . import cardano
+from .cardano import to_mpf
 from .errors import EliminationError, ParamError, RootPairingError
 from .fixtures import general_offset_poly
 from .groebner import (Ideal, buchberger, elimination_ideal, minimal_polynomials,
@@ -339,34 +341,33 @@ class SingularPointReport:
     source: str
 
 
-def _mpf(v) -> mp.mpf:
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / v.denominator
-    return mp.mpf(v)
+def _mp_evaluator(*polys):
+    """Compile polys over one ring for mpmath: ``evaluate(vals)``, vals in
+    ring order, yields their values in turn.  Coefficients become mpfs once,
+    at the working precision of this call, so compile under the evaluations'
+    precision.  Per point each power v ** e is computed once, when the first
+    polynomial using it comes up, and shared; a term is its coefficient times
+    its powers in ring order, summed from mpf(0) in term order, so each value
+    is bit-identical to evaluating its polynomial term by term."""
+    slot, program = {}, []
+    for poly in polys:
+        fresh = sorted({(i, e) for m in poly.terms for i, e in enumerate(m) if e}
+                       - slot.keys())
+        slot.update(zip(fresh, count(len(slot))))
+        terms = [(to_mpf(c), [slot[(i, e)] for i, e in enumerate(m) if e])
+                 for m, c in poly.terms.items()]
+        program.append((fresh, terms))
 
-
-def _mp_evaluator(poly: MultiPoly):
-    """Compile poly for mpmath evaluation: ``f(vals)`` with vals in ring order.
-
-    Each coefficient becomes an mpf once, at the working precision of this
-    call, so compile under the same precision as the evaluations.  Per point
-    each power v ** e is computed once and shared; every term is then the
-    coefficient times its powers in ring order, summed from mpf(0) in term
-    order, so the result is bit-identical to evaluating term by term.
-    """
-    powers = sorted({(i, e) for m in poly.terms for i, e in enumerate(m) if e})
-    slot = {key: k for k, key in enumerate(powers)}
-    terms = [(_mpf(c), [slot[(i, e)] for i, e in enumerate(m) if e])
-             for m, c in poly.terms.items()]
-
-    def evaluate(vals) -> mp.mpf:
-        pw = [vals[i] ** e for i, e in powers]
-        total = mp.mpf(0)
-        for term, factors in terms:
-            for k in factors:
-                term *= pw[k]
-            total += term
-        return total
+    def evaluate(vals):
+        pw = []
+        for fresh, terms in program:
+            pw += [vals[i] ** e for i, e in fresh]
+            total = mp.mpf(0)
+            for term, factors in terms:
+                for k in factors:
+                    term *= pw[k]
+                total += term
+            yield total
 
     return evaluate
 
@@ -375,7 +376,7 @@ def _max_abs_coeff(poly: MultiPoly) -> mp.mpf:
     # rounding an integer to an mpf is monotone, so for the integer
     # polynomials this sees the max of the exact values rounds to the max of
     # the rounded ones
-    return _mpf(max(abs(c) for c in poly.terms.values()))
+    return to_mpf(max(abs(c) for c in poly.terms.values()))
 
 
 def _report_start(conic: ConicSpec, r):
@@ -420,7 +421,7 @@ def _complex_count(conic: ConicSpec, r: Fraction, regime: str) -> int:
 
 def _parabola_split_xy(p: Fraction, r: Fraction):
     """The off-axis singular point (alpha, beta/gamma) for p > 0, r > 2p."""
-    pf, rf = _mpf(p), _mpf(r)
+    pf, rf = to_mpf(p), to_mpf(r)
     c1 = cardano.real_cbrt(pf * rf ** 2)
     c2 = c1 * c1
     t1 = mp.cbrt(2)
@@ -444,7 +445,7 @@ def _parabola_split_xy(p: Fraction, r: Fraction):
 
 
 def _ellipse_split_xy(a: Fraction, b: Fraction, r: Fraction):
-    af, bf, rf = _mpf(a), _mpf(b), _mpf(r)
+    af, bf, rf = to_mpf(a), to_mpf(b), to_mpf(r)
     w = mp.cbrt(af * bf * rf)
     w2 = w * w
     delta = (-3 * bf ** 2 * af ** 2 * rf ** 2 + rf ** 2 * af ** 2 * w2
@@ -458,7 +459,7 @@ def _ellipse_split_xy(a: Fraction, b: Fraction, r: Fraction):
 
 
 def _hyperbola_split_xy(a: Fraction, b: Fraction, r: Fraction):
-    af, bf, rf = _mpf(a), _mpf(b), _mpf(r)
+    af, bf, rf = to_mpf(a), to_mpf(b), to_mpf(r)
     u = mp.cbrt(rf * bf)
     u2 = u * u
     a13 = mp.cbrt(af)
@@ -484,16 +485,16 @@ def _finish_report(g, conic, r, rc, regime, raw_points, source):
     """
     gx, gy = gradient(g, ["x", "y"])
     scale = max(_max_abs_coeff(q) for q in (g, gx, gy))
-    eval_gx, eval_gy = _mp_evaluator(gx), _mp_evaluator(gy)
+    grad = _mp_evaluator(gx, gy)
     points = []
     seen = []
     for (xv, yv, tag) in raw_points:
-        key = (_mpf(xv), _mpf(yv))
+        key = (to_mpf(xv), to_mpf(yv))
         if any(abs(key[0] - s[0]) < mp.mpf("1e-40") and
                abs(key[1] - s[1]) < mp.mpf("1e-40") for s in seen):
             continue
         seen.append(key)
-        res = mp.sqrt(eval_gx(key) ** 2 + eval_gy(key) ** 2) / scale
+        res = mp.sqrt(sum(v ** 2 for v in grad(key))) / scale
         x, y = (v if isinstance(v, Fraction) else float(v) for v in (xv, yv))
         points.append(SingularPoint(x=x, y=y, tag=tag, residual_grad=float(res)))
     points.sort(key=lambda s: (float(s.y), float(s.x)))
@@ -578,15 +579,13 @@ def _pairing(system, eliminants):
     PAIR_REJECT the full one does too, so the residual stops there."""
     xs, ys = (cardano.real_roots_exact(cs) for cs in eliminants)
     scale = max(_max_abs_coeff(q) for q in system)
-    evaluators = [_mp_evaluator(q) for q in system]
+    evaluate = _mp_evaluator(*system)
     reject = mp.mpf(PAIR_REJECT)
 
     def residual(xv, yv):
-        pt = (_mpf(xv), _mpf(yv))
-        peak = mp.mpf(0)
-        for f in evaluators:
-            peak = max(peak, abs(f(pt)))
-            res = peak / scale
+        res = mp.mpf(0)
+        for v in evaluate((to_mpf(xv), to_mpf(yv))):
+            res = max(res, abs(v) / scale)
             if res >= reject:
                 break
         return res
@@ -630,6 +629,29 @@ def singular_locus(g: MultiPoly, max_pairs: int = 200_000,
                     if fine_residual(fxs[i], fys[j]) < mp.mpf(10) ** -RADICAL_DPS:
                         points.append((xv, yv))
         return points
+
+
+def hessian_definite(g: MultiPoly, points) -> list:
+    """Per point of ``singular_locus(g)``: is g's Hessian definite (an isolated
+    zero, not a node or cusp)?  At RADICAL_DPS digits, det > bound * (|g_xx| +
+    |g_xy| + |g_yy|)^2 with bound = 10^(-RADICAL_DPS/2); an entry below bound
+    times its terms' summed sizes counts as 0 (an exact 0 read 1.7e-49 at
+    (0, 10/7) on ellipse(7/4, 3/4) at r_crit)."""
+    gx, gy = gradient(g, ["x", "y"])
+    entries = (*gradient(gx, ["x", "y"]), *gradient(gy, ["y"]))
+    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
+        bound = mp.mpf(10) ** -(RADICAL_DPS // 2)
+        hessian = _mp_evaluator(*entries)
+        sizes = _mp_evaluator(*(
+            MultiPoly(q.ring, {m: abs(c) for m, c in q.terms.items()})
+            for q in entries))
+
+        def definite(pt):
+            a11, a12, a22 = (v if abs(v) > bound * size else 0 for v, size in
+                             zip(hessian(pt), sizes((abs(pt[0]), abs(pt[1])))))
+            mag = (abs(a11) + abs(a12) + abs(a22)) ** 2
+            return a11 * a22 - a12 * a12 > bound * mag
+        return [definite((to_mpf(x), to_mpf(y))) for x, y in points]
 
 
 def singular_points_via_elimination(conic: ConicSpec, r,

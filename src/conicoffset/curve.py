@@ -21,7 +21,7 @@ The tracer solves each vertex on its own grid edge: one bracketed 1-D
 solver (Illinois regula falsi with a bisection fallback) between the two
 grid nodes whose signs differ, so no vertex leaves its edge, and segments are
 chained through the edges they share, with no float tolerance; its singular
-points come from the exact layer.
+points, and which are isolated, come from the exact layer (no mpmath here).
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .cardano import bracketed_root
-from .conics import (ConicSpec, ELLIPSE, PARABOLA, RADICAL_DPS, _RADICAL_LOCK,
-                     _mp_evaluator, _mpf, base_conic_poly,
-                     offset_poly_closed_form, singular_locus, singular_points)
+from .conics import (ConicSpec, ELLIPSE, PARABOLA, base_conic_poly,
+                     hessian_definite, offset_poly_closed_form, singular_locus,
+                     singular_points)
 from .errors import (EliminationError, ParamError, PreconditionError,
                      RingError, VarError)
-from .poly import MultiPoly, gradient
+from .poly import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,8 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int,
     if n < 2:
         raise ParamError("need n >= 2 sample parameters")
     r = float(r)
-    if r <= 0:
-        raise ParamError("offset r must be positive")
+    if not (r > 0 and math.isfinite(r)):
+        raise ParamError("offset r must be positive and finite")
     pts = []
 
     def emit(t, mirror=False):
@@ -268,24 +267,23 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     every vertex satisfies |g| <= 1e-6 * max|coeff|.
 
     When any cell crosses, the trace pins every real singular point of g in
-    the closed bbox: conics.singular_locus(g), rounded to float.  A pin is
-    isolated (a virtual point, reported only) when its Hessian, at
-    RADICAL_DPS digits, is definite: det > 10^(-RADICAL_DPS/2) *
-    (|g_xx| + |g_xy| + |g_yy|)^2, where an entry below 10^(-RADICAL_DPS/2)
-    of the sum of its terms' sizes counts as 0.  A node reads det < 0, a
-    cusp 0 to the working precision; those and an all-zero Hessian are
-    spliced into the curve.  A locus that is not finite (g has a repeated
-    factor, as x^2*y has) gives no pins.  The pins cost one exact Groebner
-    completion of <g, g_x, g_y>: a few ms for a conic offset, seconds or
-    more for a dense g of degree 8; ResourceLimitError propagates.  g must be
-    over the ring ("x", "y") (RingError), the bbox finite and g finite on its
-    grid (ParamError).
+    the closed bbox: conics.singular_locus(g), rounded to float.  A pin with a
+    definite Hessian (conics.hessian_definite) is a virtual point, reported
+    only; nodes and cusps are spliced into the curve.  A locus that is not
+    finite (g has a repeated factor, as x^2*y has) gives no pins.  The pins
+    cost one exact Groebner completion of <g, g_x, g_y>: a few ms for a conic
+    offset, seconds or more for a dense g of degree 8; ResourceLimitError
+    propagates.  g must be over the ring ("x", "y") (RingError), the bbox
+    four finite numbers and g finite on its grid (ParamError).
     """
     if g.ring != ("x", "y"):
         raise RingError(f"trace needs a polynomial over (x, y), not {g.ring}")
     if resolution < 8:
         raise ParamError("resolution must be at least 8")
-    xmin, xmax, ymin, ymax = (float(v) for v in bbox)
+    try:
+        xmin, xmax, ymin, ymax = (float(v) for v in bbox)
+    except (TypeError, ValueError) as exc:
+        raise ParamError(f"bbox needs four numbers, got {bbox!r}") from exc
     if not (xmax > xmin and ymax > ymin):
         raise ParamError("empty bounding box")
     with np.errstate(all="ignore"):
@@ -394,29 +392,11 @@ def _snap_singular_vertices(polylines, g, bbox, cell):
         locus = singular_locus(g)
     except EliminationError:
         return polylines, []  # a repeated factor: no finite set to pin
-    gx, gy = gradient(g, ["x", "y"])
-    tips, on_curve_tips = [], []
-    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        bound = mp.mpf(10) ** -(RADICAL_DPS // 2)
-        # each Hessian entry with the sum of its terms' sizes: below `bound`
-        # of that sum an entry is rounding noise (at (0, 10/7) on ellipse
-        # (7/4, 3/4) at r_crit, an exact 0 reads 1.7e-49 and det/mag 0.25)
-        hessian = [(_mp_evaluator(q), _mp_evaluator(MultiPoly(
-            q.ring, {m: abs(c) for m, c in q.terms.items()})))
-            for q in (*gradient(gx, ["x", "y"]), *gradient(gy, ["y"]))]
-        for xv, yv in locus:
-            tip = Point2(float(xv), float(yv))
-            if not (xmin <= tip.x <= xmax and ymin <= tip.y <= ymax):
-                continue
-            tips.append(tip)
-            pt = (_mpf(xv), _mpf(yv))
-            entries = [(h(pt), size((abs(pt[0]), abs(pt[1]))))
-                       for h, size in hessian]
-            a11, a12, a22 = (v if abs(v) > bound * s else 0
-                             for v, s in entries)
-            mag = (abs(a11) + abs(a12) + abs(a22)) ** 2
-            if not a11 * a22 - a12 * a12 > bound * mag:
-                on_curve_tips.append(tip)
+    pins = [(xv, yv) for xv, yv in locus
+            if xmin <= float(xv) <= xmax and ymin <= float(yv) <= ymax]
+    tips = [Point2(float(xv), float(yv)) for xv, yv in pins]
+    on_curve_tips = [t for t, isolated in zip(tips, hessian_definite(g, pins))
+                     if not isolated]
 
     # drop tiny aliasing rings hugging any tip
     def is_ring_artifact(pl):

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .conics import (ConicSpec, ELLIPSE, base_conic_poly,
                      offset_poly_closed_form, r_crit)
-from .curve import Point2, max_abs_coeff, xy_evaluator
+from .curve import (Point2, max_abs_coeff, plot_svg, trace_implicit,
+                    xy_evaluator)
 from .errors import RootRefineError, SpecError
 from .poly import gradient
 
@@ -51,6 +52,8 @@ class MeshSpec:
         stations = tuple(float(s) for s in self.y_stations)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "y_stations", stations)
+        if not all(map(math.isfinite, offsets + stations)):
+            raise SpecError("offsets and y-stations must be finite")
         if not offsets:
             raise SpecError("need at least one offset layer")
         if list(offsets) != sorted(set(offsets)):
@@ -228,8 +231,6 @@ def load_mesh(source) -> Mesh:
 
 def mesh_figure(spec: MeshSpec, mesh: Mesh, resolution: int = 384, path=None) -> str:
     """SVG overlay: the ellipse, its offset layers, and the mesh nodes."""
-    from .curve import plot_svg, trace_implicit
-
     a, b = float(spec.ellipse.a), float(spec.ellipse.b)
     margin = spec.offsets[-1] + 0.4
     bbox = (-b - margin, b + margin, -a - margin, a + margin)

@@ -106,10 +106,6 @@ class MonomialOrder:
         k = self.elim_count
         return _grevlex_key(m[:k]) + _grevlex_key(m[k:])
 
-    def compare(self, m: Monomial, n: Monomial) -> int:
-        a, b = self.key(m), self.key(n)
-        return (a > b) - (a < b)
-
     def eliminates(self, dropped: frozenset | set) -> bool:
         """True when this order ranks every monomial containing a dropped
         variable above every monomial free of them (Elimination Theorem)."""

@@ -232,6 +232,18 @@ def test_trace_refuses_what_it_cannot_trace(tmp_path, capsys, text, ring,
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("offsets,stations", [("nan", "1"), ("0.2", "nan"),
+                                              ("0.2,inf", "1")])
+def test_mesh_refuses_non_finite_values(capsys, offsets, stations):
+    # a NaN or infinite offset or station is a typed error (exit 2), not a
+    # traceback or a failed refinement
+    code, stdout, err = run(capsys, "mesh", "--a", "4", "--b", "2",
+                            "--offsets", offsets, "--stations", stations)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:") and "finite" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("a,b,r", [("39/4", "9", "85/8"), ("39/4", "9", "12"),
                                    ("4/3", "1", "16/9"), ("5/3", "1", "25/9")])
 def test_ellipse_offsets_at_and_beyond_a2_over_b(capsys, a, b, r):

@@ -1,6 +1,7 @@
 """Conic machinery: ideals, offset polynomials, critical offsets, singular points."""
 
 import dataclasses
+import itertools
 import pickle
 import random
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import mpmath as mp
 import pytest
 
 from conicoffset import cardano, conics, reference
+from conicoffset.cardano import to_mpf
 from conicoffset.conics import (ConicSpec, build_ideal, offset_poly_closed_form,
                                 offset_poly_elimination, r_crit, singular_points,
                                 singular_points_via_elimination)
@@ -415,7 +417,7 @@ def _reference_eval_mp(poly, coords):
     vals = [coords[name] for name in poly.ring]
     total = mp.mpf(0)
     for m, c in poly.terms.items():
-        term = conics._mpf(c)
+        term = to_mpf(c)
         for v, e in zip(vals, m):
             if e:
                 term *= v ** e
@@ -425,6 +427,9 @@ def _reference_eval_mp(poly, coords):
 
 @pytest.mark.parametrize("case_id", range(1, 10))
 def test_mp_evaluator_bit_identical(case_id):
+    # eight polynomials compiled into one evaluator with one power table:
+    # every value is bit for bit the term-by-term value of its polynomial,
+    # and a consumer that stops early gets the same leading values
     case = reference.case(case_id)
     g = offset_poly_closed_form(conic_from_case(case), F(case["r"])).g
     gx, gy = gradient(g, ["x", "y"])
@@ -432,21 +437,24 @@ def test_mp_evaluator_bit_identical(case_id):
     _, gyy = gradient(gy, ["x", "y"])
     rng = random.Random(2000 + case_id)
     with mp.workdps(conics.RADICAL_DPS):
-        pts = [(conics._mpf(F(rng.randint(-400, 400), rng.randint(1, 97))),
-                conics._mpf(F(rng.randint(-400, 400), rng.randint(1, 97))))
+        pts = [(to_mpf(F(rng.randint(-400, 400), rng.randint(1, 97))),
+                to_mpf(F(rng.randint(-400, 400), rng.randint(1, 97))))
                for _ in range(40)]
         pts += [(mp.sqrt(2), -mp.cbrt(3)), (mp.mpf(0), mp.mpf(-1) / 3),
                 (mp.mpf(5) / 7, mp.mpf(0)), (mp.mpf(0), mp.mpf(0))]
         for p in (g, gx, gy):
             # the max of the exact values rounds to the max of the rounded
-            want = max(abs(conics._mpf(c)) for c in p.terms.values())
+            want = max(abs(to_mpf(c)) for c in p.terms.values())
             assert conics._max_abs_coeff(p)._mpf_ == want._mpf_
-        for p in (g, gx, gy, content_normalize(gx), content_normalize(gy),
-                  gxx, gxy, gyy):
-            ev = conics._mp_evaluator(p)
-            for x, y in pts:
-                want = _reference_eval_mp(p, {"x": x, "y": y})
-                assert ev((x, y))._mpf_ == want._mpf_
+        polys = (g, gx, gy, content_normalize(gx), content_normalize(gy),
+                 gxx, gxy, gyy)
+        ev = conics._mp_evaluator(*polys)
+        for x, y in pts:
+            want = [_reference_eval_mp(p, {"x": x, "y": y})._mpf_ for p in polys]
+            assert [v._mpf_ for v in ev((x, y))] == want
+            for k in range(1, len(polys)):
+                head = [v._mpf_ for v in itertools.islice(ev((x, y)), k)]
+                assert head == want[:k]
 
 
 def test_via_elimination_subcritical_parabola_axis_only():
@@ -510,9 +518,9 @@ def _system_residual(g):
     # at the working precision: g with its content-normalized gradient, and
     # a point's residual, max |q(x, y)| over them over the largest coefficient
     system = [g] + [content_normalize(q) for q in gradient(g, ["x", "y"])]
-    evaluators = [conics._mp_evaluator(q) for q in system]
+    evaluate = conics._mp_evaluator(*system)
     scale = max(conics._max_abs_coeff(q) for q in system)
-    return system, lambda x, y: max(abs(f((x, y))) for f in evaluators) / scale
+    return system, lambda x, y: max(abs(v) for v in evaluate((x, y))) / scale
 
 
 def _independent_complex_count(g):
@@ -525,7 +533,7 @@ def _independent_complex_count(g):
         for cs in conics._singular_eliminants(system):
             roots.append([t for _, f in cardano.squarefree_decomposition(cs)
                           if len(f) > 1
-                          for t in mp.polyroots([conics._mpf(c) for c in f[::-1]],
+                          for t in mp.polyroots([to_mpf(c) for c in f[::-1]],
                                                 maxsteps=200, extraprec=200)])
         tol = mp.mpf("1e-30")
         count = 0
@@ -558,7 +566,7 @@ def test_gray_zone_pairs_and_routes_agree(conic, r):
         system, residual = _system_residual(g)
         xs, ys = (cardano.real_roots_exact(cs)
                   for cs in conics._singular_eliminants(system))
-        assert any(mp.mpf("1e-35") <= residual(conics._mpf(x), conics._mpf(y))
+        assert any(mp.mpf("1e-35") <= residual(to_mpf(x), to_mpf(y))
                    < mp.mpf("1e-12") for x in xs for y in ys)
     rep_c = singular_points(conic, r)
     rep_e = singular_points_via_elimination(conic, r)
@@ -617,6 +625,39 @@ def test_singular_routes_agree_over_parameter_space():
             if k in INDEPENDENT_COUNT.get(i, ()):
                 assert rep_c.complex_count == _independent_complex_count(g), \
                     (conic, r)
+
+
+def test_hessian_definite_matches_catalogue_tags():
+    # the tracer's isolation rule against the catalogue's tags, on the nine
+    # reference cases and on the seeded parameter-space conics at every
+    # offset of _property_offsets and midway between them: a virtual point
+    # is definite, an on-curve point is not, and inside the reference range
+    # (a > b > r) definite holds for the virtual points alone.  Outside it a
+    # split point can be definite: above a^2/b the ellipse's equator pair is
+    # an isolated real zero, e.g. ellipse(9/2, 4) at r = 16/3.
+    cases = [(conic_from_case(reference.case(i)), F(reference.case(i)["r"]))
+             for i in range(1, 10)]
+    for conic in _parameter_space_conics():
+        rs = _property_offsets(conic)
+        cases += [(conic, r)
+                  for r in rs + [(u + v) / 2 for u, v in zip(rs, rs[1:])]]
+    cases.append((ConicSpec.ellipse(F(9, 2), 4), F(16, 3)))
+    seen = set()
+    for conic, r in cases:
+        g = offset_poly_closed_form(conic, r).g
+        locus = conics.singular_locus(g)
+        definite = conics.hessian_definite(g, locus)
+        rep = singular_points(conic, r)
+        assert len(rep.points) == len(locus), (conic, r)
+        for s in rep.points:
+            (isolated,) = [d for (x, y), d in zip(locus, definite)
+                           if abs(float(x) - float(s.x)) <= 1e-9
+                           and abs(float(y) - float(s.y)) <= 1e-9]
+            seen.add((s.tag, isolated))
+            if s.tag != "split" or not rep.outside_reference_range:
+                assert isolated == (s.tag == "virtual"), (conic, r, s)
+    assert seen == {("virtual", True), ("on-curve", False), ("split", False),
+                    ("split", True)}
 
 
 def test_ellipse_outside_reference_range_flag():

@@ -81,8 +81,9 @@ def test_samples_structure_and_errors():
     assert {round(p.x, 12) for p in near} == {2.0, 1.0}
     with pytest.raises(ParamError):
         parametric_offset_samples(conic, 0.25, 1)
-    with pytest.raises(ParamError):
-        parametric_offset_samples(conic, -1.0, 5)
+    for r in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParamError):
+            parametric_offset_samples(conic, r, 5)
 
 
 def test_trace_circle():
@@ -247,6 +248,8 @@ def test_trace_repeated_factor_has_no_pins():
     (parse_poly("x^2-1", ("x",)), (-2, 2, -2, 2), RingError),
     (parse_poly("x^2+y^2-r^2", ("x", "y", "r")), (-2, 2, -2, 2), RingError),
     (parse_poly("x^2+y^2-r^2", ("x", "y", "r")), (5, 6, 5, 6), RingError),
+    (CIRCLE, (0, 1, 0), ParamError),  # a bbox is four numbers
+    (CIRCLE, (0, 1, 0, 1, 2), ParamError),
 ])
 def test_trace_refuses_what_it_cannot_trace(poly, bbox, error):
     with pytest.raises(error):

@@ -1,0 +1,29 @@
+"""The float layer stays float-only: curve.py and mesh.py import no mpmath
+and no private name of conics, whose exact layer owns every 60-digit step."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import conicoffset
+
+PACKAGE = Path(conicoffset.__file__).parent
+
+
+@pytest.mark.parametrize("module", ["curve.py", "mesh.py"])
+def test_float_layer_imports_no_mpmath_and_no_private_conics_name(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bad += [a.name for a in node.names
+                    if a.name.split(".")[0] == "mpmath"]
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if source.split(".")[0] == "mpmath":
+                bad.append(source)
+            elif source.split(".")[-1] == "conics":
+                bad += [f"conics.{a.name}" for a in node.names
+                        if a.name.startswith("_")]
+    assert bad == [], f"{module} imports {bad}"
