@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .conics import (ConicSpec, offset_poly_closed_form, offset_poly_elimination,
                      r_crit, singular_points, singular_points_via_elimination)
-from .errors import ConicOffsetError, ResourceLimitError
+from .errors import ConicOffsetError, PreconditionError, ResourceLimitError
 from .groebner import Ideal, buchberger, reduce_basis
 from .mesh import MeshSpec, export_mesh, generate_mesh, mesh_figure
 from .curve import plot_svg, trace_implicit
@@ -41,10 +41,6 @@ def _frac_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-class SystemExit2(Exception):
-    """Argument-level precondition failure (exit code 2)."""
-
-
 def _rational(text: str) -> Fraction:
     """argparse type: an exact rational such as 3, -4 or 3/2."""
     try:
@@ -66,10 +62,10 @@ def _floats(text: str) -> tuple:
 def _conic_from_args(args) -> ConicSpec:
     if args.conic == "parabola":
         if args.p is None:
-            raise SystemExit2("--p is required for a parabola")
+            raise PreconditionError("--p is required for a parabola")
         return ConicSpec.parabola(args.p)
     if args.a is None or args.b is None:
-        raise SystemExit2(f"--a and --b are required for a {args.conic}")
+        raise PreconditionError(f"--a and --b are required for a {args.conic}")
     maker = ConicSpec.ellipse if args.conic == "ellipse" else ConicSpec.hyperbola
     return maker(args.a, args.b)
 
@@ -92,13 +88,13 @@ def _load_polys(fh, parse):
 
     A file that is not JSON or does not describe polynomials (a missing key,
     a wrong type, an exponent vector of the wrong length, a zero
-    denominator) raises SystemExit2 instead of a traceback.
+    denominator) raises PreconditionError instead of a traceback.
     """
     try:
         return parse(json.load(fh))
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise SystemExit2(f"malformed polynomial JSON in {fh.name}: "
-                          f"{type(exc).__name__}: {exc}") from None
+        raise PreconditionError(f"malformed polynomial JSON in {fh.name}: "
+                                f"{type(exc).__name__}: {exc}") from None
 
 
 def _point_json(s):
@@ -148,7 +144,7 @@ def cmd_groebner(args):
                 for v, e in zip(p.ring, m):
                     if e:
                         if v not in variables:
-                            raise SystemExit2(f"variable {v!r} not in --vars")
+                            raise PreconditionError(f"variable {v!r} not in --vars")
                         exps[variables.index(v)] = e
                 terms[tuple(exps)] = c
             p = MultiPoly(variables, terms)
@@ -158,9 +154,14 @@ def cmd_groebner(args):
     elif args.order == "grevlex":
         order = grevlex(variables)
     elif args.order.startswith("block:"):
-        order = block(variables, int(args.order.split(":", 1)[1]))
+        try:
+            size = int(args.order.split(":", 1)[1])
+        except ValueError:
+            raise PreconditionError(
+                f"block size in {args.order!r} is not an integer") from None
+        order = block(variables, size)
     else:
-        raise SystemExit2(f"unknown order {args.order!r}")
+        raise PreconditionError(f"unknown order {args.order!r}")
     gb = buchberger(Ideal(variables, tuple(gens)), order,
                     max_pairs=args.max_pairs, max_degree=args.max_degree)
     if not args.no_reduce:
@@ -246,10 +247,7 @@ def cmd_classify(args):
 def cmd_trace(args):
     with open(args.g) as fh:
         g = _load_polys(fh, poly_from_dict)
-    bbox = args.bbox
-    if len(bbox) != 4:
-        raise SystemExit2("--bbox needs x0,x1,y0,y1")
-    traced = trace_implicit(g, bbox, args.res)
+    traced = trace_implicit(g, args.bbox, args.res)
     markers = list(traced.singular_vertices) if args.mark_singular else []
     if args.svg:
         plot_svg([traced], markers, path=args.svg)
@@ -412,9 +410,6 @@ def main(argv=None) -> int:
         sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except ResourceLimitError as exc:
         print(f"resource limit: {exc} (stats: {_dump(exc.stats)})", file=sys.stderr)
         return EXIT_RESOURCE

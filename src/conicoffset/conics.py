@@ -44,15 +44,15 @@ import mpmath as mp
 from . import cardano
 from .cardano import to_mpf
 from .errors import EliminationError, ParamError, RootPairingError
-from .fixtures import general_offset_poly
+from .fixtures import CENTRAL_RING, PARABOLA_RING, general_offset_poly
 from .groebner import (Ideal, buchberger, elimination_ideal, minimal_polynomials,
                        reduce_basis)
 from .poly import (MultiPoly, block, content_normalize, gradient, grevlex, lex,
                    substitute)
 
 VARIETY_RING = ("y0", "x0", "x", "y")
-PARABOLA_SYMBOLIC_RING = ("y0", "x0", "x", "y", "r", "p")
-CENTRAL_SYMBOLIC_RING = ("y0", "x0", "x", "y", "a", "b", "r")
+PARABOLA_SYMBOLIC_RING = ("y0", "x0") + PARABOLA_RING
+CENTRAL_SYMBOLIC_RING = ("y0", "x0") + CENTRAL_RING
 
 RADICAL_DPS = 60  # 50 guard digits past double precision
 # singular_locus: a candidate's residual below PAIR_ACCEPT makes it a point,
@@ -392,13 +392,11 @@ def _report_start(conic: ConicSpec, r):
 
 def _axis_squares(conic: ConicSpec, r: Fraction):
     """(t12, t34) of a central conic: the squares y^2 of the axis pair
-    (0, +-sqrt(t12)) and x^2 of the equator pair (+-sqrt(t34), 0)."""
-    a, b = conic.a, conic.b
-    if conic.kind == ELLIPSE:
-        return ((a * a - b * b) * (b * b - r * r) / (b * b),
-                (a * a - b * b) * (r * r - a * a) / (a * a))
-    return ((a * a + b * b) * (r * r + b * b) / (b * b),
-            (a * a + b * b) * (r * r - a * a) / (a * a))
+    (0, +-sqrt(t12)) and x^2 of the equator pair (+-sqrt(t34), 0).  Written
+    for the ellipse; the hyperbola's come from b^2 -> -b^2."""
+    a2 = conic.a ** 2
+    b2 = conic.b ** 2 if conic.kind == ELLIPSE else -conic.b ** 2
+    return (a2 - b2) * (b2 - r * r) / b2, (a2 - b2) * (r * r - a2) / a2
 
 
 def _complex_count(conic: ConicSpec, r: Fraction, regime: str) -> int:

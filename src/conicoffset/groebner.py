@@ -55,8 +55,8 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import (EliminationError, OrderError, ResourceLimitError,
-                     RingError, ZeroPolyError)
+from .errors import (EliminationError, OrderError, PreconditionError,
+                     ResourceLimitError, RingError, ZeroPolyError)
 from .poly import (MonomialOrder, MultiPoly, content_normalize, leading_term,
                    monomial_div, monomial_divides, monomial_lcm)
 
@@ -77,7 +77,7 @@ class Ideal:
         ring = tuple(ring)
         gens = tuple(generators)
         if not gens:
-            raise ValueError("ideal needs at least one generator")
+            raise PreconditionError("ideal needs at least one generator")
         for g in gens:
             if not isinstance(g, MultiPoly) or g.ring != ring:
                 raise RingError("generator ring mismatch")
@@ -453,7 +453,6 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
 
     polys = tuple(packing.to_poly(ideal.ring, terms) for (_, _, terms, _) in basis)
     stats["basis_size"] = len(polys)
-    stats["degree_multiset"] = sorted((p.degree() for p in polys), reverse=True)
     stats["coeff_bits_max"] = _coeff_bits(basis)
     return _with_packed(GroebnerBasis(order=order, polys=polys, reduced=False,
                                       stats=stats), packing, basis)

@@ -19,7 +19,7 @@ from functools import reduce as _functools_reduce
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .errors import RingError, VarError, ZeroPolyError
+from .errors import OrderError, RingError, VarError, ZeroPolyError
 
 BigRational = Fraction
 
@@ -93,9 +93,11 @@ class MonomialOrder:
 
     def __post_init__(self):
         if self.kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
+            raise OrderError(f"unknown order kind {self.kind!r}")
+        if len(set(self.variables)) != len(self.variables):
+            raise OrderError(f"repeated variable in {self.variables}")
         if self.kind == "block" and not (0 < self.elim_count < len(self.variables)):
-            raise ValueError("block order needs 0 < elim_count < #variables")
+            raise OrderError("block order needs 0 < elim_count < #variables")
 
     def key(self, m: Monomial):
         """Sort key: key(u) < key(v) iff u < v in this order."""

@@ -15,6 +15,7 @@ from .conics import (ConicSpec, build_ideal, offset_poly_closed_form,
 from .groebner import buchberger, reduce_basis
 from .mesh import MeshSpec, generate_mesh
 from .curve import max_abs_coeff, xy_evaluator
+from .errors import ParamError
 from .poly import MultiPoly, content_normalize, lex, parse_poly
 
 SINGULAR_TOL = 1e-9
@@ -206,7 +207,7 @@ def verify_case(case_id) -> dict:
     try:
         n = int(cid)
     except ValueError:
-        raise ValueError(f"unknown reference id {case_id!r}") from None
+        n = None
     if n not in reference.REFERENCE_CASES:
-        raise ValueError(f"unknown reference id {case_id!r}")
+        raise ParamError(f"unknown reference id {case_id!r}")
     return verify_example(n)

@@ -9,6 +9,7 @@ import pytest
 from conicoffset import cli, reference
 from conicoffset.cli import main
 from conicoffset.conics import ConicSpec, offset_poly_closed_form
+from conicoffset.mesh import MeshSpec, generate_mesh, mesh_figure
 from conicoffset.poly import parse_poly, poly_to_dict
 from conicoffset.verify import conic_from_case
 
@@ -242,6 +243,95 @@ def test_mesh_refuses_non_finite_values(capsys, offsets, stations):
     assert (code, stdout) == (2, "")
     assert err.startswith("error:") and "finite" in err
     assert "Traceback" not in err
+
+
+# inputs each refused where its check lives: the monomial order, the ideal,
+# the reference catalogue, the block-size parse and the tracer's bbox
+REFUSED_INPUTS = {
+    "block-size-not-integer": ("groebner", "--in", "{ideal}", "--vars", "x,y",
+                               "--order", "block:x"),
+    "block-size-zero": ("groebner", "--in", "{ideal}", "--vars", "x,y",
+                        "--order", "block:0"),
+    "block-size-too-large": ("groebner", "--in", "{ideal}", "--vars", "x,y",
+                             "--order", "block:5"),
+    "repeated-variable": ("groebner", "--in", "{ideal}", "--vars", "x,y,x"),
+    "no-generators": ("groebner", "--in", "{empty}", "--vars", "x,y"),
+    "unknown-reference-id": ("verify-paper", "42"),
+    "bbox-three-numbers": ("trace", "--g", "{g}", "--bbox=0,1,0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
+def test_refused_inputs_exit_2(tmp_path, capsys, name):
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps([poly_to_dict(parse_poly(t, ("x", "y")))
+                                 for t in ("x^2-y", "x*y-1")]))
+    (tmp_path / "g.json").write_text(
+        json.dumps(poly_to_dict(parse_poly("x^2-y", ("x", "y")))))
+    (tmp_path / "empty.json").write_text("[]")
+    files = {"ideal": ideal, "g": tmp_path / "g.json",
+             "empty": tmp_path / "empty.json"}
+    argv = [w.format(**files) for w in REFUSED_INPUTS[name]]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _groebner_json(tmp_path, capsys, polys, variables):
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps([poly_to_dict(p) for p in polys]))
+    return run(capsys, "groebner", "--in", str(src), "--vars", variables,
+               "--order", "lex", "--json")
+
+
+def test_groebner_embeds_inputs_into_vars(tmp_path, capsys):
+    # polynomials over (x, y) read under --vars y,x give the basis of the
+    # same polynomials written over (y, x)
+    texts = ("x^2-y", "x*y-1")
+    got = _groebner_json(tmp_path, capsys,
+                         [parse_poly(t, ("x", "y")) for t in texts], "y,x")
+    want = _groebner_json(tmp_path, capsys,
+                          [parse_poly(t, ("y", "x")) for t in texts], "y,x")
+    assert got == want and got[0] == 0
+    assert json.loads(got[1])["vars"] == ["y", "x"]
+    # a polynomial over (x,) alone is embedded into (x, y)
+    got = _groebner_json(tmp_path, capsys, [parse_poly("x^2-1", ("x",)),
+                                            parse_poly("x*y-1", ("x", "y"))],
+                         "x,y")
+    want = _groebner_json(tmp_path, capsys,
+                          [parse_poly(t, ("x", "y")) for t in ("x^2-1", "x*y-1")],
+                          "x,y")
+    assert got == want and got[0] == 0
+
+
+def test_groebner_variable_outside_vars_exits_2(tmp_path, capsys):
+    code, stdout, err = _groebner_json(
+        tmp_path, capsys, [parse_poly("x^2-z", ("x", "y", "z"))], "x,y")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: variable 'z' not in --vars")
+
+
+def test_groebner_out_writes_the_stdout_json(tmp_path, capsys):
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps([poly_to_dict(parse_poly(t, ("x", "y")))
+                               for t in ("x^2-y", "x*y-1")]))
+    out = tmp_path / "basis.json"
+    code, stdout, _ = run(capsys, "groebner", "--in", str(src), "--vars", "x,y",
+                          "--out", str(out), "--json")
+    assert code == 0
+    assert stdout == out.read_text() + "\n"
+
+
+def test_mesh_svg_writes_the_mesh_figure(tmp_path, capsys):
+    svg = tmp_path / "mesh.svg"
+    code, stdout, _ = run(capsys, "mesh", "--a", "4", "--b", "2",
+                          "--offsets", "0.3", "--stations", "3,0,-3",
+                          "--svg", str(svg), "--json")
+    assert code == 0 and json.loads(stdout)["svg"] == str(svg)
+    spec = MeshSpec(ellipse=ConicSpec.ellipse(4, 2), offsets=(0.3,),
+                    y_stations=(3.0, 0.0, -3.0))
+    assert svg.read_text() == mesh_figure(spec, generate_mesh(spec))
 
 
 @pytest.mark.parametrize("a,b,r", [("39/4", "9", "85/8"), ("39/4", "9", "12"),

@@ -1,6 +1,7 @@
 """Conic machinery: ideals, offset polynomials, critical offsets, singular points."""
 
 import dataclasses
+import hashlib
 import itertools
 import pickle
 import random
@@ -197,6 +198,46 @@ def test_closed_form_matches_substitution_term_for_term():
                                                for e in general.terms)
                       if m in got]
         assert sorted(got) == sorted(first_seen) and got != first_seen
+
+
+def _hyperbola_term_order_cases():
+    # reference cases 7-9, then seeded hyperbolas (one rectangular) at
+    # r_crit/2, r_crit, between r_crit and b, b, a and 2a
+    cases = []
+    for case_id in (7, 8, 9):
+        case = reference.case(case_id)
+        cases.append((conic_from_case(case), F(case["r"])))
+    rng = random.Random(2718)
+
+    def q(hi):
+        return F(rng.randint(1, hi), rng.randint(1, 6))
+
+    hyperbolas = []
+    for _ in range(6):
+        b = q(12)
+        hyperbolas.append(ConicSpec.hyperbola(b + q(8), b))
+    b = q(12)
+    hyperbolas.append(ConicSpec.hyperbola(b, b))
+    for conic in hyperbolas:
+        rc, a, b = r_crit(conic), conic.a, conic.b
+        cases += [(conic, r) for r in (rc / 2, rc, (rc + b) / 2, b, a, 2 * a)]
+    return cases
+
+
+# sha256 over the hyperbola closed forms' terms in dict order, recorded when
+# the hyperbola fixture was still stored as text of its own
+HYPERBOLA_TERM_ORDER_SHA256 = (
+    "3473f1a38677742921f7a5dae166df8fb042136c7654f990d3e96d1545f41a7f")
+
+
+def test_hyperbola_closed_form_term_order_golden():
+    # the float and mp evaluators sum terms in this order, so it fixes their
+    # rounding; poly_dumps sorts the terms and would not see a change
+    h = hashlib.sha256()
+    for conic, r in _hyperbola_term_order_cases():
+        g = offset_poly_closed_form(conic, r).g
+        h.update(repr(list(g.terms.items())).encode())
+    assert h.hexdigest() == HYPERBOLA_TERM_ORDER_SHA256
 
 
 @pytest.mark.parametrize("kind", ["parabola", "ellipse", "hyperbola"])
