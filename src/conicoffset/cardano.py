@@ -260,8 +260,6 @@ def real_roots_exact(cs):
             roots.update(real_roots_quadratic(factor))
         elif deg == 3:
             roots.update(real_roots_cubic(factor))
-        elif all(c == 0 for i, c in enumerate(factor) if i % 2 == 1):
-            roots.update(real_roots_exact(factor))
         else:
             roots.update(_real_roots_sturm(_primitive(factor)))
     return sorted(roots, key=to_mpf)

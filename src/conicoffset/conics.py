@@ -58,6 +58,8 @@ RADICAL_DPS = 60  # 50 guard digits past double precision
 # singular_locus: a candidate's residual below PAIR_ACCEPT makes it a point,
 # one from PAIR_REJECT up does not; in between it is judged at 2 * RADICAL_DPS
 PAIR_ACCEPT, PAIR_REJECT = "1e-35", "1e-12"
+# the buchberger limits of singular_locus's completion of <g, g_x, g_y>
+LOCUS_MAX_PAIRS, LOCUS_MAX_DEGREE = 200_000, 200
 
 # mpmath's working precision is process-global; radical evaluation blocks
 # serialize on this lock so concurrent singular-point calls stay safe
@@ -69,7 +71,7 @@ PARABOLA, ELLIPSE, HYPERBOLA = "parabola", "ellipse", "hyperbola"
 def _frac(v) -> Fraction:
     try:
         return Fraction(v)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParamError(f"expected an exact rational, got {v!r}") from exc
 
 
@@ -547,8 +549,7 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
         return _finish_report(g, conic, r, rc, regime, raw, "closed-form")
 
 
-def _singular_eliminants(system, max_pairs: int = 200_000,
-                        max_degree: int = 200) -> list:
+def _singular_eliminants(system) -> list:
     """The generators of the intersections of I = <system> with Q[x] and
     with Q[y], in the ring (x, y).
 
@@ -560,7 +561,8 @@ def _singular_eliminants(system, max_pairs: int = 200_000,
     """
     ring = ("x", "y")
     gb = reduce_basis(buchberger(Ideal(ring, tuple(system)), grevlex(ring),
-                                 max_pairs=max_pairs, max_degree=max_degree))
+                                 max_pairs=LOCUS_MAX_PAIRS,
+                                 max_degree=LOCUS_MAX_DEGREE))
     out = []
     for pos, uni in enumerate(minimal_polynomials(gb, ring)):
         cs = [Fraction(0)] * (uni.degree() + 1)
@@ -591,8 +593,7 @@ def _pairing(system, eliminants):
     return xs, ys, residual
 
 
-def singular_locus(g: MultiPoly, max_pairs: int = 200_000,
-                   max_degree: int = 200) -> list:
+def singular_locus(g: MultiPoly) -> list:
     """The real common zeros of g, g_x and g_y, for any g over ("x", "y"), as
     (x, y) pairs in pairing order, each a Fraction or a RADICAL_DPS mpf.
 
@@ -604,13 +605,15 @@ def singular_locus(g: MultiPoly, max_pairs: int = 200_000,
     residual falls with the precision and a cross-pairing of coordinates from
     two different points does not, so the pair is kept when that residual is
     below 10^-RADICAL_DPS.  Raises EliminationError when the zeros are not
-    finite (g has a repeated factor).
+    finite (g has a repeated factor), and ResourceLimitError when the
+    Groebner completion of <g, grad g> processes more than LOCUS_MAX_PAIRS
+    S-pairs or meets a remainder of total degree above LOCUS_MAX_DEGREE.
     """
     g = content_normalize(g)
     system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])
                    if not q.is_zero()))
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        eliminants = _singular_eliminants(system, max_pairs, max_degree)
+        eliminants = _singular_eliminants(system)
         xs, ys, residual = _pairing(system, eliminants)
         accept, reject = mp.mpf(PAIR_ACCEPT), mp.mpf(PAIR_REJECT)
         fine = None
@@ -652,19 +655,18 @@ def hessian_definite(g: MultiPoly, points) -> list:
         return [definite((to_mpf(x), to_mpf(y))) for x, y in points]
 
 
-def singular_points_via_elimination(conic: ConicSpec, r,
-                                    max_pairs: int = 200_000,
-                                    max_degree: int = 200) -> SingularPointReport:
+def singular_points_via_elimination(conic: ConicSpec, r) -> SingularPointReport:
     """Independent singular-point route: ``singular_locus`` of the offset
     polynomial, tagged by axis, through the shared report path.
 
     Coordinates come out at RADICAL_DPS digits; a borderline pairing is
     decided at twice that precision (see ``singular_locus``).  Raises
-    RootPairingError when no real point survives the pairing."""
+    RootPairingError when no real point survives the pairing, and
+    ResourceLimitError past singular_locus's limits."""
     r, rc, regime, axis_tag, g = _report_start(conic, r)
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         raw = [(xv, yv, axis_tag if xv == 0 else SPLIT)
-               for xv, yv in singular_locus(g, max_pairs, max_degree)]
+               for xv, yv in singular_locus(g)]
         if not raw:
             raise RootPairingError("no candidate survived residual filtering")
         return _finish_report(g, conic, r, rc, regime, raw, "elimination")

@@ -33,8 +33,7 @@ import numpy as np
 
 from .cardano import bracketed_root
 from .conics import (ConicSpec, ELLIPSE, PARABOLA, base_conic_poly,
-                     hessian_definite, offset_poly_closed_form, singular_locus,
-                     singular_points)
+                     hessian_definite, offset_poly_closed_form, singular_locus)
 from .errors import (EliminationError, ParamError, PreconditionError,
                      RingError, VarError)
 from .poly import MultiPoly
@@ -158,15 +157,14 @@ def conic_point_and_normal(conic: ConicSpec, t: float):
     return (x0, y0), (nx / norm, ny / norm)
 
 
-def parametric_offset_samples(conic: ConicSpec, r: float, n: int,
-                              span: float = 3.0) -> list:
+def parametric_offset_samples(conic: ConicSpec, r: float, n: int) -> list:
     """2n points at exact normal distance r from the conic (n per side).
 
     This is the package's independent oracle for the implicit offset
     polynomials: every returned point lies on the variety of g up to float
-    rounding.  The parabola sweeps x0 over [-span*4p', span*4p'], the ellipse
-    sweeps the full angle range, the hyperbola sweeps |t| <= asinh(span) on
-    both branches.
+    rounding.  The sweeps are fixed: the parabola's x0 covers [-12|p|, 12|p|],
+    the ellipse's angle the full turn, and the hyperbola's parameter
+    |t| <= asinh(3) on both branches.
     """
     if n < 2:
         raise ParamError("need n >= 2 sample parameters")
@@ -183,7 +181,7 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int,
             pts.append(Point2(x0 + sgn * r * nx, y0 + sgn * r * ny))
 
     if conic.kind == PARABOLA:
-        width = 4.0 * abs(float(conic.p)) * span
+        width = 12.0 * abs(float(conic.p))
         for t in np.linspace(-width, width, n):
             emit(t)
     elif conic.kind == ELLIPSE:
@@ -192,7 +190,7 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int,
     else:
         # split the n parameters between the two branches (lower = mirror)
         n_up = (n + 1) // 2
-        tmax = math.asinh(span)
+        tmax = math.asinh(3.0)
         for t in np.linspace(-tmax, tmax, n_up):
             emit(t)
         if n > n_up:
@@ -218,11 +216,11 @@ def curvature(conic: ConicSpec, t: float) -> float:
     return cross / speed2 ** 1.5
 
 
-def max_curvature(conic: ConicSpec, samples: int = 4096) -> float:
+def max_curvature(conic: ConicSpec) -> float:
     """Numerically maximized curvature over a parametric sweep.
 
-    Dense sampling brackets the maximum, then golden-section refinement
-    polishes it to machine precision.  Independent of the closed-form
+    Dense sampling (4096 parameters) brackets the maximum, then golden-section
+    refinement polishes it to machine precision.  Independent of the closed-form
     critical-offset formula, which it reciprocates.
     """
     if conic.kind == PARABOLA:
@@ -231,11 +229,11 @@ def max_curvature(conic: ConicSpec, samples: int = 4096) -> float:
         lo, hi = 0.0, math.pi
     else:
         lo, hi = -1.5, 1.5
-    ts = np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, 4096)
     ks = [curvature(conic, float(t)) for t in ts]
     best = int(np.argmax(ks))
     a = ts[max(0, best - 1)]
-    b = ts[min(samples - 1, best + 1)]
+    b = ts[min(len(ts) - 1, best + 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = curvature(conic, c), curvature(conic, d)
@@ -443,9 +441,9 @@ _SVG_HEADER = (
 )
 
 
-def plot_svg(curves, markers=(), path=None, size=640, styles=None,
-             labels=True) -> str:
-    """Render traced curves plus point markers as a standalone SVG string.
+def plot_svg(curves, markers=(), path=None, styles=None, labels=True) -> str:
+    """Render traced curves plus point markers as a standalone SVG string,
+    640 units along its longer side.
 
     `styles` is an optional per-curve list of (stroke, dasharray-or-None).
     When `path` is given the SVG is also written there.  Output is
@@ -469,7 +467,7 @@ def plot_svg(curves, markers=(), path=None, size=640, styles=None,
     xmax += pad
     ymin -= pad
     ymax += pad
-    scale = size / max(xmax - xmin, ymax - ymin)
+    scale = 640 / max(xmax - xmin, ymax - ymin)
     w = (xmax - xmin) * scale
     h = (ymax - ymin) * scale
 
@@ -511,9 +509,12 @@ def plot_svg(curves, markers=(), path=None, size=640, styles=None,
 
 
 def offset_figure(conic: ConicSpec, r, bbox=None, resolution: int = 512,
-                  mark_singular: bool = True, path=None) -> str:
+                  path=None) -> str:
     """One-call reproduction of an offset-curve figure: base conic dashed,
-    parallel lines solid, singular points marked."""
+    parallel lines solid, singular points marked.
+
+    The markers are the offset trace's pins, its singular_vertices (the real
+    singular points in the bbox), labelled S1..Sn in (y, x) order."""
     g = offset_poly_closed_form(conic, r).g
     if bbox is None:
         rf = float(r)
@@ -526,9 +527,6 @@ def offset_figure(conic: ConicSpec, r, bbox=None, resolution: int = 512,
     offset_curve = trace_implicit(g, bbox, resolution)
     base = base_conic_poly(conic.kind, conic.param_map())
     base_curve = trace_implicit(base, bbox, resolution)
-    markers = []
-    if mark_singular:
-        rep = singular_points(conic, r)
-        markers = [Point2(*s.as_floats()) for s in rep.points]
+    markers = sorted(offset_curve.singular_vertices, key=lambda p: (p.y, p.x))
     return plot_svg([offset_curve, base_curve], markers, path=path,
                     styles=[("#1f77b4", None), ("#777777", "6,4")])

@@ -103,26 +103,26 @@ def _signed_offsets(spec: MeshSpec):
     return down + [0.0] + list(spec.offsets)
 
 
-def _refine_along_normal(f, fx, fy, base, normal, t0, scale,
-                         tol=1e-10, max_iter=50):
-    """Newton on g restricted to the normal line, seeded at distance t0.
+def _refine_along_normal(f, fx, fy, base, normal, t0, scale):
+    """Newton on g restricted to the normal line, seeded at distance t0, for
+    at most 50 steps until |g| <= 1e-10 * scale.
 
     `f`, `fx` and `fy` are g and its gradient compiled by xy_evaluator.
     """
     bx, by = base
     nx, ny = normal
     t = t0
-    for _ in range(max_iter):
+    for _ in range(50):
         x, y = bx + t * nx, by + t * ny
         v = f(x, y)
-        if abs(v) <= tol * scale:
+        if abs(v) <= 1e-10 * scale:
             return x, y
         d = fx(x, y) * nx + fy(x, y) * ny
         if d == 0.0 or not math.isfinite(d):
             break
         t -= v / d
     raise RootRefineError(
-        f"offset-layer projection did not reach {tol} at station {base}")
+        f"offset-layer projection did not reach 1e-10 at station {base}")
 
 
 def generate_mesh(spec: MeshSpec) -> Mesh:

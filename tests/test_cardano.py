@@ -10,7 +10,7 @@ from conicoffset import conics, reference
 from conicoffset.cardano import (derivative, eval_poly_at, fraction_sqrt,
                                  normalize, poly_divmod, poly_gcd, real_cbrt,
                                  real_roots_cubic, real_roots_exact,
-                                 squarefree_decomposition)
+                                 squarefree_decomposition, to_mpf)
 from conicoffset.poly import content_normalize, gradient
 from conicoffset.verify import conic_from_case
 
@@ -81,6 +81,31 @@ def test_real_roots_exact_even_square_structure():
         roots = [float(r) for r in real_roots_exact(p)]
     assert roots == pytest.approx(
         [-3 ** 0.5, -2 ** 0.5, 0.0, 2 ** 0.5, 3 ** 0.5], abs=1e-14)
+
+
+@pytest.mark.parametrize("linear_power", [1, 2])
+@pytest.mark.parametrize("quartic,linear,radicals", [
+    ([-2, 0, 0, 0, 1], [-1, 1],
+     lambda: [-mp.root(2, 4), mp.mpf(1), mp.root(2, 4)]),
+    ([1, 0, -3, 0, 1], [2, 1],
+     lambda: [mp.mpf(-2), -(mp.sqrt(5) + 1) / 2, -(mp.sqrt(5) - 1) / 2,
+              (mp.sqrt(5) - 1) / 2, (mp.sqrt(5) + 1) / 2]),
+], ids=["t^4-2", "t^4-3t^2+1"])
+def test_real_roots_exact_even_factor_meets_its_radicals(quartic, linear,
+                                                         radicals,
+                                                         linear_power):
+    # an even quartic times a rational linear factor: with the linear factor
+    # squared, the square-free split hands the even quartic on alone, and
+    # Sturm isolation finds its roots at the working precision
+    p = [F(c) for c in quartic]
+    for _ in range(linear_power):
+        p = poly_mul(p, [F(c) for c in linear])
+    with mp.workdps(60):
+        got = real_roots_exact(p)
+        want = radicals()
+        assert len(got) == len(want)
+        for r, w in zip(got, want):
+            assert abs(to_mpf(r) - w) < mp.mpf("1e-55")
 
 
 def test_real_roots_exact_rational():

@@ -258,6 +258,10 @@ REFUSED_INPUTS = {
     "no-generators": ("groebner", "--in", "{empty}", "--vars", "x,y"),
     "unknown-reference-id": ("verify-paper", "42"),
     "bbox-three-numbers": ("trace", "--g", "{g}", "--bbox=0,1,0"),
+    "unknown-order": ("groebner", "--in", "{ideal}", "--vars", "x,y",
+                      "--order", "foo"),
+    "ellipse-without-b": ("offset-poly", "--conic", "ellipse", "--a", "3",
+                          "--r", "1"),
 }
 
 

@@ -35,6 +35,29 @@ def test_conic_spec_validation():
     assert ConicSpec.parabola(F(-1, 2)).p == F(-1, 2)
 
 
+ELLIPSE_3 = ConicSpec.ellipse(3, F(3, 2))
+TAKES_A_RATIONAL = {
+    "parabola": ConicSpec.parabola,
+    "ellipse-a": lambda v: ConicSpec.ellipse(v, 1),
+    "ellipse-b": lambda v: ConicSpec.ellipse(3, v),
+    "hyperbola-a": lambda v: ConicSpec.hyperbola(v, 1),
+    "hyperbola-b": lambda v: ConicSpec.hyperbola(3, v),
+    "build_ideal": lambda v: build_ideal(ELLIPSE_3, v),
+    "offset_poly_closed_form": lambda v: offset_poly_closed_form(ELLIPSE_3, v),
+    "singular_points": lambda v: singular_points(ELLIPSE_3, v),
+}
+
+
+@pytest.mark.parametrize("value", ["1/0", float("inf"), float("-inf")],
+                         ids=["1/0", "inf", "-inf"])
+@pytest.mark.parametrize("call", sorted(TAKES_A_RATIONAL))
+def test_non_rational_input_is_a_param_error(call, value):
+    # Fraction raises ZeroDivisionError on "1/0" and OverflowError on an
+    # infinite float; both reach the caller as the typed ParamError
+    with pytest.raises(ParamError, match="expected an exact rational"):
+        TAKES_A_RATIONAL[call](value)
+
+
 def test_conic_spec_parameter_lookup():
     e = ConicSpec.ellipse(2, 1)
     assert (e.a, e.b) == (F(2), F(1))
@@ -445,12 +468,16 @@ def test_via_elimination_one_grevlex_completion(monkeypatch):
     assert len(closed) == 1
 
 
-def test_via_elimination_honours_limits():
+def test_via_elimination_honours_limits(monkeypatch):
     conic = ConicSpec.ellipse(3, F(3, 2))
-    with pytest.raises(ResourceLimitError):
-        singular_points_via_elimination(conic, F(3, 4), max_pairs=5)
-    with pytest.raises(ResourceLimitError):
-        singular_points_via_elimination(conic, F(3, 4), max_degree=4)
+    with monkeypatch.context() as m:
+        m.setattr(conics, "LOCUS_MAX_PAIRS", 5)
+        with pytest.raises(ResourceLimitError):
+            singular_points_via_elimination(conic, F(3, 4))
+    with monkeypatch.context() as m:
+        m.setattr(conics, "LOCUS_MAX_DEGREE", 4)
+        with pytest.raises(ResourceLimitError):
+            singular_points_via_elimination(conic, F(3, 4))
 
 
 def _reference_eval_mp(poly, coords):

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conicoffset import curve
 from conicoffset.conics import (ConicSpec, offset_poly_closed_form, r_crit,
                                 singular_points)
 from conicoffset.curve import (Point2, conic_point_and_normal, curvature,
@@ -348,6 +349,27 @@ def test_offset_figure_marker_counts(case_id, markers, tmp_path):
     svg = offset_figure(conic, F(case["r"]), resolution=96, path=str(out))
     assert svg.count("<circle") == markers
     assert out.read_text() == svg
+
+
+def test_offset_figure_marks_its_trace_pins_inside_the_bbox(monkeypatch):
+    # the catalogue of hyperbola(25/3, 4/3) at r = 96 also has the axis pair
+    # (0, +-607.69), far outside the figure's bbox; the trace pins only the
+    # six points inside it
+    drawn = []
+
+    def recording_plot_svg(curves, markers=(), **kwargs):
+        drawn.append((curves, list(markers)))
+        return plot_svg(curves, markers, **kwargs)
+
+    monkeypatch.setattr(curve, "plot_svg", recording_plot_svg)
+    svg = offset_figure(ConicSpec.hyperbola(F(25, 3), F(4, 3)), 96,
+                        resolution=96)
+    (offset_curve, _), markers = drawn[0]
+    assert markers == sorted(offset_curve.singular_vertices,
+                             key=lambda p: (p.y, p.x))
+    assert svg.count("<circle") == len(markers) == 6
+    xmin, xmax, ymin, ymax = offset_curve.bbox
+    assert all(xmin <= p.x <= xmax and ymin <= p.y <= ymax for p in markers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The float layer stays float-only: curve.py and mesh.py import no mpmath
-and no private name of conics, whose exact layer owns every 60-digit step."""
+and no private name of conics, whose exact layer owns every 60-digit step;
+curve.py's figures mark the pins of their own trace, not the catalogue."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,13 @@ def test_float_layer_imports_no_mpmath_and_no_private_conics_name(module):
                 bad += [f"conics.{a.name}" for a in node.names
                         if a.name.startswith("_")]
     assert bad == [], f"{module} imports {bad}"
+
+
+def test_figures_mark_the_trace_pins_not_the_catalogue():
+    # offset_figure's markers are its trace's singular_vertices; the
+    # closed-form catalogue stays out of the float layer
+    tree = ast.parse((PACKAGE / "curve.py").read_text(encoding="utf-8"))
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for a in node.names]
+    assert "singular_points" not in names

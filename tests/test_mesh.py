@@ -9,7 +9,7 @@ import pytest
 
 from conicoffset.conics import ConicSpec, offset_poly_closed_form
 from conicoffset.curve import eval_poly, max_abs_coeff
-from conicoffset.errors import SpecError
+from conicoffset.errors import RootRefineError, SpecError
 from conicoffset.mesh import (MeshSpec, export_mesh, generate_mesh, load_mesh,
                               mesh_figure)
 from conicoffset.reference import MESH_CASE
@@ -131,6 +131,39 @@ def test_export_roundtrip(reference_mesh, tmp_path):
     assert export_mesh(again) == text  # bit-identical round trip
     from_text = load_mesh(text)  # JSON-string form is accepted too
     assert export_mesh(from_text) == text
+
+
+def test_newton_moves_station_nodes_onto_their_layer():
+    # at 4.472 on ellipse(23/4, 11/2) the seed base + s * normal misses the
+    # layer's 1e-10 band at two of the four station nodes, so Newton moves them
+    ell = ConicSpec.ellipse(F(23, 4), F(11, 2))
+    spec = MeshSpec(ellipse=ell, offsets=(4.472,), y_stations=(0.92,))
+    mesh = generate_mesh(spec)
+    g = offset_poly_closed_form(ell, F("4.472")).g
+    a, b = float(ell.a), float(ell.b)
+    moved = 0
+    for col, branch in ((0, -1), (2, 1)):
+        y0 = 0.92
+        x0 = branch * b * math.sqrt(max(0.0, 1.0 - (y0 / a) ** 2))
+        nx, ny = x0 / (b * b), y0 / (a * a)
+        nn = math.hypot(nx, ny)
+        nx, ny = nx / nn, ny / nn
+        for row, s in ((0, -4.472), (2, 4.472)):
+            node = mesh.nodes[row][col]
+            moved += (node.x, node.y) != (x0 + s * nx, y0 + s * ny)
+            assert abs(eval_poly(g, node)) <= 1e-10 * max_abs_coeff(g)
+    assert moved == 2
+
+
+@pytest.mark.xfail(raises=RootRefineError, strict=True,
+                   reason="ROADMAP item 3: the Newton step refuses a valid "
+                          "MeshSpec near r_crit")
+def test_newton_refusal_near_r_crit():
+    # offset 10.7263 is 0.95 r_crit of ellipse(12, 291/25); Newton from the
+    # seed at station 1.0 does not reach the 1e-10 band
+    spec = MeshSpec(ellipse=ConicSpec.ellipse(12, F(291, 25)),
+                    offsets=(10.7263,), y_stations=(1.0,))
+    generate_mesh(spec)
 
 
 def test_spec_validation():
