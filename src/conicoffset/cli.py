@@ -17,7 +17,8 @@ from fractions import Fraction
 from .conics import (ConicSpec, offset_poly_closed_form, offset_poly_elimination,
                      r_crit, singular_points, singular_points_via_elimination)
 from .errors import ConicOffsetError, PreconditionError, ResourceLimitError
-from .groebner import Ideal, buchberger, reduce_basis
+from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, Ideal, buchberger,
+                       reduce_basis)
 from .mesh import MeshSpec, export_mesh, generate_mesh, mesh_figure
 from .curve import plot_svg, trace_implicit
 from .poly import (MultiPoly, block, grevlex, lex, poly_from_dict, poly_to_dict,
@@ -228,19 +229,12 @@ def cmd_singular(args):
 
 
 def cmd_classify(args):
-    conic = _conic_from_args(args)
-    r = args.r
-    rep = singular_points(conic, r)
-    doc = {
-        "conic": rep.conic.describe(),
-        "r": _frac_str(rep.r),
-        "r_crit": _frac_str(rep.r_crit),
-        "regime": rep.regime,
-        "counts": {"real": len(rep.points), "complex": rep.complex_count},
-        "outside_reference_range": rep.outside_reference_range,
-    }
+    rep = _report_json(singular_points(_conic_from_args(args), args.r))
+    doc = {k: rep[k] for k in ("conic", "r", "r_crit", "regime",
+                               "outside_reference_range")}
+    doc["counts"] = {"real": rep["count"], "complex": rep["complex_count"]}
     _emit(args, doc, text=f"r_crit = {doc['r_crit']}  regime = {doc['regime']}  "
-                          f"real = {len(rep.points)}  complex = {rep.complex_count}")
+                          f"real = {rep['count']}  complex = {rep['complex_count']}")
     return EXIT_OK
 
 
@@ -317,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--vars", required=True, help="comma-separated ring variables")
     g.add_argument("--order", default="grevlex",
                    help="lex | grevlex | block:k (default grevlex)")
-    g.add_argument("--max-pairs", type=int, default=200_000)
-    g.add_argument("--max-degree", type=int, default=40)
+    g.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
+    g.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     g.add_argument("--no-reduce", action="store_true",
                    help="skip reduction to the unique reduced basis")
     g.add_argument("--out", help="write the basis JSON here as well")
@@ -329,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_conic_flags(o)
     o.add_argument("--method", choices=["closed", "elim"], default="closed")
     o.add_argument("--elim-order", choices=["block", "lex"], default="block")
-    o.add_argument("--max-pairs", type=int, default=200_000)
-    o.add_argument("--max-degree", type=int, default=40)
+    o.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
+    o.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     o.add_argument("--out", help="write polynomial JSON here")
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=cmd_offset_poly)

@@ -17,13 +17,16 @@ multiplication by x and by y on the quotient ring (the generators of the
 elimination ideals in x alone and in y alone), their exact real roots, and
 pairing by residual.  A pair whose residual is neither clearly small nor
 clearly large is judged again with the roots isolated at twice the working
-precision; no Newton iteration is involved.  Both routes share one report
-path and one complex-point rule: a report counts the non-real singular
-points whose coordinates are each real or purely imaginary.  An ellipse's
-catalogue changes shape at b^2/a (r_crit), b, a and a^2/b, its smallest and
-largest radii of curvature (the paper ties critical offsets to curvature);
-above a^2/b the four split points are complex, and comparing r*b with a^2
-decides that exactly.
+precision; no Newton iteration is involved.  Each route only finds bare
+points; one report path tags them, and one complex-point rule counts the
+non-real singular points whose coordinates are each real or purely
+imaginary.  The tag rule: a point on the axis (x = 0) is virtual below r_crit
+and on-curve from r_crit up, the ellipse's equator pair (y = 0) is virtual
+above a^2/b, and every other point is split.  An ellipse's catalogue changes
+shape at b^2/a (r_crit), b, a and a^2/b, its smallest and largest radii of
+curvature (the paper ties critical offsets to curvature); above a^2/b the
+four split points are complex and the equator pair is an isolated real zero
+of g, and comparing r*b with a^2 decides that exactly.
 
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
@@ -45,8 +48,8 @@ from . import cardano
 from .cardano import to_mpf
 from .errors import EliminationError, ParamError, RootPairingError
 from .fixtures import CENTRAL_RING, PARABOLA_RING, general_offset_poly
-from .groebner import (Ideal, buchberger, elimination_ideal, minimal_polynomials,
-                       reduce_basis)
+from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, Ideal, buchberger,
+                       elimination_ideal, minimal_polynomials, reduce_basis)
 from .poly import (MultiPoly, block, content_normalize, gradient, grevlex, lex,
                    substitute)
 
@@ -59,7 +62,7 @@ RADICAL_DPS = 60  # 50 guard digits past double precision
 # one from PAIR_REJECT up does not; in between it is judged at 2 * RADICAL_DPS
 PAIR_ACCEPT, PAIR_REJECT = "1e-35", "1e-12"
 # the buchberger limits of singular_locus's completion of <g, g_x, g_y>
-LOCUS_MAX_PAIRS, LOCUS_MAX_DEGREE = 200_000, 200
+LOCUS_MAX_PAIRS, LOCUS_MAX_DEGREE = DEFAULT_MAX_PAIRS, 200
 
 # mpmath's working precision is process-global; radical evaluation blocks
 # serialize on this lock so concurrent singular-point calls stay safe
@@ -209,16 +212,6 @@ class OffsetCurve:
     source: str  # "closed-form" or "elimination"
 
 
-def _restrict_xy(p: MultiPoly) -> MultiPoly:
-    ix, iy = p.ring.index("x"), p.ring.index("y")
-    terms = {}
-    for m, c in p.terms.items():
-        if any(e and i not in (ix, iy) for i, e in enumerate(m)):
-            raise ValueError("polynomial not supported on x, y alone")
-        terms[(m[ix], m[iy])] = c
-    return MultiPoly(("x", "y"), terms)
-
-
 @lru_cache(maxsize=None)
 def _closed_form_program(kind: str):
     """The stored general offset polynomial of `kind` as an integer program.
@@ -287,8 +280,8 @@ def offset_poly_closed_form(conic: ConicSpec, r) -> OffsetCurve:
 
 
 def offset_poly_elimination(conic: ConicSpec, r, order: str = "block",
-                            max_pairs: int = 200_000,
-                            max_degree: int = 40) -> OffsetCurve:
+                            max_pairs: int = DEFAULT_MAX_PAIRS,
+                            max_degree: int = DEFAULT_MAX_DEGREE) -> OffsetCurve:
     """Derive the offset polynomial by Groebner elimination of (y0, x0).
 
     ``order="block"`` uses the grevlex/grevlex elimination order (fast);
@@ -308,7 +301,7 @@ def offset_poly_elimination(conic: ConicSpec, r, order: str = "block",
     if len(kept) != 1:
         raise EliminationError(
             f"expected one surviving generator, found {len(kept)}")
-    g = content_normalize(_restrict_xy(kept[0]))
+    g = content_normalize(substitute(kept[0], {"y0": 0, "x0": 0}))
     return OffsetCurve(conic=conic, r=_frac(r), g=g, source="elimination")
 
 
@@ -381,17 +374,6 @@ def _max_abs_coeff(poly: MultiPoly) -> mp.mpf:
     return to_mpf(max(abs(c) for c in poly.terms.values()))
 
 
-def _report_start(conic: ConicSpec, r):
-    """Validate r; return (r, r_crit, regime, axis tag, closed-form g)."""
-    r = _frac(r)
-    if r <= 0:
-        raise ParamError("offset r must be positive")
-    rc = r_crit(conic)
-    regime = SUBCRITICAL if r < rc else CRITICAL if r == rc else SUPERCRITICAL
-    axis_tag = VIRTUAL if regime == SUBCRITICAL else ON_CURVE
-    return r, rc, regime, axis_tag, offset_poly_closed_form(conic, r).g
-
-
 def _axis_squares(conic: ConicSpec, r: Fraction):
     """(t12, t34) of a central conic: the squares y^2 of the axis pair
     (0, +-sqrt(t12)) and x^2 of the equator pair (+-sqrt(t34), 0).  Written
@@ -399,6 +381,12 @@ def _axis_squares(conic: ConicSpec, r: Fraction):
     a2 = conic.a ** 2
     b2 = conic.b ** 2 if conic.kind == ELLIPSE else -conic.b ** 2
     return (a2 - b2) * (b2 - r * r) / b2, (a2 - b2) * (r * r - a2) / a2
+
+
+def _beyond_largest_radius(conic: ConicSpec, r: Fraction) -> bool:
+    """An ellipse offset past a^2/b, its largest radius of curvature; r*b
+    against a^2 decides it exactly."""
+    return conic.kind == ELLIPSE and r * conic.b > conic.a ** 2
 
 
 def _complex_count(conic: ConicSpec, r: Fraction, regime: str) -> int:
@@ -414,8 +402,7 @@ def _complex_count(conic: ConicSpec, r: Fraction, regime: str) -> int:
     if conic.kind == PARABOLA:
         return 0 if regime == SUPERCRITICAL else 2
     t12, t34 = _axis_squares(conic, r)
-    split_complex = (regime == SUBCRITICAL
-                     or (conic.kind == ELLIPSE and r * conic.b > conic.a ** 2))
+    split_complex = regime == SUBCRITICAL or _beyond_largest_radius(conic, r)
     return 2 * (t12 < 0) + 2 * (t34 < 0) + 4 * split_complex
 
 
@@ -476,27 +463,73 @@ def _hyperbola_split_xy(a: Fraction, b: Fraction, r: Fraction):
     return mp.sqrt(max(x2, mp.mpf(0))), -y_neg  # positive-y magnitude
 
 
-def _finish_report(g, conic, r, rc, regime, raw_points, source):
-    """Attach gradient residuals, round, dedupe, count the complex points and
-    freeze the report.
+def _tag(conic: ConicSpec, r: Fraction, regime: str, x, y) -> str:
+    """The one tag rule.  An axis point (x = 0) is virtual below r_crit and
+    on-curve from r_crit up; the ellipse's equator pair (y = 0) is virtual
+    above a^2/b, an isolated real zero of g; every other point is split."""
+    if x == 0:
+        return VIRTUAL if regime == SUBCRITICAL else ON_CURVE
+    if y == 0 and _beyond_largest_radius(conic, r):
+        return VIRTUAL
+    return SPLIT
+
+
+def _catalogue(conic: ConicSpec, r: Fraction, regime: str) -> list:
+    """The closed form's real singular points as (x, y) pairs, each
+    coordinate a Fraction or an mpf at the working precision.  Each +- group
+    is a set, so a zero square gives one point."""
+    if conic.kind == PARABOLA:
+        w = abs(conic.p)
+        y1 = w + r * r / (4 * w)
+        points = [(Fraction(0), -y1 if conic.p < 0 else y1)]
+        if regime == SUPERCRITICAL:
+            alpha, ysplit = _parabola_split_xy(w, r)
+            if conic.p < 0:
+                ysplit = -ysplit
+            points += [(x, ysplit) for x in {alpha, -alpha}]
+        return points
+    a, b = conic.a, conic.b
+    t12, t34 = _axis_squares(conic, r)
+    points = []
+    if t12 >= 0:
+        yv = cardano.sqrt_exact(t12)
+        points += [(Fraction(0), y) for y in {yv, -yv}]
+    if t34 >= 0:
+        xv = cardano.sqrt_exact(t34)
+        points += [(x, Fraction(0)) for x in {xv, -xv}]
+    # the ellipse's split points are real only below a^2/b; at a^2/b they are
+    # the equator pair, above it they are complex
+    if regime == SUPERCRITICAL and (conic.kind == HYPERBOLA or r * b < a * a):
+        split = _ellipse_split_xy if conic.kind == ELLIPSE else _hyperbola_split_xy
+        xs, ys = split(a, b, r)
+        points += product({xs, -xs}, {ys, -ys})
+    return points
+
+
+def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
+    """Validate r, find the points with ``points_of(r, regime, g)``, tag them
+    (``_tag``), attach gradient residuals, sort by (y, x), count the complex
+    points and freeze the report.
 
     ``g`` is the closed-form offset polynomial; the residuals use its raw
-    (not content-normalized) gradient.
+    (not content-normalized) gradient.  ``points_of`` runs at RADICAL_DPS.
     """
+    r = _frac(r)
+    if r <= 0:
+        raise ParamError("offset r must be positive")
+    rc = r_crit(conic)
+    regime = SUBCRITICAL if r < rc else CRITICAL if r == rc else SUPERCRITICAL
+    g = offset_poly_closed_form(conic, r).g
     gx, gy = gradient(g, ["x", "y"])
-    scale = max(_max_abs_coeff(q) for q in (g, gx, gy))
-    grad = _mp_evaluator(gx, gy)
     points = []
-    seen = []
-    for (xv, yv, tag) in raw_points:
-        key = (to_mpf(xv), to_mpf(yv))
-        if any(abs(key[0] - s[0]) < mp.mpf("1e-40") and
-               abs(key[1] - s[1]) < mp.mpf("1e-40") for s in seen):
-            continue
-        seen.append(key)
-        res = mp.sqrt(sum(v ** 2 for v in grad(key))) / scale
-        x, y = (v if isinstance(v, Fraction) else float(v) for v in (xv, yv))
-        points.append(SingularPoint(x=x, y=y, tag=tag, residual_grad=float(res)))
+    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
+        scale = max(_max_abs_coeff(q) for q in (g, gx, gy))
+        grad = _mp_evaluator(gx, gy)
+        for xv, yv in points_of(r, regime, g):
+            res = mp.sqrt(sum(v ** 2 for v in grad((to_mpf(xv), to_mpf(yv))))) / scale
+            x, y = (v if isinstance(v, Fraction) else float(v) for v in (xv, yv))
+            points.append(SingularPoint(x=x, y=y, tag=_tag(conic, r, regime, xv, yv),
+                                        residual_grad=float(res)))
     points.sort(key=lambda s: (float(s.y), float(s.x)))
     outside = conic.kind != PARABOLA and not (conic.a > conic.b > r)
     return SingularPointReport(conic=conic, r=r, r_crit=rc, regime=regime,
@@ -510,43 +543,10 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
 
     Points are reported with exact rational coordinates where the closed form
     is rational and 50-guard-digit float rounding otherwise; every point
-    carries its scaled gradient residual.
+    carries its scaled gradient residual and its ``_tag``.
     """
-    r, rc, regime, axis_tag, g = _report_start(conic, r)
-    raw = []
-    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        if conic.kind == PARABOLA:
-            p = conic.p
-            w = abs(p)
-            flip = p < 0
-            y1 = w + r * r / (4 * w)
-            raw.append((Fraction(0), -y1 if flip else y1, axis_tag))
-            if regime == SUPERCRITICAL:
-                alpha, ysplit = _parabola_split_xy(w, r)
-                if flip:
-                    ysplit = -ysplit
-                raw += [(alpha, ysplit, SPLIT), (-alpha, ysplit, SPLIT)]
-        else:
-            a, b = conic.a, conic.b
-            t12, t34 = _axis_squares(conic, r)
-            # a zero square gives one point: sqrt_exact returns Fraction(0)
-            # and the report drops the duplicate
-            if t12 >= 0:
-                yv = cardano.sqrt_exact(t12)
-                raw += [(Fraction(0), yv, axis_tag), (Fraction(0), -yv, axis_tag)]
-            if t34 >= 0:
-                xv = cardano.sqrt_exact(t34)
-                raw += [(xv, Fraction(0), SPLIT), (-xv, Fraction(0), SPLIT)]
-            # the ellipse's split points are real only below a^2/b; at a^2/b
-            # they are the equator pair, above it they are complex
-            if regime == SUPERCRITICAL and (conic.kind == HYPERBOLA
-                                            or r * b < a * a):
-                split = (_ellipse_split_xy if conic.kind == ELLIPSE
-                         else _hyperbola_split_xy)
-                xs, ys = split(a, b, r)
-                for sx, sy in product((xs, -xs), (ys, -ys)):
-                    raw.append((sx, sy, SPLIT))
-        return _finish_report(g, conic, r, rc, regime, raw, "closed-form")
+    return _report(conic, r, "closed-form",
+                   lambda r, regime, g: _catalogue(conic, r, regime))
 
 
 def _singular_eliminants(system) -> list:
@@ -657,16 +657,13 @@ def hessian_definite(g: MultiPoly, points) -> list:
 
 def singular_points_via_elimination(conic: ConicSpec, r) -> SingularPointReport:
     """Independent singular-point route: ``singular_locus`` of the offset
-    polynomial, tagged by axis, through the shared report path.
+    polynomial through the shared report path, tagged by ``_tag``.
 
     Coordinates come out at RADICAL_DPS digits; a borderline pairing is
     decided at twice that precision (see ``singular_locus``).  Raises
     RootPairingError when no real point survives the pairing, and
     ResourceLimitError past singular_locus's limits."""
-    r, rc, regime, axis_tag, g = _report_start(conic, r)
-    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        raw = [(xv, yv, axis_tag if xv == 0 else SPLIT)
-               for xv, yv in singular_locus(g)]
-        if not raw:
-            raise RootPairingError("no candidate survived residual filtering")
-        return _finish_report(g, conic, r, rc, regime, raw, "elimination")
+    rep = _report(conic, r, "elimination", lambda r, regime, g: singular_locus(g))
+    if not rep.points:
+        raise RootPairingError("no candidate survived residual filtering")
+    return rep

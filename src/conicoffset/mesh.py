@@ -103,20 +103,24 @@ def _signed_offsets(spec: MeshSpec):
     return down + [0.0] + list(spec.offsets)
 
 
-def _refine_along_normal(f, fx, fy, base, normal, t0, scale):
+def _refine_along_normal(g, f, base, normal, t0, scale):
     """Newton on g restricted to the normal line, seeded at distance t0, for
     at most 50 steps until |g| <= 1e-10 * scale.
 
-    `f`, `fx` and `fy` are g and its gradient compiled by xy_evaluator.
+    `f` is g compiled by xy_evaluator; g's gradient is compiled only once the
+    seed misses, since the seed is the offset point itself.
     """
     bx, by = base
     nx, ny = normal
     t = t0
+    fx = None
     for _ in range(50):
         x, y = bx + t * nx, by + t * ny
         v = f(x, y)
         if abs(v) <= 1e-10 * scale:
             return x, y
+        if fx is None:
+            fx, fy = (xy_evaluator(q) for q in gradient(g, ["x", "y"]))
         d = fx(x, y) * nx + fy(x, y) * ny
         if d == 0.0 or not math.isfinite(d):
             break
@@ -139,9 +143,7 @@ def generate_mesh(spec: MeshSpec) -> Mesh:
     layers = {}
     for o in spec.offsets:
         g = offset_poly_closed_form(spec.ellipse, _as_fraction(o)).g
-        gx, gy = gradient(g, ["x", "y"])
-        layers[o] = (xy_evaluator(g), xy_evaluator(gx), xy_evaluator(gy),
-                     max_abs_coeff(g))
+        layers[o] = (g, xy_evaluator(g), max_abs_coeff(g))
 
     def station_column(y0, branch):
         # branch -1 = left (x<0), +1 = right (x>0)
@@ -154,8 +156,8 @@ def generate_mesh(spec: MeshSpec) -> Mesh:
             if s == 0.0:
                 col.append(Point2(x0, y0))
                 continue
-            f, fx, fy, scale = layers[abs(s)]
-            x, y = _refine_along_normal(f, fx, fy, (x0, y0), (nx, ny), s, scale)
+            g, f, scale = layers[abs(s)]
+            x, y = _refine_along_normal(g, f, (x0, y0), (nx, ny), s, scale)
             col.append(Point2(x, y))
         return col
 

@@ -162,11 +162,11 @@ def random_conics(kind, count, seed):
 
 
 def _substituted_closed_form(conic, r):
-    # the Fraction route the integer specialization replaced
+    # the Fraction route the integer specialization replaced; assigning every
+    # parameter leaves the ring ("x", "y")
     values = dict(conic.params)
     values["r"] = r
-    return content_normalize(conics._restrict_xy(
-        substitute(general_offset_poly(conic.kind), values)))
+    return content_normalize(substitute(general_offset_poly(conic.kind), values))
 
 
 # a monomial's partial sum cancels and a later term brings it back
@@ -552,7 +552,8 @@ def test_via_elimination_split_coordinate_value():
 
 # Above a^2/b, the ellipse's largest radius of curvature, its four split
 # points are complex (real x, imaginary y); at a^2/b they are the equator pair
-# (+-(a^2 - b^2)/b, 0).  Either way the real points are that pair alone.
+# (+-(a^2 - b^2)/b, 0).  Either way the real points are that pair alone: split
+# at a^2/b, virtual (an isolated real zero of g) above it.
 BEYOND_SPLIT_CASES = [
     (ConicSpec.ellipse(F(39, 4), 9), F(85, 8), None, 6),
     (ConicSpec.ellipse(F(39, 4), 9), F(12), None, 6),
@@ -569,9 +570,10 @@ def test_ellipse_split_points_at_and_beyond_largest_curvature_radius(
     t34 = (a * a - b * b) * (r * r - a * a) / (a * a)  # x^2 of the equator pair
     rep_c = singular_points(conic, r)
     rep_e = singular_points_via_elimination(conic, r)
+    tag = "virtual" if r * b > a * a else "split"
     for rep in (rep_c, rep_e):
         assert rep.complex_count == complex_count
-        assert [s.tag for s in rep.points] == ["split", "split"]
+        assert [s.tag for s in rep.points] == [tag, tag]
         assert [s.y for s in rep.points] == [0, 0]
         assert abs(float(rep.points[1].x) - float(t34) ** 0.5) <= 1e-9
         assert all(s.residual_grad <= 1e-9 for s in rep.points)
@@ -684,6 +686,8 @@ def test_singular_routes_agree_over_parameter_space():
             rep_c = singular_points(conic, r)
             rep_e = singular_points_via_elimination(conic, r)
             assert len(rep_c.points) == len(rep_e.points), (conic, r)
+            assert [s.tag for s in rep_c.points] == \
+                [s.tag for s in rep_e.points], (conic, r)
             assert rep_c.complex_count == rep_e.complex_count, (conic, r)
             for sc, se in zip(rep_c.points, rep_e.points):
                 assert abs(float(sc.x) - float(se.x)) <= 1e-9, (conic, r)
@@ -698,11 +702,9 @@ def test_singular_routes_agree_over_parameter_space():
 def test_hessian_definite_matches_catalogue_tags():
     # the tracer's isolation rule against the catalogue's tags, on the nine
     # reference cases and on the seeded parameter-space conics at every
-    # offset of _property_offsets and midway between them: a virtual point
-    # is definite, an on-curve point is not, and inside the reference range
-    # (a > b > r) definite holds for the virtual points alone.  Outside it a
-    # split point can be definite: above a^2/b the ellipse's equator pair is
-    # an isolated real zero, e.g. ellipse(9/2, 4) at r = 16/3.
+    # offset of _property_offsets and midway between them: definite holds
+    # for the virtual points alone, including the ellipse's equator pair
+    # above a^2/b, e.g. ellipse(9/2, 4) at r = 16/3.
     cases = [(conic_from_case(reference.case(i)), F(reference.case(i)["r"]))
              for i in range(1, 10)]
     for conic in _parameter_space_conics():
@@ -722,10 +724,8 @@ def test_hessian_definite_matches_catalogue_tags():
                            if abs(float(x) - float(s.x)) <= 1e-9
                            and abs(float(y) - float(s.y)) <= 1e-9]
             seen.add((s.tag, isolated))
-            if s.tag != "split" or not rep.outside_reference_range:
-                assert isolated == (s.tag == "virtual"), (conic, r, s)
-    assert seen == {("virtual", True), ("on-curve", False), ("split", False),
-                    ("split", True)}
+            assert isolated == (s.tag == "virtual"), (conic, r, s)
+    assert seen == {("virtual", True), ("on-curve", False), ("split", False)}
 
 
 def test_ellipse_outside_reference_range_flag():

@@ -155,6 +155,17 @@ def test_newton_moves_station_nodes_onto_their_layer():
     assert moved == 2
 
 
+def test_gradient_compiled_only_for_a_newton_step(reference_mesh, monkeypatch):
+    # every seed of the reference mesh meets its layer's 1e-10 band, so no
+    # layer's gradient is built
+    def no_gradient(*args):
+        raise AssertionError("gradient built without a Newton step")
+
+    monkeypatch.setattr("conicoffset.mesh.gradient", no_gradient)
+    spec, mesh = reference_mesh
+    assert export_mesh(generate_mesh(spec)) == export_mesh(mesh)
+
+
 @pytest.mark.xfail(raises=RootRefineError, strict=True,
                    reason="ROADMAP item 3: the Newton step refuses a valid "
                           "MeshSpec near r_crit")
