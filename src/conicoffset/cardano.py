@@ -9,8 +9,11 @@ Discriminant signs are decided exactly on rationals; only the final radicals
 are evaluated numerically, with mpmath at the caller's working precision
 (``conics.RADICAL_DPS`` digits), entered through ``to_mpf``.  Any other
 square-free factor has its real roots isolated exactly by a Sturm sequence,
-then narrowed by ``bracketed_root``, the package's one bracketed 1-D solver
-(the tracer runs it on floats along its grid edges).
+then narrowed by ``bracketed_roots``, the package's one bracketed 1-D
+solver.  It advances a whole array of brackets together, each by the steps
+a scalar Illinois loop would take, so its callers hand it all their brackets
+at once: the Sturm search one object array of mpf intervals per factor, the
+tracer one float array of its crossing grid edges per trace.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import mpmath as mp
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -269,44 +273,61 @@ def real_roots_exact(cs):
 # any square-free factor: Sturm isolation, then bracketed refinement
 # ---------------------------------------------------------------------------
 
-def bracketed_root(phi, lo, hi, flo, fhi, width):
-    """Root of phi on [lo, hi], floats or mpfs, given flo = phi(lo) and
-    fhi = phi(hi) of opposite signs.
+def bracketed_roots(phi, lo, hi, flo, fhi, width):
+    """Roots of many brackets at once, as one array: bracket k holds the root
+    of its function on [lo[k], hi[k]], floats or mpfs, given flo[k] and
+    fhi[k], its values at the ends, of opposite signs.  phi(t, idx) returns
+    the values at the points t of the brackets numbered idx; `width` is one
+    stop width or one per bracket.
 
-    Illinois regula falsi (Dowell & Jarratt, BIT 1971): when the same end
-    moves twice running, the other end's stored value is halved; when it has
-    moved three times running the step is a bisection instead (near a double
-    zero of phi beside the bracket, regula falsi alone walks into it until
-    rounding fakes a sign change).  The bracket never widens.  Stops on an
-    exact zero or once the bracket is no wider than `width` (a few ulps of lo
-    and hi at least), and returns the end with the smaller |phi|.
+    Each bracket takes the steps of Illinois regula falsi (Dowell & Jarratt,
+    BIT 1971) on its own: when the same end moves twice running, the other
+    end's stored value is halved; when it has moved three times running the
+    step is a bisection instead (near a double zero of phi beside the
+    bracket, regula falsi alone walks into it until rounding fakes a sign
+    change).  A bracket never widens.  It stops on an exact zero or once it
+    is no wider than its width (a few ulps of lo and hi at least), and gives
+    the end with the smaller |phi|.  Every round evaluates phi once, on the
+    brackets still running; the arithmetic is elementwise, so a bracket's
+    steps and result do not depend on the others.
     """
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    slo, shi = flo, fhi  # the stored end values, halved by the Illinois rule
-    moved, run = 0, 0  # the end that moved last (-1 lo, +1 hi), and how often
-    while hi - lo > width:
-        if run >= 3:
-            t = 0.5 * (lo + hi)
-        else:
-            t = min(hi, lo + (hi - lo) * (slo / (slo - shi)))
-        ft = phi(t)
-        if ft == 0.0:
-            return t
-        side = -1 if (ft < 0.0) == (flo < 0.0) else 1
-        run = run + 1 if side == moved else 1
-        moved = side
-        if side < 0:
-            lo, flo, slo = t, ft, ft
-            if run >= 2:
-                shi *= 0.5
-        else:
-            hi, fhi, shi = t, ft, ft
-            if run >= 2:
-                slo *= 0.5
-    return lo if abs(flo) <= abs(fhi) else hi
+    lo, hi, flo, fhi = (np.array(v) for v in (lo, hi, flo, fhi))
+    out = np.where(flo == 0.0, lo, hi)  # an end that is a zero is the root
+    idx = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    width = np.broadcast_to(width, lo.shape)
+    n = idx.size
+    # per running bracket: its ends, their values, the stored values that the
+    # Illinois rule halves, the end that moved last (-1 lo, +1 hi), how often
+    # it moved running, and the stop width
+    state = (idx, lo[idx], hi[idx], flo[idx], fhi[idx], flo[idx], fhi[idx],
+             np.zeros(n, int), np.zeros(n, int), width[idx])
+    with np.errstate(all="ignore"):
+        while state[0].size:
+            idx, lo, hi, flo, fhi, slo, shi, moved, run, width = state
+            going = hi - lo > width
+            if not going.all():
+                done = ~going
+                out[idx[done]] = np.where(abs(flo[done]) <= abs(fhi[done]),
+                                          lo[done], hi[done])
+                state = tuple(v[going] for v in state)
+                continue
+            rf = lo + (hi - lo) * (slo / (slo - shi))
+            t = np.where(run >= 3, 0.5 * (lo + hi), np.where(rf < hi, rf, hi))
+            ft = phi(t, idx)
+            hit = ft == 0.0
+            out[idx[hit]] = t[hit]
+            lo_moves = (ft < 0.0) == (flo < 0.0)
+            side = np.where(lo_moves, -1, 1)
+            run = np.where(side == moved, run + 1, 1)
+            halve = run >= 2
+            state = tuple(v[~hit] for v in (
+                idx,
+                np.where(lo_moves, t, lo), np.where(lo_moves, hi, t),
+                np.where(lo_moves, ft, flo), np.where(lo_moves, fhi, ft),
+                np.where(lo_moves, ft, np.where(halve, slo * 0.5, slo)),
+                np.where(lo_moves, np.where(halve, shi * 0.5, shi), ft),
+                side, run, width))
+    return out
 
 
 def _real_roots_sturm(p):
@@ -316,9 +337,10 @@ def _real_roots_sturm(p):
     divisors over their positive contents, so no sign flips) counts the roots
     in (a, b] as the drop in its sign changes from a to b.  Bisection at
     dyadic midpoints splits (-bound, bound] (Cauchy's bound, rounded up to a
-    power of two) until each interval holds one root, which bracketed_root
-    narrows at the working precision.  A midpoint that is a root is kept as a
-    Fraction and divided out, and the search starts over on the quotient.
+    power of two) until each interval holds one root; then one
+    bracketed_roots call narrows them all at the working precision.  A
+    midpoint that is a root is kept as a Fraction and divided out, and the
+    search starts over on the quotient.
     """
     seq = [p, derivative(p)]
     while len(seq[-1]) > 1:
@@ -332,15 +354,11 @@ def _real_roots_sturm(p):
         return sum(u != w for u, w in zip(signs, signs[1:]))
 
     bound = Fraction(2 ** (2 + max(map(abs, p)) // p[-1]).bit_length())
-    todo, roots = [(-bound, bound, changes(-bound), changes(bound))], []
+    todo, brackets = [(-bound, bound, changes(-bound), changes(bound))], []
     while todo:
         a, b, va, vb = todo.pop()
         if va - vb == 1:
-            lo, hi = to_mpf(a), to_mpf(b)
-            roots.append(bracketed_root(
-                lambda t: eval_poly_at(p, t), lo, hi,
-                to_mpf(eval_poly_at(p, a)), to_mpf(eval_poly_at(p, b)),
-                8 * mp.eps * max(abs(lo), abs(hi))))
+            brackets.append((a, b))
         elif va > vb:
             m = (a + b) / 2
             if eval_poly_at(p, m) == 0:
@@ -348,4 +366,13 @@ def _real_roots_sturm(p):
                 return [m] + (_real_roots_sturm(rest) if len(rest) > 1 else [])
             vm = changes(m)
             todo += [(a, m, va, vm), (m, b, vm, vb)]
-    return roots
+
+    def mpfs(values):
+        return np.array([to_mpf(v) for v in values], dtype=object)
+
+    lo, hi = mpfs(a for a, _ in brackets), mpfs(b for _, b in brackets)
+    return list(bracketed_roots(
+        lambda t, _: mpfs(eval_poly_at(p, v) for v in t), lo, hi,
+        mpfs(eval_poly_at(p, a) for a, _ in brackets),
+        mpfs(eval_poly_at(p, b) for _, b in brackets),
+        mpfs(8 * mp.eps * max(abs(u), abs(v)) for u, v in zip(lo, hi))))

@@ -7,21 +7,29 @@ normalized offset polynomials carry coefficients anywhere between 1 and 1e8.
 
 Point evaluation is compile once, evaluate many: xy_evaluator turns an exact
 polynomial into a float closure once (coefficients converted and grouped by
-x-power), and the tracing, snapping and mesh loops call that closure.
-eval_poly is the one-point form of the same path, and _grid_eval, the
-vectorized sign pass of the trace, runs the same groups over numpy arrays.
+x-power), and the mesh loops call that closure; eval_poly is its one-point
+form.  The tracer runs the same groups over numpy arrays (_array_eval): the
+grid as one outer product (each group's Horner once along the y nodes, times
+the x nodes' powers), then its saddle centers and its edge solves in batches.
 Bit identity is part of the contract: the closure's floating-point
-operations and their order are fixed, so traced vertices, SVG text and
-exported meshes stay identical byte for byte; golden hashes in
-tests/test_curve.py and tests/test_mesh.py pin them.  A dense or numpy
-Horner would reorder the sums and change those bytes.  In the grid a 0.0
-filler can turn a -0.0 into 0.0, which no sign test of the trace tells apart.
+operations and their order are fixed, and _array_eval performs them
+elementwise, so its values are the closure's bit for bit, and traced
+vertices, SVG text and exported meshes stay identical byte for byte; golden
+hashes in tests/test_curve.py and tests/test_mesh.py pin them.  A dense or
+numpy Horner would reorder the sums and change those bytes.  The powers of x
+go through np.float_power, which calls the C pow that Python's ``x ** k``
+calls; np.power is ruled out, because numpy squares by one product and
+dispatches other integer powers to SIMD loops (AVX-512 where the host has
+it) that differ from pow in the last bit, so the grid, and with it the
+traced vertices, would depend on the host.
 
 The tracer solves each vertex on its own grid edge: one bracketed 1-D
-solver (Illinois regula falsi with a bisection fallback) between the two
-grid nodes whose signs differ, so no vertex leaves its edge, and segments are
-chained through the edges they share, with no float tolerance; its singular
-points, and which are isolated, come from the exact layer (no mpmath here).
+solver (Illinois regula falsi with a bisection fallback,
+cardano.bracketed_roots) between the two grid nodes whose signs differ, run
+once per trace over every crossing edge, so no vertex leaves its edge, and
+segments are chained through the edges they share, with no float tolerance;
+its singular points, and which are isolated, come from the exact layer (no
+mpmath here).
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cardano import bracketed_root
+from .cardano import bracketed_roots
 from .conics import (ConicSpec, ELLIPSE, PARABOLA, base_conic_poly,
                      hessian_definite, offset_poly_closed_form, singular_locus)
 from .errors import (EliminationError, ParamError, PreconditionError,
@@ -120,17 +128,18 @@ def eval_poly(g: MultiPoly, pt, **params) -> float:
     return xy_evaluator(g, **params)(x, y)
 
 
-def _grid_eval(groups, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """xy_evaluator's closure over the tensor grid, one array per group."""
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    out = np.zeros_like(X)
+def _array_eval(groups, x, y) -> np.ndarray:
+    """xy_evaluator's closure over numpy arrays x and y, broadcast together:
+    the same operations in the same order on every element, so each value
+    is the closure's float bit for bit (module docstring).  Over an outer
+    grid (x a column, y a row) each group's Horner runs once along y."""
+    total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
     for xe, coeffs in groups:
-        acc = np.zeros_like(Y)
+        acc = 0.0
         for c in coeffs:
-            acc *= Y
-            acc += c
-        out += acc * np.power(X, xe)
-    return out
+            acc = acc * y + c
+        total = total + acc * np.float_power(x, xe)
+    return total
 
 
 def conic_point_and_normal(conic: ConicSpec, t: float):
@@ -251,18 +260,38 @@ def max_curvature(conic: ConicSpec) -> float:
     return max(fc, fd, ks[best])
 
 
+def _cell_segments(code):
+    """The pairs of crossing edges that the segments of a cell join, first
+    with the cell center not negative, then with it negative.  Bit k of the
+    code is set when corner k is negative; the corners run counterclockwise
+    from node (i, j), and edge k joins corner k to the next.  Only the
+    saddles 5 and 10 depend on the center."""
+    if code == 5:  # corners 0 and 2 negative
+        return ((0, 1), (2, 3)), ((0, 3), (1, 2))
+    if code == 10:  # corners 1 and 3 negative
+        return ((0, 3), (1, 2)), ((0, 1), (2, 3))
+    edges = ((0, 1), (1, 2), (2, 3), (3, 0))  # the corners of each edge
+    crossing = tuple(e for e, (a, b) in enumerate(edges)
+                     if (code >> a ^ code >> b) & 1)
+    return (crossing,), (crossing,)
+
+
+_CELL_SEGMENTS = tuple(_cell_segments(code) for code in range(16))
+
+
 def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     """Marching-squares contour of g = 0 with each vertex solved on its edge.
 
     Cells are scanned row-major; saddle cells (two opposite sign pairs) are
     disambiguated by the sign at the cell center.  Every crossing grid edge
-    gets one vertex, the root of g along that edge found by a bracketed
-    solver (cardano.bracketed_root), so the vertex lies on its edge: its x is
-    a grid x-value or its y a grid y-value.  A segment joins two crossing
-    edges of a cell, and segments are chained through the edges they share,
-    so a closed curve comes back to its first vertex and an open polyline
-    ends on the bbox boundary.  Output is a pure function of the inputs;
-    every vertex satisfies |g| <= 1e-6 * max|coeff|.
+    gets one vertex, the root of g along that edge found by the bracketed
+    solver (cardano.bracketed_roots, one call for all the edges of a trace),
+    so the vertex lies on its edge: its x is a grid x-value or its y a grid
+    y-value.  A segment joins two crossing edges of a cell, and segments are
+    chained through the edges they share, so a closed curve comes back to
+    its first vertex and an open polyline ends on the bbox boundary.  Output
+    is a pure function of the inputs; every vertex satisfies
+    |g| <= 1e-6 * max|coeff|.
 
     When any cell crosses, the trace pins every real singular point of g in
     the closed bbox: conics.singular_locus(g), rounded to float.  A pin with a
@@ -271,23 +300,27 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     finite (g has a repeated factor, as x^2*y has) gives no pins.  The pins
     cost one exact Groebner completion of <g, g_x, g_y>: a few ms for a conic
     offset, seconds or more for a dense g of degree 8; ResourceLimitError
-    propagates.  g must be over the ring ("x", "y") (RingError), the bbox
-    four finite numbers and g finite on its grid (ParamError).
+    propagates.  g must be over the ring ("x", "y") (RingError), the
+    resolution an int (not a bool) of at least 8, the bbox four finite
+    numbers and g finite on its grid (ParamError).
     """
     if g.ring != ("x", "y"):
         raise RingError(f"trace needs a polynomial over (x, y), not {g.ring}")
-    if resolution < 8:
-        raise ParamError("resolution must be at least 8")
+    if not isinstance(resolution, int) or isinstance(resolution, bool) \
+            or resolution < 8:
+        raise ParamError(f"resolution must be an int of at least 8, "
+                         f"not {resolution!r}")
     try:
         xmin, xmax, ymin, ymax = (float(v) for v in bbox)
     except (TypeError, ValueError) as exc:
         raise ParamError(f"bbox needs four numbers, got {bbox!r}") from exc
     if not (xmax > xmin and ymax > ymin):
         raise ParamError("empty bounding box")
+    groups = _xpow_groups(g)
     with np.errstate(all="ignore"):
         xs = np.linspace(xmin, xmax, resolution + 1)
         ys = np.linspace(ymin, ymax, resolution + 1)
-        vals = _grid_eval(_xpow_groups(g), xs, ys)
+        vals = _array_eval(groups, xs[:, None], ys[None, :])
     if not all(np.isfinite(v).all() for v in (xs, ys, vals)):
         raise ParamError("bounding box or g not finite on the grid")
 
@@ -297,49 +330,43 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
              | (neg[1:, 1:].astype(np.int8) << 2)
              | (neg[:-1, 1:].astype(np.int8) << 3))
     crossing_cells = np.argwhere((codes != 0) & (codes != 15))
-
-    edges = ((0, 1), (1, 2), (2, 3), (3, 0))
     if crossing_cells.size == 0:
         return TracedCurve(polylines=(), bbox=(xmin, xmax, ymin, ymax),
                            resolution=resolution)
-    f = xy_evaluator(g)
+    ci, cj = crossing_cells.T
+    cell_codes = codes[ci, cj]
+    # saddle cells (codes 5 and 10) are told apart by the sign at the center
+    saddle = (cell_codes == 5) | (cell_codes == 10)
+    neg_center = np.zeros(len(cell_codes), dtype=bool)
+    si, sj = ci[saddle], cj[saddle]
+    with np.errstate(all="ignore"):
+        neg_center[saddle] = _array_eval(groups, (xs[si] + xs[si + 1]) / 2,
+                                         (ys[sj] + ys[sj + 1]) / 2) < 0.0
     # a segment is a pair of edge keys; an edge key is the pair of its grid
     # nodes, lower index first, so the two cells beside an edge name it alike
     segments = []
-    for i, j in crossing_cells.tolist():
-        code = int(codes[i, j])
-        if code in (5, 10):
-            # saddle cell: resolve the pairing by the sign at the center
-            center = f((xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2)
-            neg_center = center < 0.0
-            if code == 5:  # corners 0 and 2 negative
-                pairs = [(0, 3), (1, 2)] if neg_center else [(0, 1), (2, 3)]
-            else:  # corners 1 and 3 negative
-                pairs = [(0, 1), (2, 3)] if neg_center else [(0, 3), (1, 2)]
-        else:
-            pairs = [tuple(e for e, (a, b) in enumerate(edges)
-                           if (code >> a ^ code >> b) & 1)]
+    for i, j, code, center in zip(ci.tolist(), cj.tolist(),
+                                  cell_codes.tolist(), neg_center.tolist()):
         keys = (((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1)),
                 ((i, j + 1), (i + 1, j + 1)), ((i, j), (i, j + 1)))
-        segments.extend((keys[ea], keys[eb]) for ea, eb in pairs)
+        segments.extend((keys[ea], keys[eb])
+                        for ea, eb in _CELL_SEGMENTS[code][center])
 
     by_edge: dict = {}
     for idx, seg in enumerate(segments):
         for key in seg:
             by_edge.setdefault(key, []).append(idx)
 
-    xl, yl = xs.tolist(), ys.tolist()
-
-    def solve(key):
-        (ia, ja), (ib, jb) = key
-        xa, ya, xb, yb = xl[ia], yl[ja], xl[ib], yl[jb]
-        dx, dy = xb - xa, yb - ya
-        t = bracketed_root(lambda u: f(xa + u * dx, ya + u * dy), 0.0, 1.0,
-                           float(vals[ia, ja]), float(vals[ib, jb]),
-                           1e-13)  # the stop width, in edge units
-        return Point2(xa + t * dx, ya + t * dy)
-
-    vertex = {key: solve(key) for key in by_edge}
+    # every crossing edge solved at once, t in edge units from its first node
+    ia, ja, ib, jb = np.array(list(by_edge)).reshape(-1, 4).T
+    xa, ya = xs[ia], ys[ja]
+    dx, dy = xs[ib] - xa, ys[jb] - ya
+    t = bracketed_roots(
+        lambda u, k: _array_eval(groups, xa[k] + u * dx[k], ya[k] + u * dy[k]),
+        np.zeros(len(ia)), np.ones(len(ia)), vals[ia, ja], vals[ib, jb],
+        1e-13)  # the stop width, in edge units
+    vertex = dict(zip(by_edge, map(Point2, (xa + t * dx).tolist(),
+                                   (ya + t * dy).tolist())))
 
     used = [False] * len(segments)
 

@@ -105,6 +105,16 @@ def test_trace_resolution_precondition():
         trace_implicit(CIRCLE, (-1, 1, -1, 1), 4)
 
 
+@pytest.mark.parametrize("resolution", [256.0, "64", True, 7])
+def test_trace_resolution_must_be_an_int(resolution):
+    # a float, a string or a bool is refused, not cast or read as 1
+    with pytest.raises(ParamError):
+        trace_implicit(CIRCLE, (-1, 1, -1, 1), resolution)
+    with pytest.raises(ParamError):
+        offset_figure(ConicSpec.parabola(F(1, 3)), F(1, 4),
+                      resolution=resolution)
+
+
 def test_trace_vertex_residuals():
     # type invariant: every vertex within 1e-6 * max|coeff|, cusps included
     # the last two pass close to isolated zeros of g, which draw a vertex
@@ -402,14 +412,14 @@ def trace_digest(tc):
 
 
 GOLDEN_TRACE_256 = {
-    1: "b0738a5ad123c24316d173beece7bc164dc81b4d7e622d80db723e4b244dbb70",
-    2: "6cdba842ccde1e57aaa1ca81edca29eb4ec8be801608428fc859a71e8e070604",
-    3: "b9b5bf08a8afb78d213ac718c1024cdcca008b259a2b2b7bb8f7bce06e57f6f6",
+    1: "90f382668b1a6321ba29f59a219cd6eee9e89fd32c654561741662b74b6e25aa",
+    2: "11fe3f220a1b9130fa5c11776f1de6108659d586332f41f243cc683c12dbbab7",
+    3: "70d7781ff1a51ac051f8c5f3fbc358bc872643eac06b0d11fae5e3af39cc595a",
     4: "49a7421a69cc917914f1245c83cce02dbd6480f1dc1b08ff68bca11251c194c1",
-    5: "d63895f5fe8b26997a1becc8e0f5a066340c382cf44ad84a5a75e8ed7643892b",
-    6: "e80a04649644d9a5580ae0e325d2b7fedb2115f967b8cb2e5714acdace5a1d0f",
-    7: "6d6b9f6cb83dc5f31129ca5125a0ae208b6572b93a855793539f02121de8efe1",
-    8: "bd743d433690bc8f48dcc0a8a99e99dc1e13a9a6e91521b9bbe1d1729781e4ef",
+    5: "8a9b501d8cdaade0c4dc0c2c3b9447224248bae54c746cef50e2331694dff39c",
+    6: "6c68361d96310243614ae4b2a6ab461d37d235232efa05664d2395c7f9380c49",
+    7: "7a74a3ed251d88ec0f7878903099827b059258622a8898ecf689e322ae81cfd8",
+    8: "ac98968e63522dc5a2444fa81237955a8a8fb2bfbfc1ff91be2c570a87df886a",
     9: "7d0d738337f695e6120db22c1a400c88c3d299378cc27e001ef4f8cb94d33471",
 }
 
@@ -430,6 +440,23 @@ def test_golden_trace_vertices(case_id):
     g = offset_poly_closed_form(conic, r).g
     tc = trace_implicit(g, figure_bbox(conic, r), 256)
     assert trace_digest(tc) == GOLDEN_TRACE_256[case_id]
+
+
+@pytest.mark.parametrize("case_id", range(1, 10))
+def test_grid_is_xy_evaluator(case_id):
+    # the trace's grid pass holds the scalar evaluator's floats node for
+    # node, whatever SIMD loops numpy dispatches to on the host
+    case = ref_case(case_id)
+    conic = conic_from_case(case)
+    r = F(case["r"])
+    g = offset_poly_closed_form(conic, r).g
+    xmin, xmax, ymin, ymax = figure_bbox(conic, r)
+    xs, ys = np.linspace(xmin, xmax, 257), np.linspace(ymin, ymax, 257)
+    grid = curve._array_eval(curve._xpow_groups(g), xs[:, None], ys[None, :])
+    f = xy_evaluator(g)
+    yl = ys.tolist()
+    want = np.array([[f(x, y) for y in yl] for x in xs.tolist()])
+    assert np.array_equal(grid.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("case_id", sorted(GOLDEN_FIGURE_SVG))
