@@ -3,9 +3,11 @@
 Below the critical offset r_crit (the semi-latus rectum, = 1/max curvature)
 the parallel lines are smooth and the variety carries an isolated "virtual"
 singular point.  At r_crit the point lands on the inner line as a cusp; above
-it, it splits into three (one per conic half for central conics).  An
-ellipse has a second such offset, a^2/b = 1/min curvature, where the split
-points meet the x-axis and leave the real plane.
+it, it splits into three (one per conic half for central conics).  The
+split points are the offset's cusps: the conic's point where its radius of
+curvature equals r, moved by r toward the concave side.  An ellipse has a
+second such offset, a^2/b = 1/min curvature, where the split points meet
+the x-axis and leave the real plane.
 """
 
 from fractions import Fraction as F

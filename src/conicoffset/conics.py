@@ -28,6 +28,13 @@ curvature (the paper ties critical offsets to curvature); above a^2/b the
 four split points are complex and the equator pair is an isolated real zero
 of g, and comparing r*b with a^2 decides that exactly.
 
+The split points are the offset's cusps: the conic's point where its radius
+of curvature equals r, moved by r along the normal toward the concave side
+(``_split_squares``).  There |beta'|^2 = (a b r)^(2/3) in the standard
+parameterization, so they are real exactly when (a b r)^(2/3) >= b^2, and
+for the ellipse <= a^2 as well: for r_crit <= r <= a^2/b (ellipse) or
+r >= r_crit (hyperbola).
+
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
 ``hessian_definite`` tells the tracer which of its pins are isolated.
@@ -374,13 +381,18 @@ def _max_abs_coeff(poly: MultiPoly) -> mp.mpf:
     return to_mpf(max(abs(c) for c in poly.terms.values()))
 
 
+def _signed_squares(conic: ConicSpec):
+    """(A, B) = (a^2, b^2) of an ellipse and (a^2, -b^2) of a hyperbola.  The
+    central formulas here are the ellipse's; B carries b^2 -> -b^2."""
+    b2 = conic.b ** 2
+    return conic.a ** 2, b2 if conic.kind == ELLIPSE else -b2
+
+
 def _axis_squares(conic: ConicSpec, r: Fraction):
     """(t12, t34) of a central conic: the squares y^2 of the axis pair
-    (0, +-sqrt(t12)) and x^2 of the equator pair (+-sqrt(t34), 0).  Written
-    for the ellipse; the hyperbola's come from b^2 -> -b^2."""
-    a2 = conic.a ** 2
-    b2 = conic.b ** 2 if conic.kind == ELLIPSE else -conic.b ** 2
-    return (a2 - b2) * (b2 - r * r) / b2, (a2 - b2) * (r * r - a2) / a2
+    (0, +-sqrt(t12)) and x^2 of the equator pair (+-sqrt(t34), 0)."""
+    A, B = _signed_squares(conic)
+    return (A - B) * (B - r * r) / B, (A - B) * (r * r - A) / A
 
 
 def _beyond_largest_radius(conic: ConicSpec, r: Fraction) -> bool:
@@ -396,8 +408,9 @@ def _complex_count(conic: ConicSpec, r: Fraction, regime: str) -> int:
     are each real or purely imaginary; the 4 (parabola) or 8 (central conic)
     zeros with both coordinates non-real are not counted.  The parabola's
     pair is complex up to r_crit.  A central conic's axis and equator pairs
-    are complex while t12 resp. t34 < 0, and its 4 split points below r_crit
-    and, for the ellipse, above a^2/b, where they have real x and imaginary y.
+    are complex while t12 resp. t34 < 0, and its 4 split points below r_crit,
+    where x is imaginary, and, for the ellipse, above a^2/b, where y is
+    (the signs of x^2 and y^2 in ``_split_squares``).
     """
     if conic.kind == PARABOLA:
         return 0 if regime == SUPERCRITICAL else 2
@@ -406,61 +419,36 @@ def _complex_count(conic: ConicSpec, r: Fraction, regime: str) -> int:
     return 2 * (t12 < 0) + 2 * (t34 < 0) + 4 * split_complex
 
 
-def _parabola_split_xy(p: Fraction, r: Fraction):
-    """The off-axis singular point (alpha, beta/gamma) for p > 0, r > 2p."""
-    pf, rf = to_mpf(p), to_mpf(r)
-    c1 = cardano.real_cbrt(pf * rf ** 2)
-    c2 = c1 * c1
-    t1 = mp.cbrt(2)
-    t2 = t1 * t1
-    alpha = mp.sqrt(c2 * rf ** 2 + 6 * rf ** 2 * pf ** 2 * t1
-                    - 3 * c1 * pf * rf ** 2 * t2 - 4 * c2 * pf ** 2) / c1
-    beta = pf * rf ** 2 * (
-        22 * rf ** 6 * c2 + 1452 * rf ** 6 * pf ** 2 * t1
-        + 7456 * pf ** 3 * rf ** 4 * t2 * c1 - 6560 * pf ** 2 * rf ** 4 * c2
-        - 15488 * pf ** 4 * rf ** 4 * t1 - 39680 * pf ** 5 * rf ** 2 * t2 * c1
-        + 37600 * pf ** 4 * rf ** 2 * c2 + 7936 * pf ** 8 * t1
-        - 15872 * pf ** 7 * t2 * c1 + 45760 * pf ** 6 * rf ** 2 * t1
-        - 33 * rf ** 8 * t1 - 5376 * pf ** 6 * c2)
-    gamma = 2 * c1 * (
-        8640 * pf ** 6 * rf ** 2 * c1 - 3968 * pf ** 7 * t1 * c2
-        + 1984 * pf ** 7 * rf ** 2 * t2 - 3920 * rf ** 4 * pf ** 4 * c1
-        - 9920 * pf ** 5 * rf ** 2 * t1 * c2 + 4960 * pf ** 5 * rf ** 4 * t2
-        + 484 * rf ** 6 * pf ** 2 * c1 + 1864 * pf ** 3 * rf ** 4 * t1 * c2
-        - 932 * pf ** 3 * rf ** 6 * t2 - 11 * rf ** 8 * c1)
-    return alpha, beta / gamma
+def _cbrt_minus(c: Fraction, v: Fraction):
+    """cbrt(c) - v for exact rationals c and v, as an mpf: (c - v^3) /
+    (w^2 + w v + v^2) with w = cbrt(c).  The numerator is exact, so the
+    difference keeps its digits and its sign however close w is to v."""
+    w, vf = cardano.real_cbrt(to_mpf(c)), to_mpf(v)
+    return to_mpf(c - v ** 3) / (w * w + w * vf + vf * vf)
 
 
-def _ellipse_split_xy(a: Fraction, b: Fraction, r: Fraction):
-    af, bf, rf = to_mpf(a), to_mpf(b), to_mpf(r)
-    w = mp.cbrt(af * bf * rf)
-    w2 = w * w
-    delta = (-3 * bf ** 2 * af ** 2 * rf ** 2 + rf ** 2 * af ** 2 * w2
-             + 3 * w * bf ** 3 * af * rf - bf ** 4 * w2)
-    eps = (-af ** 4 * w2 + 3 * w * bf * rf * af ** 3
-           - 3 * bf ** 2 * af ** 2 * rf ** 2 + w2 * bf ** 2 * rf ** 2)
-    x2 = -delta / ((bf ** 2 - af ** 2) * w2)
-    y = -mp.sqrt((bf ** 2 - af ** 2) * eps) / (w * (bf ** 2 - af ** 2))
-    # radical rounding can leave x^2 at -1e-60 exactly at the critical offset
-    return mp.sqrt(max(x2, mp.mpf(0))), y
+def _split_squares(conic: ConicSpec, r: Fraction):
+    """(x^2, y^2) of a central conic's split points, as mpfs: the cusps of
+    the offset, where the conic's radius of curvature equals r.
 
+    With (A, B) from ``_signed_squares``, let W = B sin^2 t + A cos^2 t.  On
+    the ellipse beta(t) = (b cos t, a sin t), W = |beta'(t)|^2, the curvature
+    is ab / W^(3/2) and the radius equals r where W^3 = A B r^2; then
+    cos^2 t = (W - B)/(A - B) and sin^2 t = (A - W)/(A - B).  Moving beta(t)
+    by r along the unit normal toward the concave side, -(a cos t, b sin t)
+    / sqrt(W), gives (cos t (B - W)/b, sin t (A - W)/a), hence
+    x^2 = (W - B)^3 / (B (A - B)) and y^2 = (A - W)^3 / (A (A - B)).  The
+    hyperbola (b sinh t, a cosh t) is the same algebra with cos^2 t ->
+    -sinh^2 t, sin^2 t -> cosh^2 t and W = -|beta'(t)|^2.
 
-def _hyperbola_split_xy(a: Fraction, b: Fraction, r: Fraction):
-    af, bf, rf = to_mpf(a), to_mpf(b), to_mpf(r)
-    u = mp.cbrt(rf * bf)
-    u2 = u * u
-    a13 = mp.cbrt(af)
-    a43 = af * a13
-    a23 = a13 * a13
-    a83 = af ** 2 * a23
-    deltah = (3 * bf ** 2 * a43 * rf ** 2 - rf ** 2 * af ** 2 * u2
-              - 3 * a23 * u * bf ** 3 * rf + bf ** 4 * u2)
-    epsh = (af ** 4 * u + bf ** 2 * rf ** 2 * u + 3 * bf * a43 * rf * u2
-            + 3 * a83 * bf * rf)
-    x2 = -deltah / ((af ** 2 + bf ** 2) * u2)
-    y_neg = -mp.sqrt(u * (af ** 2 + bf ** 2) * epsh) / (u * (af ** 2 + bf ** 2))
-    # radical rounding can leave x^2 at -1e-60 exactly at the critical offset
-    return mp.sqrt(max(x2, mp.mpf(0))), -y_neg  # positive-y magnitude
+    W - B and W - A come from ``_cbrt_minus``, so their signs are exact and
+    change exactly at the regime boundaries: x^2 >= 0 from r_crit up, and
+    y^2 >= 0 up to a^2/b for the ellipse and always for the hyperbola.
+    """
+    A, B = _signed_squares(conic)
+    c = A * B * r * r
+    return (_cbrt_minus(c, B) ** 3 / to_mpf(B * (A - B)),
+            -_cbrt_minus(c, A) ** 3 / to_mpf(A * (A - B)))
 
 
 def _tag(conic: ConicSpec, r: Fraction, regime: str, x, y) -> str:
@@ -479,14 +467,15 @@ def _catalogue(conic: ConicSpec, r: Fraction, regime: str) -> list:
     coordinate a Fraction or an mpf at the working precision.  Each +- group
     is a set, so a zero square gives one point."""
     if conic.kind == PARABOLA:
-        w = abs(conic.p)
-        y1 = w + r * r / (4 * w)
-        points = [(Fraction(0), -y1 if conic.p < 0 else y1)]
+        # beta(t) = (t, t^2/(4p)) has radius of curvature 2|p| s^3 with
+        # s^2 = 1 + (t/2p)^2, so s^2 = cbrt((r/2p)^2) at the cusp; moved by r
+        # toward the concave side it is (t (1 - s^2), p (3 s^2 - 1))
+        p = conic.p
+        points = [(Fraction(0), p + r * r / (4 * p))]
         if regime == SUPERCRITICAL:
-            alpha, ysplit = _parabola_split_xy(w, r)
-            if conic.p < 0:
-                ysplit = -ysplit
-            points += [(x, ysplit) for x in {alpha, -alpha}]
+            s2_1 = _cbrt_minus((r / (2 * p)) ** 2, Fraction(1))  # s^2 - 1
+            xs = mp.sqrt(to_mpf(4 * p * p) * s2_1 ** 3)
+            points += [(x, to_mpf(p) * (3 * s2_1 + 2)) for x in {xs, -xs}]
         return points
     a, b = conic.a, conic.b
     t12, t34 = _axis_squares(conic, r)
@@ -500,8 +489,7 @@ def _catalogue(conic: ConicSpec, r: Fraction, regime: str) -> list:
     # the ellipse's split points are real only below a^2/b; at a^2/b they are
     # the equator pair, above it they are complex
     if regime == SUPERCRITICAL and (conic.kind == HYPERBOLA or r * b < a * a):
-        split = _ellipse_split_xy if conic.kind == ELLIPSE else _hyperbola_split_xy
-        xs, ys = split(a, b, r)
+        xs, ys = map(mp.sqrt, _split_squares(conic, r))
         points += product({xs, -xs}, {ys, -ys})
     return points
 

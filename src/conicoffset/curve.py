@@ -265,11 +265,12 @@ def _cell_segments(code):
     with the cell center not negative, then with it negative.  Bit k of the
     code is set when corner k is negative; the corners run counterclockwise
     from node (i, j), and edge k joins corner k to the next.  Only the
-    saddles 5 and 10 depend on the center."""
+    saddles 5 and 10 depend on the center: it joins the two corners of its
+    own sign, so each segment cuts off one of the other two."""
     if code == 5:  # corners 0 and 2 negative
-        return ((0, 1), (2, 3)), ((0, 3), (1, 2))
-    if code == 10:  # corners 1 and 3 negative
         return ((0, 3), (1, 2)), ((0, 1), (2, 3))
+    if code == 10:  # corners 1 and 3 negative
+        return ((0, 1), (2, 3)), ((0, 3), (1, 2))
     edges = ((0, 1), (1, 2), (2, 3), (3, 0))  # the corners of each edge
     crossing = tuple(e for e, (a, b) in enumerate(edges)
                      if (code >> a ^ code >> b) & 1)

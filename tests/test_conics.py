@@ -374,19 +374,83 @@ def test_collapse_at_criticality():
 def test_split_formulas_collapse_at_criticality():
     # evaluated exactly at r_crit, the split closed forms land on the
     # collapse points (x = 0, |y| = (a^2 -+ b^2)/a)
-    from conicoffset.conics import (_ellipse_split_xy, _hyperbola_split_xy,
-                                    RADICAL_DPS)
+    from conicoffset.conics import RADICAL_DPS, _split_squares
     with mp.workdps(RADICAL_DPS):
         a, b = F(3), F(3, 2)
-        xs, ys = _ellipse_split_xy(a, b, r_crit(ConicSpec.ellipse(a, b)))
+        ell = ConicSpec.ellipse(a, b)
+        xs, ys = map(mp.sqrt, _split_squares(ell, r_crit(ell)))
         want = (a * a - b * b) / a
         assert abs(xs) < mp.mpf("1e-55")
         assert abs(ys - mp.mpf(want.numerator) / want.denominator) < mp.mpf("1e-55")
         ah, bh = F(3, 2), F(1)
-        xs, ys = _hyperbola_split_xy(ah, bh, r_crit(ConicSpec.hyperbola(ah, bh)))
+        hyp = ConicSpec.hyperbola(ah, bh)
+        xs, ys = map(mp.sqrt, _split_squares(hyp, r_crit(hyp)))
         wanth = (ah * ah + bh * bh) / ah
         assert abs(xs) < mp.mpf("1e-55")
         assert abs(ys - mp.mpf(wanth.numerator) / wanth.denominator) < mp.mpf("1e-55")
+
+
+NEAR = F(1, 10 ** 90)
+NEAR_BOUNDARY_CASES = [  # (conic, r, expected real points)
+    (ConicSpec.parabola(F(-1, 3)), r_crit(ConicSpec.parabola(F(-1, 3))) + NEAR, 3),
+    (ELLIPSE_3, r_crit(ELLIPSE_3) + NEAR, 6),
+    (ConicSpec.ellipse(F(199, 15), F(8, 5)), F(199, 15) ** 2 / F(8, 5) - NEAR, 6),
+    (ConicSpec.hyperbola(F(287, 55), F(12, 5)),
+     r_crit(ConicSpec.hyperbola(F(287, 55), F(12, 5))) + NEAR, 6),
+]
+
+
+@pytest.mark.parametrize("conic,r,count", NEAR_BOUNDARY_CASES)
+def test_split_points_next_to_a_regime_boundary(conic, r, count):
+    # 10^-90 past r_crit or short of a^2/b the split points are still real
+    # and distinct from the axis or equator points they tend to, so the
+    # differences of nearly equal radicals in their formulas must keep their
+    # digits (x^2 or y^2 is as small as 10^-270 here)
+    rep = singular_points(conic, r)
+    assert len(rep.points) == count
+    assert len({s.as_floats() for s in rep.points}) == count
+    assert all(s.residual_grad <= 1e-9 for s in rep.points)
+    split = [s for s in rep.points if s.tag == "split" and s.x != 0 and s.y != 0]
+    assert len(split) == count - (1 if conic.kind == "parabola" else 2)
+    assert all(0 < min(abs(float(s.x)), abs(float(s.y))) < 1e-100 for s in split)
+
+
+def _closed_route_sweep():
+    # seeded conics of every kind: parabolas with p of both signs, ellipses,
+    # hyperbolas and rectangular hyperbolas (a == b); each at the offsets of
+    # _property_offsets and at four random offsets up to twice the largest
+    rng = random.Random(2020)
+
+    def q():
+        return F(rng.randint(1, 40), rng.randint(1, 9))
+
+    for _ in range(8):
+        b = q()
+        for conic in (ConicSpec.parabola(q() * rng.choice((1, -1))),
+                      ConicSpec.ellipse(b + q(), b),
+                      ConicSpec.hyperbola(b + q(), b), ConicSpec.hyperbola(b, b)):
+            rs = _property_offsets(conic)
+            top = 2 * rs[-1]
+            yield conic, rs + [top * F(rng.randint(1, 997), 997) for _ in range(4)]
+
+
+# recorded before the split points were derived from curvature: the closed
+# route's floats, tags, counts, complex counts and regimes must not move
+CLOSED_ROUTE_SWEEP_SHA256 = \
+    "97f559631016a47328b227f05c4c77b7582e63c5195cf4378caf9e3f537255f4"
+
+
+def test_closed_route_coordinates_do_not_move():
+    h = hashlib.sha256()
+    for conic, rs in _closed_route_sweep():
+        for r in rs:
+            rep = singular_points(conic, r)
+            h.update(f"{conic.describe()} {r} {rep.regime} {len(rep.points)} "
+                     f"{rep.complex_count}|".encode())
+            for s in rep.points:
+                h.update(f"{float.hex(float(s.x))},{float.hex(float(s.y))},"
+                         f"{s.tag};".encode())
+    assert h.hexdigest() == CLOSED_ROUTE_SWEEP_SHA256
 
 
 def test_degenerate_r_equals_b_and_r_above_a():
