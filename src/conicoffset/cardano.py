@@ -190,10 +190,12 @@ def real_roots_quadratic(cs):
     if disc < 0:
         return []
     s = sqrt_exact(disc)
-    if isinstance(s, Fraction):
-        return sorted({(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)})
-    c1f, c2f = to_mpf(c1), to_mpf(c2)
-    return sorted([(-c1f + s) / (2 * c2f), (-c1f - s) / (2 * c2f)])
+    if not isinstance(s, Fraction):
+        c0, c1, c2 = map(to_mpf, cs)
+    # -c1 and s taken with the sign of -c1 add with no cancellation; the
+    # other root is c0/c2 over that one (Vieta), or its negative when c1 is 0
+    big = (-c1 - s if c1 > 0 else s - c1) / (2 * c2)
+    return sorted({big, c0 / (c2 * big) if c1 else -big})
 
 
 def real_roots_cubic(cs):
@@ -201,7 +203,9 @@ def real_roots_cubic(cs):
 
     Multiple roots (discriminant zero) come out as exact rationals; otherwise
     the one-real-root case uses real cube roots and the three-real-root case
-    the trigonometric form, both at the current mpmath precision.
+    the trigonometric form, both at the current mpmath precision.  Their
+    error is absolute, of the largest root's size, so the smallest root is
+    taken again from the product -d of all three (Vieta).
     """
     c0, c1, c2, c3 = cs
     b, c, d = c2 / c3, c1 / c3, c0 / c3
@@ -217,14 +221,20 @@ def real_roots_cubic(cs):
         return sorted({double + shift, simple + shift})
     pf, qf, sf = to_mpf(p), to_mpf(q), to_mpf(shift)
     if disc < 0:
-        # one real root: Cardano with real cube roots
+        # one real root r0 by real cube roots; with m the complex pair's
+        # squared modulus, z^3 + b z^2 + c z + d = (z - r0)(z^2 + (b + r0) z
+        # + m), and r0 = -d/m is the smallest root when r0^2 <= m
         rad = mp.sqrt(qf * qf / 4 + pf**3 / 27)
-        t = real_cbrt(-qf / 2 + rad) + real_cbrt(-qf / 2 - rad)
-        return [t + sf]
-    # three distinct real roots: trigonometric form
+        r0 = real_cbrt(-qf / 2 + rad) + real_cbrt(-qf / 2 - rad) + sf
+        m = to_mpf(c) + r0 * (to_mpf(b) + r0)
+        return [-to_mpf(d) / m if r0 * r0 <= m else r0]
+    # three distinct real roots: trigonometric form; the smallest in size is
+    # -d over the product of the other two
     m = 2 * mp.sqrt(-pf / 3)
     theta = mp.acos(3 * qf / (pf * m)) / 3
-    return sorted(m * mp.cos(theta - 2 * mp.pi * k / 3) + sf for k in range(3))
+    _, r1, r2 = sorted((m * mp.cos(theta - 2 * mp.pi * k / 3) + sf
+                        for k in range(3)), key=abs)
+    return sorted([-to_mpf(d) / (r1 * r2), r1, r2])
 
 
 def real_roots_exact(cs):

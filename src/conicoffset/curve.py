@@ -297,13 +297,13 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     When any cell crosses, the trace pins every real singular point of g in
     the closed bbox: conics.singular_locus(g), rounded to float.  A pin with a
     definite Hessian (conics.hessian_definite) is a virtual point, reported
-    only; nodes and cusps are spliced into the curve.  A locus that is not
-    finite (g has a repeated factor, as x^2*y has) gives no pins.  The pins
-    cost one exact Groebner completion of <g, g_x, g_y>: a few ms for a conic
-    offset, seconds or more for a dense g of degree 8; ResourceLimitError
-    propagates.  g must be over the ring ("x", "y") (RingError), the
-    resolution an int (not a bool) of at least 8, the bbox four finite
-    numbers and g finite on its grid (ParamError).
+    only; nodes and cusps are spliced into each polyline within 4 cells, and
+    none is dropped.  A locus that is not finite (g has a repeated factor, as
+    x^2*y has) gives no pins.  The pins cost one exact Groebner completion of
+    <g, g_x, g_y>: a few ms for a conic offset, seconds or more for a dense g
+    of degree 8; ResourceLimitError propagates.  g must be over the ring ("x",
+    "y") (RingError), the resolution an int (not a bool) of at least 8, the
+    bbox four finite numbers and g finite on its grid (ParamError).
     """
     if g.ring != ("x", "y"):
         raise RingError(f"trace needs a polynomial over (x, y), not {g.ring}")
@@ -394,8 +394,8 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
         polylines.append([vertex[k] for k in backward[::-1] + forward])
 
     cell = min(xmax - xmin, ymax - ymin) / resolution
-    polylines, tips = _snap_singular_vertices(polylines, g,
-                                              (xmin, xmax, ymin, ymax), cell)
+    tips = _snap_singular_vertices(polylines, g, (xmin, xmax, ymin, ymax),
+                                   cell)
     polylines = [tuple(pl) for pl in polylines]
     polylines.sort(key=lambda pl: (pl[0].x, pl[0].y, len(pl)))
     tips = tuple(sorted(tips, key=lambda p: (p.x, p.y)))
@@ -405,47 +405,34 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
 
 
 def _snap_singular_vertices(polylines, g, bbox, cell):
-    """Pin the trace to the singular points of g (see trace_implicit).
+    """Pin the trace to the singular points of g (see trace_implicit) and
+    return them.
 
-    Each on-curve tip is spliced into the nearest segment of every polyline
-    within 4 cells.  A tiny closed ring (at most 12 vertices, all within 4
-    cells) around any tip is dropped: it is rounding aliasing, since near a
-    cusp the beak is thinner than a cell and near an isolated zero g does
-    not change sign.  `cell` is the grid step of the shorter bbox side.
+    Each on-curve tip is spliced, in place, into the nearest segment of
+    every polyline (a list of vertices) within 4 cells; no polyline is
+    dropped.  `cell` is the grid step of the shorter bbox side.
     """
     xmin, xmax, ymin, ymax = bbox
     try:
         locus = singular_locus(g)
     except EliminationError:
-        return polylines, []  # a repeated factor: no finite set to pin
+        return []  # a repeated factor: no finite set to pin
     pins = [(xv, yv) for xv, yv in locus
             if xmin <= float(xv) <= xmax and ymin <= float(yv) <= ymax]
     tips = [Point2(float(xv), float(yv)) for xv, yv in pins]
     on_curve_tips = [t for t, isolated in zip(tips, hessian_definite(g, pins))
                      if not isolated]
 
-    # drop tiny aliasing rings hugging any tip
-    def is_ring_artifact(pl):
-        if len(pl) > 12 or pl[0] != pl[-1]:
-            return False
-        return any(all(math.hypot(p.x - t.x, p.y - t.y) <= 4 * cell for p in pl)
-                   for t in tips)
-
-    polylines = [pl for pl in polylines if not is_ring_artifact(pl)]
-
     # splice each on-curve tip into every segment passing within reach
-    out = []
     for pl in polylines:
-        new_pl = list(pl)
         for t in on_curve_tips:
-            if len(new_pl) < 2 or t in new_pl:
+            if t in pl:
                 continue
             d, i = min((_segment_distance(t.x, t.y, a, b), i)
-                       for i, (a, b) in enumerate(zip(new_pl, new_pl[1:])))
+                       for i, (a, b) in enumerate(zip(pl, pl[1:])))
             if d <= 4 * cell:
-                new_pl.insert(i + 1, t)
-        out.append(new_pl)
-    return out, tips
+                pl.insert(i + 1, t)
+    return tips
 
 
 def _segment_distance(px, py, a, b):

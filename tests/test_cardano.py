@@ -13,8 +13,8 @@ from conicoffset import conics, reference
 from conicoffset.cardano import (bracketed_roots, derivative, eval_poly_at,
                                  fraction_sqrt, normalize, poly_divmod,
                                  poly_gcd, real_cbrt, real_roots_cubic,
-                                 real_roots_exact, squarefree_decomposition,
-                                 to_mpf)
+                                 real_roots_exact, real_roots_quadratic,
+                                 squarefree_decomposition, to_mpf)
 from conicoffset.poly import content_normalize, gradient
 from conicoffset.verify import conic_from_case
 
@@ -74,6 +74,32 @@ def test_cubic_multiple_roots_exact():
     assert roots == [F(-1), F(2)]
     # triple root
     assert real_roots_cubic([F(-1), F(3), F(-3), F(1)]) == [F(1)]
+
+
+@pytest.mark.parametrize("solve,cs,tiny", [
+    # z^2 + z + 2/3 10^-200: -c1 + sqrt(disc) cancels to the tiny root
+    (real_roots_quadratic, [F(2, 3) / 10 ** 200, F(1), F(1)],
+     -F(2, 3) / 10 ** 200),
+    # one real root, 4/9 10^-270, beside a complex pair of modulus 4/3:
+    # Cardano's shift -b/3 = 4/3 10^-90 cancels
+    (real_roots_cubic, [-F(64, 27) / 10 ** 270, F(16, 3), -4 / F(10 ** 90),
+                        F(1)], F(4, 9) / 10 ** 270),
+    (real_roots_cubic, [-2 / F(10 ** 100), F(1), F(0), F(1)], 2 / F(10 ** 100)),
+    # three real roots, the middle one near 10^-50/2
+    (real_roots_cubic, [1 / F(10 ** 50), F(-2), F(0), F(1)], None),
+])
+def test_closed_form_roots_keep_a_tiny_root(solve, cs, tiny):
+    # a root far smaller than the others keeps full relative precision
+    with mp.workdps(60):
+        roots = solve(cs)
+        small = min(roots, key=abs)
+        if tiny is None:  # the root itself, to 60 digits, by Newton from 0
+            tiny = mp.mpf(0)
+            for _ in range(4):
+                tiny -= eval_poly_at(cs, tiny) / eval_poly_at(derivative(cs),
+                                                              tiny)
+        assert small != 0
+        assert abs(small / to_mpf(tiny) - 1) < mp.mpf("1e-55")
 
 
 def test_real_roots_exact_even_square_structure():

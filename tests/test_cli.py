@@ -404,26 +404,29 @@ def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):
 # both routes; recorded before the elimination route moved from two lex runs
 # to one grevlex basis and compiled mp evaluators.  The closed-route hashes of
 # cases 3, 6 and 9 were recorded again when the split points were derived
-# from curvature: their residual digits moved, nothing else did
+# from curvature: their residual digits moved, nothing else did.  The
+# elimination-route hashes of the same cases were recorded again when the
+# closed-form solvers took their smallest root from Vieta's product: again
+# only residual digits moved
 GOLDEN_SINGULAR = {
     1: ("4f9fddb063291d61b587ac0ee7f8f45f7ea80cc52a81cb0af56536afb9fbbbe2",
         "5acf3e3cc4a114bd25d34859d6553313ef09ba59f21ef6483ccfa56592e61d4a"),
     2: ("41640d659a04abee06d2e178cece0fba3042b81e0b2d50f19c4e9aab40a935e2",
         "976f7a2623c054190c5a99c0165b01523503f71ed2d4c6e604a5332606be7e74"),
     3: ("74d6d3e72fb4cbca65b14827033af14108ff9b3385e034dc0c078028c47e91a4",
-        "7cde33aa8c4b0f07b76c1d789d6fb2bdec86ee7caef25400984e74daf65d8e2d"),
+        "dc7bb8a594acaa4448891102d1586b5fe6568859f55dde8f0281014c11311b65"),
     4: ("b97c28de754b2181d6fd099e1bcc914dae6ce65095c3bf97bb8b07070b18210e",
         "6340f552bfc461a497524b44630a774fb02029ee6ba0d77bef427dc8c97a6f5d"),
     5: ("b1d36fc56d1210b533269701b0d1bfca6f4b7b4b90c539f7b96463c1c636c051",
         "0ca284aa975aa2d2ed5b41af244ac908c2a7dadd9e4d2921e9ac7176b659ae3a"),
     6: ("d77d441d7a65bed3a03e575f9cb8c22403d6b3a7cca39ae9f32584dc1a4b1a67",
-        "2efb213ce6ef117cd8d01be94cdc0afe014d596b12f24b6a105a90d1996b2d3b"),
+        "e8365b2221da7b53f999e70f95a6d7ea9468e1b213895f74034b89bbf6bfc348"),
     7: ("1728cdab981ed01a71d53126ce95715be293afc72d9307776df9ef65e69ca73a",
         "18a3f80316eb86a2a4e008aa404f101d6762fd82bb0a93969e4961ff6c6b704d"),
     8: ("a0a8ddc9601904c2357f4aff99cc2698e0172881d812daae4d85d8e5f0b04de7",
         "be1c24edeb6af497fdaf6bf83ca6927ea69468a949a6680f1fc9244a693d7fc3"),
     9: ("588d6e1137289cbed59d2fe4e57b7713f7f120c729e94dc99364001bba75584d",
-        "611ca3b918e75cbb09512a12bc25ce3b2fd476784f1c92865d77c62d3bff8495"),
+        "9c6ef21658e74c4f63913bce34b437a5075d54af57e95266f5d19096122bc18d"),
 }
 
 

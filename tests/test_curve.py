@@ -174,8 +174,8 @@ def test_trace_vertices_on_grid_edges(case_id):
 
 @pytest.mark.parametrize("case_id", [4, 6])
 def test_trace_no_alias_rings(case_id):
-    # two closed curves each: no 3-vertex ring at the grid node (1, 0) of
-    # case 4, no aliasing rings at the cusps of case 6
+    # two closed curves each: the sign grid shows no small ring at the grid
+    # node (1, 0) of case 4 or at the cusps of case 6
     case = ref_case(case_id)
     conic = conic_from_case(case)
     r = F(case["r"])
@@ -223,13 +223,11 @@ def test_trace_pins_every_cusp_at_low_resolution(res):
         assert dist_to_trace(tc, *s.as_floats()) <= 1e-9
 
 
-@pytest.mark.parametrize("res", [96, pytest.param(64, marks=pytest.mark.xfail(
-    strict=True, reason="the ring rule drops a real small loop"))])
+@pytest.mark.parametrize("res", [64, 96])
 def test_trace_keeps_the_small_loop_through_degenerate_points(res):
     # ellipse(37/3, 11) at r_crit = 363/37: the inner line's degenerate
-    # points (0, +-280/111) lie on a small real loop.  At resolution 64 the
-    # loop has at most 12 vertices, all within 4 cells of a pin, so the
-    # ring rule drops it as aliasing and the pins end 15 cells off the trace
+    # points (0, +-280/111) lie on a small real loop, which at resolution 64
+    # has at most 12 vertices; the trace keeps it and splices both pins in
     conic = ConicSpec.ellipse(F(37, 3), 11)
     r = r_crit(conic)
     tc = trace_implicit(offset_poly_closed_form(conic, r).g,
@@ -239,6 +237,22 @@ def test_trace_keeps_the_small_loop_through_degenerate_points(res):
         [(0, F(280, 111), "on-curve")] * 2
     for s in points:
         assert dist_to_trace(tc, *s.as_floats()) <= 1e-9
+
+
+def test_trace_keeps_the_rings_in_cusp_beaks():
+    # parabola(-1) at r = 3: at resolution 512 the sign grid shows a closed
+    # 6-vertex ring inside each cusp's beak, next to its split point; both
+    # rings are kept and each gets its cusp pin spliced in
+    conic, r = ConicSpec.parabola(F(-1)), F(3)
+    tc = trace_implicit(offset_poly_closed_form(conic, r).g,
+                        figure_bbox(conic, r), 512)
+    assert len(tc.polylines) == 4
+    rings = [pl for pl in tc.polylines if pl[0] == pl[-1]]
+    assert [len(pl) for pl in rings] == [6, 6]
+    split = [t for t in tc.singular_vertices if t.x != 0.0]
+    assert len(split) == 2
+    assert all(sum(t in pl for pl in rings) == 1 for t in split)
+    assert all(any(t in pl for t in split) for pl in rings)
 
 
 XY = ("x", "y")
