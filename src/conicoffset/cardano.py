@@ -380,9 +380,26 @@ def _real_roots_sturm(p):
     def mpfs(values):
         return np.array([to_mpf(v) for v in values], dtype=object)
 
-    lo, hi = mpfs(a for a, _ in brackets), mpfs(b for _, b in brackets)
-    return list(bracketed_roots(
-        lambda t, _: mpfs(eval_poly_at(p, v) for v in t), lo, hi,
-        mpfs(eval_poly_at(p, a) for a, _ in brackets),
-        mpfs(eval_poly_at(p, b) for _, b in brackets),
-        mpfs(8 * mp.eps * max(abs(u), abs(v)) for u, v in zip(lo, hi))))
+    def narrow(ends):
+        # the roots in the brackets (a, b] of ends, each to 8 eps of its
+        # larger end, and the brackets and stop widths as mpf arrays
+        lo, hi = mpfs(a for a, _ in ends), mpfs(b for _, b in ends)
+        width = mpfs(8 * mp.eps * max(abs(u), abs(v)) for u, v in zip(lo, hi))
+        return bracketed_roots(
+            lambda t, _: mpfs(eval_poly_at(p, v) for v in t), lo, hi,
+            mpfs(eval_poly_at(p, a) for a, _ in ends),
+            mpfs(eval_poly_at(p, b) for _, b in ends), width), lo, hi, width
+
+    roots, lo, hi, width = narrow(brackets)
+    # a root below half its bracket's larger end (only a bracket reaching
+    # to 0 has one) is not resolved by that end's width: narrow again to
+    # within twice the width around it, until the width follows the root
+    again = np.arange(len(roots))
+    while True:
+        again = again[[w > 16 * mp.eps * abs(r)
+                       for r, w in zip(roots[again], width[again])]]
+        if not again.size:
+            return list(roots)
+        roots[again], lo[again], hi[again], width[again] = narrow(
+            [(max(a, r - 2 * w), min(b, r + 2 * w)) for a, b, r, w
+             in zip(lo[again], hi[again], roots[again], width[again])])

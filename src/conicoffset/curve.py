@@ -26,10 +26,15 @@ traced vertices, would depend on the host.
 The tracer solves each vertex on its own grid edge: one bracketed 1-D
 solver (Illinois regula falsi with a bisection fallback,
 cardano.bracketed_roots) between the two grid nodes whose signs differ, run
-once per trace over every crossing edge, so no vertex leaves its edge, and
-segments are chained through the edges they share, with no float tolerance;
-its singular points, and which are isolated, come from the exact layer (no
-mpmath here).
+once per trace over every crossing edge, so no vertex leaves its edge.
+Segments are chained through the edges they share, with no float tolerance
+and no per-cell Python: each grid edge has an integer id (node index times
+2, plus 1 along y), a table gives every segment's two edge ids at once, one
+sort of those ids pairs each segment end with its partner across the edge,
+and the walk follows the partner ends.  Its singular points, and which are
+isolated, come from the exact layer (no mpmath here); each on-curve one is
+spliced into a polyline by one array pass over its segments, which picks
+the segment a scalar distance scan picks, near ties decided by math.hypot.
 """
 
 from __future__ import annotations
@@ -277,7 +282,18 @@ def _cell_segments(code):
     return (crossing,), (crossing,)
 
 
-_CELL_SEGMENTS = tuple(_cell_segments(code) for code in range(16))
+def _segment_edges():
+    """_cell_segments as one array: [code, center negative, segment, end] is
+    the cell edge that the end of the segment lies on, -1 where the cell has
+    no such segment (codes 0 and 15 have none, the saddles two)."""
+    table = np.full((16, 2, 2, 2), -1)
+    for code in range(1, 15):
+        for center, segments in enumerate(_cell_segments(code)):
+            table[code, center, :len(segments)] = segments
+    return table
+
+
+_SEGMENT_EDGES = _segment_edges()
 
 
 def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
@@ -290,20 +306,29 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     so the vertex lies on its edge: its x is a grid x-value or its y a grid
     y-value.  A segment joins two crossing edges of a cell, and segments are
     chained through the edges they share, so a closed curve comes back to
-    its first vertex and an open polyline ends on the bbox boundary.  Output
-    is a pure function of the inputs; every vertex satisfies
-    |g| <= 1e-6 * max|coeff|.
+    its first vertex and an open polyline ends on the bbox boundary.  Each
+    polyline starts from the lowest-numbered segment of its piece, runs back
+    from that segment's first edge and on from its second.  Output is a pure
+    function of the inputs; every vertex satisfies |g| <= 1e-6 * max|coeff|.
+
+    The chaining is integer array work: a grid edge's id is its first node's
+    index times 2, plus 1 when it runs along y, so the two cells beside an
+    edge name it alike; _SEGMENT_EDGES gives every segment's two edge ids,
+    one sort of the ids pairs each segment end with the end of the segment
+    across its edge, and the walk follows those partner ends.
 
     When any cell crosses, the trace pins every real singular point of g in
     the closed bbox: conics.singular_locus(g), rounded to float.  A pin with a
     definite Hessian (conics.hessian_definite) is a virtual point, reported
-    only; nodes and cusps are spliced into each polyline within 4 cells, and
-    none is dropped.  A locus that is not finite (g has a repeated factor, as
-    x^2*y has) gives no pins.  The pins cost one exact Groebner completion of
-    <g, g_x, g_y>: a few ms for a conic offset, seconds or more for a dense g
-    of degree 8; ResourceLimitError propagates.  g must be over the ring ("x",
-    "y") (RingError), the resolution an int (not a bool) of at least 8, the
-    bbox four finite numbers and g finite on its grid (ParamError).
+    only; nodes and cusps are spliced into the nearest segment of each
+    polyline within 4 cells, found by one array pass per polyline and pin
+    (_splice_segment), and none is dropped.  A locus that is not finite (g
+    has a repeated factor, as x^2*y has) gives no pins.  The pins cost one
+    exact Groebner completion of <g, g_x, g_y>: a few ms for a conic offset,
+    seconds or more for a dense g of degree 8; ResourceLimitError
+    propagates.  g must be over the ring ("x", "y") (RingError), the
+    resolution an int (not a bool) of at least 8, the bbox four finite
+    numbers and g finite on its grid (ParamError).
     """
     if g.ring != ("x", "y"):
         raise RingError(f"trace needs a polynomial over (x, y), not {g.ring}")
@@ -338,65 +363,74 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     cell_codes = codes[ci, cj]
     # saddle cells (codes 5 and 10) are told apart by the sign at the center
     saddle = (cell_codes == 5) | (cell_codes == 10)
-    neg_center = np.zeros(len(cell_codes), dtype=bool)
+    neg_center = np.zeros(len(cell_codes), dtype=int)  # a table index
     si, sj = ci[saddle], cj[saddle]
     with np.errstate(all="ignore"):
         neg_center[saddle] = _array_eval(groups, (xs[si] + xs[si + 1]) / 2,
                                          (ys[sj] + ys[sj + 1]) / 2) < 0.0
-    # a segment is a pair of edge keys; an edge key is the pair of its grid
-    # nodes, lower index first, so the two cells beside an edge name it alike
-    segments = []
-    for i, j, code, center in zip(ci.tolist(), cj.tolist(),
-                                  cell_codes.tolist(), neg_center.tolist()):
-        keys = (((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1)),
-                ((i, j + 1), (i + 1, j + 1)), ((i, j), (i, j + 1)))
-        segments.extend((keys[ea], keys[eb])
-                        for ea, eb in _CELL_SEGMENTS[code][center])
-
-    by_edge: dict = {}
-    for idx, seg in enumerate(segments):
-        for key in seg:
-            by_edge.setdefault(key, []).append(idx)
+    # every segment's two edge ids, the cells in row-major order and each
+    # cell's segments in table order; cell edges 0..3 are the edge along x
+    # from node (i, j), along y from (i + 1, j), along x from (i, j + 1) and
+    # along y from (i, j)
+    n1 = resolution + 1
+    cell_edges = _SEGMENT_EDGES[cell_codes, neg_center]
+    seg_cell, seg_slot = np.nonzero(cell_edges[..., 0] >= 0)
+    edge_offset = np.array([0, 2 * n1 + 1, 2, 1])
+    ends = (2 * (ci * n1 + cj)[seg_cell, None]
+            + edge_offset[cell_edges[seg_cell, seg_slot]]).ravel()
+    # end 2s + k is end k of segment s; one sort of the edge ids pairs the
+    # two ends on each edge that two cells share
+    order = np.argsort(ends)
+    ids = ends[order]
+    same = ids[1:] == ids[:-1]
+    shared = np.flatnonzero(same)
+    partner = np.full(ends.size, -1)
+    partner[order[shared]] = order[shared + 1]
+    partner[order[shared + 1]] = order[shared]
+    new_edge = np.r_[True, ~same]
+    vertex_of = np.empty(ends.size, dtype=int)
+    vertex_of[order] = np.cumsum(new_edge) - 1
 
     # every crossing edge solved at once, t in edge units from its first node
-    ia, ja, ib, jb = np.array(list(by_edge)).reshape(-1, 4).T
+    edge_ids = ids[new_edge]
+    ia, ja = np.divmod(edge_ids >> 1, n1)
+    ib, jb = ia + 1 - (edge_ids & 1), ja + (edge_ids & 1)
     xa, ya = xs[ia], ys[ja]
     dx, dy = xs[ib] - xa, ys[jb] - ya
     t = bracketed_roots(
         lambda u, k: _array_eval(groups, xa[k] + u * dx[k], ya[k] + u * dy[k]),
         np.zeros(len(ia)), np.ones(len(ia)), vals[ia, ja], vals[ib, jb],
         1e-13)  # the stop width, in edge units
-    vertex = dict(zip(by_edge, map(Point2, (xa + t * dx).tolist(),
-                                   (ya + t * dy).tolist())))
+    px, py = xa + t * dx, ya + t * dy
 
-    used = [False] * len(segments)
+    partner, vertex_of = partner.tolist(), vertex_of.tolist()
+    used = [False] * (len(partner) // 2)
 
-    def walk(key):
-        # the edges passed by taking, each time, the unused segment through
-        # the current edge
-        passed = [key]
+    def walk(end):
+        # the vertices passed from this segment end on, each time crossing
+        # to the partner end and leaving its segment by the other end
+        passed = [vertex_of[end]]
         while True:
-            nxt = next((k for k in by_edge[key] if not used[k]), None)
-            if nxt is None:
+            nxt = partner[end]
+            if nxt < 0 or used[nxt >> 1]:
                 return passed
-            used[nxt] = True
-            a, b = segments[nxt]
-            key = b if a == key else a
-            passed.append(key)
+            used[nxt >> 1] = True
+            end = nxt ^ 1
+            passed.append(vertex_of[end])
 
-    polylines = []
-    for start, (first, second) in enumerate(segments):
+    chains = []
+    for start in range(len(used)):
         if used[start]:
             continue
         used[start] = True
-        forward = walk(second)
-        backward = walk(first)
-        polylines.append([vertex[k] for k in backward[::-1] + forward])
+        forward = walk(2 * start + 1)
+        chains.append(walk(2 * start)[::-1] + forward)
 
     cell = min(xmax - xmin, ymax - ymin) / resolution
-    tips = _snap_singular_vertices(polylines, g, (xmin, xmax, ymin, ymax),
-                                   cell)
-    polylines = [tuple(pl) for pl in polylines]
+    tips = _snap_singular_vertices(chains, px, py, g,
+                                   (xmin, xmax, ymin, ymax), cell)
+    points = list(map(Point2, px.tolist(), py.tolist())) + tips
+    polylines = [tuple(map(points.__getitem__, chain)) for chain in chains]
     polylines.sort(key=lambda pl: (pl[0].x, pl[0].y, len(pl)))
     tips = tuple(sorted(tips, key=lambda p: (p.x, p.y)))
     return TracedCurve(polylines=tuple(polylines),
@@ -404,12 +438,14 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
                        singular_vertices=tips)
 
 
-def _snap_singular_vertices(polylines, g, bbox, cell):
+def _snap_singular_vertices(chains, px, py, g, bbox, cell):
     """Pin the trace to the singular points of g (see trace_implicit) and
     return them.
 
-    Each on-curve tip is spliced, in place, into the nearest segment of
-    every polyline (a list of vertices) within 4 cells; no polyline is
+    `chains` are the polylines as lists of vertex numbers: vertex k is
+    (px[k], py[k]) below len(px), and vertex len(px) + m is the m-th pin
+    returned.  Each on-curve pin is spliced, in place, into the nearest
+    segment of every chain within 4 cells (_splice_segment); no chain is
     dropped.  `cell` is the grid step of the shorter bbox side.
     """
     xmin, xmax, ymin, ymax = bbox
@@ -420,28 +456,52 @@ def _snap_singular_vertices(polylines, g, bbox, cell):
     pins = [(xv, yv) for xv, yv in locus
             if xmin <= float(xv) <= xmax and ymin <= float(yv) <= ymax]
     tips = [Point2(float(xv), float(yv)) for xv, yv in pins]
-    on_curve_tips = [t for t, isolated in zip(tips, hessian_definite(g, pins))
-                     if not isolated]
-
-    # splice each on-curve tip into every segment passing within reach
-    for pl in polylines:
-        for t in on_curve_tips:
-            if t in pl:
-                continue
-            d, i = min((_segment_distance(t.x, t.y, a, b), i)
-                       for i, (a, b) in enumerate(zip(pl, pl[1:])))
-            if d <= 4 * cell:
-                pl.insert(i + 1, t)
+    on_curve = [n for n, isolated
+                in enumerate(hessian_definite(g, pins), start=len(px))
+                if not isolated]
+    if not on_curve:
+        return tips
+    xs = np.append(px, [t.x for t in tips])
+    ys = np.append(py, [t.y for t in tips])
+    for chain in chains:
+        k = np.array(chain)
+        for n in on_curve:
+            i = _splice_segment(xs[k], ys[k], xs[n], ys[n], 4 * cell)
+            if i is not None:
+                chain.insert(i + 1, n)
+                k = np.insert(k, i + 1, n)
     return tips
 
 
-def _segment_distance(px, py, a, b):
-    vx, vy = b.x - a.x, b.y - a.y
+def _splice_segment(xs, ys, px, py, reach):
+    """The segment that the pin (px, py) is spliced into on the polyline
+    with vertices (xs, ys): the number of the nearest one, the lowest among
+    equally near ones, or None when it lies beyond `reach` or the pin is a
+    vertex already.
+
+    One array pass gives the distance from the pin to each segment (to its
+    nearest point, clamped to the segment; to its end point when it has no
+    length) by the same float operations a scalar loop would do.  Only the
+    last step, the hypotenuse, may round differently in numpy, so the
+    segments within a hair of the nearest are decided, and the reach is
+    checked, with math.hypot.
+    """
+    if ((xs == px) & (ys == py)).any():
+        return None
+    ax, ay = xs[:-1], ys[:-1]
+    vx, vy = xs[1:] - ax, ys[1:] - ay
     L2 = vx * vx + vy * vy
-    if L2 == 0.0:
-        return math.hypot(px - a.x, py - a.y)
-    t = max(0.0, min(1.0, ((px - a.x) * vx + (py - a.y) * vy) / L2))
-    return math.hypot(px - (a.x + t * vx), py - (a.y + t * vy))
+    with np.errstate(all="ignore"):
+        t = np.clip(((px - ax) * vx + (py - ay) * vy) / L2, 0.0, 1.0)
+    t[L2 == 0.0] = 0.0  # no length: the distance to the end point
+    dx, dy = px - (ax + t * vx), py - (ay + t * vy)
+    d = np.hypot(dx, dy)
+    # np.hypot and math.hypot each round within an ulp; a 2**-40 margin (and
+    # 2**-1000 for subnormal distances) keeps every candidate
+    near = np.flatnonzero(d <= d.min() * (1 + 2.0 ** -40) + 2.0 ** -1000)
+    dist, i = min(zip(map(math.hypot, dx[near].tolist(), dy[near].tolist()),
+                      near.tolist()))
+    return i if dist <= reach else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conicoffset import conics, reference
-from conicoffset.cardano import (bracketed_roots, derivative, eval_poly_at,
+from conicoffset.cardano import (_primitive, _real_roots_sturm,
+                                 bracketed_roots, derivative, eval_poly_at,
                                  fraction_sqrt, normalize, poly_divmod,
                                  poly_gcd, real_cbrt, real_roots_cubic,
                                  real_roots_exact, real_roots_quadratic,
@@ -100,6 +101,20 @@ def test_closed_form_roots_keep_a_tiny_root(solve, cs, tiny):
                                                               tiny)
         assert small != 0
         assert abs(small / to_mpf(tiny) - 1) < mp.mpf("1e-55")
+
+
+def test_sturm_keeps_a_tiny_root():
+    # the cubic above has the root 4/9 10^-270 (to about 360 digits) in an
+    # isolating bracket that reaches to 0, wider than the root by far; its
+    # stop width follows the root, alone and beside the root 5
+    cubic = [-F(64, 27) / 10 ** 270, F(16, 3), -4 / F(10 ** 90), F(1)]
+    with mp.workdps(60):
+        tiny = to_mpf(F(4, 9) / 10 ** 270)
+        (alone,) = _real_roots_sturm(_primitive(cubic))
+        beside, five = real_roots_exact(poly_mul(cubic, [F(-5), F(1)]))
+        assert five == 5
+        for got in (alone, beside):
+            assert abs(got - tiny) <= 16 * mp.eps * tiny
 
 
 def test_real_roots_exact_even_square_structure():
@@ -410,8 +425,11 @@ def _sturm_sweep():
 
 
 def test_sturm_roots_pinned():
-    # recorded with the scalar solver: the batched one gives every root of
-    # the sweep (120 of them mpf) bit for bit
+    # recorded with the scalar solver, the batched one giving every root of
+    # the sweep (120 of them mpf) bit for bit; recorded again when the stop
+    # width came to follow the root: 7 roots in brackets reaching to 0 moved,
+    # three of them from 8.6-28.5 eps of the true root to within 1 eps, the
+    # other four by under an eps
     h = hashlib.sha256()
     with mp.workdps(60):
         for p in _sturm_sweep():
@@ -419,4 +437,4 @@ def test_sturm_roots_pinned():
                 h.update(f"{r if isinstance(r, F) else r.man_exp};".encode())
             h.update(b"|")
     assert h.hexdigest() == \
-        "44b806f2792060bf5bea51709ff8b2f179d24d688dd20085e4444e965e232ed2"
+        "9db088c436f7af8956899900b4a7ee6d02861b73a4505f823eb1f412fe55db0c"

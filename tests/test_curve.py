@@ -9,20 +9,32 @@ import numpy as np
 import pytest
 
 from conicoffset import curve
-from conicoffset.conics import (ConicSpec, offset_poly_closed_form, r_crit,
-                                singular_points)
+from conicoffset.cardano import bracketed_roots
+from conicoffset.conics import (ConicSpec, hessian_definite,
+                                offset_poly_closed_form, r_crit,
+                                singular_locus, singular_points)
 from conicoffset.curve import (Point2, conic_point_and_normal, curvature,
                                eval_poly, max_abs_coeff, max_curvature,
                                offset_figure, parametric_offset_samples,
-                               plot_svg, trace_implicit, xy_evaluator,
-                               _segment_distance)
-from conicoffset.errors import (ParamError, PreconditionError, RingError,
-                                VarError)
+                               plot_svg, trace_implicit, xy_evaluator)
+from conicoffset.errors import (EliminationError, ParamError,
+                                PreconditionError, RingError, VarError)
 from conicoffset.poly import MultiPoly, gradient, parse_poly
 from conicoffset.reference import case as ref_case
 from conicoffset.verify import conic_from_case
 
 CIRCLE = parse_poly("x^2+y^2-1", ("x", "y"))
+
+
+def _segment_distance(px, py, a, b):
+    # the scalar distance from (px, py) to the segment from a to b: the
+    # reference for dist_to_trace and for the tracer's splice
+    vx, vy = b.x - a.x, b.y - a.y
+    L2 = vx * vx + vy * vy
+    if L2 == 0.0:
+        return math.hypot(px - a.x, py - a.y)
+    t = max(0.0, min(1.0, ((px - a.x) * vx + (py - a.y) * vy) / L2))
+    return math.hypot(px - (a.x + t * vx), py - (a.y + t * vy))
 
 
 def dist_to_trace(tc, px, py):
@@ -576,6 +588,215 @@ def test_golden_offset_figure_svg(case_id):
     case = ref_case(case_id)
     svg = offset_figure(conic_from_case(case), F(case["r"]), resolution=256)
     assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_FIGURE_SVG[case_id]
+
+
+# ---------------------------------------------------------------------------
+# The array chaining and the batched splice against the scalar code they
+# replaced: tuple edge keys in a dict, a walk over them, and one distance
+# call per segment
+# ---------------------------------------------------------------------------
+
+def reference_splice(pl, t, reach):
+    """The segment index the per-segment scan splices the pin t into, or
+    None: the first index of the smallest distance, within reach, unless t
+    is a vertex already."""
+    if t in pl:
+        return None
+    d, i = min((_segment_distance(t.x, t.y, a, b), i)
+               for i, (a, b) in enumerate(zip(pl, pl[1:])))
+    return i if d <= reach else None
+
+
+def reference_trace(g, bbox, resolution):
+    """trace_implicit with its chaining as it was: a per-cell loop makes each
+    segment a pair of edge keys (the edge's two grid nodes, lower first), a
+    dict lists the segments on each edge, and a walk takes the unused
+    segment through the current edge; the pins are spliced by
+    reference_splice.  The grid, the edge solve and the pins are the
+    tracer's own."""
+    xmin, xmax, ymin, ymax = (float(v) for v in bbox)
+    groups = curve._xpow_groups(g)
+    xs = np.linspace(xmin, xmax, resolution + 1)
+    ys = np.linspace(ymin, ymax, resolution + 1)
+    vals = curve._array_eval(groups, xs[:, None], ys[None, :])
+    neg = vals < 0.0
+    codes = (neg[:-1, :-1].astype(np.int8)
+             | (neg[1:, :-1].astype(np.int8) << 1)
+             | (neg[1:, 1:].astype(np.int8) << 2)
+             | (neg[:-1, 1:].astype(np.int8) << 3))
+    segments = []
+    for i, j in np.argwhere((codes != 0) & (codes != 15)).tolist():
+        code = int(codes[i, j])
+        center = False
+        if code in (5, 10):
+            center = bool(curve._array_eval(
+                groups, (xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2) < 0.0)
+        keys = (((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1)),
+                ((i, j + 1), (i + 1, j + 1)), ((i, j), (i, j + 1)))
+        segments.extend((keys[ea], keys[eb])
+                        for ea, eb in curve._cell_segments(code)[center])
+    if not segments:
+        return curve.TracedCurve((), (xmin, xmax, ymin, ymax), resolution)
+    by_edge = {}
+    for idx, seg in enumerate(segments):
+        for key in seg:
+            by_edge.setdefault(key, []).append(idx)
+    ia, ja, ib, jb = np.array(list(by_edge)).reshape(-1, 4).T
+    xa, ya = xs[ia], ys[ja]
+    dx, dy = xs[ib] - xa, ys[jb] - ya
+    t = bracketed_roots(
+        lambda u, k: curve._array_eval(groups, xa[k] + u * dx[k],
+                                       ya[k] + u * dy[k]),
+        np.zeros(len(ia)), np.ones(len(ia)), vals[ia, ja], vals[ib, jb], 1e-13)
+    vertex = dict(zip(by_edge, map(Point2, (xa + t * dx).tolist(),
+                                   (ya + t * dy).tolist())))
+    used = [False] * len(segments)
+
+    def walk(key):
+        passed = [key]
+        while True:
+            nxt = next((k for k in by_edge[key] if not used[k]), None)
+            if nxt is None:
+                return passed
+            used[nxt] = True
+            a, b = segments[nxt]
+            key = b if a == key else a
+            passed.append(key)
+
+    polylines = []
+    for start, (first, second) in enumerate(segments):
+        if used[start]:
+            continue
+        used[start] = True
+        forward = walk(second)
+        backward = walk(first)
+        polylines.append([vertex[k] for k in backward[::-1] + forward])
+
+    try:
+        locus = singular_locus(g)
+    except EliminationError:
+        locus = []
+    pins = [(xv, yv) for xv, yv in locus
+            if xmin <= float(xv) <= xmax and ymin <= float(yv) <= ymax]
+    tips = [Point2(float(xv), float(yv)) for xv, yv in pins]
+    cell = min(xmax - xmin, ymax - ymin) / resolution
+    for pl in polylines:
+        for tip, isolated in zip(tips, hessian_definite(g, pins)):
+            i = None if isolated else reference_splice(pl, tip, 4 * cell)
+            if i is not None:
+                pl.insert(i + 1, tip)
+    polylines = sorted(map(tuple, polylines),
+                       key=lambda pl: (pl[0].x, pl[0].y, len(pl)))
+    return curve.TracedCurve(tuple(polylines), (xmin, xmax, ymin, ymax),
+                             resolution,
+                             tuple(sorted(tips, key=lambda p: (p.x, p.y))))
+
+
+def _chaining_sweep():
+    out = []
+    for case_id in range(1, 10):
+        case = ref_case(case_id)
+        conic, r = conic_from_case(case), F(case["r"])
+        for res in (64, 256, 512):
+            out.append(pytest.param(offset_poly_closed_form(conic, r).g,
+                                    figure_bbox(conic, r), res,
+                                    id=f"case{case_id}-{res}"))
+    beak = ConicSpec.parabola(F(-1)), F(3)
+    out += [
+        pytest.param(CIRCLE, (-2, 2, -2, 2), 64, id="circle"),
+        # the bbox boundary cuts the circle open, twice and four times
+        pytest.param(CIRCLE, (-0.5, 1.5, -0.7, 0.3), 64, id="circle-cut"),
+        pytest.param(CIRCLE, (-0.9, 0.9, -0.9, 0.9), 48, id="circle-corners"),
+        pytest.param(X * Y - F(1, 1000), (-1.1, 0.9, -1.1, 0.9), 8,
+                     id="saddle-10"),
+        pytest.param(F(1, 1000) - X * Y, (-1.1, 0.9, -1.1, 0.9), 8,
+                     id="saddle-5"),
+        pytest.param((Y - X ** 2) * (Y - X ** 5 + X - F(1, 3)),
+                     (-2, 2, -2, 2), 256, id="crossing-3"),
+        pytest.param((X ** 2 + Y ** 2 - 1) * (Y - X ** 3 + F(1, 2) * X
+                                              - F(1, 5)),
+                     (-2, 2, -2, 2), 256, id="crossing-2"),
+        pytest.param(X ** 2 * Y, (-2, 2, -2, 2), 63, id="repeated-factor"),
+        pytest.param(offset_poly_closed_form(*beak).g, figure_bbox(*beak), 512,
+                     id="cusp-beaks"),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("g,bbox,res", _chaining_sweep())
+def test_chaining_matches_the_tuple_keyed_walk(g, bbox, res):
+    # the same polylines with the same vertices in the same order, the same
+    # closing vertex on every loop, and the same pins
+    tc = trace_implicit(g, bbox, res)
+    want = reference_trace(g, bbox, res)
+    assert tc.polylines
+    assert tc == want
+    assert trace_digest(tc) == trace_digest(want)
+
+
+def _hex_points(*coords):
+    vals = [float.fromhex(c) for c in coords]
+    return [Point2(x, y) for x, y in zip(vals[::2], vals[1::2])]
+
+
+def _square():
+    return [Point2(0.0, 0.0), Point2(2.0, 0.0), Point2(2.0, 2.0),
+            Point2(0.0, 2.0)]
+
+
+@pytest.mark.parametrize("pl,tip,reach,want", [
+    # equally near to segments 1 and 2 (both at distance 1): the lower wins
+    (_square()[:1] + [Point2(4.0, 0.0), Point2(4.0, 2.0), Point2(6.0, 2.0)],
+     Point2(5.0, 1.0), 1.0, 1),
+    (_square(), Point2(1.0, 1.0), 1.0, 0),
+    # exactly 4 cells away (0.25 a cell) is spliced, a hair beyond is not
+    (_square()[:2], Point2(1.0, 1.0), 4 * 0.25, 0),
+    (_square()[:2], Point2(1.0, math.nextafter(1.0, 2.0)), 4 * 0.25, None),
+    # a pin that is a vertex already
+    (_square(), Point2(2.0, 2.0), 1.0, None),
+    # zero-length segments: one on its own, and one first in a tie
+    ([Point2(1.0, 0.0), Point2(1.0, 0.0)], Point2(1.0, 0.5), 1.0, 0),
+    ([Point2(1.0, 0.0), Point2(1.0, 0.0), Point2(2.0, 0.0)], Point2(0.0, 0.0),
+     1.0, 0),
+    ([Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(1.0, 0.0), Point2(2.0, 0.0)],
+     Point2(1.0, -0.5), 1.0, 0),
+    # polylines A, (2.5, 2.5), B whose nearest points to the pin are A and
+    # B, at distances that np.hypot (glibc's hypot) and math.hypot round in
+    # opposite order: the scalar scan's choice wins
+    (_hex_points("0x1.175576debdaaap+1", "0x1.19d09fc91354cp+1",
+                 "0x1.4p+1", "0x1.4p+1",
+                 "0x1.31d8cc1a58ac4p+1", "0x1.f9967908628c6p+0"),
+     Point2(0.0, 0.0), 10.0, 1),
+    (_hex_points("0x1.12a914da0b730p+1", "0x1.c36859de07611p+0",
+                 "0x1.4p+1", "0x1.4p+1",
+                 "0x1.0fc1c08c65a04p+1", "0x1.ca621d83c1362p+0"),
+     Point2(0.0, 0.0), 10.0, 0),
+])
+def test_splice_picks_the_scalar_segment(pl, tip, reach, want):
+    assert reference_splice(pl, tip, reach) == want
+    xs, ys = np.array([p.x for p in pl]), np.array([p.y for p in pl])
+    assert curve._splice_segment(xs, ys, tip.x, tip.y, reach) == want
+
+
+@pytest.mark.parametrize("case_id", [3, 6])
+def test_splice_matches_the_segment_scan_near_a_trace(case_id):
+    # points around real polylines, most of them nearest to a vertex, where
+    # the two segments beside it tie up to rounding: the batched pass picks
+    # what the scalar scan picks
+    case = ref_case(case_id)
+    conic, r = conic_from_case(case), F(case["r"])
+    tc = trace_implicit(offset_poly_closed_form(conic, r).g,
+                        figure_bbox(conic, r), 64)
+    rng = random.Random(case_id)
+    for pl in tc.polylines:
+        xs, ys = np.array([p.x for p in pl]), np.array([p.y for p in pl])
+        for _ in range(150):
+            p = rng.choice(pl)
+            tip = Point2(p.x + rng.uniform(-0.3, 0.3) * rng.choice((1, 1e-9)),
+                         p.y + rng.uniform(-0.3, 0.3))
+            reach = rng.uniform(0.0, 0.4)
+            assert curve._splice_segment(xs, ys, tip.x, tip.y, reach) \
+                == reference_splice(pl, tip, reach)
 
 
 # ---------------------------------------------------------------------------
