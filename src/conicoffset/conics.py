@@ -15,18 +15,18 @@ closed-form catalogue.  ``singular_points_via_elimination`` reports
 grevlex Groebner basis of <g, g_x, g_y>, the minimal polynomials of
 multiplication by x and by y on the quotient ring (the generators of the
 elimination ideals in x alone and in y alone), their exact real roots, and
-pairing by residual.  A pair whose residual is neither clearly small nor
-clearly large is judged again with the roots isolated at twice the working
-precision; no Newton iteration is involved.  Each route only finds bare
-points; one report path tags them, and one complex-point rule counts the
-non-real singular points whose coordinates are each real or purely
-imaginary.  The tag rule: a point on the axis (x = 0) is virtual below r_crit
-and on-curve from r_crit up, the ellipse's equator pair (y = 0) is virtual
-above a^2/b, and every other point is split.  An ellipse's catalogue changes
-shape at b^2/a (r_crit), b, a and a^2/b, its smallest and largest radii of
-curvature (the paper ties critical offsets to curvature); above a^2/b the
-four split points are complex and the equator pair is an isolated real zero
-of g, and comparing r*b with a^2 decides that exactly.
+one pass over the (x root, y root) pairs at RADICAL_DPS that keeps a pair
+when the system's residual there is below half that precision; no Newton
+iteration is involved.  Each route only finds bare points; one report path
+tags them, and one complex-point rule counts the non-real singular points
+whose coordinates are each real or purely imaginary.  The tag rule: a point
+on the axis (x = 0) is virtual below r_crit and on-curve from r_crit up, the
+ellipse's equator pair (y = 0) is virtual above a^2/b, and every other point
+is split.  An ellipse's catalogue changes shape at b^2/a (r_crit), b, a and
+a^2/b, its smallest and largest radii of curvature (the paper ties critical
+offsets to curvature); above a^2/b the four split points are complex and the
+equator pair is an isolated real zero of g, and comparing r*b with a^2
+decides that exactly.
 
 The split points are the offset's cusps: the conic's point where its radius
 of curvature equals r, moved by r along the normal toward the concave side
@@ -65,9 +65,6 @@ PARABOLA_SYMBOLIC_RING = ("y0", "x0") + PARABOLA_RING
 CENTRAL_SYMBOLIC_RING = ("y0", "x0") + CENTRAL_RING
 
 RADICAL_DPS = 60  # 50 guard digits past double precision
-# singular_locus: a candidate's residual below PAIR_ACCEPT makes it a point,
-# one from PAIR_REJECT up does not; in between it is judged at 2 * RADICAL_DPS
-PAIR_ACCEPT, PAIR_REJECT = "1e-35", "1e-12"
 # the buchberger limits of singular_locus's completion of <g, g_x, g_y>
 LOCUS_MAX_PAIRS, LOCUS_MAX_DEGREE = DEFAULT_MAX_PAIRS, 200
 
@@ -560,64 +557,33 @@ def _singular_eliminants(system) -> list:
     return out
 
 
-def _pairing(system, eliminants):
-    """At the working precision: the real roots of the two eliminants, and
-    the residual of a candidate (x, y), the max of |q(x, y)| over the system
-    divided by its largest coefficient size.  Once a partial max reaches
-    PAIR_REJECT the full one does too, so the residual stops there."""
-    xs, ys = (cardano.real_roots_exact(cs) for cs in eliminants)
-    scale = max(_max_abs_coeff(q) for q in system)
-    evaluate = _mp_evaluator(*system)
-    reject = mp.mpf(PAIR_REJECT)
-
-    def residual(xv, yv):
-        res = mp.mpf(0)
-        for v in evaluate((to_mpf(xv), to_mpf(yv))):
-            res = max(res, abs(v) / scale)
-            if res >= reject:
-                break
-        return res
-
-    return xs, ys, residual
-
-
 def singular_locus(g: MultiPoly) -> list:
     """The real common zeros of g, g_x and g_y, for any g over ("x", "y"), as
     (x, y) pairs in pairing order, each a Fraction or a RADICAL_DPS mpf.
 
     The eliminants of <g, grad g> (zero gradient components left out) are
     solved by ``real_roots_exact``, and every (x root, y root) pair is judged
-    by its residual.  Below PAIR_ACCEPT it is a point; from PAIR_REJECT up it
-    is not.  A pair in between is judged again with the roots of both
-    eliminants isolated at twice RADICAL_DPS (once per call): a true point's
-    residual falls with the precision and a cross-pairing of coordinates from
-    two different points does not, so the pair is kept when that residual is
-    below 10^-RADICAL_DPS.  Raises EliminationError when the zeros are not
-    finite (g has a repeated factor), and ResourceLimitError when the
-    Groebner completion of <g, grad g> processes more than LOCUS_MAX_PAIRS
-    S-pairs or meets a remainder of total degree above LOCUS_MAX_DEGREE.
+    once, at RADICAL_DPS: it is a point when every polynomial of the
+    content-normalized system is below 10^-(RADICAL_DPS/2) times the system's
+    largest coefficient, the half-precision bound ``hessian_definite`` uses.
+    The roots keep full relative precision, so true points read far below
+    that bound and cross-pairings of coordinates from two different points
+    far above it.  Raises EliminationError when the zeros are not finite (g
+    has a repeated factor), and ResourceLimitError when the Groebner
+    completion of <g, grad g> processes more than LOCUS_MAX_PAIRS S-pairs or
+    meets a remainder of total degree above LOCUS_MAX_DEGREE.
     """
     g = content_normalize(g)
     system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])
                    if not q.is_zero()))
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        eliminants = _singular_eliminants(system)
-        xs, ys, residual = _pairing(system, eliminants)
-        accept, reject = mp.mpf(PAIR_ACCEPT), mp.mpf(PAIR_REJECT)
-        fine = None
-        points = []
-        for (i, xv), (j, yv) in product(enumerate(xs), enumerate(ys)):
-            res = residual(xv, yv)
-            if res < accept:
-                points.append((xv, yv))
-            elif res < reject:
-                with mp.workdps(2 * RADICAL_DPS):
-                    if fine is None:
-                        fine = _pairing(system, eliminants)
-                    fxs, fys, fine_residual = fine
-                    if fine_residual(fxs[i], fys[j]) < mp.mpf(10) ** -RADICAL_DPS:
-                        points.append((xv, yv))
-        return points
+        xs, ys = (cardano.real_roots_exact(cs)
+                  for cs in _singular_eliminants(system))
+        bound = (max(_max_abs_coeff(q) for q in system)
+                 * mp.mpf(10) ** -(RADICAL_DPS // 2))
+        evaluate = _mp_evaluator(*system)
+        return [(xv, yv) for xv, yv in product(xs, ys)
+                if all(abs(v) < bound for v in evaluate((to_mpf(xv), to_mpf(yv))))]
 
 
 def hessian_definite(g: MultiPoly, points) -> list:
@@ -626,6 +592,8 @@ def hessian_definite(g: MultiPoly, points) -> list:
     |g_xy| + |g_yy|)^2 with bound = 10^(-RADICAL_DPS/2); an entry below bound
     times its terms' summed sizes counts as 0 (an exact 0 read 1.7e-49 at
     (0, 10/7) on ellipse(7/4, 3/4) at r_crit)."""
+    if not points:
+        return []
     gx, gy = gradient(g, ["x", "y"])
     entries = (*gradient(gx, ["x", "y"]), *gradient(gy, ["y"]))
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
@@ -647,8 +615,8 @@ def singular_points_via_elimination(conic: ConicSpec, r) -> SingularPointReport:
     """Independent singular-point route: ``singular_locus`` of the offset
     polynomial through the shared report path, tagged by ``_tag``.
 
-    Coordinates come out at RADICAL_DPS digits; a borderline pairing is
-    decided at twice that precision (see ``singular_locus``).  Raises
+    Coordinates come out at RADICAL_DPS digits, and each candidate pair is
+    judged once at that precision (see ``singular_locus``).  Raises
     RootPairingError when no real point survives the pairing, and
     ResourceLimitError past singular_locus's limits."""
     rep = _report(conic, r, "elimination", lambda r, regime, g: singular_locus(g))

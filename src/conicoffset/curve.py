@@ -48,7 +48,7 @@ from .cardano import bracketed_roots
 from .conics import (ConicSpec, ELLIPSE, PARABOLA, base_conic_poly,
                      hessian_definite, offset_poly_closed_form, singular_locus)
 from .errors import (EliminationError, ParamError, PreconditionError,
-                     RingError, VarError)
+                     ResourceLimitError, RingError, VarError)
 from .poly import MultiPoly
 
 
@@ -72,8 +72,15 @@ class TracedCurve:
         return sum(len(p) for p in self.polylines)
 
 
+def _coeff_float(c) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        raise ParamError("a coefficient is past the float range") from None
+
+
 def max_abs_coeff(g: MultiPoly) -> float:
-    return max(abs(float(c)) for c in g.terms.values())
+    return max(abs(_coeff_float(c)) for c in g.terms.values())
 
 
 def _xpow_groups(g: MultiPoly, **params) -> tuple:
@@ -82,6 +89,7 @@ def _xpow_groups(g: MultiPoly, **params) -> tuple:
     coefficient times the powers of the keyword parameters, and the terms
     grouped by x-power in term order, each group a tuple of float
     coefficients from the highest y-power down with 0.0 where one is missing.
+    A coefficient past the float range is a ParamError.
     """
     values = {k: float(v) for k, v in params.items()}
     missing = [v for v in g.ring if v not in values and v not in ("x", "y")]
@@ -91,7 +99,7 @@ def _xpow_groups(g: MultiPoly, **params) -> tuple:
     iy = g.ring.index("y") if "y" in g.ring else None
     by_xpow: dict = {}
     for m, c in g.terms.items():
-        t = float(c)
+        t = _coeff_float(c)
         for k, e in enumerate(m):
             if e and k != ix and k != iy:
                 t *= values[g.ring[k]] ** e
@@ -295,6 +303,9 @@ def _segment_edges():
 
 _SEGMENT_EDGES = _segment_edges()
 
+# the largest trace resolution: 16 times offset_figure's default of 512
+MAX_RESOLUTION = 2 ** 13
+
 
 def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     """Marching-squares contour of g = 0 with each vertex solved on its edge.
@@ -328,7 +339,8 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     seconds or more for a dense g of degree 8; ResourceLimitError
     propagates.  g must be over the ring ("x", "y") (RingError), the
     resolution an int (not a bool) of at least 8, the bbox four finite
-    numbers and g finite on its grid (ParamError).
+    numbers and g finite on its grid (ParamError).  A resolution above
+    MAX_RESOLUTION raises ResourceLimitError before any grid is allocated.
     """
     if g.ring != ("x", "y"):
         raise RingError(f"trace needs a polynomial over (x, y), not {g.ring}")
@@ -336,6 +348,9 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
             or resolution < 8:
         raise ParamError(f"resolution must be an int of at least 8, "
                          f"not {resolution!r}")
+    if resolution > MAX_RESOLUTION:
+        raise ResourceLimitError(f"resolution {resolution} is above the "
+                                 f"limit {MAX_RESOLUTION}")
     try:
         xmin, xmax, ymin, ymax = (float(v) for v in bbox)
     except (TypeError, ValueError) as exc:

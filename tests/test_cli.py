@@ -245,6 +245,33 @@ def test_mesh_refuses_non_finite_values(capsys, offsets, stations):
     assert "Traceback" not in err
 
 
+def test_coefficients_past_the_float_range_exit_2(tmp_path, capsys):
+    # an offset of 10^-320 gives integer coefficients near 10^640: the mesh
+    # of that offset and the trace of that g are refused, not a traceback
+    code, stdout, err = run(capsys, "mesh", "--a", "2", "--b", "1",
+                            "--offsets", "1e-320", "--stations", "0.5")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:") and "float range" in err
+    code, stdout, _ = run(capsys, "offset-poly", "--conic", "ellipse", "--a",
+                          "2", "--b", "1", "--r", f"1/{10 ** 320}", "--json")
+    assert code == 0
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(json.loads(stdout)["g"]))
+    code, stdout, err = run(capsys, "trace", "--g", str(src), "--bbox",
+                            "-3,3,-3,3")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:") and "float range" in err
+
+
+def test_trace_resolution_above_the_cap_exits_3(tmp_path, capsys):
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps(poly_to_dict(parse_poly("x^2+y^2-1", ("x", "y")))))
+    code, stdout, err = run(capsys, "trace", "--g", str(src), "--bbox",
+                            "0,1,0,1", "--res", "100000000")
+    assert (code, stdout) == (3, "")
+    assert err.startswith("resource limit:") and "8192" in err
+
+
 # inputs each refused where its check lives: the monomial order, the ideal,
 # the reference catalogue, the block-size parse and the tracer's bbox
 REFUSED_INPUTS = {

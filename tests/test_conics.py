@@ -702,8 +702,10 @@ def _independent_complex_count(g):
 
 
 # Inputs where a cross-pairing of eliminant roots has a residual between
-# 1e-35 and 1e-12, the band in which singular_locus judges a pair again at
-# twice RADICAL_DPS; found in a survey of benchmark `exact` inputs
+# 1e-35 and 1e-12, nearer a true point's than any other surveyed cross-pairing
+# (singular_locus once judged that band again at twice RADICAL_DPS); found in
+# a survey of benchmark `exact` inputs.  One judgement at RADICAL_DPS against
+# 10^-30 drops them, and the two routes still agree
 GRAY_ZONE_CASES = [
     (ConicSpec.ellipse(F(9, 2), F(1, 2)), F(1, 19)),
     (ConicSpec.ellipse(F(26, 3), F(2, 3)), F(1, 22)),
@@ -780,6 +782,53 @@ def test_singular_routes_agree_over_parameter_space():
             if k in INDEPENDENT_COUNT.get(i, ()):
                 assert rep_c.complex_count == _independent_complex_count(g), \
                     (conic, r)
+
+
+def _pairing_gap_inputs():
+    # 74 inputs: the parameter-space conics at their property offsets, the
+    # gray-zone cases, reference cases 1-9 and the near-boundary cases
+    for conic in _parameter_space_conics():
+        for r in _property_offsets(conic):
+            yield conic, r
+    yield from GRAY_ZONE_CASES
+    for i in range(1, 10):
+        yield conic_from_case(reference.case(i)), F(reference.case(i)["r"])
+    for conic, r, _ in NEAR_BOUNDARY_CASES:
+        yield conic, r
+
+
+def test_pair_residuals_keep_clear_of_the_pairing_bound():
+    # singular_locus judges each (x root, y root) pair once, against 10^-30,
+    # half of RADICAL_DPS.  Every pair's residual reads at least 10 orders of
+    # magnitude from that bound (largest kept 1.7e-59, smallest dropped
+    # 3.9e-16 when this was written), and the kept pairs are exactly its
+    # points, in order; a root solver that loses digits shows up here first
+    inputs = list(_pairing_gap_inputs())
+    assert len(inputs) == 74
+    for conic, r in inputs:
+        g = offset_poly_closed_form(conic, r).g
+        with mp.workdps(conics.RADICAL_DPS):
+            system, residual = _system_residual(g)
+            xs, ys = (cardano.real_roots_exact(cs)
+                      for cs in conics._singular_eliminants(system))
+            kept = []
+            for x, y in itertools.product(xs, ys):
+                res = residual(to_mpf(x), to_mpf(y))
+                assert res < mp.mpf("1e-45") or res > mp.mpf("1e-20"), \
+                    (conic, r, res)
+                if res < mp.mpf("1e-45"):
+                    kept.append(repr((x, y)))
+            assert kept == [repr(p) for p in conics.singular_locus(g)], (conic, r)
+
+
+def test_hessian_definite_without_points_compiles_nothing(monkeypatch):
+    # a base-conic trace has no pins; it must not differentiate g twice
+    def no_gradient(*args):
+        raise AssertionError("hessian_definite differentiated g")
+
+    monkeypatch.setattr(conics, "gradient", no_gradient)
+    g = offset_poly_closed_form(ELLIPSE_3, F(4, 3)).g
+    assert conics.hessian_definite(g, []) == []
 
 
 def test_hessian_definite_matches_catalogue_tags():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,7 +19,8 @@ from conicoffset.curve import (Point2, conic_point_and_normal, curvature,
                                offset_figure, parametric_offset_samples,
                                plot_svg, trace_implicit, xy_evaluator)
 from conicoffset.errors import (EliminationError, ParamError,
-                                PreconditionError, RingError, VarError)
+                                PreconditionError, ResourceLimitError,
+                                RingError, VarError)
 from conicoffset.poly import MultiPoly, gradient, parse_poly
 from conicoffset.reference import case as ref_case
 from conicoffset.verify import conic_from_case
@@ -320,6 +322,30 @@ def test_trace_saddle_cells_keep_the_branches_apart(sign):
 def test_trace_refuses_what_it_cannot_trace(poly, bbox, error):
     with pytest.raises(error):
         trace_implicit(poly, bbox, 16)
+
+
+def test_coefficients_past_the_float_range_are_a_param_error():
+    # ellipse(2, 1) at r = 10^-320: the closed form's integer coefficients
+    # reach 10^640, which no float holds
+    g = offset_poly_closed_form(ConicSpec.ellipse(2, 1), F(1, 10 ** 320)).g
+    with pytest.raises(ParamError):
+        trace_implicit(g, (-3, 3, -3, 3), 16)
+    with pytest.raises(ParamError):
+        max_abs_coeff(g)
+
+
+@pytest.mark.parametrize("resolution", [curve.MAX_RESOLUTION + 1, 10 ** 8])
+def test_trace_refuses_a_resolution_above_the_cap(resolution):
+    # 10^8 would take two 800 MB axes before a 10^16-node grid; the cap is
+    # checked before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            trace_implicit(CIRCLE, (0, 1, 0, 1), resolution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trace_determinism():

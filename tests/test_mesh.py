@@ -9,7 +9,7 @@ import pytest
 
 from conicoffset.conics import ConicSpec, offset_poly_closed_form
 from conicoffset.curve import eval_poly, max_abs_coeff
-from conicoffset.errors import RootRefineError, SpecError
+from conicoffset.errors import ParamError, RootRefineError, SpecError
 from conicoffset.mesh import (MeshSpec, export_mesh, generate_mesh, load_mesh,
                               mesh_figure)
 from conicoffset.reference import MESH_CASE
@@ -196,6 +196,15 @@ def test_spec_validation():
                               ((0.2,), (math.inf, 1.0))):
         with pytest.raises(SpecError):  # not finite
             MeshSpec(ellipse=ELL42, offsets=offsets, y_stations=stations)
+
+
+def test_offset_past_the_float_range_is_a_param_error():
+    # MeshSpec takes the subnormal offset 1e-320; its exact value makes g's
+    # coefficients too large for a float, a typed error and no OverflowError
+    spec = MeshSpec(ellipse=ConicSpec.ellipse(2, 1), offsets=(1e-320,),
+                    y_stations=(0.5,))
+    with pytest.raises(ParamError):
+        generate_mesh(spec)
 
 
 def test_determinism(reference_mesh):
