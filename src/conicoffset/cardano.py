@@ -19,10 +19,12 @@ tracer one float array of its crossing grid edges per trace.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isinf, isqrt, lcm
 
 import mpmath as mp
 import numpy as np
+
+from .errors import ParamError
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +71,17 @@ def to_mpf(v) -> mp.mpf:
     if isinstance(v, Fraction):
         return mp.mpf(v.numerator) / v.denominator
     return mp.mpf(v)
+
+
+def to_float(v) -> float:
+    """float(v) of an exact value or an mpf; a value past the float range,
+    an mpf that rounds to inf included, is a ParamError."""
+    try:
+        if not isinf(f := float(v)):
+            return f
+    except OverflowError:
+        pass
+    raise ParamError("a value is past the float range")
 
 
 def eval_poly_at(cs, t):
@@ -263,8 +276,6 @@ def real_roots_exact(cs):
             if z > 0:
                 v = sqrt_exact(z) if isinstance(z, Fraction) else mp.sqrt(z)
                 roots.update({v, -v})
-            elif z == 0:
-                roots.add(Fraction(0))
         return sorted(roots, key=to_mpf)
     for _, factor in squarefree_decomposition(cs):
         deg = len(factor) - 1

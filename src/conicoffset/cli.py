@@ -125,8 +125,9 @@ def _report_json(rep):
 # ---------------------------------------------------------------------------
 
 def _poly_list(data) -> list:
-    return [poly_from_dict(pd)
-            for pd in (data if isinstance(data, list) else data["polys"])]
+    if not isinstance(data, list):
+        raise TypeError("expected a list of polynomials")
+    return [poly_from_dict(pd) for pd in data]
 
 
 def cmd_groebner(args):
@@ -193,8 +194,7 @@ def cmd_offset_poly(args):
     if args.method == "closed":
         curve = offset_poly_closed_form(conic, r)
     else:
-        curve = offset_poly_elimination(conic, r, order=args.elim_order,
-                                        max_pairs=args.max_pairs,
+        curve = offset_poly_elimination(conic, r, max_pairs=args.max_pairs,
                                         max_degree=args.max_degree)
     doc = {
         "conic": conic.describe(),
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("offset-poly", help="implicit polynomial of the parallel lines")
     _add_conic_flags(o)
     o.add_argument("--method", choices=["closed", "elim"], default="closed")
-    o.add_argument("--elim-order", choices=["block", "lex"], default="block")
     o.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
     o.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     o.add_argument("--out", help="write polynomial JSON here")

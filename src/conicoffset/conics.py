@@ -52,12 +52,12 @@ from math import gcd
 import mpmath as mp
 
 from . import cardano
-from .cardano import to_mpf
+from .cardano import to_float, to_mpf
 from .errors import EliminationError, ParamError, RootPairingError
 from .fixtures import CENTRAL_RING, PARABOLA_RING, general_offset_poly
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, Ideal, buchberger,
                        elimination_ideal, minimal_polynomials, reduce_basis)
-from .poly import (MultiPoly, block, content_normalize, gradient, grevlex, lex,
+from .poly import (MultiPoly, block, content_normalize, gradient, grevlex,
                    substitute)
 
 VARIETY_RING = ("y0", "x0", "x", "y")
@@ -80,6 +80,14 @@ def _frac(v) -> Fraction:
         return Fraction(v)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParamError(f"expected an exact rational, got {v!r}") from exc
+
+
+def _offset(r) -> Fraction:
+    """The offset r as an exact rational; r <= 0 is a ParamError."""
+    r = _frac(r)
+    if r <= 0:
+        raise ParamError("offset r must be positive")
+    return r
 
 
 @dataclass(frozen=True)
@@ -197,10 +205,7 @@ def build_ideal(conic, r=None) -> Ideal:
     if r is not None:
         if not isinstance(conic, ConicSpec):
             raise ParamError("a ConicSpec is required for a specialized ideal")
-        r = _frac(r)
-        if r <= 0:
-            raise ParamError("offset r must be positive")
-        values = conic.param_map() | {"r": r}
+        values = conic.param_map() | {"r": _offset(r)}
         gens = tuple(substitute(f, values) for f in gens)
         ring = VARIETY_RING
     return Ideal(ring, tuple(content_normalize(f) for f in gens))
@@ -256,9 +261,7 @@ def offset_poly_closed_form(conic: ConicSpec, r) -> OffsetCurve:
     it, so it fixes their rounding (at r = a, r = b or r = r_crit some
     monomials cancel and come back, e.g. ellipse(2, 1) at r = 1).
     """
-    r = _frac(r)
-    if r <= 0:
-        raise ParamError("offset r must be positive")
+    r = _offset(r)
     names, tops, program, ranked = _closed_form_program(conic.kind)
     values = dict(conic.params)
     values["r"] = r
@@ -283,23 +286,16 @@ def offset_poly_closed_form(conic: ConicSpec, r) -> OffsetCurve:
     return OffsetCurve(conic=conic, r=r, g=g, source="closed-form")
 
 
-def offset_poly_elimination(conic: ConicSpec, r, order: str = "block",
+def offset_poly_elimination(conic: ConicSpec, r,
                             max_pairs: int = DEFAULT_MAX_PAIRS,
                             max_degree: int = DEFAULT_MAX_DEGREE) -> OffsetCurve:
-    """Derive the offset polynomial by Groebner elimination of (y0, x0).
-
-    ``order="block"`` uses the grevlex/grevlex elimination order (fast);
-    ``order="lex"`` is the classic full lexicographic run.  Both agree up to
-    a rational scalar with the closed form; the test suite enforces it.
-    """
+    """Derive the offset polynomial by Groebner elimination of (y0, x0), in
+    the grevlex/grevlex block order.  Every elimination order gives this
+    generator (a lex run: ``buchberger`` under ``lex``, ``reduce_basis``,
+    ``elimination_ideal``); it agrees up to a rational scalar with the
+    closed form, and the test suite enforces both."""
     ideal = build_ideal(conic, r)
-    if order == "block":
-        ordering = block(ideal.ring, 2)
-    elif order == "lex":
-        ordering = lex(ideal.ring)
-    else:
-        raise ParamError(f"unknown elimination order {order!r}")
-    gb = reduce_basis(buchberger(ideal, ordering, max_pairs=max_pairs,
+    gb = reduce_basis(buchberger(ideal, block(ideal.ring, 2), max_pairs=max_pairs,
                                  max_degree=max_degree))
     kept = elimination_ideal(gb, {"x", "y"})
     if len(kept) != 1:
@@ -499,9 +495,7 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
     ``g`` is the closed-form offset polynomial; the residuals use its raw
     (not content-normalized) gradient.  ``points_of`` runs at RADICAL_DPS.
     """
-    r = _frac(r)
-    if r <= 0:
-        raise ParamError("offset r must be positive")
+    r = _offset(r)
     rc = r_crit(conic)
     regime = SUBCRITICAL if r < rc else CRITICAL if r == rc else SUPERCRITICAL
     g = offset_poly_closed_form(conic, r).g
@@ -512,10 +506,10 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
         grad = _mp_evaluator(gx, gy)
         for xv, yv in points_of(r, regime, g):
             res = mp.sqrt(sum(v ** 2 for v in grad((to_mpf(xv), to_mpf(yv))))) / scale
-            x, y = (v if isinstance(v, Fraction) else float(v) for v in (xv, yv))
+            x, y = (v if isinstance(v, Fraction) else to_float(v) for v in (xv, yv))
             points.append(SingularPoint(x=x, y=y, tag=_tag(conic, r, regime, xv, yv),
                                         residual_grad=float(res)))
-    points.sort(key=lambda s: (float(s.y), float(s.x)))
+    points.sort(key=lambda s: (to_float(s.y), to_float(s.x)))
     outside = conic.kind != PARABOLA and not (conic.a > conic.b > r)
     return SingularPointReport(conic=conic, r=r, r_crit=rc, regime=regime,
                                points=tuple(points),

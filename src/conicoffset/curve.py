@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cardano import bracketed_roots
+from .cardano import bracketed_roots, to_float
 from .conics import (ConicSpec, ELLIPSE, PARABOLA, base_conic_poly,
                      hessian_definite, offset_poly_closed_form, singular_locus)
 from .errors import (EliminationError, ParamError, PreconditionError,
@@ -72,15 +72,8 @@ class TracedCurve:
         return sum(len(p) for p in self.polylines)
 
 
-def _coeff_float(c) -> float:
-    try:
-        return float(c)
-    except OverflowError:
-        raise ParamError("a coefficient is past the float range") from None
-
-
 def max_abs_coeff(g: MultiPoly) -> float:
-    return max(abs(_coeff_float(c)) for c in g.terms.values())
+    return max(abs(to_float(c)) for c in g.terms.values())
 
 
 def _xpow_groups(g: MultiPoly, **params) -> tuple:
@@ -99,7 +92,7 @@ def _xpow_groups(g: MultiPoly, **params) -> tuple:
     iy = g.ring.index("y") if "y" in g.ring else None
     by_xpow: dict = {}
     for m, c in g.terms.items():
-        t = _coeff_float(c)
+        t = to_float(c)
         for k, e in enumerate(m):
             if e and k != ix and k != iy:
                 t *= values[g.ring[k]] ** e
@@ -341,6 +334,8 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     resolution an int (not a bool) of at least 8, the bbox four finite
     numbers and g finite on its grid (ParamError).  A resolution above
     MAX_RESOLUTION raises ResourceLimitError before any grid is allocated.
+    The sign grid and its temporaries, held at once, take about 16 bytes
+    per grid node: about 4 MiB at resolution 512, 1 GiB at MAX_RESOLUTION.
     """
     if g.ring != ("x", "y"):
         raise RingError(f"trace needs a polynomial over (x, y), not {g.ring}")

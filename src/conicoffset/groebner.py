@@ -246,7 +246,7 @@ def _spair_terms(e1, e2, lcm_m: int, guard: int) -> dict:
 
 
 def _normal_form_int(terms: dict, basis: Sequence, guard: int,
-                     first: dict | None = None) -> tuple:
+                     first: dict) -> tuple:
     """Full normal form of an integer polynomial against basis entries.
 
     Returns ``(rem, num, den)``: the primitive remainder and the positive
@@ -258,11 +258,11 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
     so it pops the order-largest live term first.  Each term is reduced by
     the first member, in basis order, whose leading monomial divides it.
 
-    ``first`` is an optional first-divisor cache for a basis that only grows
-    by appending, as during one completion.  It maps a packed monomial to the
-    index of its first divisor, or to ``~k`` when none of the first k members
-    divides it; a miss then rescans only the members added since.  Either
-    way the divisor is the one the full scan would choose.
+    ``first`` is the first-divisor cache of this basis, shared only by calls
+    against the same basis or that basis grown by appending (one completion).
+    It maps a packed monomial to the index of its first divisor, or to ``~k``
+    when none of the first k members divides it; a miss rescans only the
+    members added since, so the divisor is the one the full scan would choose.
     """
     work = dict(terms)
     done: dict = {}
@@ -278,7 +278,7 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
         c = work.pop(m, 0)
         if c == 0:
             continue
-        idx = -1 if first is None else first.get(m, -1)
+        idx = first.get(m, -1)
         if idx < 0:
             start = ~idx
             mg = m | guard
@@ -287,8 +287,7 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
                     break
             else:
                 idx = ~nlms
-            if first is not None:
-                first[m] = idx
+            first[m] = idx
             if idx < 0:
                 done[m] = c
                 continue
@@ -486,7 +485,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     ``gb.polys`` packed and made primitive, so the usual
     ``reduce_basis(buchberger(...))`` chain never goes through ``Fraction``.
     Minimalizing is a stable sort by packed leading monomial, which is the
-    order key, and each member is reduced against the others with no
+    order key, and each member is reduced against the others with a fresh
     first-divisor cache, since its reducer list differs per member.  The
     result keeps its own entries for ``minimal_polynomials``.
     """
@@ -501,7 +500,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     try:
         for idx, entry in enumerate(kept):
             others = [e for k, e in enumerate(kept) if k != idx]
-            rem, _, _ = _normal_form_int(entry[2], others, guard)
+            rem, _, _ = _normal_form_int(entry[2], others, guard, {})
             if rem:
                 new = _make_entry(rem)
                 reduced_entries.append(new)
@@ -570,10 +569,10 @@ def _krylov_relation(index: dict, unit: int, entries: list, guard: int) -> list:
     # monomial's NF is its primitive remainder over the factor that
     # _normal_form_int returns, so den is the lcm of those factors' numerators
     images = [index.get(m + unit) for m in index]
-    border = {}
+    border, first = {}, {}
     for i, m in enumerate(index):
         if images[i] is None:
-            rem, num, d = _normal_form_int({m + unit: 1}, entries, guard)
+            rem, num, d = _normal_form_int({m + unit: 1}, entries, guard, first)
             border[i] = rem, Fraction(d, num)  # NF = rem * d / num
     den = lcm(*(inv.denominator for _, inv in border.values()))
     cols = []

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cardano import to_float
 from .conics import (ConicSpec, ELLIPSE, base_conic_poly,
                      offset_poly_closed_form, r_crit)
 from .curve import (Point2, max_abs_coeff, plot_svg, trace_implicit,
@@ -30,11 +31,9 @@ COLUMN_ORDER_NOTE = (
 )
 
 
-def _as_fraction(v) -> Fraction:
+def _as_fraction(v: float) -> Fraction:
     # decimal-faithful: mesh inputs are decimal data, so 0.2 means 1/5
-    if isinstance(v, float):
-        return Fraction(repr(v))
-    return Fraction(str(v))
+    return Fraction(repr(v))
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class MeshSpec:
             raise SpecError("need at least one offset layer")
         if list(offsets) != sorted(set(offsets)):
             raise SpecError("offsets must be strictly ascending")
-        rc = float(r_crit(self.ellipse))
+        rc = to_float(r_crit(self.ellipse))
         if offsets[0] <= 0 or offsets[-1] >= rc:
             raise SpecError(
                 f"offsets must lie strictly inside (0, r_crit={rc}): "
@@ -67,7 +66,7 @@ class MeshSpec:
             raise SpecError("need at least one y-station")
         if list(stations) != sorted(set(stations), reverse=True):
             raise SpecError("y-stations must be strictly descending")
-        a = float(self.ellipse.a)
+        a = to_float(self.ellipse.a)
         if stations[0] >= a or stations[-1] <= -a:
             raise SpecError(f"y-stations must lie strictly inside (-{a}, {a})")
 

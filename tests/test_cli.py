@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -272,6 +273,48 @@ def test_trace_resolution_above_the_cap_exits_3(tmp_path, capsys):
     assert err.startswith("resource limit:") and "8192" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # the parabola's axis point (0, p + r^2/4p) lies past 1.8e308
+    ("singular", "--conic", "parabola", "--p", "1/3", "--r", "1e200"),
+    ("classify", "--conic", "parabola", "--p", "1/3", "--r", "1e1000"),
+    # and so does the ellipse's r_crit = b^2/a
+    ("mesh", "--a", "1e400", "--b", "1e399", "--offsets", "0.1",
+     "--stations", "0.5"),
+], ids=["singular", "classify", "mesh"])
+def test_values_past_the_float_range_exit_2(capsys, argv):
+    # a short typed error, not an OverflowError traceback or a long number
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err == "error: a value is past the float range\n"
+
+
+def test_offset_poly_has_no_elimination_order_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["offset-poly", "--conic", "parabola", "--p", "1/3", "--r", "1/4",
+              "--method", "elim", "--elim-order", "lex"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --elim-order lex" in capsys.readouterr().err
+
+
+def test_groebner_reads_stdin_by_default(tmp_path, capsys, monkeypatch):
+    text = json.dumps([poly_to_dict(parse_poly(t, ("x", "y")))
+                       for t in ("x^2-y", "x*y-1")])
+    src = tmp_path / "ideal.json"
+    src.write_text(text)
+    argv = ("groebner", "--vars", "x,y", "--order", "lex", "--json")
+    from_file = run(capsys, *argv, "--in", str(src))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, *argv) == from_file
+    assert from_file[0] == 0
+
+
+def test_missing_input_file_is_an_io_error(tmp_path, capsys):
+    code, stdout, err = run(capsys, "trace", "--g", str(tmp_path / "missing.json"),
+                            "--bbox", "0,1,0,1")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("i/o error:") and "missing.json" in err
+
+
 # inputs each refused where its check lives: the monomial order, the ideal,
 # the reference catalogue, the block-size parse and the tracer's bbox
 REFUSED_INPUTS = {
@@ -283,6 +326,7 @@ REFUSED_INPUTS = {
                              "--order", "block:5"),
     "repeated-variable": ("groebner", "--in", "{ideal}", "--vars", "x,y,x"),
     "no-generators": ("groebner", "--in", "{empty}", "--vars", "x,y"),
+    "polys-object": ("groebner", "--in", "{polys}", "--vars", "x,y"),
     "unknown-reference-id": ("verify-paper", "42"),
     "bbox-three-numbers": ("trace", "--g", "{g}", "--bbox=0,1,0"),
     "unknown-order": ("groebner", "--in", "{ideal}", "--vars", "x,y",
@@ -300,8 +344,9 @@ def test_refused_inputs_exit_2(tmp_path, capsys, name):
     (tmp_path / "g.json").write_text(
         json.dumps(poly_to_dict(parse_poly("x^2-y", ("x", "y")))))
     (tmp_path / "empty.json").write_text("[]")
+    (tmp_path / "polys.json").write_text(f'{{"polys": {ideal.read_text()}}}')
     files = {"ideal": ideal, "g": tmp_path / "g.json",
-             "empty": tmp_path / "empty.json"}
+             "empty": tmp_path / "empty.json", "polys": tmp_path / "polys.json"}
     argv = [w.format(**files) for w in REFUSED_INPUTS[name]]
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout) == (2, "")

@@ -17,7 +17,8 @@ from conicoffset.conics import (ConicSpec, build_ideal, offset_poly_closed_form,
                                 singular_points_via_elimination)
 from conicoffset.errors import ParamError, ResourceLimitError
 from conicoffset.fixtures import general_offset_poly
-from conicoffset.poly import (content_normalize, gradient, parse_poly,
+from conicoffset.groebner import buchberger, elimination_ideal, reduce_basis
+from conicoffset.poly import (content_normalize, gradient, lex, parse_poly,
                               poly_dumps, substitute)
 from conicoffset.verify import conic_from_case, expected_points, proportional
 
@@ -110,6 +111,14 @@ def test_build_ideal_matches_displayed_triples(case_id):
         assert proportional(gen, parse_poly(shown, ring))
 
 
+@pytest.mark.parametrize("r", [0, -1])
+@pytest.mark.parametrize("call", [offset_poly_closed_form, singular_points,
+                                  singular_points_via_elimination])
+def test_non_positive_offset_is_a_param_error(call, r):
+    with pytest.raises(ParamError, match="offset r must be positive"):
+        call(ConicSpec.ellipse(3, F(3, 2)), r)
+
+
 def test_build_ideal_errors():
     with pytest.raises(ParamError):
         build_ideal(ConicSpec.parabola(F(1, 3)), 0)
@@ -138,10 +147,15 @@ def test_nine_reference_polynomials(case_id):
 
 
 def test_elimination_orders_agree():
+    # the block-order route against the classic lex run built from the
+    # public primitives: every elimination order gives the same generator
     conic = ConicSpec.ellipse(3, F(3, 2))
     r = F(1, 2)
-    assert offset_poly_elimination(conic, r, order="block").g == \
-        offset_poly_elimination(conic, r, order="lex").g
+    ideal = build_ideal(conic, r)
+    (kept,) = elimination_ideal(reduce_basis(buchberger(ideal, lex(ideal.ring))),
+                                {"x", "y"})
+    assert offset_poly_elimination(conic, r).g == \
+        content_normalize(substitute(kept, {"y0": 0, "x0": 0}))
 
 
 def random_conics(kind, count, seed):

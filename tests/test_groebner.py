@@ -553,7 +553,7 @@ def test_reduce_basis_widens_a_narrow_packed_form():
 def test_normal_form_factor_is_exact(name, kind):
     # the integer normal form is primitive and equals its returned factor
     # num/den times the Fraction remainder of poly.reduce, term for term,
-    # with and without a first-divisor cache shared across the inputs
+    # with a fresh first-divisor cache and with one shared across the inputs
     ideal = _small_ideal(name)
     order = _orders(ideal.ring)[kind]
     gb = reduce_basis(buchberger(ideal, order))
@@ -573,7 +573,7 @@ def test_normal_form_factor_is_exact(name, kind):
     for p in inputs:
         want, _ = reduce(p, list(gb.polys), order)
         terms = {packing.pack(m): int(c) for m, c in p.terms.items()}
-        for cache in (None, first):
+        for cache in ({}, first):
             rem, num, den = _normal_form_int(terms, entries, packing.guard, cache)
             assert num > 0 and den > 0
             assert math.gcd(*rem.values()) in (0, 1)
