@@ -24,22 +24,40 @@ the headroom.  An exponent that does not fit (in a generator, or in any
 product formed during completion or reduction) sets a guard bit and raises
 ResourceLimitError with the partial statistics; it never wraps.
 
-Pair selection is the normal strategy: a min-heap keyed by (lcm total degree,
-insertion index), which makes runs deterministic.  The classic
-coprime-leading-term and chain criteria prune useless pairs.  Each term is
-reduced by the first basis member whose leading monomial divides it.  Since
-a completion only appends members, ``buchberger`` keeps a first-divisor cache
-for its normal forms: a packed monomial maps to that member's index, or to
-"none among the first k", so a term already proved irreducible is rescanned
-only against the members added since.
+Completion is signature-based, in the SB/GVW form (Roune & Stillman, ISSAC
+2012; Eder & Faugere, JSC 2017).  Each member carries a signature u*e_i: it
+is u times generator i plus multiples of the other generators below that
+signature.  Signatures are compared in the Schreyer order, u*LM(f_i) first
+and the generator index i second, so a signature is kept as the pair
+(packed u*LM(f_i), i), its Schreyer key; on one index, divisibility and
+quotients of signatures are those of their keys.  One min-heap yields every
+signature once, in increasing order: each generator's e_i, and the signature
+of each S-pair whose two sides differ.  For a signature T the element reduced
+is u*g, where g is the member with sig(g) | T whose u*LM(g) is smallest (the
+newest on ties).  T is skipped when a known syzygy signature divides it (the
+Koszul syzygy of every member pair, and T of every zero reduction), or when
+no member reduces the leading term of u*g regularly, that is as v*h with
+v*sig(h) below T; u*g then restates g.  Otherwise every term of u*g is
+reduced, each only by a member whose multiplied signature is below T; a
+nonzero remainder joins the basis with signature T, and a zero one is a new
+syzygy signature.  A generator whose leading term no member reduces
+regularly joins as it is.  A coprime pair's signature is its Koszul
+syzygy's, so it is never queued, and no other pair criterion is needed.
+Every choice above is fixed, so runs are deterministic.
+
+The normal forms share one divisor cache per completion: a packed monomial
+maps to the members, among those already scanned, whose leading monomials
+divide it, so a term is checked again only against the members added since.
 
 The basis stays packed from completion through reduction.  ``buchberger``
 and ``reduce_basis`` leave their packed entries on the ``GroebnerBasis`` they
 return (a private field that ``dataclasses.replace`` and hand-built bases do
 not carry), and ``reduce_basis`` and ``minimal_polynomials`` start from them,
 so no ``Fraction`` round trip sits between the stages.  A basis without them
-is packed from its polys.  The ``MultiPoly`` outputs are built once, through
-a constructor that skips re-validation.
+is packed from its polys.  The ``MultiPoly`` outputs are built from the
+entries on the first read of ``polys``, through a constructor that skips
+re-validation, so the unreduced members that ``reduce_basis(buchberger(...))``
+drops are never converted.
 
 For a zero-dimensional ideal, ``minimal_polynomials`` gets the univariate
 eliminants from a basis in any order (typically a cheap grevlex one) by
@@ -51,8 +69,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import (EliminationError, OrderError, PreconditionError,
@@ -97,6 +116,25 @@ class GroebnerBasis:
     # made them; ``dataclasses.replace`` and hand-built bases start without
     _packed: tuple | None = field(default=None, init=False, compare=False,
                                   repr=False)
+
+    @classmethod
+    def _from_packed(cls, order, reduced, stats, packing, entries):
+        """A basis whose ``polys`` are built from its packed entries on first
+        read, so a stage that only hands the entries on never converts."""
+        gb = object.__new__(cls)
+        for name, value in (("order", order), ("reduced", reduced),
+                            ("stats", stats), ("_packed", (packing, entries))):
+            object.__setattr__(gb, name, value)
+        return gb
+
+    def __getattr__(self, name):
+        # reached only when ``polys`` of a ``_from_packed`` basis is unset
+        if name != "polys" or "_packed" not in self.__dict__:
+            raise AttributeError(name)
+        packing, entries = self._packed
+        polys = tuple(packing.to_poly(self.order.variables, e[2]) for e in entries)
+        object.__setattr__(self, "polys", polys)
+        return polys
 
     def degree_multiset(self):
         return sorted((p.degree() for p in self.polys), reverse=True)
@@ -216,37 +254,8 @@ def _coeff_bits(entries) -> int:
     return max((c.bit_length() for e in entries for c in e[2].values()), default=0)
 
 
-def _spair_terms(e1, e2, lcm_m: int, guard: int) -> dict:
-    """Integer S-polynomial of two primitive entries with lcm ``lcm_m``."""
-    lm1, lc1, _, tail1 = e1
-    lm2, lc2, _, tail2 = e2
-    g = gcd(lc1, lc2)
-    c1, c2 = lc2 // g, lc1 // g
-    q1, q2 = lcm_m - lm1, lcm_m - lm2
-    out: dict = {}
-    for m, c in tail1:
-        t = q1 + m
-        if t & guard:
-            raise ResourceLimitError(_OVERFLOW)
-        out[t] = c1 * c
-    for m, c in tail2:
-        t = q2 + m
-        v = out.get(t)
-        if v is None:
-            if t & guard:
-                raise ResourceLimitError(_OVERFLOW)
-            out[t] = -c2 * c
-        else:
-            v -= c2 * c
-            if v:
-                out[t] = v
-            else:
-                del out[t]
-    return out
-
-
-def _normal_form_int(terms: dict, basis: Sequence, guard: int,
-                     first: dict) -> tuple:
+def _normal_form_int(terms: dict, basis: Sequence, guard: int, divs: dict,
+                     bound: tuple | None = None, sigs: Sequence = ()) -> tuple:
     """Full normal form of an integer polynomial against basis entries.
 
     Returns ``(rem, num, den)``: the primitive remainder and the positive
@@ -255,14 +264,20 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
     pseudo-division: num gathers the scalings that clear a leading
     coefficient and den the contents stripped off the remainder, the only
     steps that change the factor.  The heap holds negated packed monomials,
-    so it pops the order-largest live term first.  Each term is reduced by
-    the first member, in basis order, whose leading monomial divides it.
+    so it pops the order-largest live term first.
 
-    ``first`` is the first-divisor cache of this basis, shared only by calls
+    Without ``bound`` each term is reduced by the first member, in basis
+    order, whose leading monomial divides it.  With ``bound``, a signature
+    ``(key, index)`` (see ``buchberger``), and ``sigs``, the members'
+    signatures, a term m is reduced only regularly: by the first member j
+    whose multiplied signature ``(m - lm_j + key_j, index_j)`` is below
+    ``bound``; a term with no such member stays in the remainder.
+
+    ``divs`` is the divisor cache of this basis, shared only by calls
     against the same basis or that basis grown by appending (one completion).
-    It maps a packed monomial to the index of its first divisor, or to ``~k``
-    when none of the first k members divides it; a miss rescans only the
-    members added since, so the divisor is the one the full scan would choose.
+    It maps a packed monomial to ``[k, j1, j2, ...]``: the indices, in basis
+    order, of the members among the first k whose leading monomials divide
+    it.  A later call scans only the members added since.
     """
     work = dict(terms)
     done: dict = {}
@@ -271,6 +286,7 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
     heap = [-m for m in work]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
+    bkey, bpos = bound if bound is not None else (0, 0)
     scalings = 0
     num = den = 1
     while heap:
@@ -278,19 +294,28 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
         c = work.pop(m, 0)
         if c == 0:
             continue
-        idx = first.get(m, -1)
-        if idx < 0:
-            start = ~idx
+        d = divs.get(m)
+        if d is None or d[0] < nlms:
+            if d is None:
+                d = divs[m] = [0]
             mg = m | guard
-            for idx, lm in enumerate(lms[start:] if start else lms, start):
-                if (mg - lm) & guard == guard:
+            d += [j for j, lm in enumerate(lms[d[0]:], d[0])
+                  if (mg - lm) & guard == guard]
+            d[0] = nlms
+        idx = -1
+        if bound is None:
+            if len(d) > 1:
+                idx = d[1]
+        else:
+            for j in islice(d, 1, None):
+                key, pos = sigs[j]
+                key += m - lms[j]
+                if key < bkey or (key == bkey and pos < bpos):
+                    idx = j
                     break
-            else:
-                idx = ~nlms
-            first[m] = idx
-            if idx < 0:
-                done[m] = c
-                continue
+        if idx < 0:
+            done[m] = c
+            continue
         _, lc, _, tail = basis[idx]
         q = m - lms[idx]
         g = gcd(c, lc) if c > 0 else gcd(-c, lc)
@@ -331,11 +356,6 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
     return done, num, den
 
 
-def _with_packed(gb: GroebnerBasis, packing: _Packing, entries: list) -> GroebnerBasis:
-    object.__setattr__(gb, "_packed", (packing, entries))
-    return gb
-
-
 def _packed_basis(gb: GroebnerBasis):
     """``(packing, entries)`` for ``gb.polys``.
 
@@ -368,93 +388,149 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
                max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
     """Complete the ideal's generators to a (non-reduced) Groebner basis.
 
-    Raises ResourceLimitError (carrying partial statistics) when more than
-    ``max_pairs`` S-pairs are processed, a remainder exceeds total degree
-    ``max_degree``, or an exponent overflows its packed field.
+    Signature-based completion; see the module docstring.  The stats count:
+
+    - ``pairs_considered``: S-pair signatures taken from the queue;
+    - ``pairs_skipped_criteria``: those that led to no reduction, being the
+      signature just processed, divisible by a syzygy signature, or without
+      a regular reducer of their leading term;
+    - ``reductions``: normal forms computed, generators' included;
+    - ``zero_reductions``: those that came to zero (each a syzygy);
+    - ``basis_size`` and ``coeff_bits_max``: members, and their largest
+      coefficient in bits.
+
+    Raises ResourceLimitError, whose stats hold the counters so far, the
+    ``basis_size`` and the ``pending_pairs`` (signatures still queued), when
+    more than ``max_pairs`` S-pairs are processed, a member made from an
+    S-pair exceeds total degree ``max_degree``, or an exponent overflows its
+    packed field.  Generators are exempt from the degree cap.
     """
     if tuple(order.variables) != ideal.ring:
         raise OrderError("order variables do not match the ideal ring")
     packing = _Packing(order, max_degree)
-    guard = packing.guard
-    stats = {"pairs_considered": 0, "pairs_skipped_criteria": 0, "reductions": 0}
+    guard, units = packing.guard, packing.units
+    stats = {"pairs_considered": 0, "pairs_skipped_criteria": 0,
+             "reductions": 0, "zero_reductions": 0}
     basis: list = []
     lms: list = []  # packed leading monomials, parallel to basis
     lm_exps: list = []  # their exponent tuples, for pair lcms
-    heap: list = []
-    pending: set = set()
-    first: dict = {}  # first-divisor cache of _normal_form_int
-    counter = 0
+    sigs: list = []  # signatures (Schreyer key, generator index), parallel
+    syz: dict = {}  # generator index -> keys of the minimal syzygy signatures
+    queue: list = []  # min-heap of signatures still to process
+    divs: dict = {}  # divisor cache of _normal_form_int
 
     def fail(msg):
         stats["basis_size"] = len(basis)
-        stats["pending_pairs"] = len(pending)
+        stats["pending_pairs"] = len(queue)
         return ResourceLimitError(msg, stats=dict(stats))
 
-    def add_member(terms):
-        entry = _make_entry(terms)
-        basis.append(entry)
-        lms.append(entry[0])
-        lm_exps.append(packing.unpack(entry[0]))
+    def add_syzygy(key, i):
+        # keep the set minimal; a key past its fields divides no signature
+        if key & guard:
+            return
+        keys = syz.setdefault(i, [])
+        kg = key | guard
+        for s in keys:
+            if (kg - s) & guard == guard:
+                return
+        keys[:] = [s for s in keys if ((s | guard) - key) & guard != guard]
+        keys.append(key)
 
-    def push_pairs(j):
-        nonlocal counter
-        e_j = lm_exps[j]
-        for i in range(j):
-            lcm_e = tuple(a if a > b else b for a, b in zip(lm_exps[i], e_j))
-            heapq.heappush(heap, (sum(lcm_e), counter, i, j, packing.pack(lcm_e)))
-            pending.add((i, j))
-            counter += 1
+    def add_member(entry, sig):
+        lm, e_n = entry[0], packing.unpack(entry[0])
+        key_n, i_n = sig
+        for j, e_j in enumerate(lm_exps):
+            lm_j = lms[j]
+            key_j, i_j = sigs[j]
+            # the Koszul syzygy lm_j * [member n] - lm_n * [member j]
+            k_n, k_j = (lm_j + key_n, i_n), (lm + key_j, i_j)
+            if k_n != k_j:
+                add_syzygy(*max(k_n, k_j))
+            # the S-pair's signature, unless both sides carry the same one; on
+            # coprime leading monomials it is the Koszul signature above
+            lcm_m = sum(map(mul, map(max, e_j, e_n), units))
+            if lcm_m != lm + lm_j:
+                s_n, s_j = (lcm_m - lm + key_n, i_n), (lcm_m - lm_j + key_j, i_j)
+                if s_n != s_j:
+                    heapq.heappush(queue, max(s_n, s_j))
+        basis.append(entry)
+        lms.append(lm)
+        lm_exps.append(e_n)
+        sigs.append(sig)
+
+    def has_regular_reducer(m, sig):
+        """Whether a member reduces the term m of signature sig regularly."""
+        mg = m | guard
+        return any((mg - lm_j) & guard == guard
+                   and (m - lm_j + sig_j[0], sig_j[1]) < sig
+                   for lm_j, sig_j in zip(lms, sigs))
 
     try:
-        for gen in ideal.generators:
-            add_member(_int_terms(packing, gen))
+        gens = [_make_entry(_int_terms(packing, g)) for g in ideal.generators]
     except ResourceLimitError as exc:
         raise fail(str(exc)) from None
-    for j in range(len(basis)):
-        push_pairs(j)
+    # generator i has signature e_i, whose Schreyer key is its leading monomial
+    for i, gen in enumerate(gens):
+        heapq.heappush(queue, (gen[0], i))
 
-    while heap:
-        _, _, i, j, lcm_m = heapq.heappop(heap)
-        pending.discard((i, j))
-        stats["pairs_considered"] += 1
-        if stats["pairs_considered"] > max_pairs:
-            raise fail(f"pair budget exceeded ({max_pairs})")
-        # coprime leading terms: S-pair reduces to zero, skip
-        if lms[i] + lms[j] == lcm_m:
-            stats["pairs_skipped_criteria"] += 1
-            continue
-        # chain criterion: some other basis member divides the lcm and both
-        # its pairs with i and j are already settled
-        skip = False
-        lcm_g = lcm_m | guard
-        for k, lm_k in enumerate(lms):
-            if (lcm_g - lm_k) & guard == guard and k != i and k != j:
-                pik = (i, k) if i < k else (k, i)
-                pjk = (j, k) if j < k else (k, j)
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            stats["pairs_skipped_criteria"] += 1
+    last = None
+    while queue:
+        sig = heapq.heappop(queue)
+        key, i = sig
+        is_gen = key == gens[i][0]
+        if is_gen:
+            # generator i, taken as it is unless its leading term reduces
+            entry, u = gens[i], 0
+        else:
+            stats["pairs_considered"] += 1
+            if stats["pairs_considered"] > max_pairs:
+                raise fail(f"pair budget exceeded ({max_pairs})")
+            if key & guard:
+                raise fail(_OVERFLOW)
+            kg = key | guard
+            if sig == last or any((kg - s) & guard == guard for s in syz.get(i, ())):
+                stats["pairs_skipped_criteria"] += 1
+                continue
+            # the member whose signature divides sig with the smallest
+            # multiplied leading monomial, the newest on ties
+            best = None
+            for j, (key_j, i_j) in enumerate(sigs):
+                if i_j == i and (kg - key_j) & guard == guard:
+                    lead = key - key_j + lms[j]
+                    if best is None or lead <= best:
+                        best, w = lead, j
+            entry, u = basis[w], key - sigs[w][0]
+        last = sig
+        m = entry[0] + u
+        if m & guard:
+            raise fail(_OVERFLOW)
+        if not has_regular_reducer(m, sig):
+            if is_gen:
+                add_member(entry, sig)
+            else:
+                stats["pairs_skipped_criteria"] += 1
             continue
         stats["reductions"] += 1
+        terms = {t + u: c for t, c in entry[2].items()}
+        if any(t & guard for t in terms):
+            raise fail(_OVERFLOW)
         try:
-            rem, _, _ = _normal_form_int(
-                _spair_terms(basis[i], basis[j], lcm_m, guard), basis, guard, first)
+            rem, _, _ = _normal_form_int(terms, basis, guard, divs, sig, sigs)
         except ResourceLimitError as exc:
             raise fail(str(exc)) from None
-        if rem:
+        if not rem:
+            stats["zero_reductions"] += 1
+            add_syzygy(key, i)
+            continue
+        if not is_gen:
             deg = max(map(packing.degree, rem))
             if deg > max_degree:
                 raise fail(f"degree cap exceeded ({deg} > {max_degree})")
-            add_member(rem)
-            push_pairs(len(basis) - 1)
+        add_member(_make_entry(rem), sig)
 
-    polys = tuple(packing.to_poly(ideal.ring, terms) for (_, _, terms, _) in basis)
-    stats["basis_size"] = len(polys)
+    stats["basis_size"] = len(basis)
     stats["coeff_bits_max"] = _coeff_bits(basis)
-    return _with_packed(GroebnerBasis(order=order, polys=polys, reduced=False,
-                                      stats=stats), packing, basis)
+    return GroebnerBasis._from_packed(order, False, stats, packing, basis)
 
 
 def minimalize(gb: GroebnerBasis) -> GroebnerBasis:
@@ -509,14 +585,11 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
         partial = {k: v for k, v in gb.stats.items() if k != "coeff_bits_max"}
         raise ResourceLimitError(str(exc), stats=partial) from None
     reduced_entries.sort(key=lambda e: e[0], reverse=True)
-    polys = tuple(packing.to_poly(gb.order.variables, terms)
-                  for (_, _, terms, _) in reduced_entries)
     stats = dict(gb.stats)
     stats["minimal_size"] = len(kept)
-    stats["reduced_size"] = len(polys)
+    stats["reduced_size"] = len(reduced_entries)
     stats["coeff_bits_max"] = _coeff_bits(reduced_entries)
-    return _with_packed(GroebnerBasis(gb.order, polys, reduced=True, stats=stats),
-                        packing, reduced_entries)
+    return GroebnerBasis._from_packed(gb.order, True, stats, packing, reduced_entries)
 
 
 def elimination_ideal(gb: GroebnerBasis, keep) -> list:

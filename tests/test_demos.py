@@ -12,13 +12,13 @@ import conicoffset
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # stdout of demos/05_groebner_basics.py, which prints the completion
-# counters, recorded before the basis stayed packed through reduction
+# counters, recorded with the signature-based completion
 DEMO_05_STDOUT = """\
 S(f, g) = x - y^2
 reduced lex basis:
     x - y^2
     y^3 - 1
-stats: {'pairs_considered': 6, 'pairs_skipped_criteria': 2, 'reductions': 4}
+stats: {'pairs_considered': 4, 'pairs_skipped_criteria': 2, 'reductions': 2}
 x^3 - 1 in the ideal: True
 division reconstruction holds: True
 """

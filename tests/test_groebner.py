@@ -13,6 +13,7 @@ from conicoffset import conics, reference
 from conicoffset.conics import ConicSpec, build_ideal, offset_poly_closed_form
 from conicoffset.errors import (ConicOffsetError, EliminationError, OrderError,
                                ResourceLimitError, ZeroPolyError)
+from conicoffset.fixtures import general_offset_poly
 from conicoffset.groebner import (GroebnerBasis, Ideal, _normal_form_int,
                                   _Packing, buchberger, elimination_ideal,
                                   minimal_polynomials, minimalize, reduce_basis,
@@ -20,7 +21,7 @@ from conicoffset.groebner import (GroebnerBasis, Ideal, _normal_form_int,
 from conicoffset.poly import (MultiPoly, block, content_normalize, format_poly,
                               gradient, grevlex, leading_term, lex,
                               monomial_divides, monomial_mul, parse_poly,
-                              poly_dumps, reduce)
+                              poly_dumps, reduce, substitute)
 from conicoffset.verify import conic_from_case
 
 R2 = ("x", "y")
@@ -88,8 +89,9 @@ def test_example1_pipeline_counts():
     ideal = build_ideal(conic, F(1, 4))
     o = lex(ideal.ring)
     gb = buchberger(ideal, o)
-    # the classic run yields sixteen polynomials before minimization
-    assert len(gb.polys) == 16
+    # the signature-based run yields twelve polynomials before minimization
+    # (the classic pair loop yielded sixteen)
+    assert len(gb.polys) == 12
     gm = minimalize(gb)
     assert len(gm.polys) in (6, 8)
     gr = reduce_basis(gb)
@@ -275,7 +277,8 @@ def test_exponent_overflow_raises():
 # ---------------------------------------------------------------------------
 # golden bases: sha256 of the poly_dumps of each reduced basis plus the
 # completion counters (pairs_considered, pairs_skipped_criteria, reductions,
-# basis_size), recorded with the tuple-monomial engine that preceded packing
+# basis_size); the hashes were recorded with the tuple-monomial engine that
+# preceded packing, the counters with the signature-based completion
 # ---------------------------------------------------------------------------
 
 def _fingerprint(gb):
@@ -287,38 +290,38 @@ def _fingerprint(gb):
 
 GOLDEN_SMALL = {
     ("textbook", "lex"): (
-        "8184753b008788e53e71bf47432f82d1d8e59cbf038dcc12893e8d15b237add0", 6, 2, 4, 4),
+        "8184753b008788e53e71bf47432f82d1d8e59cbf038dcc12893e8d15b237add0", 4, 2, 2, 4),
     ("textbook", "grevlex"): (
-        "fd09c32d46c5899520267971d959672b7d62c58d6d160978171d4a50c801a7a9", 3, 1, 2, 3),
+        "fd09c32d46c5899520267971d959672b7d62c58d6d160978171d4a50c801a7a9", 2, 1, 1, 3),
     ("textbook", "block"): (
-        "8184753b008788e53e71bf47432f82d1d8e59cbf038dcc12893e8d15b237add0", 6, 2, 4, 4),
+        "8184753b008788e53e71bf47432f82d1d8e59cbf038dcc12893e8d15b237add0", 4, 2, 2, 4),
     ("clo", "lex"): (
-        "dd8a6d9eae4cddc4f1d00aa3003120d7e5c9166aebfd4878ff37611fd924cab7", 15, 8, 7, 6),
+        "dd8a6d9eae4cddc4f1d00aa3003120d7e5c9166aebfd4878ff37611fd924cab7", 7, 4, 3, 5),
     ("clo", "grevlex"): (
-        "13aecab0a5608f5be93892d00bf547cb35debf8643fa0a628dbdc69f213fc0f7", 10, 5, 5, 5),
+        "13aecab0a5608f5be93892d00bf547cb35debf8643fa0a628dbdc69f213fc0f7", 7, 4, 3, 5),
     ("case4", "grevlex"): (
-        "e2346c20e11e1e4b913c3f5ee45e16a7357a61ec6fe341fb2ac0d732b7a5b7c0", 21, 12, 9, 7),
+        "e2346c20e11e1e4b913c3f5ee45e16a7357a61ec6fe341fb2ac0d732b7a5b7c0", 9, 6, 4, 6),
     ("parabola-symbolic", "lex"): (
-        "4815cb8d5c2df500c508d53fc0e5ba7c8c920512c94acae91d72d56ec464a424", 91, 57, 34, 14),
+        "4815cb8d5c2df500c508d53fc0e5ba7c8c920512c94acae91d72d56ec464a424", 219, 198, 21, 23),
 }
 
 GOLDEN_BLOCK_CASES = {
-    1: ("b457f392b1efb0aac97cd87d68eb770d9ecce56a96544605b7c273dadd9a99c9", 78, 58, 20, 13),
-    2: ("d0857b5a330f1cf038192e76123968044bc6c4bc24b421036ed7c85705a39d75", 45, 25, 20, 10),
-    3: ("9b67f2d30dea1f9791666a665426994cef1699a1dd0af7624ccedb9b8fe214b3", 78, 58, 20, 13),
-    4: ("bd1dfbf6b9186a571418ec4be3363c590a76c70a731141a3cc4726b468254f57", 78, 53, 25, 13),
-    5: ("fa0a85e66271215eb85b64b4a823363dc81e32413a5d49cf0fe067a9b220f5bd", 66, 42, 24, 12),
-    6: ("4c21cf42b0be31f87816cbe2fe69adbb4e609a95284630634f0e4a8affa52e3a", 78, 53, 25, 13),
-    7: ("c8610a6e6db3addbcee289c0c25e0b98f1a424053aefa2d3d6c04a0cd75c5ab6", 78, 53, 25, 13),
-    8: ("1f52aaab6dc0ad2d3f4194d079f636c0ac721b7052d5755bffa9655b015ec767", 66, 42, 24, 12),
-    9: ("bc8c3a70e3f6a5cf97d751003b7239c93b4de7f7ed0ebdd60ff27bb09b4c419e", 78, 53, 25, 13),
+    1: ("b457f392b1efb0aac97cd87d68eb770d9ecce56a96544605b7c273dadd9a99c9", 43, 34, 9, 12),
+    2: ("d0857b5a330f1cf038192e76123968044bc6c4bc24b421036ed7c85705a39d75", 31, 24, 7, 10),
+    3: ("9b67f2d30dea1f9791666a665426994cef1699a1dd0af7624ccedb9b8fe214b3", 43, 34, 9, 12),
+    4: ("bd1dfbf6b9186a571418ec4be3363c590a76c70a731141a3cc4726b468254f57", 59, 49, 11, 13),
+    5: ("fa0a85e66271215eb85b64b4a823363dc81e32413a5d49cf0fe067a9b220f5bd", 49, 40, 10, 12),
+    6: ("4c21cf42b0be31f87816cbe2fe69adbb4e609a95284630634f0e4a8affa52e3a", 59, 49, 11, 13),
+    7: ("c8610a6e6db3addbcee289c0c25e0b98f1a424053aefa2d3d6c04a0cd75c5ab6", 40, 32, 9, 11),
+    8: ("1f52aaab6dc0ad2d3f4194d079f636c0ac721b7052d5755bffa9655b015ec767", 49, 40, 10, 12),
+    9: ("bc8c3a70e3f6a5cf97d751003b7239c93b4de7f7ed0ebdd60ff27bb09b4c419e", 59, 49, 11, 13),
 }
 
 # the two lex runs of the elimination singular-point route on case 5
 # (ellipse a=3, b=3/2, r=3/4): keep x (ring y>x), then keep y (ring x>y)
 GOLDEN_UNIVARIATE = [
-    ("82473089ef5840cad07868686e16c8bfc88cf6c76025a22e924e0464cb4e241f", 300, 269, 31, 25),
-    ("fb8da81c41343f336557a038f874fd9f421c318945c85751a737af401a961c9f", 406, 367, 39, 29),
+    ("82473089ef5840cad07868686e16c8bfc88cf6c76025a22e924e0464cb4e241f", 166, 147, 19, 19),
+    ("fb8da81c41343f336557a038f874fd9f421c318945c85751a737af401a961c9f", 267, 243, 24, 24),
 ]
 
 
@@ -625,3 +628,130 @@ def test_partial_stats_have_no_coeff_bits():
         reduce_basis(gb)
     assert "overflow" in str(exc.value)
     assert exc.value.stats == {"pairs_considered": 1}
+
+
+# ---------------------------------------------------------------------------
+# signature-based completion
+# ---------------------------------------------------------------------------
+
+def test_reduce_basis_never_converts_the_unreduced_members(monkeypatch):
+    ideal = _small_ideal("case4")
+    order = grevlex(ideal.ring)
+    packing, entries = buchberger(ideal, order)._packed
+    eager = tuple(packing.to_poly(ideal.ring, e[2]) for e in entries)
+    built = []
+    to_poly = _Packing.to_poly
+    monkeypatch.setattr(_Packing, "to_poly", lambda self, ring, terms:
+                        built.append(1) or to_poly(self, ring, terms))
+    gb = buchberger(ideal, order)
+    reduced = reduce_basis(gb)
+    assert built == []
+    # polys are built on first read, once, and equal the eager conversion
+    assert len(reduced.polys) == len(built) == reduced.stats["reduced_size"]
+    assert gb.polys == eager and gb.polys is gb.polys
+    assert len(built) == len(reduced.polys) + len(eager)
+    assert gb == buchberger(ideal, order)
+
+
+def test_dense_singular_system_keeps_coefficients_small():
+    # g is the product of two random quartics; on <g, g_x, g_y> the unreduced
+    # members of the classic pair loop reached 75,526-bit coefficients.  The
+    # reduced basis hash was recorded with that loop.
+    rng = random.Random(1)
+
+    def quartic():
+        return MultiPoly(R2, {(i, j): F(rng.randint(-9, 9))
+                              for i in range(5) for j in range(5 - i)})
+
+    g = quartic() * quartic()
+    gb = buchberger(Ideal(R2, (g, *gradient(g, ["x", "y"]))), grevlex(R2))
+    assert gb.stats["coeff_bits_max"] <= 1000
+    assert _fingerprint(reduce_basis(gb))[0] == \
+        "0e6235942ebc4823f32fbda8a594ecfe7971898a626c40718f475059f42cc04a"
+
+
+def test_ellipse_with_fixed_a_and_symbolic_b_and_r():
+    # the lex family that perfbench/workloads.py leaves out because the
+    # classic pair loop did not finish it.  Its basis hash was recorded with
+    # the signature-based loop.
+    ideal = build_ideal("ellipse")
+    gens = [substitute(g, {"a": F(5, 2)}) for g in ideal.generators]
+    ring = gens[0].ring
+    gb = reduce_basis(buchberger(Ideal(ring, gens), lex(ring), max_degree=60))
+    assert len(gb.polys) == 22
+    assert _fingerprint(gb)[0] == \
+        "f3b916b076230d286cc25530fb7c8e0966b0e306c5089c4ca78bb211777235c1"
+    # the generators reduce to zero through the unbounded integer normal form
+    packing, entries = gb._packed
+    for gen in gens:
+        den = math.lcm(*(c.denominator for c in gen.terms.values()))
+        terms = {packing.pack(m): int(c * den) for m, c in gen.terms.items()}
+        assert _normal_form_int(terms, entries, packing.guard, {})[0] == {}
+    # the closed-form fixture at a = 5/2, times a^2 b^2, lies in the ideal
+    fixture = substitute(general_offset_poly("ellipse"), {"a": F(5, 2)})
+    lifted = MultiPoly(ring, {tuple(m[fixture.ring.index(v)] if v in fixture.ring
+                                    else 0 for v in ring): c * F(25, 4)
+                              for m, c in fixture.terms.items()})
+    lifted = lifted * MultiPoly.variable(ring, "b") ** 2
+    assert reduce(lifted, list(gb.polys), gb.order)[0].is_zero()
+
+
+def _oracle_cases():
+    """Small random ideals in 2 and 3 variables under lex, grevlex and a block
+    order, each made non-regular one of three ways."""
+    for nv, kind, extra, k in itertools.product((2, 3), ("lex", "grevlex", "block"),
+                                                ("more", "dup", "member"), range(2)):
+        rng = random.Random(f"{nv}:{kind}:{extra}:{k}")
+        ring = ("x", "y", "z")[:nv]
+
+        def rand(top, count):
+            while True:
+                p = MultiPoly(ring, {tuple(rng.randint(0, top) for _ in ring):
+                                     F(rng.randint(-5, 5), rng.randint(1, 3))
+                                     for _ in range(count)})
+                if not p.is_zero():
+                    return p
+
+        top, most = (3, 4) if nv == 2 else (2, 3)
+        gens = [rand(top, rng.randint(2, most)) for _ in range(nv)]
+        if extra == "more":  # more generators than variables
+            gens.append(rand(top, 3))
+        elif extra == "dup":  # a duplicate generator
+            gens.append(gens[rng.randrange(nv)])
+        else:  # a generator already in the ideal
+            gens.append(rand(1, 2) * gens[0] + gens[1])
+        rng.shuffle(gens)
+        order = (block(ring, 1) if kind == "block"
+                 else {"lex": lex, "grevlex": grevlex}[kind](ring))
+        yield ring, gens, kind, order
+
+
+def test_completion_matches_sympy_on_non_regular_ideals():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import ProductOrder
+    zero_reductions = 0
+    for ring, gens, kind, order in _oracle_cases():
+        gb = buchberger(Ideal(ring, tuple(gens)), order)
+        zero_reductions += gb.stats["zero_reductions"]
+        # the unreduced output passes Buchberger's criterion over Fractions
+        for p, q in itertools.combinations(gb.polys, 2):
+            s = s_polynomial(p, q, order)
+            assert s.is_zero() or reduce(s, list(gb.polys), order)[0].is_zero()
+        for g in gens:
+            assert reduce(g, list(gb.polys), order)[0].is_zero()
+        # and its reduced basis is sympy's
+        syms = sympy.symbols(ring)
+        sorder = kind if kind != "block" else ProductOrder(
+            (sympy.polys.orderings.grevlex, lambda m: m[:1]),
+            (sympy.polys.orderings.grevlex, lambda m: m[1:]))
+        theirs = sympy.groebner(
+            [sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                   for m, c in g.terms.items()}, *syms) for g in gens],
+            *syms, order=sorder)
+        theirs = {content_normalize(MultiPoly(ring, {
+            m: F(int(c.p), int(c.q)) for m, c in sympy.Poly(p, *syms).terms()}))
+            for p in theirs.exprs}
+        assert {content_normalize(p) for p in reduce_basis(gb).polys} == theirs, \
+            (kind, gens)
+    # the non-regular inputs do run the zero-reduction -> syzygy path
+    assert zero_reductions >= 20
