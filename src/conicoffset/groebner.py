@@ -10,19 +10,23 @@ in the hot loop.
 
 Packed layout (see :class:`_Packing`).  Each exponent gets a raw field of
 ``width`` bits plus one guard bit above it; the first variable is most
-significant.  Above the raw fields sit the order-key fields, most significant
-first: none for lex; the prefix sums S_n, ..., S_1 (S_k = e_1 + ... + e_k) for
-grevlex; one such set per block for the block order.  Every field is linear in
-the exponents, so comparing two packed ints compares the monomials in the
-order, a product is ``a + b``, a quotient is ``m - lm``, and ``lm | m`` is
-``((m | G) - lm) & G == G`` with G the raw guard bits.  ``width`` is 16 bits,
-or more when twice the bound needs them: ``max_degree`` in ``buchberger``, the
-largest input exponent when a basis is packed afresh.  A packed form handed
-on is reused only where it is no narrower than that.  Lex elimination can form
-exponents above ``max_degree`` before the degree cap sees a remainder, hence
-the headroom.  An exponent that does not fit (in a generator, or in any
-product formed during completion or reduction) sets a guard bit and raises
-ResourceLimitError with the partial statistics; it never wraps.
+significant.  Grevlex puts its order-key fields above the raw fields, most
+significant first: the prefix sums S_n, ..., S_1 (S_k = e_1 + ... + e_k); the
+block order has one such set per block.  Lex has one key field, the total
+degree, below the raw fields, where it never decides a comparison (equal raw
+fields mean equal monomials) and makes the degree one shift and mask.  Every
+field is linear in the exponents, so comparing two packed ints compares the
+monomials in the order, a product is ``a + b``, a quotient is ``m - lm``, and
+``lm | m`` is ``((m | G) - lm) & G == G`` with G the raw guard bits; a borrow
+out of the lex degree field (deg lm > deg m) can clear a guard bit only where
+lm does not divide m anyway.  ``width`` is 16 bits, or more when twice the
+bound needs them: ``max_degree`` in ``buchberger``, the largest input exponent
+when a basis is packed afresh.  A packed form handed on is reused only where
+it is no narrower than that.  Lex elimination can form exponents above
+``max_degree`` before the degree cap sees a remainder, hence the headroom.  An
+exponent that does not fit (in a generator, or in any product formed during
+completion or reduction) sets a guard bit and raises ResourceLimitError with
+the partial statistics; it never wraps.
 
 Completion is signature-based, in the SB/GVW form (Roune & Stillman, ISSAC
 2012; Eder & Faugere, JSC 2017).  Each member carries a signature u*e_i: it
@@ -45,9 +49,12 @@ regularly joins as it is.  A coprime pair's signature is its Koszul
 syzygy's, so it is never queued, and no other pair criterion is needed.
 Every choice above is fixed, so runs are deterministic.
 
-The normal forms share one divisor cache per completion: a packed monomial
-maps to the members, among those already scanned, whose leading monomials
-divide it, so a term is checked again only against the members added since.
+A normal form finds a term's reducers by the order: lm | m implies lm <= m in
+every monomial order (Cox, Little & O'Shea, ch. 2), and packed ints compare
+like their monomials, so with the leading monomials sorted once per call, only
+those up to ``bisect_right`` of m are tested for divisibility.  That prefix is
+short, since most leading monomials of a basis lie above the terms it reduces.
+Among the divisors found, the reducer is chosen in basis order.
 
 The basis stays packed from completion through reduction.  ``buchberger``
 and ``reduce_basis`` leave their packed entries on the ``GroebnerBasis`` they
@@ -67,6 +74,7 @@ linear algebra in the quotient ring, in place of a lex completion.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
@@ -161,8 +169,8 @@ class _Packing:
     to ``sum(e_i * units[i])``.  Key fields are wide enough to hold the sum of
     two in-range monomials, so only the raw guard bits can flag an overflow.
     ``degree_fields`` are the (shift, mask) fields whose sum is the total
-    degree: one per block for grevlex and block orders, every raw field for
-    lex.
+    degree: the one degree field for lex and grevlex, one per block for the
+    block order.
     """
 
     __slots__ = ("width", "mask", "guard", "units", "shifts", "degree_fields")
@@ -172,9 +180,13 @@ class _Packing:
         self.width = width = max(MIN_FIELD_BITS, (2 * bound).bit_length())
         self.mask = (1 << width) - 1
         slot = width + 1
-        self.shifts = [slot * (n - 1 - i) for i in range(n)]
+        key_bits = width + 1 + n.bit_length()
+        # lex's one key field, the total degree, lies below the raw fields
+        low = key_bits if order.kind == "lex" else 0
+        self.shifts = [low + slot * (n - 1 - i) for i in range(n)]
         self.guard = sum(1 << (s + width) for s in self.shifts)
-        units = [1 << s for s in self.shifts]
+        units = [(1 << s) + (1 if low else 0) for s in self.shifts]
+        degree_fields = [(0, (1 << key_bits) - 1)] if low else []
         if order.kind == "lex":
             blocks = []
         elif order.kind == "grevlex":
@@ -185,9 +197,7 @@ class _Packing:
         # a block's S_len field is its share of the total degree
         fields = [(blk[:k], k == len(blk)) for blk in blocks
                   for k in range(len(blk), 0, -1)]
-        key_bits = width + 1 + n.bit_length()
-        shift = slot * n
-        degree_fields = [] if blocks else [(s, self.mask) for s in self.shifts]
+        shift = low + slot * n
         for members, whole in reversed(fields):
             for i in members:
                 units[i] += 1 << shift
@@ -208,7 +218,10 @@ class _Packing:
 
     def degree(self, m: int) -> int:
         """Total degree of a packed monomial."""
-        return sum((m >> s) & k for s, k in self.degree_fields)
+        d = 0
+        for s, k in self.degree_fields:
+            d += (m >> s) & k
+        return d
 
     def to_poly(self, ring: tuple, terms: dict) -> MultiPoly:
         return MultiPoly._trusted(
@@ -254,7 +267,7 @@ def _coeff_bits(entries) -> int:
     return max((c.bit_length() for e in entries for c in e[2].values()), default=0)
 
 
-def _normal_form_int(terms: dict, basis: Sequence, guard: int, divs: dict,
+def _normal_form_int(terms: dict, basis: Sequence, guard: int,
                      bound: tuple | None = None, sigs: Sequence = ()) -> tuple:
     """Full normal form of an integer polynomial against basis entries.
 
@@ -269,24 +282,19 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int, divs: dict,
     Without ``bound`` each term is reduced by the first member, in basis
     order, whose leading monomial divides it.  With ``bound``, a signature
     ``(key, index)`` (see ``buchberger``), and ``sigs``, the members'
-    signatures, a term m is reduced only regularly: by the first member j
-    whose multiplied signature ``(m - lm_j + key_j, index_j)`` is below
-    ``bound``; a term with no such member stays in the remainder.
-
-    ``divs`` is the divisor cache of this basis, shared only by calls
-    against the same basis or that basis grown by appending (one completion).
-    It maps a packed monomial to ``[k, j1, j2, ...]``: the indices, in basis
-    order, of the members among the first k whose leading monomials divide
-    it.  A later call scans only the members added since.
+    signatures, a term m is reduced only regularly: by the first member j,
+    in basis order, whose multiplied signature ``(m - lm_j + key_j,
+    index_j)`` is below ``bound``; a term with no such member stays in the
+    remainder.  Only the members whose leading monomials are at most m, a
+    prefix of them sorted once by leading monomial, are tested as divisors.
     """
     work = dict(terms)
     done: dict = {}
-    lms = [e[0] for e in basis]
-    nlms = len(lms)
+    by_lm = sorted((e[0], j) for j, e in enumerate(basis))
+    sorted_lms = [lm for lm, _ in by_lm]
     heap = [-m for m in work]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
-    bkey, bpos = bound if bound is not None else (0, 0)
     scalings = 0
     num = den = 1
     while heap:
@@ -294,30 +302,17 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int, divs: dict,
         c = work.pop(m, 0)
         if c == 0:
             continue
-        d = divs.get(m)
-        if d is None or d[0] < nlms:
-            if d is None:
-                d = divs[m] = [0]
-            mg = m | guard
-            d += [j for j, lm in enumerate(lms[d[0]:], d[0])
-                  if (mg - lm) & guard == guard]
-            d[0] = nlms
-        idx = -1
-        if bound is None:
-            if len(d) > 1:
-                idx = d[1]
+        mg = m | guard
+        hits = [j for lm, j in islice(by_lm, bisect_right(sorted_lms, m))
+                if (mg - lm) & guard == guard]
+        for j in sorted(hits):
+            if bound is None or (sigs[j][0] + m - basis[j][0], sigs[j][1]) < bound:
+                break
         else:
-            for j in islice(d, 1, None):
-                key, pos = sigs[j]
-                key += m - lms[j]
-                if key < bkey or (key == bkey and pos < bpos):
-                    idx = j
-                    break
-        if idx < 0:
             done[m] = c
             continue
-        _, lc, _, tail = basis[idx]
-        q = m - lms[idx]
+        lm, lc, _, tail = basis[j]
+        q = m - lm
         g = gcd(c, lc) if c > 0 else gcd(-c, lc)
         scale, factor = lc // g, c // g
         if scale != 1:
@@ -417,7 +412,6 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     sigs: list = []  # signatures (Schreyer key, generator index), parallel
     syz: dict = {}  # generator index -> keys of the minimal syzygy signatures
     queue: list = []  # min-heap of signatures still to process
-    divs: dict = {}  # divisor cache of _normal_form_int
 
     def fail(msg):
         stats["basis_size"] = len(basis)
@@ -515,7 +509,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
         if any(t & guard for t in terms):
             raise fail(_OVERFLOW)
         try:
-            rem, _, _ = _normal_form_int(terms, basis, guard, divs, sig, sigs)
+            rem, _, _ = _normal_form_int(terms, basis, guard, sig, sigs)
         except ResourceLimitError as exc:
             raise fail(str(exc)) from None
         if not rem:
@@ -561,9 +555,9 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     ``gb.polys`` packed and made primitive, so the usual
     ``reduce_basis(buchberger(...))`` chain never goes through ``Fraction``.
     Minimalizing is a stable sort by packed leading monomial, which is the
-    order key, and each member is reduced against the others with a fresh
-    first-divisor cache, since its reducer list differs per member.  The
-    result keeps its own entries for ``minimal_polynomials``.
+    order key, and each member's tail is reduced against the others, each
+    term by the first of them, in that sorted order, whose leading monomial
+    divides it.  The result keeps its own entries for ``minimal_polynomials``.
     """
     packing, entries = _packed_basis(gb)
     guard = packing.guard
@@ -576,7 +570,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     try:
         for idx, entry in enumerate(kept):
             others = [e for k, e in enumerate(kept) if k != idx]
-            rem, _, _ = _normal_form_int(entry[2], others, guard, {})
+            rem, _, _ = _normal_form_int(entry[2], others, guard)
             if rem:
                 new = _make_entry(rem)
                 reduced_entries.append(new)
@@ -597,7 +591,9 @@ def elimination_ideal(gb: GroebnerBasis, keep) -> list:
 
     By the Elimination Theorem these generate (as a Groebner basis) the
     intersection of the ideal with the subring on `keep`, provided the basis
-    order ranks every dropped variable above every kept one.
+    order ranks every dropped variable above every kept one.  Support is
+    read from the packed entries: a member is kept when none of its terms
+    sets a raw field of a dropped variable.
     """
     keep = set(keep)
     ring = gb.order.variables
@@ -608,7 +604,10 @@ def elimination_ideal(gb: GroebnerBasis, keep) -> list:
     if dropped and not gb.order.eliminates(dropped):
         raise OrderError(
             f"order {gb.order.kind} over {ring} does not eliminate {sorted(dropped)}")
-    return [p for p in gb.polys if p.support_vars() <= keep]
+    packing, entries = _packed_basis(gb)
+    fields = sum(packing.mask << packing.shifts[ring.index(v)] for v in dropped)
+    return [p for p, e in zip(gb.polys, entries)
+            if not any(m & fields for m in e[2])]
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +641,10 @@ def _krylov_relation(index: dict, unit: int, entries: list, guard: int) -> list:
     # monomial's NF is its primitive remainder over the factor that
     # _normal_form_int returns, so den is the lcm of those factors' numerators
     images = [index.get(m + unit) for m in index]
-    border, first = {}, {}
+    border = {}
     for i, m in enumerate(index):
         if images[i] is None:
-            rem, num, d = _normal_form_int({m + unit: 1}, entries, guard, first)
+            rem, num, d = _normal_form_int({m + unit: 1}, entries, guard)
             border[i] = rem, Fraction(d, num)  # NF = rem * d / num
     den = lcm(*(inv.denominator for _, inv in border.values()))
     cols = []

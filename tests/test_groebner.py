@@ -14,10 +14,10 @@ from conicoffset.conics import ConicSpec, build_ideal, offset_poly_closed_form
 from conicoffset.errors import (ConicOffsetError, EliminationError, OrderError,
                                ResourceLimitError, ZeroPolyError)
 from conicoffset.fixtures import general_offset_poly
-from conicoffset.groebner import (GroebnerBasis, Ideal, _normal_form_int,
-                                  _Packing, buchberger, elimination_ideal,
-                                  minimal_polynomials, minimalize, reduce_basis,
-                                  s_polynomial)
+from conicoffset.groebner import (GroebnerBasis, Ideal, _make_entry,
+                                  _normal_form_int, _Packing, buchberger,
+                                  elimination_ideal, minimal_polynomials,
+                                  minimalize, reduce_basis, s_polynomial)
 from conicoffset.poly import (MultiPoly, block, content_normalize, format_poly,
                               gradient, grevlex, leading_term, lex,
                               monomial_divides, monomial_mul, parse_poly,
@@ -325,6 +325,21 @@ GOLDEN_UNIVARIATE = [
 ]
 
 
+# the lex families of the perfbench symbolic workload with parameters fixed,
+# at seed 7's round-0 draws: r fixed, then r and b fixed (max_degree=60);
+# recorded with the divisor-cache engine that preceded the order-prefix lookup
+GOLDEN_SYMBOLIC = {
+    ("ellipse", (("r", F(9, 2)),)): (
+        "b6e61ae6bce17c7fb4ea75a87e322cae5f7a1ebe95dff5a67cefbd487786cf95", 2000, 1936, 64, 65),
+    ("hyperbola", (("r", F(3)),)): (
+        "ca89f934068212cf30f95bbfe04d2e3bef1b5c30bc2afa2c15a6ae79b698b9ee", 2000, 1936, 64, 65),
+    ("ellipse", (("r", F(1, 2)), ("b", F(6)))): (
+        "7882433c3669c0d4c679b0f63a95eeccbbbf39e57053f5a6fa8f5ad46df92767", 453, 422, 32, 32),
+    ("hyperbola", (("r", F(8, 3)), ("b", F(7, 4)))): (
+        "c108af5d63876018605783e397409af5295008c933c4306ef323fa5e1974403c", 453, 422, 32, 32),
+}
+
+
 def _small_ideal(name):
     if name == "textbook":
         return Ideal(R2, (parse_poly("x^2 - y", R2), parse_poly("x*y - 1", R2)))
@@ -352,6 +367,15 @@ def test_golden_block_elimination_cases(case_id):
     ideal = build_ideal(conic_from_case(c), F(c["r"]))
     gb = reduce_basis(buchberger(ideal, block(ideal.ring, 2)))
     assert _fingerprint(gb) == GOLDEN_BLOCK_CASES[case_id]
+
+
+@pytest.mark.parametrize("kind,fixed", sorted(GOLDEN_SYMBOLIC))
+def test_golden_symbolic_lex_families(kind, fixed):
+    ideal = build_ideal(kind)
+    gens = [substitute(g, dict(fixed)) for g in ideal.generators]
+    ring = gens[0].ring
+    gb = reduce_basis(buchberger(Ideal(ring, gens), lex(ring), max_degree=60))
+    assert _fingerprint(gb) == GOLDEN_SYMBOLIC[(kind, fixed)]
 
 
 def _lex_univariate(system, keep, drop):
@@ -555,8 +579,7 @@ def test_reduce_basis_widens_a_narrow_packed_form():
 @pytest.mark.parametrize("name,kind", sorted(GOLDEN_SMALL))
 def test_normal_form_factor_is_exact(name, kind):
     # the integer normal form is primitive and equals its returned factor
-    # num/den times the Fraction remainder of poly.reduce, term for term,
-    # with a fresh first-divisor cache and with one shared across the inputs
+    # num/den times the Fraction remainder of poly.reduce, term for term
     ideal = _small_ideal(name)
     order = _orders(ideal.ring)[kind]
     gb = reduce_basis(buchberger(ideal, order))
@@ -572,15 +595,41 @@ def test_normal_form_factor_is_exact(name, kind):
             p = p * ideal.generators[k % len(ideal.generators)] + (k % 3 - 1) * k
         if not p.is_zero():
             inputs.append(p)
-    first: dict = {}
     for p in inputs:
         want, _ = reduce(p, list(gb.polys), order)
         terms = {packing.pack(m): int(c) for m, c in p.terms.items()}
-        for cache in ({}, first):
-            rem, num, den = _normal_form_int(terms, entries, packing.guard, cache)
-            assert num > 0 and den > 0
-            assert math.gcd(*rem.values()) in (0, 1)
-            assert packing.to_poly(ring, rem) == F(num, den) * want
+        rem, num, den = _normal_form_int(terms, entries, packing.guard)
+        assert num > 0 and den > 0
+        assert math.gcd(*rem.values()) in (0, 1)
+        assert packing.to_poly(ring, rem) == F(num, den) * want
+
+
+def test_normal_form_takes_the_first_divisor_in_basis_order():
+    # both leading monomials divide xy; the smaller one, y, is not taken
+    # first unless it comes first in the basis
+    pk = _Packing(lex(R2), 40)
+    x, y = pk.units
+    a = _make_entry({x + y: 1, 0: 1})  # xy + 1
+    b = _make_entry({y: 1, 0: -2})  # y - 2
+    assert _normal_form_int({x + y: 1}, [a, b], pk.guard) == ({0: -1}, 1, 1)
+    assert _normal_form_int({x + y: 1}, [b, a], pk.guard) == ({x: 1}, 1, 2)
+
+
+@pytest.mark.parametrize("kind", ["lex", "grevlex", "block"])
+def test_degree_cap_boundary(kind):
+    # S(x^2, f) reduces by f = x y^(d-2) + y^(d-1) to -y^d, a new member of
+    # total degree d: kept under max_degree d, refused under d - 1
+    d = 12
+    order = _orders(R2)[kind]
+    gens = (X ** 2, X * Y ** (d - 2) + Y ** (d - 1))
+    gb = buchberger(Ideal(R2, gens), order, max_degree=d)
+    assert max(p.degree() for p in gb.polys) == d
+    assert gb.stats["reductions"] == 1
+    with pytest.raises(ResourceLimitError, match=rf"cap exceeded \({d} > {d - 1}\)"):
+        buchberger(Ideal(R2, gens), order, max_degree=d - 1)
+    # generators are exempt, taken as they are or reduced
+    gb = buchberger(Ideal(R2, (X, X + Y ** 50, X ** 30 + Y ** 30)), order, max_degree=d)
+    assert max(p.degree() for p in gb.polys) == 50
 
 
 @pytest.mark.parametrize("name,kind", sorted(GOLDEN_SMALL))
@@ -686,7 +735,7 @@ def test_ellipse_with_fixed_a_and_symbolic_b_and_r():
     for gen in gens:
         den = math.lcm(*(c.denominator for c in gen.terms.values()))
         terms = {packing.pack(m): int(c * den) for m, c in gen.terms.items()}
-        assert _normal_form_int(terms, entries, packing.guard, {})[0] == {}
+        assert _normal_form_int(terms, entries, packing.guard)[0] == {}
     # the closed-form fixture at a = 5/2, times a^2 b^2, lies in the ideal
     fixture = substitute(general_offset_poly("ellipse"), {"a": F(5, 2)})
     lifted = MultiPoly(ring, {tuple(m[fixture.ring.index(v)] if v in fixture.ring
