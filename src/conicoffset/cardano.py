@@ -14,15 +14,17 @@ solver.  It advances a whole array of brackets together, each by the steps
 a scalar Illinois loop would take, so its callers hand it all their brackets
 at once: the Sturm search one object array of mpf intervals per factor, the
 tracer one float array of its crossing grid edges per trace.
+
+mpmath and numpy are imported inside the functions that compute with them:
+mpmath in the evaluators and root solvers, numpy in ``bracketed_roots`` and
+the Sturm search.  The exact helpers load neither, so a process that only
+builds offset polynomials or Groebner bases never imports them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isinf, isqrt, lcm
-
-import mpmath as mp
-import numpy as np
 
 from .errors import ParamError
 
@@ -68,6 +70,7 @@ def derivative(cs):
 
 
 def to_mpf(v) -> mp.mpf:
+    import mpmath as mp
     if isinstance(v, Fraction):
         return mp.mpf(v.numerator) / v.denominator
     return mp.mpf(v)
@@ -85,6 +88,7 @@ def to_float(v) -> float:
 
 
 def eval_poly_at(cs, t):
+    import mpmath as mp
     acc = mp.mpf(0) if not isinstance(t, Fraction) else Fraction(0)
     for c in reversed(cs):
         acc = acc * t + (c if isinstance(t, Fraction) else to_mpf(c))
@@ -173,6 +177,7 @@ def _int_exact_div(a, b):
 
 def real_cbrt(x):
     """Real cube root (mpmath's cbrt takes the principal complex branch)."""
+    import mpmath as mp
     x = mp.mpf(x)
     return mp.cbrt(x) if x >= 0 else -mp.cbrt(-x)
 
@@ -189,6 +194,7 @@ def fraction_sqrt(q: Fraction):
 
 def sqrt_exact(q: Fraction):
     """sqrt of a nonnegative rational: Fraction when perfect, else mpf."""
+    import mpmath as mp
     s = fraction_sqrt(q)
     return s if s is not None else mp.sqrt(to_mpf(q))
 
@@ -220,6 +226,7 @@ def real_roots_cubic(cs):
     error is absolute, of the largest root's size, so the smallest root is
     taken again from the product -d of all three (Vieta).
     """
+    import mpmath as mp
     c0, c1, c2, c3 = cs
     b, c, d = c2 / c3, c1 / c3, c0 / c3
     p = c - b * b / 3
@@ -262,6 +269,7 @@ def real_roots_exact(cs):
     Returns a sorted list of roots, exact Fractions where they are found
     rational and mpmath floats at the working precision otherwise.
     """
+    import mpmath as mp
     cs = normalize([Fraction(c) for c in cs])
     if not cs:
         raise ValueError("zero polynomial has every root")
@@ -312,6 +320,7 @@ def bracketed_roots(phi, lo, hi, flo, fhi, width):
     brackets still running; the arithmetic is elementwise, so a bracket's
     steps and result do not depend on the others.
     """
+    import numpy as np
     lo, hi, flo, fhi = (np.array(v) for v in (lo, hi, flo, fhi))
     out = np.where(flo == 0.0, lo, hi)  # an end that is a zero is the root
     idx = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
@@ -363,6 +372,8 @@ def _real_roots_sturm(p):
     midpoint that is a root is kept as a Fraction and divided out, and the
     search starts over on the quotient.
     """
+    import mpmath as mp
+    import numpy as np
     seq = [p, derivative(p)]
     while len(seq[-1]) > 1:
         b = seq[-1] if seq[-1][-1] > 0 else [-v for v in seq[-1]]

@@ -19,8 +19,6 @@ from .conics import (ConicSpec, offset_poly_closed_form, offset_poly_elimination
 from .errors import ConicOffsetError, PreconditionError, ResourceLimitError
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, Ideal, buchberger,
                        reduce_basis)
-from .mesh import MeshSpec, export_mesh, generate_mesh, mesh_figure
-from .curve import plot_svg, trace_implicit
 from .poly import (MultiPoly, block, grevlex, lex, poly_from_dict, poly_to_dict,
                    format_poly, rat)
 
@@ -239,6 +237,8 @@ def cmd_classify(args):
 
 
 def cmd_trace(args):
+    from .curve import plot_svg, trace_implicit
+
     with open(args.g) as fh:
         g = _load_polys(fh, poly_from_dict)
     traced = trace_implicit(g, args.bbox, args.res)
@@ -259,6 +259,8 @@ def cmd_trace(args):
 
 
 def cmd_mesh(args):
+    from .mesh import MeshSpec, export_mesh, generate_mesh, mesh_figure
+
     ellipse = ConicSpec.ellipse(args.a, args.b)
     spec = MeshSpec(ellipse=ellipse, offsets=args.offsets, y_stations=args.stations)
     mesh = generate_mesh(spec)

@@ -38,6 +38,8 @@ r >= r_crit (hyperbola).
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
 ``hessian_definite`` tells the tracer which of its pins are isolated.
+mpmath is imported by the functions that evaluate, so building ideals and
+offset polynomials does not load it.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 from math import gcd
-
-import mpmath as mp
 
 from . import cardano
 from .cardano import to_float, to_mpf
@@ -344,6 +344,7 @@ def _mp_evaluator(*polys):
     polynomial using it comes up, and shared; a term is its coefficient times
     its powers in ring order, summed from mpf(0) in term order, so each value
     is bit-identical to evaluating its polynomial term by term."""
+    import mpmath as mp
     slot, program = {}, []
     for poly in polys:
         fresh = sorted({(i, e) for m in poly.terms for i, e in enumerate(m) if e}
@@ -459,6 +460,7 @@ def _catalogue(conic: ConicSpec, r: Fraction, regime: str) -> list:
     """The closed form's real singular points as (x, y) pairs, each
     coordinate a Fraction or an mpf at the working precision.  Each +- group
     is a set, so a zero square gives one point."""
+    import mpmath as mp
     if conic.kind == PARABOLA:
         # beta(t) = (t, t^2/(4p)) has radius of curvature 2|p| s^3 with
         # s^2 = 1 + (t/2p)^2, so s^2 = cbrt((r/2p)^2) at the cusp; moved by r
@@ -495,6 +497,7 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
     ``g`` is the closed-form offset polynomial; the residuals use its raw
     (not content-normalized) gradient.  ``points_of`` runs at RADICAL_DPS.
     """
+    import mpmath as mp
     r = _offset(r)
     rc = r_crit(conic)
     regime = SUBCRITICAL if r < rc else CRITICAL if r == rc else SUPERCRITICAL
@@ -567,6 +570,7 @@ def singular_locus(g: MultiPoly) -> list:
     completion of <g, grad g> processes more than LOCUS_MAX_PAIRS S-pairs or
     meets a remainder of total degree above LOCUS_MAX_DEGREE.
     """
+    import mpmath as mp
     g = content_normalize(g)
     system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])
                    if not q.is_zero()))
@@ -586,6 +590,7 @@ def hessian_definite(g: MultiPoly, points) -> list:
     |g_xy| + |g_yy|)^2 with bound = 10^(-RADICAL_DPS/2); an entry below bound
     times its terms' summed sizes counts as 0 (an exact 0 read 1.7e-49 at
     (0, 10/7) on ellipse(7/4, 3/4) at r_crit)."""
+    import mpmath as mp
     if not points:
         return []
     gx, gy = gradient(g, ["x", "y"])

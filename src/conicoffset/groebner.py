@@ -54,7 +54,9 @@ every monomial order (Cox, Little & O'Shea, ch. 2), and packed ints compare
 like their monomials, so with the leading monomials sorted once per call, only
 those up to ``bisect_right`` of m are tested for divisibility.  That prefix is
 short, since most leading monomials of a basis lie above the terms it reduces.
-Among the divisors found, the reducer is chosen in basis order.
+Among the divisors found, the reducer is chosen in basis order.  Completion's
+test for a regular reducer of a leading term scans the same prefix, of a list
+kept sorted as members join.
 
 The basis stays packed from completion through reduction.  ``buchberger``
 and ``reduce_basis`` leave their packed entries on the ``GroebnerBasis`` they
@@ -410,6 +412,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     lms: list = []  # packed leading monomials, parallel to basis
     lm_exps: list = []  # their exponent tuples, for pair lcms
     sigs: list = []  # signatures (Schreyer key, generator index), parallel
+    by_lm: list = []  # (leading monomial, signature) of every member, by lm
+    sorted_lms: list = []  # the leading monomials of by_lm, for bisect
     syz: dict = {}  # generator index -> keys of the minimal syzygy signatures
     queue: list = []  # min-heap of signatures still to process
 
@@ -451,13 +455,18 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
         lms.append(lm)
         lm_exps.append(e_n)
         sigs.append(sig)
+        at = bisect_right(sorted_lms, lm)
+        sorted_lms.insert(at, lm)
+        by_lm.insert(at, (lm, sig))
 
     def has_regular_reducer(m, sig):
-        """Whether a member reduces the term m of signature sig regularly."""
+        """Whether a member reduces the term m of signature sig regularly;
+        only members with lm <= m can divide m, as in _normal_form_int."""
         mg = m | guard
+        below = islice(by_lm, bisect_right(sorted_lms, m))
         return any((mg - lm_j) & guard == guard
                    and (m - lm_j + sig_j[0], sig_j[1]) < sig
-                   for lm_j, sig_j in zip(lms, sigs))
+                   for lm_j, sig_j in below)
 
     try:
         gens = [_make_entry(_int_terms(packing, g)) for g in ideal.generators]
