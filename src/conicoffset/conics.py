@@ -16,7 +16,7 @@ grevlex Groebner basis of <g, g_x, g_y>, the minimal polynomials of
 multiplication by x and by y on the quotient ring (the generators of the
 elimination ideals in x alone and in y alone), their exact real roots, and
 one pass over the (x root, y root) pairs at RADICAL_DPS that keeps a pair
-when the system's residual there is below half that precision; no Newton
+where every polynomial of the system reads 0 (by the rule below); no Newton
 iteration is involved.  Each route only finds bare points; one report path
 tags them, and one complex-point rule counts the non-real singular points
 whose coordinates are each real or purely imaginary.  The tag rule: a point
@@ -37,9 +37,10 @@ r >= r_crit (hyperbola).
 
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
-``hessian_definite`` tells the tracer which of its pins are isolated.
-mpmath is imported by the functions that evaluate, so building ideals and
-offset polynomials does not load it.
+``hessian_definite`` tells the tracer which of its pins are isolated; it and
+``singular_locus`` read a value as 0 unless it exceeds 10^-(RADICAL_DPS/2)
+times its terms' summed size.  mpmath is imported by the functions that
+evaluate, so building ideals and offset polynomials does not load it.
 """
 
 from __future__ import annotations
@@ -338,12 +339,13 @@ class SingularPointReport:
 
 def _mp_evaluator(*polys):
     """Compile polys over one ring for mpmath: ``evaluate(vals)``, vals in
-    ring order, yields their values in turn.  Coefficients become mpfs once,
-    at the working precision of this call, so compile under the evaluations'
-    precision.  Per point each power v ** e is computed once, when the first
-    polynomial using it comes up, and shared; a term is its coefficient times
-    its powers in ring order, summed from mpf(0) in term order, so each value
-    is bit-identical to evaluating its polynomial term by term."""
+    ring order, yields each one's ``(value, size)`` in turn, the size being
+    the sum of its terms' absolute values (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1).  Coefficients become mpfs once, at this
+    call's working precision, so compile under the evaluations'.  Per point
+    each power v ** e is computed once and shared; terms are summed from
+    mpf(0) in term order, so each value is its polynomial's term-by-term value
+    bit for bit, and each size its |coefficient| polynomial's at |vals|."""
     import mpmath as mp
     slot, program = {}, []
     for poly in polys:
@@ -358,12 +360,13 @@ def _mp_evaluator(*polys):
         pw = []
         for fresh, terms in program:
             pw += [vals[i] ** e for i, e in fresh]
-            total = mp.mpf(0)
+            total = size = mp.mpf(0)
             for term, factors in terms:
                 for k in factors:
                     term *= pw[k]
                 total += term
-            yield total
+                size += abs(term)
+            yield total, size
 
     return evaluate
 
@@ -508,7 +511,7 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
         scale = max(_max_abs_coeff(q) for q in (g, gx, gy))
         grad = _mp_evaluator(gx, gy)
         for xv, yv in points_of(r, regime, g):
-            res = mp.sqrt(sum(v ** 2 for v in grad((to_mpf(xv), to_mpf(yv))))) / scale
+            res = mp.sqrt(sum(v ** 2 for v, _ in grad((to_mpf(xv), to_mpf(yv))))) / scale
             x, y = (v if isinstance(v, Fraction) else to_float(v) for v in (xv, yv))
             points.append(SingularPoint(x=x, y=y, tag=_tag(conic, r, regime, xv, yv),
                                         residual_grad=float(res)))
@@ -561,14 +564,15 @@ def singular_locus(g: MultiPoly) -> list:
     The eliminants of <g, grad g> (zero gradient components left out) are
     solved by ``real_roots_exact``, and every (x root, y root) pair is judged
     once, at RADICAL_DPS: it is a point when every polynomial of the
-    content-normalized system is below 10^-(RADICAL_DPS/2) times the system's
-    largest coefficient, the half-precision bound ``hessian_definite`` uses.
-    The roots keep full relative precision, so true points read far below
-    that bound and cross-pairings of coordinates from two different points
-    far above it.  Raises EliminationError when the zeros are not finite (g
-    has a repeated factor), and ResourceLimitError when the Groebner
-    completion of <g, grad g> processes more than LOCUS_MAX_PAIRS S-pairs or
-    meets a remainder of total degree above LOCUS_MAX_DEGREE.
+    content-normalized system reads 0 there, by the module's rule (at an
+    axis point g_x's terms are all 0, and 0 reads 0), which judges a point
+    far from the origin at its own scale.  The roots keep full relative
+    precision, so true points read far below the rule's bound and
+    cross-pairings of coordinates from two different points far above it.
+    Raises EliminationError when the zeros are not finite (g has a repeated
+    factor), and ResourceLimitError when the Groebner completion of
+    <g, grad g> processes more than LOCUS_MAX_PAIRS S-pairs or meets a
+    remainder of total degree above LOCUS_MAX_DEGREE.
     """
     import mpmath as mp
     g = content_normalize(g)
@@ -577,19 +581,19 @@ def singular_locus(g: MultiPoly) -> list:
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         xs, ys = (cardano.real_roots_exact(cs)
                   for cs in _singular_eliminants(system))
-        bound = (max(_max_abs_coeff(q) for q in system)
-                 * mp.mpf(10) ** -(RADICAL_DPS // 2))
+        bound = mp.mpf(10) ** -(RADICAL_DPS // 2)
         evaluate = _mp_evaluator(*system)
         return [(xv, yv) for xv, yv in product(xs, ys)
-                if all(abs(v) < bound for v in evaluate((to_mpf(xv), to_mpf(yv))))]
+                if all(abs(v) <= bound * size
+                       for v, size in evaluate((to_mpf(xv), to_mpf(yv))))]
 
 
 def hessian_definite(g: MultiPoly, points) -> list:
     """Per point of ``singular_locus(g)``: is g's Hessian definite (an isolated
-    zero, not a node or cusp)?  At RADICAL_DPS digits, det > bound * (|g_xx| +
-    |g_xy| + |g_yy|)^2 with bound = 10^(-RADICAL_DPS/2); an entry below bound
-    times its terms' summed sizes counts as 0 (an exact 0 read 1.7e-49 at
-    (0, 10/7) on ellipse(7/4, 3/4) at r_crit)."""
+    zero, not a node or cusp)?  At RADICAL_DPS digits, by the module's rule
+    for 0, an entry that reads 0 is 0 (an exact 0 read 1.7e-49 at (0, 10/7)
+    on ellipse(7/4, 3/4) at r_crit), and det = a11 a22 - a12^2 must be
+    positive and not read 0 against its terms' size |a11 a22| + a12^2."""
     import mpmath as mp
     if not points:
         return []
@@ -598,15 +602,10 @@ def hessian_definite(g: MultiPoly, points) -> list:
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         bound = mp.mpf(10) ** -(RADICAL_DPS // 2)
         hessian = _mp_evaluator(*entries)
-        sizes = _mp_evaluator(*(
-            MultiPoly(q.ring, {m: abs(c) for m, c in q.terms.items()})
-            for q in entries))
 
         def definite(pt):
-            a11, a12, a22 = (v if abs(v) > bound * size else 0 for v, size in
-                             zip(hessian(pt), sizes((abs(pt[0]), abs(pt[1])))))
-            mag = (abs(a11) + abs(a12) + abs(a22)) ** 2
-            return a11 * a22 - a12 * a12 > bound * mag
+            a11, a12, a22 = (v if abs(v) > bound * s else 0 for v, s in hessian(pt))
+            return a11 * a22 - a12 * a12 > bound * (abs(a11 * a22) + a12 * a12)
         return [definite((to_mpf(x), to_mpf(y))) for x, y in points]
 
 

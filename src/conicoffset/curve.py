@@ -463,8 +463,8 @@ def _snap_singular_vertices(chains, px, py, g, bbox, cell):
         locus = singular_locus(g)
     except EliminationError:
         return []  # a repeated factor: no finite set to pin
-    pins = [(xv, yv) for xv, yv in locus
-            if xmin <= float(xv) <= xmax and ymin <= float(yv) <= ymax]
+    # Fractions and mpfs compare with floats exactly, past the float range too
+    pins = [(xv, yv) for xv, yv in locus if xmin <= xv <= xmax and ymin <= yv <= ymax]
     tips = [Point2(float(xv), float(yv)) for xv, yv in pins]
     on_curve = [n for n, isolated
                 in enumerate(hessian_definite(g, pins), start=len(px))

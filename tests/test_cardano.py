@@ -49,6 +49,15 @@ def test_divmod_gcd():
     assert poly_gcd([F(1)], [F(3), F(1)]) == [F(1)]
 
 
+def test_zero_polynomial_raises():
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod([F(1), F(2)], [])
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod([F(1), F(2)], [F(0)])
+    with pytest.raises(ValueError, match="every root"):
+        real_roots_exact([])
+
+
 def test_squarefree_decomposition():
     # (t-1)^2 (t+2)^3
     p = poly_mul(poly_mul([F(-1), F(1)], [F(-1), F(1)]),

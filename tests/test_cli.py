@@ -11,7 +11,7 @@ from conicoffset import cli, reference
 from conicoffset.cli import main
 from conicoffset.conics import ConicSpec, offset_poly_closed_form
 from conicoffset.mesh import MeshSpec, generate_mesh, mesh_figure
-from conicoffset.poly import parse_poly, poly_to_dict
+from conicoffset.poly import MultiPoly, parse_poly, poly_to_dict
 from conicoffset.verify import conic_from_case
 
 
@@ -82,6 +82,18 @@ def test_singular_elimination_method(capsys):
     assert doc["count"] == 3 and doc["source"] == "elimination"
 
 
+def test_singular_far_point_by_elimination(capsys):
+    # parabola(10^300) at r = 10^-300: the elimination route reports the
+    # closed route's one point, judged against its terms' size at the point
+    argv = ("singular", "--conic", "parabola", "--p", "1e300", "--r", "1e-300",
+            "--format", "json", "--method")
+    code_c, closed, _ = run(capsys, *argv, "closed")
+    code_e, elim, _ = run(capsys, *argv, "elimination")
+    assert code_c == code_e == 0
+    assert json.loads(elim)["points"] == json.loads(closed)["points"]
+    assert json.loads(elim)["count"] == 1
+
+
 def test_classify(capsys):
     code, stdout, _ = run(capsys, "classify", "--conic", "parabola", "--p", "1/3",
                           "--r", "2/3", "--json")
@@ -119,6 +131,20 @@ def test_trace_subcommand(tmp_path, capsys):
     assert doc["polylines"] >= 1
     assert len(doc["singular_vertices"]) == 3
     assert svg.read_text().count("<circle") == 3
+
+
+def test_trace_pins_past_the_float_range(tmp_path, capsys):
+    # g = x^2 - (y/10^400 - 1)^2 + x^3 has its node at (0, 10^400): the pin
+    # is compared with the bbox exactly and left out, not rounded to a float
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(poly_to_dict(
+        x ** 2 - (y * Fraction(1, 10 ** 400) - 1) ** 2 + x ** 3)))
+    code, stdout, _ = run(capsys, "trace", "--g", str(gpath),
+                          "--bbox=-2,2,-2,2", "--res", "64", "--json")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["polylines"] == 1 and doc["singular_vertices"] == []
 
 
 def test_mesh_subcommand(tmp_path, capsys):

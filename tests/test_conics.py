@@ -18,8 +18,8 @@ from conicoffset.conics import (ConicSpec, build_ideal, offset_poly_closed_form,
 from conicoffset.errors import ParamError, ResourceLimitError
 from conicoffset.fixtures import general_offset_poly
 from conicoffset.groebner import buchberger, elimination_ideal, reduce_basis
-from conicoffset.poly import (content_normalize, gradient, lex, parse_poly,
-                              poly_dumps, substitute)
+from conicoffset.poly import (MultiPoly, content_normalize, gradient, lex,
+                              parse_poly, poly_dumps, substitute)
 from conicoffset.verify import conic_from_case, expected_points, proportional
 
 
@@ -124,6 +124,11 @@ def test_build_ideal_errors():
         build_ideal(ConicSpec.parabola(F(1, 3)), 0)
     with pytest.raises(ParamError):
         build_ideal("not-a-conic")
+
+
+def test_specialized_ideal_needs_a_conic_spec():
+    with pytest.raises(ParamError, match="ConicSpec"):
+        build_ideal("ellipse", F(1, 2))
 
 
 def test_symbolic_ideal_rings():
@@ -616,10 +621,35 @@ def test_mp_evaluator_bit_identical(case_id):
         ev = conics._mp_evaluator(*polys)
         for x, y in pts:
             want = [_reference_eval_mp(p, {"x": x, "y": y})._mpf_ for p in polys]
-            assert [v._mpf_ for v in ev((x, y))] == want
+            assert [v._mpf_ for v, _ in ev((x, y))] == want
             for k in range(1, len(polys)):
-                head = [v._mpf_ for v in itertools.islice(ev((x, y)), k)]
+                head = [v._mpf_ for v, _ in itertools.islice(ev((x, y)), k)]
                 assert head == want[:k]
+
+
+@pytest.mark.parametrize("case_id", range(1, 10))
+def test_mp_evaluator_sizes_are_the_abs_polynomial_at_abs_point(case_id):
+    # the size of each value, summed in the evaluator's one pass, is bit for
+    # bit the polynomial with |coefficients| evaluated term by term at
+    # (|x|, |y|): mpmath rounds a product or a sum alike whatever its sign
+    case = reference.case(case_id)
+    g = offset_poly_closed_form(conic_from_case(case), F(case["r"])).g
+    gx, gy = gradient(g, ["x", "y"])
+    polys = (g, gx, gy, *gradient(gx, ["x", "y"]), gradient(gy, ["y"])[0])
+    absolute = [MultiPoly(p.ring, {m: abs(c) for m, c in p.terms.items()})
+                for p in polys]
+    rng = random.Random(3000 + case_id)
+    with mp.workdps(conics.RADICAL_DPS):
+        pts = [(to_mpf(F(rng.randint(-400, 400), rng.randint(1, 97))),
+                to_mpf(F(rng.randint(-400, 400), rng.randint(1, 97))))
+               for _ in range(40)]
+        pts += [(-mp.sqrt(2), mp.cbrt(3)), (mp.mpf(0), mp.mpf(-1) / 3),
+                (mp.mpf(-5) / 7, mp.mpf(0)), (mp.mpf(0), mp.mpf(0))]
+        ev = conics._mp_evaluator(*polys)
+        for x, y in pts:
+            at = {"x": abs(x), "y": abs(y)}
+            want = [_reference_eval_mp(p, at)._mpf_ for p in absolute]
+            assert [size._mpf_ for _, size in ev((x, y))] == want
 
 
 def test_via_elimination_subcritical_parabola_axis_only():
@@ -687,7 +717,7 @@ def _system_residual(g):
     system = [g] + [content_normalize(q) for q in gradient(g, ["x", "y"])]
     evaluate = conics._mp_evaluator(*system)
     scale = max(conics._max_abs_coeff(q) for q in system)
-    return system, lambda x, y: max(abs(v) for v in evaluate((x, y))) / scale
+    return system, lambda x, y: max(abs(v) for v, _ in evaluate((x, y))) / scale
 
 
 def _independent_complex_count(g):
@@ -812,27 +842,61 @@ def _pairing_gap_inputs():
 
 
 def test_pair_residuals_keep_clear_of_the_pairing_bound():
-    # singular_locus judges each (x root, y root) pair once, against 10^-30,
-    # half of RADICAL_DPS.  Every pair's residual reads at least 10 orders of
-    # magnitude from that bound (largest kept 1.7e-59, smallest dropped
-    # 3.9e-16 when this was written), and the kept pairs are exactly its
-    # points, in order; a root solver that loses digits shows up here first
+    # singular_locus judges each (x root, y root) pair once: it keeps a pair
+    # when every polynomial of the system is at most 10^-30, half of
+    # RADICAL_DPS, times the summed size of its terms there.  By that rule,
+    # and by the largest coefficient as it judged before, every pair reads at
+    # least 10 orders of magnitude from the bound (when this was written,
+    # kept at most 1.7e-61 and dropped at least 5.9e-14 by term size, kept
+    # at most 1.7e-59 and dropped at least 3.9e-16 by largest coefficient).
+    # Both keep the same pairs, exactly its points, in order; a root solver
+    # that loses digits shows up here first
     inputs = list(_pairing_gap_inputs())
     assert len(inputs) == 74
     for conic, r in inputs:
         g = offset_poly_closed_form(conic, r).g
         with mp.workdps(conics.RADICAL_DPS):
             system, residual = _system_residual(g)
+            evaluate = conics._mp_evaluator(*system)
             xs, ys = (cardano.real_roots_exact(cs)
                       for cs in conics._singular_eliminants(system))
             kept = []
             for x, y in itertools.product(xs, ys):
-                res = residual(to_mpf(x), to_mpf(y))
+                pt = (to_mpf(x), to_mpf(y))
+                res = residual(*pt)
                 assert res < mp.mpf("1e-45") or res > mp.mpf("1e-20"), \
                     (conic, r, res)
-                if res < mp.mpf("1e-45"):
+                # an all-zero size (g_x at an axis point) has a zero value
+                rel = max(abs(v) / size if size else abs(v)
+                          for v, size in evaluate(pt))
+                assert rel < mp.mpf("1e-45") or rel > mp.mpf("1e-20"), \
+                    (conic, r, rel)
+                assert (res < mp.mpf("1e-45")) == (rel < mp.mpf("1e-45"))
+                if rel < mp.mpf("1e-45"):
                     kept.append(repr((x, y)))
             assert kept == [repr(p) for p in conics.singular_locus(g)], (conic, r)
+
+
+def test_far_points_are_judged_at_their_own_scale():
+    # a singular point far from the origin reads a residual far above 10^-30
+    # times the system's largest coefficient, but far below 10^-30 times its
+    # terms' summed size.  parabola(10^300) at r = 10^-300 has one point,
+    # (0, p + r^2/4p), on both routes
+    conic, r = ConicSpec.parabola(F(10) ** 300), F(1, 10 ** 300)
+    rep_c = singular_points(conic, r)
+    rep_e = singular_points_via_elimination(conic, r)
+    assert [(s.x, s.y, s.tag) for s in rep_c.points] == \
+        [(s.x, s.y, s.tag) for s in rep_e.points] == \
+        [(0, conic.p + r * r / (4 * conic.p), "virtual")]
+    # parabola(1/3) at r = 10^200: the axis point (0, 7.5e399) joins the two
+    # split points, and past the float range both routes refuse to report
+    conic, r = ConicSpec.parabola(F(1, 3)), F(10) ** 200
+    locus = conics.singular_locus(offset_poly_closed_form(conic, r).g)
+    assert len(locus) == 3
+    assert (0, conic.p + r * r / (4 * conic.p)) in locus
+    for route in (singular_points, singular_points_via_elimination):
+        with pytest.raises(ParamError, match="past the float range"):
+            route(conic, r)
 
 
 def test_hessian_definite_without_points_compiles_nothing(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from conicoffset import conics, reference
 from conicoffset.conics import ConicSpec, build_ideal, offset_poly_closed_form
 from conicoffset.errors import (ConicOffsetError, EliminationError, OrderError,
-                               ResourceLimitError, ZeroPolyError)
+                               ResourceLimitError, RingError, ZeroPolyError)
 from conicoffset.fixtures import general_offset_poly
 from conicoffset.groebner import (GroebnerBasis, Ideal, _make_entry,
                                   _normal_form_int, _Packing, buchberger,
@@ -175,6 +175,18 @@ def test_resource_limits():
         buchberger(ideal, lex(ideal.ring), max_degree=2)
 
 
+def test_input_validation():
+    with pytest.raises(RingError):
+        Ideal(R2, (X, MultiPoly.variable(("x", "z"), "z")))
+    with pytest.raises(ZeroPolyError):
+        Ideal(R2, (X, MultiPoly(R2)))
+    ideal = Ideal(R2, (X * Y - 1, X ** 2 - Y))
+    with pytest.raises(OrderError, match="do not match"):
+        buchberger(ideal, lex(("y", "x")))
+    with pytest.raises(OrderError, match="unknown variables"):
+        elimination_ideal(buchberger(ideal, lex(R2)), {"y", "z"})
+
+
 def test_symbolic_parabola_basis_shape():
     ideal = build_ideal("parabola")
     gr = reduce_basis(buchberger(ideal, lex(ideal.ring)))
@@ -272,6 +284,30 @@ def test_exponent_overflow_raises():
         buchberger(Ideal(R2, (X - Y ** 40000, X ** 2)), o)
     assert "overflow" in str(exc.value)
     assert exc.value.stats["reductions"] == 1
+
+
+@pytest.mark.parametrize("gens", [
+    # the completion queues an S-pair whose signature is past its fields
+    (X ** 32768 * Y ** 2 - X, X ** 3 * Y - Y),
+    # the S-pair of x*y - 1 and x - y^65535 multiplies the second by y, and
+    # its term y^65536 past its field; unchecked it would end at the degree cap
+    (X * Y - 1, X - Y ** 65535),
+], ids=["signature", "multiplied-terms"])
+def test_completion_overflow_guards(gens):
+    with pytest.raises(ResourceLimitError, match="overflow") as exc:
+        buchberger(Ideal(R2, gens), lex(R2))
+    assert {"basis_size", "pending_pairs"} <= set(exc.value.stats)
+
+
+def test_koszul_signature_past_its_fields_is_no_syzygy():
+    # x^2 y^40000 - x^2 + x top-reduces by y^40000 - 1 to x, keeping the
+    # signature x^2 y^40000; their Koszul syzygy's signature, y^40000 times
+    # that, is past its fields, so it is not kept; their leading monomials are
+    # coprime, so no S-pair is formed and the completion ends
+    gb = buchberger(Ideal(R2, (Y ** 40000 - 1, X ** 2 * Y ** 40000 - X ** 2 + X)),
+                    lex(R2))
+    assert gb.stats["pairs_considered"] == 0 and gb.stats["basis_size"] == 2
+    assert reduce_basis(gb).polys == (X, Y ** 40000 - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conicoffset.errors import RingError, VarError, ZeroPolyError
-from conicoffset.poly import (MultiPoly, add, block, content_normalize,
-                              format_poly, gradient, grevlex, leading_term,
-                              lex, mul, parse_poly, poly_dumps, poly_loads,
-                              rat, reduce, substitute)
+from conicoffset.errors import OrderError, RingError, VarError, ZeroPolyError
+from conicoffset.poly import (MonomialOrder, MultiPoly, add, block,
+                              content_normalize, format_poly, gradient,
+                              grevlex, leading_term, lex, mul, parse_poly,
+                              poly_dumps, poly_loads, rat, reduce, substitute)
 
 R2 = ("x", "y")
 X = MultiPoly.variable(R2, "x")
@@ -55,6 +55,21 @@ def test_ring_mismatch():
         add(X, other)
     with pytest.raises(RingError):
         mul(X, other)
+
+
+def test_input_validation():
+    with pytest.raises(OrderError, match="unknown order kind"):
+        MonomialOrder("deglex", R2)
+    with pytest.raises(VarError):
+        MultiPoly.variable(R2, "z")
+    with pytest.raises(ValueError, match="negative power"):
+        X ** -1
+    with pytest.raises(ZeroPolyError, match="division basis"):
+        reduce(X * Y, [Y, MultiPoly(R2)], lex(R2))
+    with pytest.raises(ValueError, match="empty"):
+        parse_poly("", R2)
+    with pytest.raises(VarError, match="unknown variable 'z'"):
+        parse_poly("x^2 - 3*z", R2)
 
 
 def test_ring_axioms_random():
