@@ -54,7 +54,8 @@ from math import gcd
 
 from . import cardano
 from .cardano import to_float, to_mpf
-from .errors import EliminationError, ParamError, RootPairingError
+from .errors import (EliminationError, ParamError, ResourceLimitError,
+                     RootPairingError)
 from .fixtures import CENTRAL_RING, PARABOLA_RING, general_offset_poly
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, Ideal, buchberger,
                        elimination_ideal, minimal_polynomials, reduce_basis)
@@ -66,6 +67,12 @@ PARABOLA_SYMBOLIC_RING = ("y0", "x0") + PARABOLA_RING
 CENTRAL_SYMBOLIC_RING = ("y0", "x0") + CENTRAL_RING
 
 RADICAL_DPS = 60  # 50 guard digits past double precision
+# the most bits in the numerator or the denominator of an exact parameter.  It
+# admits 10^1000 (3,322 bits).  At this height, with a, b and r of unrelated
+# denominators, the elimination route of `singular` took 85 s on a 2-core
+# Xeon and every other subcommand under 5 s; parameters past it are refused
+# before any power of them is taken
+MAX_PARAM_BITS = 3400
 # the buchberger limits of singular_locus's completion of <g, g_x, g_y>
 LOCUS_MAX_PAIRS, LOCUS_MAX_DEGREE = DEFAULT_MAX_PAIRS, 200
 
@@ -77,10 +84,18 @@ PARABOLA, ELLIPSE, HYPERBOLA = "parabola", "ellipse", "hyperbola"
 
 
 def _frac(v) -> Fraction:
+    """v as an exact rational: a ParamError when it is none, and a
+    ResourceLimitError, before any power of it is taken, when its numerator
+    or denominator has more than MAX_PARAM_BITS bits."""
     try:
-        return Fraction(v)
+        v = Fraction(v)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParamError(f"expected an exact rational, got {v!r}") from exc
+    bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+    if bits > MAX_PARAM_BITS:
+        raise ResourceLimitError(f"an exact parameter has {bits} bits, above "
+                                 f"the limit {MAX_PARAM_BITS}")
+    return v
 
 
 def _offset(r) -> Fraction:

@@ -54,9 +54,14 @@ every monomial order (Cox, Little & O'Shea, ch. 2), and packed ints compare
 like their monomials, so with the leading monomials sorted once per call, only
 those up to ``bisect_right`` of m are tested for divisibility.  That prefix is
 short, since most leading monomials of a basis lie above the terms it reduces.
-Among the divisors found, the reducer is chosen in basis order.  Completion's
-test for a regular reducer of a leading term scans the same prefix, of a list
-kept sorted as members join.
+Among the divisors found, the reducer is chosen in basis order.  Terms are
+popped in descending order, so once one lies below the lowest leading
+monomial, no member divides it or any term still to come, and no later step
+scales them: it and the rest are moved to the remainder at once, in
+descending order, as the pops would have put them.  Completion's test for a
+regular reducer of a leading term scans the same prefix, of a list kept
+sorted as members join.  Its degree cap reads a new member's degree from the
+packing's one degree field where the order has one (see ``_Packing``).
 
 The basis stays packed from completion through reduction.  ``buchberger``
 and ``reduce_basis`` leave their packed entries on the ``GroebnerBasis`` they
@@ -172,7 +177,9 @@ class _Packing:
     two in-range monomials, so only the raw guard bits can flag an overflow.
     ``degree_fields`` are the (shift, mask) fields whose sum is the total
     degree: the one degree field for lex and grevlex, one per block for the
-    block order.
+    block order.  With one field, ``top_degree`` of a polynomial's terms is
+    that field of its largest monomial (grevlex) or one mask per term (lex),
+    with no per-term Python call.
     """
 
     __slots__ = ("width", "mask", "guard", "units", "shifts", "degree_fields")
@@ -225,9 +232,26 @@ class _Packing:
             d += (m >> s) & k
         return d
 
+    def top_degree(self, terms) -> int:
+        """Largest total degree among some packed monomials.
+
+        With one degree field it is read from that field alone: under lex it
+        is the lowest field, so one mask per term; under grevlex it is the
+        most significant, so the largest monomial has the largest degree.
+        The block order sums its two fields per term.
+        """
+        if len(self.degree_fields) > 1:
+            return max(map(self.degree, terms))
+        shift, k = self.degree_fields[0]
+        if shift:
+            return max(terms) >> shift & k
+        return max(map(k.__and__, terms))
+
     def to_poly(self, ring: tuple, terms: dict) -> MultiPoly:
+        mask, shifts = self.mask, self.shifts
         return MultiPoly._trusted(
-            ring, {self.unpack(m): Fraction(c) for m, c in terms.items()})
+            ring, {tuple([m >> s & mask for s in shifts]): Fraction(c)
+                   for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +290,8 @@ def _make_entry(terms: dict):
 
 def _coeff_bits(entries) -> int:
     """Largest coefficient bit length among the entries' terms."""
-    return max((c.bit_length() for e in entries for c in e[2].values()), default=0)
+    return max((max(map(int.bit_length, e[2].values())) for e in entries),
+               default=0)
 
 
 def _normal_form_int(terms: dict, basis: Sequence, guard: int,
@@ -289,11 +314,16 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
     index_j)`` is below ``bound``; a term with no such member stays in the
     remainder.  Only the members whose leading monomials are at most m, a
     prefix of them sorted once by leading monomial, are tested as divisors.
+    A popped term below every leading monomial (any term, for an empty
+    basis) drains the loop: it and every term left go to the remainder in
+    descending order, which is the order and the factor the pops would give,
+    since no member divides any of them.
     """
     work = dict(terms)
     done: dict = {}
     by_lm = sorted((e[0], j) for j, e in enumerate(basis))
     sorted_lms = [lm for lm, _ in by_lm]
+    lowest = sorted_lms[0] if sorted_lms else None
     heap = [-m for m in work]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -304,6 +334,12 @@ def _normal_form_int(terms: dict, basis: Sequence, guard: int,
         c = work.pop(m, 0)
         if c == 0:
             continue
+        if lowest is None or m < lowest:
+            # no member divides m or any smaller term: the rest is remainder
+            done[m] = c
+            for k in sorted(work, reverse=True):
+                done[k] = work[k]
+            break
         mg = m | guard
         hits = [j for lm, j in islice(by_lm, bisect_right(sorted_lms, m))
                 if (mg - lm) & guard == guard]
@@ -526,7 +562,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
             add_syzygy(key, i)
             continue
         if not is_gen:
-            deg = max(map(packing.degree, rem))
+            deg = packing.top_degree(rem)
             if deg > max_degree:
                 raise fail(f"degree cap exceeded ({deg} > {max_degree})")
         add_member(_make_entry(rem), sig)

@@ -509,7 +509,9 @@ def poly_to_dict(p: MultiPoly, order: MonomialOrder | None = None) -> dict:
     if order is None:
         order = grevlex(p.ring)
     terms = []
-    for m in sorted(p.terms, key=order.key, reverse=True):
+    # under lex the order key is the exponent tuple itself
+    key = None if order.kind == "lex" else order.key
+    for m in sorted(p.terms, key=key, reverse=True):
         c = p.terms[m]
         terms.append({"exp": list(m), "num": str(c.numerator), "den": str(c.denominator)})
     return {"vars": list(p.ring), "terms": terms}

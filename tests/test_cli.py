@@ -314,6 +314,30 @@ def test_values_past_the_float_range_exit_2(capsys, argv):
     assert err == "error: a value is past the float range\n"
 
 
+@pytest.mark.parametrize("r", ["1e999999", "1e20000"])
+def test_parameters_past_the_height_budget_exit_3(r):
+    # 10^999999 once ran for minutes on r's powers, and 10^20000 for most of
+    # a second before it reached an exit 2; the height budget refuses both
+    # as soon as they are parsed
+    import os
+    import subprocess
+    import sys as _sys
+    from pathlib import Path
+
+    import conicoffset
+
+    package_root = str(Path(conicoffset.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + ([inherited] if inherited else [])))
+    out = subprocess.run([_sys.executable, "-m", "conicoffset.cli", "classify",
+                          "--conic", "parabola", "--p", "1/3", "--r", r],
+                         capture_output=True, text=True, env=env, timeout=30)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr.startswith("resource limit: an exact parameter has ")
+    assert "above the limit 3400" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_offset_poly_has_no_elimination_order_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["offset-poly", "--conic", "parabola", "--p", "1/3", "--r", "1/4",

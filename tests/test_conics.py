@@ -59,6 +59,22 @@ def test_non_rational_input_is_a_param_error(call, value):
         TAKES_A_RATIONAL[call](value)
 
 
+@pytest.mark.parametrize("call", sorted(TAKES_A_RATIONAL))
+def test_parameters_past_the_height_budget_are_refused(call):
+    # a numerator or denominator above MAX_PARAM_BITS is refused before any
+    # power of it is taken
+    top = 1 << conics.MAX_PARAM_BITS
+    for value in (F(top), F(1, top), F(top + 1, top), str(top)):
+        with pytest.raises(ResourceLimitError, match="bits, above the limit 3400"):
+            TAKES_A_RATIONAL[call](value)
+
+
+def test_parameters_at_the_height_budget_are_admitted():
+    top = (1 << conics.MAX_PARAM_BITS) - 1
+    assert ConicSpec.parabola(F(top, top - 2)).p == F(top, top - 2)
+    assert ConicSpec.ellipse(F(top, 2), F(1, top)).a == F(top, 2)
+
+
 def test_conic_spec_parameter_lookup():
     e = ConicSpec.ellipse(2, 1)
     assert (e.a, e.b) == (F(2), F(1))

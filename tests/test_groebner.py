@@ -2,10 +2,14 @@
 
 import dataclasses
 import hashlib
+import heapq
 import itertools
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
+from itertools import chain, islice
+from math import gcd
 
 import pytest
 
@@ -14,7 +18,7 @@ from conicoffset.conics import ConicSpec, build_ideal, offset_poly_closed_form
 from conicoffset.errors import (ConicOffsetError, EliminationError, OrderError,
                                ResourceLimitError, RingError, ZeroPolyError)
 from conicoffset.fixtures import general_offset_poly
-from conicoffset.groebner import (GroebnerBasis, Ideal, _make_entry,
+from conicoffset.groebner import (GroebnerBasis, Ideal, _content, _make_entry,
                                   _normal_form_int, _Packing, buchberger,
                                   elimination_ideal, minimal_polynomials,
                                   minimalize, reduce_basis, s_polynomial)
@@ -840,3 +844,166 @@ def test_completion_matches_sympy_on_non_regular_ideals():
             (kind, gens)
     # the non-regular inputs do run the zero-reduction -> syzygy path
     assert zero_reductions >= 20
+
+
+# ---------------------------------------------------------------------------
+# normal-form drain and the one-field degree read
+# ---------------------------------------------------------------------------
+
+def _normal_form_before_drain(terms, basis, guard, bound=None, sigs=()):
+    # _normal_form_int as it was before it drained the terms below every
+    # leading monomial: each popped term is tested for a divisor
+    work = dict(terms)
+    done: dict = {}
+    by_lm = sorted((e[0], j) for j, e in enumerate(basis))
+    sorted_lms = [lm for lm, _ in by_lm]
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    scalings = 0
+    num = den = 1
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, 0)
+        if c == 0:
+            continue
+        mg = m | guard
+        hits = [j for lm, j in islice(by_lm, bisect_right(sorted_lms, m))
+                if (mg - lm) & guard == guard]
+        for j in sorted(hits):
+            if bound is None or (sigs[j][0] + m - basis[j][0], sigs[j][1]) < bound:
+                break
+        else:
+            done[m] = c
+            continue
+        lm, lc, _, tail = basis[j]
+        q = m - lm
+        g = gcd(c, lc) if c > 0 else gcd(-c, lc)
+        scale, factor = lc // g, c // g
+        if scale != 1:
+            for k in work:
+                work[k] *= scale
+            for k in done:
+                done[k] *= scale
+            num *= scale
+            scalings += 1
+        for bm, bc in tail:
+            t = q + bm
+            v = work.get(t)
+            if v is None:
+                if t & guard:
+                    raise ResourceLimitError("overflow")
+                heappush(heap, -t)
+                work[t] = -factor * bc
+            else:
+                v -= factor * bc
+                if v:
+                    work[t] = v
+                else:
+                    del work[t]
+        if scalings >= 24:
+            g = _content(chain(done.values(), work.values()))
+            if g > 1:
+                for k in work:
+                    work[k] //= g
+                for k in done:
+                    done[k] //= g
+                den *= g
+            scalings = 0
+    g = _content(done.values())
+    if g > 1:
+        return {m: c // g for m, c in done.items()}, num, den * g
+    return done, num, den
+
+
+R3 = ("x", "y", "z")
+DRAIN_ORDERS = [lex(R3), grevlex(R3), block(R3, 1)]
+
+
+def _random_terms(rng, pk, top, count):
+    # primitive integer terms of a random polynomial, packed
+    while True:
+        terms = {pk.pack(tuple(rng.randint(0, top) for _ in R3)): rng.randint(-9, 9)
+                 for _ in range(count)}
+        terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            g = math.gcd(*terms.values())
+            return {m: c // g for m, c in terms.items()}
+
+
+def _drain_cases(order, seed):
+    # (terms, basis) pairs: random bases of 1-4 members, and inputs that mix
+    # random terms with multiples of the members, leading monomials included
+    pk = _Packing(order, 40)
+    rng = random.Random(f"drain:{order.kind}:{seed}")
+    for _ in range(40):
+        basis = [_make_entry(_random_terms(rng, pk, 2, rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 4))]
+        terms = _random_terms(rng, pk, 3, rng.randint(1, 6))
+        for e in rng.sample(basis, rng.randint(0, len(basis))):
+            u = pk.pack(tuple(rng.randint(0, 1) for _ in R3))
+            k = rng.randint(-3, 3)
+            for m, c in e[2].items():
+                terms[m + u] = terms.get(m + u, 0) + k * c
+        terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            yield pk, terms, basis
+
+
+@pytest.mark.parametrize("order", DRAIN_ORDERS, ids=lambda o: o.kind)
+def test_drained_normal_form_matches_the_undrained_one(order):
+    drained = irregular = regular = 0
+    for pk, terms, basis in _drain_cases(order, 1):
+        lowest = min(e[0] for e in basis)
+        drained += any(m < lowest for m in terms)
+        want = _normal_form_before_drain(terms, basis, pk.guard)
+        got = _normal_form_int(terms, basis, pk.guard)
+        assert got == want and list(got[0]) == list(want[0])
+        # a signature bound under which some reducers are irregular
+        rng = random.Random(len(terms) + 10 * len(basis))
+        sigs = [(pk.pack(tuple(rng.randint(0, 2) for _ in R3)), rng.randint(0, 2))
+                for _ in basis]
+        bound = (pk.pack(tuple(rng.randint(0, 3) for _ in R3)), 1)
+        want_b = _normal_form_before_drain(terms, basis, pk.guard, bound, sigs)
+        got_b = _normal_form_int(terms, basis, pk.guard, bound, sigs)
+        assert got_b == want_b and list(got_b[0]) == list(want_b[0])
+        irregular += got_b != got  # the bound refused some reducer
+        regular += got_b[0] != terms  # and allowed another
+        # an empty basis leaves the primitive terms as they are, in order
+        assert _normal_form_int(terms, [], pk.guard) == (
+            dict(sorted(terms.items(), reverse=True)), 1, 1)
+        assert list(_normal_form_int(terms, [], pk.guard)[0]) == \
+            sorted(terms, reverse=True)
+    assert drained > 10 and irregular > 5 and regular > 5
+
+
+@pytest.mark.parametrize("order", DRAIN_ORDERS, ids=lambda o: o.kind)
+def test_term_at_the_lowest_leading_monomial_is_reduced(order):
+    # the drain starts strictly below the lowest leading monomial: the
+    # member with that leading monomial divides a term equal to it
+    pk = _Packing(order, 40)
+    x, y, z = pk.units
+    basis = [_make_entry({x + y: 1, 0: 1}), _make_entry({z: 1, 0: -2})]
+    assert min(e[0] for e in basis) == z
+    assert _normal_form_int({z: 1}, basis, pk.guard) == ({0: 1}, 1, 2)
+    rem, num, den = _normal_form_int({x + y + z: 3, z: 1, 0: 5}, basis, pk.guard)
+    assert (rem, num, den) == ({0: 1}, 1, 1)
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=lambda o: o.kind)
+def test_top_degree_reads_the_degree_field(order):
+    pk = _Packing(order, 40)
+    mons = [pk.pack(u) for u in _random_monomials(16)]
+    rng = random.Random(17)
+    lead_is_not_highest = 0
+    for _ in range(200):
+        terms = rng.sample(mons, rng.randint(1, 8))
+        assert pk.top_degree(terms) == max(map(pk.degree, terms))
+        lead_is_not_highest += pk.degree(max(terms)) < pk.top_degree(terms)
+    if order.kind == "lex":
+        # v + w^5: the leading term has degree 1, the remainder degree 5
+        v, w = pk.units[:2]
+        assert pk.top_degree({v: 1, 5 * w: 1}) == 5
+        assert lead_is_not_highest > 20
+    elif order.kind == "grevlex":
+        assert lead_is_not_highest == 0
