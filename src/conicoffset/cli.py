@@ -19,8 +19,8 @@ from .conics import (ConicSpec, offset_poly_closed_form, offset_poly_elimination
 from .errors import ConicOffsetError, PreconditionError, ResourceLimitError
 from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, Ideal, buchberger,
                        reduce_basis)
-from .poly import (MultiPoly, block, grevlex, lex, poly_from_dict, poly_to_dict,
-                   format_poly, rat)
+from .poly import (MultiPoly, block, format_poly, frac_str, grevlex, lex,
+                   poly_from_dict, poly_to_dict, rat)
 
 EXIT_OK, EXIT_PRECONDITION, EXIT_RESOURCE = 0, 2, 3
 
@@ -34,10 +34,6 @@ def _emit(args, doc, text=None):
         print(_dump(doc))
     else:
         print(text)
-
-
-def _frac_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def _rational(text: str) -> Fraction:
@@ -98,7 +94,7 @@ def _load_polys(fh, parse):
 
 def _point_json(s):
     def enc(v):
-        return _frac_str(v) if isinstance(v, Fraction) else float(v)
+        return frac_str(v) if isinstance(v, Fraction) else float(v)
     return {"x": enc(s.x), "y": enc(s.y), "x_float": float(s.x),
             "y_float": float(s.y), "tag": s.tag,
             "residual_grad": s.residual_grad}
@@ -107,8 +103,8 @@ def _point_json(s):
 def _report_json(rep):
     return {
         "conic": rep.conic.describe(),
-        "r": _frac_str(rep.r),
-        "r_crit": _frac_str(rep.r_crit),
+        "r": frac_str(rep.r),
+        "r_crit": frac_str(rep.r_crit),
         "regime": rep.regime,
         "count": len(rep.points),
         "complex_count": rep.complex_count,
@@ -196,7 +192,7 @@ def cmd_offset_poly(args):
                                         max_degree=args.max_degree)
     doc = {
         "conic": conic.describe(),
-        "r": _frac_str(curve.r),
+        "r": frac_str(curve.r),
         "source": curve.source,
         "g": poly_to_dict(curve.g),
         "terms": len(curve.g),

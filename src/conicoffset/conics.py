@@ -39,8 +39,10 @@ All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
 ``hessian_definite`` tells the tracer which of its pins are isolated; it and
 ``singular_locus`` read a value as 0 unless it exceeds 10^-(RADICAL_DPS/2)
-times its terms' summed size.  mpmath is imported by the functions that
-evaluate, so building ideals and offset polynomials does not load it.
+times its terms' summed size.  Both, and the report's gradient residuals,
+take one answer per mirror class of points (``_per_mirror_class``).  mpmath
+is imported by the functions that evaluate, so building ideals and offset
+polynomials does not load it.
 """
 
 from __future__ import annotations
@@ -386,6 +388,35 @@ def _mp_evaluator(*polys):
     return evaluate
 
 
+def _per_mirror_class(g: MultiPoly, judge):
+    """``judge`` of a point (mpfs in g's ring order), taken once per mirror
+    class of g and kept for this call.
+
+    A coordinate folds when g has a definite parity in it: every term's
+    exponent of it even, or every one odd.  Points that differ only in the
+    signs of folded coordinates are one class.  g's partial derivatives of
+    every order keep those parities, and mpmath rounds to nearest by
+    magnitude, so its products, sums and integer powers are odd functions,
+    fl(-v) = -fl(v) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2.1): at two points of one class each of these polynomials
+    reads, through ``_mp_evaluator``, the same value up to its parity sign,
+    bit for bit, and the same term size.  ``judge`` must read values only
+    through their magnitudes, or through products whose signs cancel; the
+    class is keyed by the points' exact mpf fields, so no rounding merges two
+    classes.  A g of no parity folds nothing and judges every point.
+    """
+    folds = [len({m[i] % 2 for m in g.terms}) == 1 for i in range(len(g.ring))]
+    memo = {}
+
+    def judged(pt):
+        key = tuple(v._mpf_[1:] if f else v._mpf_ for v, f in zip(pt, folds))
+        if key not in memo:
+            memo[key] = judge(pt)
+        return memo[key]
+
+    return judged
+
+
 def _max_abs_coeff(poly: MultiPoly) -> mp.mpf:
     # rounding an integer to an mpf is monotone, so for the integer
     # polynomials this sees the max of the exact values rounds to the max of
@@ -514,6 +545,10 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
 
     ``g`` is the closed-form offset polynomial; the residuals use its raw
     (not content-normalized) gradient.  ``points_of`` runs at RADICAL_DPS.
+    Every offset polynomial is even in x, and a central conic's in y too, so
+    mirror images of a point read g_x and g_y equal up to sign, bit for bit
+    (``_per_mirror_class``): the residual sqrt(g_x^2 + g_y^2)/scale is taken
+    once per class.
     """
     import mpmath as mp
     r = _offset(r)
@@ -525,11 +560,12 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         scale = max(_max_abs_coeff(q) for q in (g, gx, gy))
         grad = _mp_evaluator(gx, gy)
+        residual = _per_mirror_class(
+            g, lambda pt: float(mp.sqrt(sum(v ** 2 for v, _ in grad(pt))) / scale))
         for xv, yv in points_of(r, regime, g):
-            res = mp.sqrt(sum(v ** 2 for v, _ in grad((to_mpf(xv), to_mpf(yv))))) / scale
             x, y = (v if isinstance(v, Fraction) else to_float(v) for v in (xv, yv))
             points.append(SingularPoint(x=x, y=y, tag=_tag(conic, r, regime, xv, yv),
-                                        residual_grad=float(res)))
+                                        residual_grad=residual((to_mpf(xv), to_mpf(yv)))))
     points.sort(key=lambda s: (to_float(s.y), to_float(s.x)))
     outside = conic.kind != PARABOLA and not (conic.a > conic.b > r)
     return SingularPointReport(conic=conic, r=r, r_crit=rc, regime=regime,
@@ -584,10 +620,13 @@ def singular_locus(g: MultiPoly) -> list:
     far from the origin at its own scale.  The roots keep full relative
     precision, so true points read far below the rule's bound and
     cross-pairings of coordinates from two different points far above it.
-    Raises EliminationError when the zeros are not finite (g has a repeated
-    factor), and ResourceLimitError when the Groebner completion of
-    <g, grad g> processes more than LOCUS_MAX_PAIRS S-pairs or meets a
-    remainder of total degree above LOCUS_MAX_DEGREE.
+    A verdict reads only |value| and size, so it is one per mirror class
+    (``_per_mirror_class``): (x, y), (-x, y), (x, -y) and (-x, -y) are
+    judged once when g is even or odd in both coordinates, and the output
+    keeps the pairing order.  Raises EliminationError when the zeros are not
+    finite (g has a repeated factor), and ResourceLimitError when the
+    Groebner completion of <g, grad g> processes more than LOCUS_MAX_PAIRS
+    S-pairs or meets a remainder of total degree above LOCUS_MAX_DEGREE.
     """
     import mpmath as mp
     g = content_normalize(g)
@@ -598,9 +637,10 @@ def singular_locus(g: MultiPoly) -> list:
                   for cs in _singular_eliminants(system))
         bound = mp.mpf(10) ** -(RADICAL_DPS // 2)
         evaluate = _mp_evaluator(*system)
+        vanishes = _per_mirror_class(g, lambda pt: all(
+            abs(v) <= bound * size for v, size in evaluate(pt)))
         return [(xv, yv) for xv, yv in product(xs, ys)
-                if all(abs(v) <= bound * size
-                       for v, size in evaluate((to_mpf(xv), to_mpf(yv))))]
+                if vanishes((to_mpf(xv), to_mpf(yv)))]
 
 
 def hessian_definite(g: MultiPoly, points) -> list:
@@ -608,7 +648,12 @@ def hessian_definite(g: MultiPoly, points) -> list:
     zero, not a node or cusp)?  At RADICAL_DPS digits, by the module's rule
     for 0, an entry that reads 0 is 0 (an exact 0 read 1.7e-49 at (0, 10/7)
     on ellipse(7/4, 3/4) at r_crit), and det = a11 a22 - a12^2 must be
-    positive and not read 0 against its terms' size |a11 a22| + a12^2."""
+    positive and not read 0 against its terms' size |a11 a22| + a12^2.
+
+    At a mirror image of a point each entry reads the same up to sign, bit
+    for bit (``_per_mirror_class``), and a11 and a22 change sign together,
+    so a11 a22 and a12^2 are the same: the verdict is taken once per class.
+    """
     import mpmath as mp
     if not points:
         return []
@@ -621,6 +666,7 @@ def hessian_definite(g: MultiPoly, points) -> list:
         def definite(pt):
             a11, a12, a22 = (v if abs(v) > bound * s else 0 for v, s in hessian(pt))
             return a11 * a22 - a12 * a12 > bound * (abs(a11 * a22) + a12 * a12)
+        definite = _per_mirror_class(g, definite)
         return [definite((to_mpf(x), to_mpf(y))) for x, y in points]
 
 

@@ -146,10 +146,20 @@ class GroebnerBasis:
         # reached only when ``polys`` of a ``_from_packed`` basis is unset
         if name != "polys" or "_packed" not in self.__dict__:
             raise AttributeError(name)
-        packing, entries = self._packed
-        polys = tuple(packing.to_poly(self.order.variables, e[2]) for e in entries)
+        polys = tuple(self._members(range(len(self._packed[1]))))
         object.__setattr__(self, "polys", polys)
         return polys
+
+    def _members(self, indices) -> list:
+        """The members of a ``_from_packed`` basis at ``indices``, each
+        converted from its packed entry once: ``polys`` reuses the members
+        that ``elimination_ideal`` converted before it was read."""
+        packing, entries = self._packed
+        done = self.__dict__.setdefault("_converted", {})
+        for i in indices:
+            if i not in done:
+                done[i] = packing.to_poly(self.order.variables, entries[i][2])
+        return [done[i] for i in indices]
 
     def degree_multiset(self):
         return sorted((p.degree() for p in self.polys), reverse=True)
@@ -638,7 +648,9 @@ def elimination_ideal(gb: GroebnerBasis, keep) -> list:
     intersection of the ideal with the subring on `keep`, provided the basis
     order ranks every dropped variable above every kept one.  Support is
     read from the packed entries: a member is kept when none of its terms
-    sets a raw field of a dropped variable.
+    sets a raw field of a dropped variable.  Only the kept members are
+    converted from their entries; they are the members a later read of
+    ``gb.polys`` gives.
     """
     keep = set(keep)
     ring = gb.order.variables
@@ -651,8 +663,10 @@ def elimination_ideal(gb: GroebnerBasis, keep) -> list:
             f"order {gb.order.kind} over {ring} does not eliminate {sorted(dropped)}")
     packing, entries = _packed_basis(gb)
     fields = sum(packing.mask << packing.shifts[ring.index(v)] for v in dropped)
-    return [p for p, e in zip(gb.polys, entries)
-            if not any(m & fields for m in e[2])]
+    kept = [i for i, e in enumerate(entries) if not any(m & fields for m in e[2])]
+    if "polys" in gb.__dict__:
+        return [gb.polys[i] for i in kept]
+    return gb._members(kept)
 
 
 # ---------------------------------------------------------------------------

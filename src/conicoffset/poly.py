@@ -422,6 +422,40 @@ def gradient(p: MultiPoly, variables: Sequence[str] | None = None) -> list:
 # Text form:  "4*p*y0 - x0^2 + 3/2*x*y^3"
 # ---------------------------------------------------------------------------
 
+# Python (3.11, and 3.10.7 on) refuses to convert an int of more than 4,300
+# decimal digits to or from a string; coefficients of offset polynomials at
+# admitted parameter heights pass that.  These split such a number in two
+# halves of digits instead, without touching the interpreter-wide limit.
+
+def int_to_str(n: int) -> str:
+    """str(n) with every digit, past the int-to-str limit too."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+        q, r = divmod(abs(n), 10 ** k)
+        return "-" * (n < 0) + int_to_str(q) + int_to_str(r).zfill(k)
+
+
+def str_to_int(text) -> int:
+    """int(text), also for a decimal string past the int-to-str limit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.lstrip("+-") if isinstance(text, str) else ""
+        if not (digits.isascii() and digits.isdigit()) or len(text) - len(digits) > 1:
+            raise
+        head, tail = digits[:len(digits) // 2], digits[len(digits) // 2:]
+        v = str_to_int(head) * 10 ** len(tail) + str_to_int(tail)
+        return -v if text.startswith("-") else v
+
+
+def frac_str(v: Fraction) -> str:
+    """str(v) of a rational, "n" or "n/d", with every digit."""
+    num = int_to_str(v.numerator)
+    return num if v.denominator == 1 else f"{num}/{int_to_str(v.denominator)}"
+
+
 def parse_poly(text: str, ring) -> MultiPoly:
     """Parse a sum of rational-coefficient monomial terms.
 
@@ -488,11 +522,11 @@ def format_poly(p: MultiPoly, order: MonomialOrder | None = None) -> str:
         mono = "*".join(factors)
         mag = abs(c)
         if not mono:
-            body = str(mag)
+            body = frac_str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            body = f"{frac_str(mag)}*{mono}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:
@@ -508,13 +542,17 @@ def poly_to_dict(p: MultiPoly, order: MonomialOrder | None = None) -> dict:
     """JSON-ready form: variables plus terms (descending under `order`)."""
     if order is None:
         order = grevlex(p.ring)
-    terms = []
     # under lex the order key is the exponent tuple itself
     key = None if order.kind == "lex" else order.key
-    for m in sorted(p.terms, key=key, reverse=True):
-        c = p.terms[m]
-        terms.append({"exp": list(m), "num": str(c.numerator), "den": str(c.denominator)})
-    return {"vars": list(p.ring), "terms": terms}
+    items = [(m, p.terms[m]) for m in sorted(p.terms, key=key, reverse=True)]
+
+    def terms(digits):
+        return [{"exp": list(m), "num": digits(c.numerator),
+                 "den": digits(c.denominator)} for m, c in items]
+    try:
+        return {"vars": list(p.ring), "terms": terms(str)}
+    except ValueError:  # a number past the int-to-str limit, rarely met
+        return {"vars": list(p.ring), "terms": terms(int_to_str)}
 
 
 def poly_from_dict(data: Mapping) -> MultiPoly:
@@ -522,7 +560,7 @@ def poly_from_dict(data: Mapping) -> MultiPoly:
     terms = {}
     for t in data["terms"]:
         m = tuple(int(e) for e in t["exp"])
-        terms[m] = Fraction(int(t["num"]), int(t["den"]))
+        terms[m] = Fraction(str_to_int(t["num"]), str_to_int(t["den"]))
     return MultiPoly(ring, terms)
 
 

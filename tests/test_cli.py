@@ -11,7 +11,8 @@ from conicoffset import cli, reference
 from conicoffset.cli import main
 from conicoffset.conics import ConicSpec, offset_poly_closed_form
 from conicoffset.mesh import MeshSpec, generate_mesh, mesh_figure
-from conicoffset.poly import MultiPoly, parse_poly, poly_to_dict
+from conicoffset.poly import (MultiPoly, format_poly, parse_poly, poly_from_dict,
+                              poly_to_dict)
 from conicoffset.verify import conic_from_case
 
 
@@ -314,11 +315,9 @@ def test_values_past_the_float_range_exit_2(capsys, argv):
     assert err == "error: a value is past the float range\n"
 
 
-@pytest.mark.parametrize("r", ["1e999999", "1e20000"])
-def test_parameters_past_the_height_budget_exit_3(r):
-    # 10^999999 once ran for minutes on r's powers, and 10^20000 for most of
-    # a second before it reached an exit 2; the height budget refuses both
-    # as soon as they are parsed
+def _cli_process(*args):
+    # the CLI in a fresh interpreter on the package this process imports,
+    # installed or not
     import os
     import subprocess
     import sys as _sys
@@ -330,12 +329,53 @@ def test_parameters_past_the_height_budget_exit_3(r):
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [package_root] + ([inherited] if inherited else [])))
-    out = subprocess.run([_sys.executable, "-m", "conicoffset.cli", "classify",
-                          "--conic", "parabola", "--p", "1/3", "--r", r],
-                         capture_output=True, text=True, env=env, timeout=30)
+    return subprocess.run([_sys.executable, "-m", "conicoffset.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
+@pytest.mark.parametrize("r", ["1e999999", "1e20000"])
+def test_parameters_past_the_height_budget_exit_3(r):
+    # 10^999999 once ran for minutes on r's powers, and 10^20000 for most of
+    # a second before it reached an exit 2; the height budget refuses both
+    # as soon as they are parsed
+    out = _cli_process("classify", "--conic", "parabola", "--p", "1/3", "--r", r)
     assert (out.returncode, out.stdout) == (3, "")
     assert out.stderr.startswith("resource limit: an exact parameter has ")
     assert "above the limit 3400" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("flags", [["--json"], [], ["--method", "elim", "--json"]],
+                         ids=["json", "text", "elim"])
+def test_coefficients_past_the_int_str_limit_print_in_full(tmp_path, flags):
+    # r = 10^1000 is inside the height budget, and g's coefficients run to
+    # 6,002 decimal digits, past Python's 4,300-digit limit on int-to-str
+    # conversion (3.11, and 3.10.7 on): every digit is written and read
+    # back, and the tracer reads the file without a traceback
+    gfile = tmp_path / "g.json"
+    out = _cli_process("offset-poly", "--conic", "parabola", "--p", "1/3",
+                       "--r", "1e1000", "--out", str(gfile), *flags)
+    assert out.returncode == 0 and out.stderr == ""
+    g = offset_poly_closed_form(ConicSpec.parabola(Fraction(1, 3)),
+                                Fraction(10) ** 1000).g
+    assert poly_from_dict(json.loads(gfile.read_text())) == g
+    if "--json" in flags:
+        assert poly_from_dict(json.loads(out.stdout)["g"]) == g
+    else:
+        assert out.stdout == format_poly(g) + "\n"
+    traced = _cli_process("trace", "--g", str(gfile), "--bbox=-6,6,-7,7",
+                          "--res", "64", "--json")
+    assert traced.returncode in (0, 2, 3) and "Traceback" not in traced.stderr
+
+
+def test_int_str_limit_is_left_as_it_was(capsys):
+    # the writers split long numbers themselves: an in-process call leaves
+    # the interpreter-wide limit alone
+    import sys
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, stdout, _ = run(capsys, "offset-poly", "--conic", "parabola", "--p",
+                          "1/3", "--r", "1e1000", "--json")
+    assert code == 0 and len(stdout) > 4300 and limit() == before
 
 
 def test_offset_poly_has_no_elimination_order_option(capsys):

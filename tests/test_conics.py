@@ -954,6 +954,118 @@ def test_hessian_definite_matches_catalogue_tags():
     assert seen == {("virtual", True), ("on-curve", False), ("split", False)}
 
 
+def _parity(q, i):
+    # +1 or -1 when every term of q has an even, or every one an odd,
+    # exponent of variable i; None otherwise
+    kinds = {m[i] % 2 for m in q.terms}
+    return (-1) ** kinds.pop() if len(kinds) == 1 else None
+
+
+def test_mirror_images_read_equal_up_to_parity_sign():
+    # the rule behind _per_mirror_class: at (-x, y), (x, -y) and (-x, -y)
+    # each of g and its first and second partials reads, bit for bit, its
+    # value at (x, y) times its parity sign, with the same term size
+    rng = random.Random(32)
+    checked = 0
+    for i in range(1, 10):
+        case = reference.case(i)
+        g = offset_poly_closed_form(conic_from_case(case), F(case["r"])).g
+        gx, gy = gradient(g, ["x", "y"])
+        polys = (g, gx, gy, *gradient(gx, ["x", "y"]), *gradient(gy, ["y"]))
+        with mp.workdps(conics.RADICAL_DPS):
+            evaluate = conics._mp_evaluator(*polys)
+            for _ in range(4):
+                x, y = (to_mpf(F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999)))
+                        for _ in "xy")
+                base = list(evaluate((x, y)))
+                for sx, sy in ((-1, 1), (1, -1), (-1, -1)):
+                    image = evaluate((sx * x, sy * y))
+                    for q, (v, size), (w, w_size) in zip(polys, base, image):
+                        px = 1 if sx > 0 else _parity(q, 0)
+                        py = 1 if sy > 0 else _parity(q, 1)
+                        if px is None or py is None:
+                            continue
+                        assert w._mpf_ == (v if px * py > 0 else -v)._mpf_, (i, q)
+                        assert w_size._mpf_ == size._mpf_, (i, q)
+                        checked += 1
+    # all nine offsets are even in x, and the six central ones in y too
+    assert checked == 4 * 6 * (9 + 6 * 2)
+
+
+def _no_parity_g():
+    # the line pairs (x - 1)^2 = y^2 and 4 (x + 1)^2 = (y - 1)^2: g has no
+    # parity in x or in y; its nodes (1, 0), (-1, 1) and (0, -1) share
+    # coordinates with (-1, 0), (1, 1), (0, 1), (-1, -1) and (1, -1), which
+    # are not singular
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    return ((x - 1) ** 2 - y ** 2) * (4 * (x + 1) ** 2 - (y - 1) ** 2)
+
+
+def test_each_mirror_class_is_judged_once():
+    # (u, v), (-u, v), (u, -v), (-u, -v): a coordinate folds exactly when g
+    # is even or odd in it, and each image takes its class's first verdict
+    x = MultiPoly.variable(("x", "y"), "x")
+    ellipse = offset_poly_closed_form(ELLIPSE_3, F(4, 3)).g
+    parabola = offset_poly_closed_form(ConicSpec.parabola(F(1, 3)), F(1)).g
+    cases = [(ellipse, [1, 1, 1, 1]), (ellipse * x, [1, 1, 1, 1]),
+             (parabola, [1, 1, 2, 2]), (ellipse * (x + 1), [1, 2, 1, 2]),
+             (_no_parity_g(), [1, 2, 3, 4])]
+    with mp.workdps(conics.RADICAL_DPS):
+        u, v = to_mpf(F(2, 3)), to_mpf(F(-5, 7))
+        for g, verdicts in cases:
+            calls = []
+            judged = conics._per_mirror_class(g, lambda pt: calls.append(pt) or len(calls))
+            assert [judged((su * u, sv * v)) for sv in (1, -1) for su in (1, -1)] \
+                == verdicts, g
+
+
+def _singular_outputs(conic, r):
+    # both routes' reports, and singular_locus and hessian_definite of g
+    g = offset_poly_closed_form(conic, r).g
+    locus = conics.singular_locus(g)
+    reports = [[(s.x, s.y, s.tag, s.residual_grad.hex()) for s in route(conic, r).points]
+               for route in (singular_points, singular_points_via_elimination)]
+    return reports, locus, conics.hessian_definite(g, locus)
+
+
+def _judge_every_point(monkeypatch):
+    # the oracle: every (x root, y root) pair judged, every residual and
+    # every Hessian taken, at its own point
+    monkeypatch.setattr(conics, "_per_mirror_class", lambda g, judge: judge)
+
+
+def test_mirror_classes_change_no_report(monkeypatch):
+    # both routes' points, tags and residual bits, the locus and the Hessian
+    # verdicts, as the oracle that judges point by point gives them, on the
+    # 74 pairing-gap inputs (the nine reference cases among them)
+    inputs = list(_pairing_gap_inputs())
+    folded = [_singular_outputs(conic, r) for conic, r in inputs]
+    _judge_every_point(monkeypatch)
+    for (conic, r), out in zip(inputs, folded):
+        assert out == _singular_outputs(conic, r), (conic, r)
+
+
+def test_g_without_parity_matches_the_oracle(monkeypatch):
+    # a g of no parity folds nothing; a central offset times (x + 1) folds
+    # y alone.  Folding x or y in the first keeps false points
+    asymmetric = _no_parity_g()
+    tilted = offset_poly_closed_form(ELLIPSE_3, F(4, 3)).g * \
+        (MultiPoly.variable(("x", "y"), "x") + 1)
+
+    def outputs():
+        return [(locus, conics.hessian_definite(g, locus))
+                for g in (asymmetric, tilted)
+                for locus in [conics.singular_locus(g)]]
+
+    folded = outputs()
+    locus, definite = folded[0]
+    assert [tuple(map(float, pt)) for pt in locus] == \
+        [(-4, -5), (-2, 3), (-1, 1), (float(F(-2, 3)), float(F(5, 3))), (0, -1), (1, 0)]
+    assert definite == [False] * 6
+    _judge_every_point(monkeypatch)
+    assert folded == outputs()
+
+
 def test_ellipse_outside_reference_range_flag():
     conic = ConicSpec.ellipse(3, F(3, 2))
     assert singular_points(conic, F(1, 2)).outside_reference_range is False

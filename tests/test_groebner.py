@@ -145,6 +145,21 @@ def test_elimination_full_and_errors():
         elimination_ideal(gb2, {"y"})
 
 
+def test_elimination_ideal_converts_only_the_members_it_keeps():
+    # a packed basis converts the kept member alone, and a later read of
+    # polys gives that same member, converted from the same entry as the rest
+    ideal = build_ideal(ConicSpec.ellipse(3, F(3, 2)), F(1, 2))
+    gb = reduce_basis(buchberger(ideal, block(ideal.ring, 2)))
+    kept = elimination_ideal(gb, {"x", "y"})
+    assert "polys" not in vars(gb) and len(kept) == 1
+    members = [p for p in gb.polys if p.support_vars() <= {"x", "y"}]
+    assert len(members) == 1 and members[0] is kept[0] and len(gb.polys) > 1
+    packing, entries = gb._packed
+    assert list(gb.polys) == [packing.to_poly(ideal.ring, e[2]) for e in entries]
+    again = elimination_ideal(gb, {"x", "y"})
+    assert len(again) == 1 and again[0] is kept[0]
+
+
 def test_elimination_soundness_on_variety_samples():
     # every eliminated-basis member vanishes at sampled variety points
     conic = ConicSpec.ellipse(3, F(3, 2))

@@ -7,9 +7,10 @@ import pytest
 
 from conicoffset.errors import OrderError, RingError, VarError, ZeroPolyError
 from conicoffset.poly import (MonomialOrder, MultiPoly, add, block,
-                              content_normalize, format_poly, gradient,
-                              grevlex, leading_term, lex, mul, parse_poly,
-                              poly_dumps, poly_loads, rat, reduce, substitute)
+                              content_normalize, format_poly, frac_str,
+                              gradient, grevlex, int_to_str, leading_term, lex,
+                              mul, parse_poly, poly_dumps, poly_loads, rat,
+                              reduce, str_to_int, substitute)
 
 R2 = ("x", "y")
 X = MultiPoly.variable(R2, "x")
@@ -216,6 +217,29 @@ def test_json_roundtrip_and_shape():
     assert '"vars":["x","y"]' in text
     assert '"num":"3"' in text and '"den":"7"' in text
     assert poly_loads(text) == p
+
+
+def test_numbers_past_the_int_str_limit_keep_every_digit():
+    # Python refuses str() and int() past 4,300 decimal digits (3.11, and
+    # 3.10.7 on); the wire and text forms split such numbers instead, and
+    # numbers below the limit read as str() gives them
+    rng = random.Random(43)
+    big = [10 ** 4300, 10 ** 4300 - 1, -(10 ** 9000), 10 ** 20000 + 7]
+    big += [rng.choice((1, -1)) * rng.getrandbits(rng.randint(14_000, 70_000))
+            for _ in range(20)]
+    texts = [int_to_str(n) for n in big]
+    assert [str_to_int(t) for t in texts] == big
+    assert [len(t.lstrip("-")) for t in texts[:4]] == [4301, 4300, 9001, 20001]
+    assert texts[0] == "1" + "0" * 4300 and texts[2] == "-1" + "0" * 9000
+    for n in (0, -7, 10 ** 4000, -(3 ** 8000)):
+        assert int_to_str(n) == str(n) and str_to_int(str(n)) == n
+    for bad in ("", "--5", "+-" + "1" * 5000, "1" * 5000 + "x", "1_" * 3000):
+        with pytest.raises(ValueError):
+            str_to_int(bad)
+    p = F(big[0], 3) * X - F(-7, big[3])
+    assert poly_loads(poly_dumps(p)) == p
+    assert format_poly(p) == f"{texts[0]}/3*x + 7/{texts[3]}"
+    assert frac_str(F(-5, 3)) == "-5/3" and frac_str(F(big[2])) == texts[2]
 
 
 def test_rat():
