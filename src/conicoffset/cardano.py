@@ -9,16 +9,15 @@ Discriminant signs are decided exactly on rationals; only the final radicals
 are evaluated numerically, with mpmath at the caller's working precision
 (``conics.RADICAL_DPS`` digits), entered through ``to_mpf``.  Any other
 square-free factor has its real roots isolated exactly by a Sturm sequence,
-then narrowed by ``bracketed_roots``, the package's one bracketed 1-D
-solver.  It advances a whole array of brackets together, each by the steps
-a scalar Illinois loop would take, so its callers hand it all their brackets
-at once: the Sturm search one object array of mpf intervals per factor, the
-tracer one float array of its crossing grid edges per trace.
+then bisected exactly at dyadic points until they are correctly rounded.
+``bracketed_roots``, the package's one bracketed 1-D float solver, advances
+a whole array of brackets together, each by the steps a scalar Illinois loop
+would take, so the tracer hands it all its crossing grid edges at once.
 
 mpmath and numpy are imported inside the functions that compute with them:
-mpmath in the evaluators and root solvers, numpy in ``bracketed_roots`` and
-the Sturm search.  The exact helpers load neither, so a process that only
-builds offset polynomials or Groebner bases never imports them.
+mpmath in the evaluators and root solvers, numpy only in ``bracketed_roots``.
+The exact helpers load neither, so a process that only builds offset
+polynomials or Groebner bases never imports them.
 """
 
 from __future__ import annotations
@@ -267,7 +266,8 @@ def real_roots_exact(cs):
     closed-form factors, so their reports keep their exact values.
 
     Returns a sorted list of roots, exact Fractions where they are found
-    rational and mpmath floats at the working precision otherwise.
+    rational and mpmath floats at the working precision otherwise: Cardano's
+    radicals, and Sturm roots correctly rounded.
     """
     import mpmath as mp
     cs = normalize([Fraction(c) for c in cs])
@@ -299,7 +299,7 @@ def real_roots_exact(cs):
 
 
 # ---------------------------------------------------------------------------
-# any square-free factor: Sturm isolation, then bracketed refinement
+# bracketed float refinement; any square-free factor: Sturm, then bisection
 # ---------------------------------------------------------------------------
 
 def bracketed_roots(phi, lo, hi, flo, fhi, width):
@@ -318,7 +318,7 @@ def bracketed_roots(phi, lo, hi, flo, fhi, width):
     is no wider than its width (a few ulps of lo and hi at least), and gives
     the end with the smaller |phi|.  Every round evaluates phi once, on the
     brackets still running; the arithmetic is elementwise, so a bracket's
-    steps and result do not depend on the others.
+    steps and result do not depend on the others.  Its caller is the tracer.
     """
     import numpy as np
     lo, hi, flo, fhi = (np.array(v) for v in (lo, hi, flo, fhi))
@@ -367,13 +367,11 @@ def _real_roots_sturm(p):
     divisors over their positive contents, so no sign flips) counts the roots
     in (a, b] as the drop in its sign changes from a to b.  Bisection at
     dyadic midpoints splits (-bound, bound] (Cauchy's bound, rounded up to a
-    power of two) until each interval holds one root; then one
-    bracketed_roots call narrows them all at the working precision.  A
-    midpoint that is a root is kept as a Fraction and divided out, and the
-    search starts over on the quotient.
+    power of two) until each interval holds one root; then _round_root
+    bisects each to its correctly rounded mpf.  A midpoint that is a root is
+    kept as a Fraction and divided out, and the search starts over on the
+    quotient.
     """
-    import mpmath as mp
-    import numpy as np
     seq = [p, derivative(p)]
     while len(seq[-1]) > 1:
         b = seq[-1] if seq[-1][-1] > 0 else [-v for v in seq[-1]]
@@ -399,29 +397,25 @@ def _real_roots_sturm(p):
             vm = changes(m)
             todo += [(a, m, va, vm), (m, b, vm, vb)]
 
-    def mpfs(values):
-        return np.array([to_mpf(v) for v in values], dtype=object)
+    return [_round_root(p, a, b) for a, b in brackets]
 
-    def narrow(ends):
-        # the roots in the brackets (a, b] of ends, each to 8 eps of its
-        # larger end, and the brackets and stop widths as mpf arrays
-        lo, hi = mpfs(a for a, _ in ends), mpfs(b for _, b in ends)
-        width = mpfs(8 * mp.eps * max(abs(u), abs(v)) for u, v in zip(lo, hi))
-        return bracketed_roots(
-            lambda t, _: mpfs(eval_poly_at(p, v) for v in t), lo, hi,
-            mpfs(eval_poly_at(p, a) for a, _ in ends),
-            mpfs(eval_poly_at(p, b) for _, b in ends), width), lo, hi, width
 
-    roots, lo, hi, width = narrow(brackets)
-    # a root below half its bracket's larger end (only a bracket reaching
-    # to 0 has one) is not resolved by that end's width: narrow again to
-    # within twice the width around it, until the width follows the root
-    again = np.arange(len(roots))
-    while True:
-        again = again[[w > 16 * mp.eps * abs(r)
-                       for r, w in zip(roots[again], width[again])]]
-        if not again.size:
-            return list(roots)
-        roots[again], lo[again], hi[again], width[again] = narrow(
-            [(max(a, r - 2 * w), min(b, r + 2 * w)) for a, b, r, w
-             in zip(lo[again], hi[again], roots[again], width[again])])
+def _round_root(p, a, b):
+    """The one root of the integer list p in the dyadic interval (a, b), at
+    whose ends p has opposite signs: correctly rounded to an mpf at the
+    working precision, or a Fraction if it is a dyadic midpoint.  Each step
+    halves the interval by the sign of p at its midpoint n/2^k, that of the
+    integer sum of c_i n^i 2^(k(d-i)), until both ends round to one mpf; the
+    root rounds to it too, as rounding is monotone.  The ends stay aligned
+    dyadics, so a root on a rounding boundary is met as a midpoint.
+    """
+    import mpmath as mp
+    d, k = len(p) - 1, max(a.denominator, b.denominator).bit_length() - 1
+    lo, hi, lo_positive = int(a * 2**k), int(b * 2**k), eval_poly_at(p, a) > 0
+    while mp.mpf((lo, -k)) != mp.mpf((hi, -k)):
+        mid, k = lo + hi, k + 1
+        v = sum(c * mid**i << k * (d - i) for i, c in enumerate(p))
+        if not v:
+            return Fraction(mid, 2**k)
+        lo, hi = (mid, 2 * hi) if (v > 0) == lo_positive else (2 * lo, mid)
+    return mp.mpf((lo, -k))

@@ -489,7 +489,8 @@ def parse_poly(text: str, ring) -> MultiPoly:
             if not factor:
                 continue
             if factor[0].isdigit():
-                coeff *= Fraction(factor)
+                num, _, den = factor.partition("/")
+                coeff *= Fraction(str_to_int(num), str_to_int(den or "1"))
                 continue
             name, _, power = factor.partition("^")
             if name not in index:

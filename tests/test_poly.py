@@ -239,6 +239,7 @@ def test_numbers_past_the_int_str_limit_keep_every_digit():
     p = F(big[0], 3) * X - F(-7, big[3])
     assert poly_loads(poly_dumps(p)) == p
     assert format_poly(p) == f"{texts[0]}/3*x + 7/{texts[3]}"
+    assert parse_poly(format_poly(p), R2) == p
     assert frac_str(F(-5, 3)) == "-5/3" and frac_str(F(big[2])) == texts[2]
 
 

@@ -1,6 +1,7 @@
 """Start-up and public contract in fresh interpreters: importing the package,
 building the CLI parser and the exact commands load neither numpy nor
-mpmath; the float-layer names still resolve, through the package's module
+mpmath, and exact real roots and singular points load mpmath alone; the
+float-layer names still resolve, through the package's module
 ``__getattr__``, and follow a patched submodule."""
 
 import json
@@ -51,6 +52,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["groebner", "--in", sys.argv[1], "--vars", "x,y",
                      "--order", "lex", "--json"])
 seen(f"groebner exit {code}")
+from conicoffset.cardano import real_roots_exact
+real_roots_exact([1, -3, 0, 0, 0, 1])  # t^5 - 3t + 1: Sturm isolation
+seen("real_roots_exact")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["singular", *conic, "--method", "elimination",
+                     "--format", "json"])
+seen(f"singular elimination exit {code}")
 print(json.dumps(steps))
 """
 
@@ -62,10 +70,13 @@ def test_exact_commands_load_neither_numpy_nor_mpmath(tmp_path):
     out = _python("-c", STARTUP, str(ideal))
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {
-        step: [] for step in (
+        **{step: [] for step in (
             "import", "general_offset_poly", "build_parser",
             "offset-poly closed exit 0", "offset-poly elim exit 0",
-            "groebner exit 0")}
+            "groebner exit 0")},
+        # the root finders and the singular points compute with mpmath
+        "real_roots_exact": ["mpmath"],
+        "singular elimination exit 0": ["mpmath"]}
 
 
 def _in_process(capsys, argv):
