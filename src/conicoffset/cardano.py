@@ -8,16 +8,13 @@ division; only the factors they return become monic Fractions again.
 Discriminant signs are decided exactly on rationals; only the final radicals
 are evaluated numerically, with mpmath at the caller's working precision
 (``conics.RADICAL_DPS`` digits), entered through ``to_mpf``.  Any other
-square-free factor has its real roots isolated exactly by a Sturm sequence,
-then bisected exactly at dyadic points until they are correctly rounded.
-``bracketed_roots``, the package's one bracketed 1-D float solver, advances
-a whole array of brackets together, each by the steps a scalar Illinois loop
-would take, so the tracer hands it all its crossing grid edges at once.
+square-free factor has its real roots isolated by a Sturm sequence and
+bisected until they are correctly rounded, all at dyadic points n/2^k, where
+every sign is that of one integer (``_dyadic_value``).
 
-mpmath and numpy are imported inside the functions that compute with them:
-mpmath in the evaluators and root solvers, numpy only in ``bracketed_roots``.
-The exact helpers load neither, so a process that only builds offset
-polynomials or Groebner bases never imports them.
+mpmath is imported inside the functions that compute with it, and numpy
+not at all, so a process that only builds offset polynomials or Groebner
+bases loads neither.
 """
 
 from __future__ import annotations
@@ -84,14 +81,6 @@ def to_float(v) -> float:
     except OverflowError:
         pass
     raise ParamError("a value is past the float range")
-
-
-def eval_poly_at(cs, t):
-    import mpmath as mp
-    acc = mp.mpf(0) if not isinstance(t, Fraction) else Fraction(0)
-    for c in reversed(cs):
-        acc = acc * t + (c if isinstance(t, Fraction) else to_mpf(c))
-    return acc
 
 
 def squarefree_decomposition(cs):
@@ -299,65 +288,13 @@ def real_roots_exact(cs):
 
 
 # ---------------------------------------------------------------------------
-# bracketed float refinement; any square-free factor: Sturm, then bisection
+# any square-free factor: Sturm isolation, then bisection, on dyadics
 # ---------------------------------------------------------------------------
 
-def bracketed_roots(phi, lo, hi, flo, fhi, width):
-    """Roots of many brackets at once, as one array: bracket k holds the root
-    of its function on [lo[k], hi[k]], floats or mpfs, given flo[k] and
-    fhi[k], its values at the ends, of opposite signs.  phi(t, idx) returns
-    the values at the points t of the brackets numbered idx; `width` is one
-    stop width or one per bracket.
-
-    Each bracket takes the steps of Illinois regula falsi (Dowell & Jarratt,
-    BIT 1971) on its own: when the same end moves twice running, the other
-    end's stored value is halved; when it has moved three times running the
-    step is a bisection instead (near a double zero of phi beside the
-    bracket, regula falsi alone walks into it until rounding fakes a sign
-    change).  A bracket never widens.  It stops on an exact zero or once it
-    is no wider than its width (a few ulps of lo and hi at least), and gives
-    the end with the smaller |phi|.  Every round evaluates phi once, on the
-    brackets still running; the arithmetic is elementwise, so a bracket's
-    steps and result do not depend on the others.  Its caller is the tracer.
-    """
-    import numpy as np
-    lo, hi, flo, fhi = (np.array(v) for v in (lo, hi, flo, fhi))
-    out = np.where(flo == 0.0, lo, hi)  # an end that is a zero is the root
-    idx = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    width = np.broadcast_to(width, lo.shape)
-    n = idx.size
-    # per running bracket: its ends, their values, the stored values that the
-    # Illinois rule halves, the end that moved last (-1 lo, +1 hi), how often
-    # it moved running, and the stop width
-    state = (idx, lo[idx], hi[idx], flo[idx], fhi[idx], flo[idx], fhi[idx],
-             np.zeros(n, int), np.zeros(n, int), width[idx])
-    with np.errstate(all="ignore"):
-        while state[0].size:
-            idx, lo, hi, flo, fhi, slo, shi, moved, run, width = state
-            going = hi - lo > width
-            if not going.all():
-                done = ~going
-                out[idx[done]] = np.where(abs(flo[done]) <= abs(fhi[done]),
-                                          lo[done], hi[done])
-                state = tuple(v[going] for v in state)
-                continue
-            rf = lo + (hi - lo) * (slo / (slo - shi))
-            t = np.where(run >= 3, 0.5 * (lo + hi), np.where(rf < hi, rf, hi))
-            ft = phi(t, idx)
-            hit = ft == 0.0
-            out[idx[hit]] = t[hit]
-            lo_moves = (ft < 0.0) == (flo < 0.0)
-            side = np.where(lo_moves, -1, 1)
-            run = np.where(side == moved, run + 1, 1)
-            halve = run >= 2
-            state = tuple(v[~hit] for v in (
-                idx,
-                np.where(lo_moves, t, lo), np.where(lo_moves, hi, t),
-                np.where(lo_moves, ft, flo), np.where(lo_moves, fhi, ft),
-                np.where(lo_moves, ft, np.where(halve, slo * 0.5, slo)),
-                np.where(lo_moves, np.where(halve, shi * 0.5, shi), ft),
-                side, run, width))
-    return out
+def _dyadic_value(p, n, k):
+    """2^(kd) p(n/2^k), of the sign of p at n/2^k, for an integer list p."""
+    d = len(p) - 1
+    return sum(c * n**i << k * (d - i) for i, c in enumerate(p))
 
 
 def _real_roots_sturm(p):
@@ -365,12 +302,12 @@ def _real_roots_sturm(p):
 
     The Sturm sequence (p, p', then negated pseudo-remainders by positive-led
     divisors over their positive contents, so no sign flips) counts the roots
-    in (a, b] as the drop in its sign changes from a to b.  Bisection at
-    dyadic midpoints splits (-bound, bound] (Cauchy's bound, rounded up to a
-    power of two) until each interval holds one root; then _round_root
-    bisects each to its correctly rounded mpf.  A midpoint that is a root is
-    kept as a Fraction and divided out, and the search starts over on the
-    quotient.
+    in (a, b] as the drop in its sign changes from a to b, each sign read
+    from ``_dyadic_value``.  Bisection splits (-bound, bound] (Cauchy's
+    bound, rounded up to a power of two), as integer ends n at a shared k
+    for n/2^k, until each interval holds one root; then _round_root bisects
+    each to its correctly rounded mpf.  A midpoint that is a root is kept as
+    a Fraction and divided out, and the search starts over on the quotient.
     """
     seq = [p, derivative(p)]
     while len(seq[-1]) > 1:
@@ -379,43 +316,46 @@ def _real_roots_sturm(p):
         content = gcd(*rem)
         seq.append([-v // content for v in rem])
 
-    def changes(t):
-        signs = [v > 0 for v in (eval_poly_at(s, t) for s in seq) if v]
+    def changes(n, k):
+        signs = [v > 0 for v in (_dyadic_value(s, n, k) for s in seq) if v]
         return sum(u != w for u, w in zip(signs, signs[1:]))
 
-    bound = Fraction(2 ** (2 + max(map(abs, p)) // p[-1]).bit_length())
-    todo, brackets = [(-bound, bound, changes(-bound), changes(bound))], []
+    bound = 1 << (2 + max(map(abs, p)) // p[-1]).bit_length()
+    todo = [(-bound, bound, 0, changes(-bound, 0), changes(bound, 0))]
+    brackets = []
     while todo:
-        a, b, va, vb = todo.pop()
+        lo, hi, k, va, vb = todo.pop()
         if va - vb == 1:
-            brackets.append((a, b))
+            brackets.append((lo, hi, k))
         elif va > vb:
-            m = (a + b) / 2
-            if eval_poly_at(p, m) == 0:
+            mid, k = lo + hi, k + 1
+            if not _dyadic_value(p, mid, k):
+                m = Fraction(mid, 1 << k)
                 rest = _int_exact_div(p, [-m.numerator, m.denominator])
                 return [m] + (_real_roots_sturm(rest) if len(rest) > 1 else [])
-            vm = changes(m)
-            todo += [(a, m, va, vm), (m, b, vm, vb)]
+            vm = changes(mid, k)
+            todo += [(2 * lo, mid, k, va, vm), (mid, 2 * hi, k, vm, vb)]
 
-    return [_round_root(p, a, b) for a, b in brackets]
+    return [_round_root(p, lo, hi, k) for lo, hi, k in brackets]
 
 
-def _round_root(p, a, b):
-    """The one root of the integer list p in the dyadic interval (a, b), at
-    whose ends p has opposite signs: correctly rounded to an mpf at the
-    working precision, or a Fraction if it is a dyadic midpoint.  Each step
-    halves the interval by the sign of p at its midpoint n/2^k, that of the
-    integer sum of c_i n^i 2^(k(d-i)), until both ends round to one mpf; the
-    root rounds to it too, as rounding is monotone.  The ends stay aligned
-    dyadics, so a root on a rounding boundary is met as a midpoint.
+def _round_root(p, lo, hi, k):
+    """The one root of the integer list p in (lo/2^k, hi/2^k), at whose ends
+    p has opposite signs: correctly rounded to an mpf at the working
+    precision, or a Fraction if it is a dyadic midpoint.  Each step halves
+    the interval by the sign of ``_dyadic_value`` at its midpoint until both
+    ends round to one mpf, which the root rounds to too, as rounding is
+    monotone; the ends become mpfs only once they lie within an ulp of the
+    larger.  The ends stay aligned dyadics, so a root on a rounding boundary
+    is met as a midpoint.
     """
     import mpmath as mp
-    d, k = len(p) - 1, max(a.denominator, b.denominator).bit_length() - 1
-    lo, hi, lo_positive = int(a * 2**k), int(b * 2**k), eval_poly_at(p, a) > 0
-    while mp.mpf((lo, -k)) != mp.mpf((hi, -k)):
+    prec, lo_positive = mp.mp.prec, _dyadic_value(p, lo, k) > 0
+    while ((hi - lo).bit_length() + prec > max(-lo, hi).bit_length() + 1
+           or mp.mpf((lo, -k)) != mp.mpf((hi, -k))):
         mid, k = lo + hi, k + 1
-        v = sum(c * mid**i << k * (d - i) for i, c in enumerate(p))
+        v = _dyadic_value(p, mid, k)
         if not v:
-            return Fraction(mid, 2**k)
+            return Fraction(mid, 1 << k)
         lo, hi = (mid, 2 * hi) if (v > 0) == lo_positive else (2 * lo, mid)
     return mp.mpf((lo, -k))

@@ -614,10 +614,11 @@ def singular_locus(g: MultiPoly) -> list:
 
     The eliminants of <g, grad g> (zero gradient components left out) are
     solved by ``real_roots_exact``, and every (x root, y root) pair is judged
-    once, at RADICAL_DPS: it is a point when every polynomial of the
-    content-normalized system reads 0 there, by the module's rule (at an
-    axis point g_x's terms are all 0, and 0 reads 0), which judges a point
-    far from the origin at its own scale.  The roots keep full relative
+    once, at RADICAL_DPS: it is a point when g and each nonzero partial read
+    0 there, by the module's rule, which weighs each value against its own
+    terms' size, so a point far from the origin is judged at its own scale
+    and a constant factor of g changes nothing (at an axis point g_x's terms
+    are all 0, and 0 reads 0).  The roots keep full relative
     precision, so true points read far below the rule's bound and
     cross-pairings of coordinates from two different points far above it.
     A verdict reads only |value| and size, so it is one per mirror class
@@ -629,9 +630,7 @@ def singular_locus(g: MultiPoly) -> list:
     S-pairs or meets a remainder of total degree above LOCUS_MAX_DEGREE.
     """
     import mpmath as mp
-    g = content_normalize(g)
-    system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])
-                   if not q.is_zero()))
+    system = (g, *(q for q in gradient(g, ["x", "y"]) if not q.is_zero()))
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         xs, ys = (cardano.real_roots_exact(cs)
                   for cs in _singular_eliminants(system))

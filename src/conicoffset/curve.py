@@ -23,10 +23,10 @@ dispatches other integer powers to SIMD loops (AVX-512 where the host has
 it) that differ from pow in the last bit, so the grid, and with it the
 traced vertices, would depend on the host.
 
-The tracer solves each vertex on its own grid edge: one bracketed 1-D
-solver (Illinois regula falsi with a bisection fallback,
-cardano.bracketed_roots) between the two grid nodes whose signs differ, run
-once per trace over every crossing edge, so no vertex leaves its edge.
+The tracer solves each vertex on its own grid edge: this layer's bracketed
+1-D solver, bracketed_roots (Illinois regula falsi with a bisection
+fallback), between the two grid nodes whose signs differ, run once per
+trace over every crossing edge, so no vertex leaves its edge.
 Segments are chained through the edges they share, with no float tolerance
 and no per-cell Python: each grid edge has an integer id (node index times
 2, plus 1 along y), a table gives every segment's two edge ids at once, one
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cardano import bracketed_roots, to_float
+from .cardano import to_float
 from .conics import (ConicSpec, ELLIPSE, PARABOLA, base_conic_poly,
                      hessian_definite, offset_poly_closed_form, singular_locus)
 from .errors import (EliminationError, ParamError, PreconditionError,
@@ -300,13 +300,70 @@ _SEGMENT_EDGES = _segment_edges()
 MAX_RESOLUTION = 2 ** 13
 
 
+def bracketed_roots(phi, lo, hi, flo, fhi, width):
+    """Roots of many brackets at once, as one array: bracket k holds the root
+    of its function on [lo[k], hi[k]], floats or mpfs, given flo[k] and
+    fhi[k], its values at the ends, of opposite signs.  phi(t, idx) returns
+    the values at the points t of the brackets numbered idx; `width` is one
+    stop width or one per bracket.
+
+    Each bracket takes the steps of Illinois regula falsi (Dowell & Jarratt,
+    BIT 1971) on its own: when the same end moves twice running, the other
+    end's stored value is halved; when it has moved three times running the
+    step is a bisection instead (near a double zero of phi beside the
+    bracket, regula falsi alone walks into it until rounding fakes a sign
+    change).  A bracket never widens.  It stops on an exact zero or once it
+    is no wider than its width (a few ulps of lo and hi at least), and gives
+    the end with the smaller |phi|.  Every round evaluates phi once, on the
+    brackets still running; the arithmetic is elementwise, so a bracket's
+    steps and result do not depend on the others.  Its caller is the tracer.
+    """
+    lo, hi, flo, fhi = (np.array(v) for v in (lo, hi, flo, fhi))
+    out = np.where(flo == 0.0, lo, hi)  # an end that is a zero is the root
+    idx = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    width = np.broadcast_to(width, lo.shape)
+    n = idx.size
+    # per running bracket: its ends, their values, the stored values that the
+    # Illinois rule halves, the end that moved last (-1 lo, +1 hi), how often
+    # it moved running, and the stop width
+    state = (idx, lo[idx], hi[idx], flo[idx], fhi[idx], flo[idx], fhi[idx],
+             np.zeros(n, int), np.zeros(n, int), width[idx])
+    with np.errstate(all="ignore"):
+        while state[0].size:
+            idx, lo, hi, flo, fhi, slo, shi, moved, run, width = state
+            going = hi - lo > width
+            if not going.all():
+                done = ~going
+                out[idx[done]] = np.where(abs(flo[done]) <= abs(fhi[done]),
+                                          lo[done], hi[done])
+                state = tuple(v[going] for v in state)
+                continue
+            rf = lo + (hi - lo) * (slo / (slo - shi))
+            t = np.where(run >= 3, 0.5 * (lo + hi), np.where(rf < hi, rf, hi))
+            ft = phi(t, idx)
+            hit = ft == 0.0
+            out[idx[hit]] = t[hit]
+            lo_moves = (ft < 0.0) == (flo < 0.0)
+            side = np.where(lo_moves, -1, 1)
+            run = np.where(side == moved, run + 1, 1)
+            halve = run >= 2
+            state = tuple(v[~hit] for v in (
+                idx,
+                np.where(lo_moves, t, lo), np.where(lo_moves, hi, t),
+                np.where(lo_moves, ft, flo), np.where(lo_moves, fhi, ft),
+                np.where(lo_moves, ft, np.where(halve, slo * 0.5, slo)),
+                np.where(lo_moves, np.where(halve, shi * 0.5, shi), ft),
+                side, run, width))
+    return out
+
+
 def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     """Marching-squares contour of g = 0 with each vertex solved on its edge.
 
     Cells are scanned row-major; saddle cells (two opposite sign pairs) are
     disambiguated by the sign at the cell center.  Every crossing grid edge
     gets one vertex, the root of g along that edge found by the bracketed
-    solver (cardano.bracketed_roots, one call for all the edges of a trace),
+    solver (bracketed_roots, one call for all the edges of a trace),
     so the vertex lies on its edge: its x is a grid x-value or its y a grid
     y-value.  A segment joins two crossing edges of a cell, and segments are
     chained through the edges they share, so a closed curve comes back to

@@ -446,10 +446,13 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     ``basis_size`` and the ``pending_pairs`` (signatures still queued), when
     more than ``max_pairs`` S-pairs are processed, a member made from an
     S-pair exceeds total degree ``max_degree``, or an exponent overflows its
-    packed field.  Generators are exempt from the degree cap.
+    packed field.  Generators are exempt from the degree cap.  A budget that
+    is not an int >= 0 raises PreconditionError.
     """
     if tuple(order.variables) != ideal.ring:
         raise OrderError("order variables do not match the ideal ring")
+    if not all(isinstance(v, int) and v >= 0 for v in (max_pairs, max_degree)):
+        raise PreconditionError("max_pairs and max_degree must be ints >= 0")
     packing = _Packing(order, max_degree)
     guard, units = packing.guard, packing.units
     stats = {"pairs_considered": 0, "pairs_skipped_criteria": 0,

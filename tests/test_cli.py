@@ -525,6 +525,23 @@ def test_exit_code_resource_limit(capsys):
     assert code == 3 and "resource limit" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-pairs=-1", "--max-degree=-1"])
+def test_negative_budgets_exit_2(tmp_path, capsys, flag):
+    # a negative budget is a parameter error, whether or not any S-pair
+    # would be processed: on one generator, on two, and through offset-poly
+    for gens in (["x^2-y"], ["x^2-y", "x*y-1"]):
+        src = tmp_path / "ideal.json"
+        src.write_text(json.dumps([poly_to_dict(parse_poly(t, ("x", "y")))
+                                   for t in gens]))
+        code, out, err = run(capsys, "groebner", "--in", str(src), "--vars",
+                             "x,y", "--order", "lex", flag)
+        assert (code, out) == (2, "") and "ints >= 0" in err
+    code, out, err = run(capsys, "offset-poly", "--conic", "ellipse", "--a",
+                         "3", "--b", "3/2", "--r", "1/2", "--method", "elim",
+                         flag)
+    assert (code, out) == (2, "") and "ints >= 0" in err
+
+
 def _outcome(capsys, argv):
     try:
         code = main(list(argv))

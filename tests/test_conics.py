@@ -915,6 +915,21 @@ def test_far_points_are_judged_at_their_own_scale():
             route(conic, r)
 
 
+def test_singular_locus_ignores_a_constant_factor():
+    # each value is judged against its own terms' size and the completion
+    # makes every generator primitive, so -3/7 g has g's locus, bit for bit:
+    # the nine reference offsets and the product of two conics of CI's trace
+    ring = ("x", "y")
+    polys = [offset_poly_closed_form(conic_from_case(reference.case(i)),
+                                     F(reference.case(i)["r"])).g
+             for i in range(1, 10)]
+    polys.append(parse_poly("x^2 + 2*y^2 - 3 + 1/5*x", ring)
+                 * parse_poly("2*x^2 + y^2 - 4 + 1/7*y + 1/3*x*y", ring))
+    for g in polys:
+        locus = conics.singular_locus(g)
+        assert locus and conics.singular_locus(g * F(-3, 7)) == locus
+
+
 def test_hessian_definite_without_points_compiles_nothing(monkeypatch):
     # a base-conic trace has no pins; it must not differentiate g twice
     def no_gradient(*args):

@@ -6,18 +6,19 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conicoffset import curve
-from conicoffset.cardano import bracketed_roots
 from conicoffset.conics import (ConicSpec, hessian_definite,
                                 offset_poly_closed_form, r_crit,
                                 singular_locus, singular_points)
-from conicoffset.curve import (Point2, conic_point_and_normal, curvature,
-                               eval_poly, max_abs_coeff, max_curvature,
-                               offset_figure, parametric_offset_samples,
-                               plot_svg, trace_implicit, xy_evaluator)
+from conicoffset.curve import (Point2, bracketed_roots,
+                               conic_point_and_normal, curvature, eval_poly,
+                               max_abs_coeff, max_curvature, offset_figure,
+                               parametric_offset_samples, plot_svg,
+                               trace_implicit, xy_evaluator)
 from conicoffset.errors import (EliminationError, ParamError,
                                 PreconditionError, ResourceLimitError,
                                 RingError, VarError)
@@ -918,3 +919,146 @@ def test_xy_evaluator_missing_variable():
     with pytest.raises(VarError):
         eval_poly(sym, (1.0, 2.0))
     assert xy_evaluator(sym, r=3)(1, 2) == 6.0
+
+
+# ---------------------------------------------------------------------------
+# The batched bracketed solver against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+def bracketed_root(phi, lo, hi, flo, fhi, width):
+    """The scalar solver that bracketed_roots replaced, verbatim."""
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    slo, shi = flo, fhi  # the stored end values, halved by the Illinois rule
+    moved, run = 0, 0  # the end that moved last (-1 lo, +1 hi), and how often
+    while hi - lo > width:
+        if run >= 3:
+            t = 0.5 * (lo + hi)
+        else:
+            t = min(hi, lo + (hi - lo) * (slo / (slo - shi)))
+        ft = phi(t)
+        if ft == 0.0:
+            return t
+        side = -1 if (ft < 0.0) == (flo < 0.0) else 1
+        run = run + 1 if side == moved else 1
+        moved = side
+        if side < 0:
+            lo, flo, slo = t, ft, ft
+            if run >= 2:
+                shi *= 0.5
+        else:
+            hi, fhi, shi = t, ft, ft
+            if run >= 2:
+                slo *= 0.5
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
+def _horner(coeffs, t):
+    acc = 0 * t
+    for c in coeffs:
+        acc = acc * t + c
+    return acc
+
+
+def _double_zero_beside(d, r):
+    # (t - d)^2 (t - r), highest power first
+    return [1.0, -(2 * d + r), d * d + 2 * d * r, -d * d * r]
+
+
+# (coefficients from the highest power, lo, hi): a step lands on an exact
+# zero; zeros at lo and at hi; a double zero beside the bracket, which makes
+# the solver bisect; phi(lo) = inf, so the regula falsi point is NaN and
+# min(hi, NaN) keeps hi; then seeded cubics and quintics with a sign change
+SPECIAL_BRACKETS = [
+    ([1.0, -0.5], 0.0, 1.0),
+    ([1.0, -0.25], 0.25, 1.0),
+    ([1.0, -0.75], 0.0, 0.75),
+    (_double_zero_beside(0.2, 0.25), 0.21, 1.0),
+    (_double_zero_beside(0.0, 0.001), 0.0001, 1.0),
+    ([1e300, 0.0, 0.0, 0.0, -1e300], -1000.0, 0.0),
+]
+
+
+def _seeded_brackets(count):
+    rng = random.Random(19)
+    out = list(SPECIAL_BRACKETS)
+    while len(out) < count:
+        coeffs = [rng.uniform(-4, 4) for _ in range(rng.choice((4, 6)))]
+        lo = rng.uniform(-3, 2)
+        hi = lo + rng.uniform(1e-3, 3)
+        if _horner(coeffs, lo) * _horner(coeffs, hi) < 0:
+            out.append((coeffs, lo, hi))
+    return out
+
+
+def _steps(coeffs, lo, hi):
+    """The points the scalar solver evaluates, and whether it bisects."""
+    ts = []
+
+    def phi(t):
+        ts.append(t)
+        return _horner(coeffs, t)
+    flo, fhi = _horner(coeffs, lo), _horner(coeffs, hi)
+    bracketed_root(phi, lo, hi, flo, fhi, 1e-13)
+    bisects = False
+    for t in ts:  # replay: is a point ever the midpoint of its bracket?
+        bisects |= t == 0.5 * (lo + hi)
+        if (_horner(coeffs, t) < 0.0) == (flo < 0.0):
+            lo = t
+        else:
+            hi = t
+    return ts, bisects
+
+
+def test_special_brackets_cover_every_exit():
+    hit, at_lo, at_hi, bisect_a, bisect_b, overflow = SPECIAL_BRACKETS
+    ts, _ = _steps(*hit)
+    assert ts == [0.5] and _horner(hit[0], 0.5) == 0.0
+    assert _steps(*at_lo)[0] == [] and _steps(*at_hi)[0] == []
+    assert _steps(*bisect_a)[1] and _steps(*bisect_b)[1]
+    assert _horner(overflow[0], overflow[1]) == math.inf
+    assert _steps(*overflow)[0][0] == overflow[2]
+
+
+def _batched(brackets, width, make_array):
+    coeffs = [c for c, _, _ in brackets]
+    return bracketed_roots(
+        lambda t, idx: make_array([_horner(coeffs[k], v)
+                                   for k, v in zip(idx.tolist(), t.tolist())]),
+        make_array([lo for _, lo, _ in brackets]),
+        make_array([hi for _, _, hi in brackets]),
+        make_array([_horner(c, lo) for c, lo, _ in brackets]),
+        make_array([_horner(c, hi) for c, _, hi in brackets]), width)
+
+
+def test_bracketed_roots_takes_the_scalar_steps_on_floats():
+    brackets = _seeded_brackets(60)
+    want = [bracketed_root(lambda t, c=c: _horner(c, t), lo, hi,
+                           _horner(c, lo), _horner(c, hi), 1e-13)
+            for c, lo, hi in brackets]
+    got = _batched(brackets, 1e-13, np.array)
+    assert got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    for b, w in zip(brackets, want):
+        (one,) = _batched([b], 1e-13, np.array).tolist()
+        assert one.hex() == w.hex()
+
+
+def test_bracketed_roots_takes_the_scalar_steps_on_mpf():
+    def mpfs(values):
+        return np.array([mp.mpf(v) for v in values], dtype=object)
+
+    with mp.workdps(60):
+        brackets = [([mp.mpf(c) / 3 for c in cs], mp.mpf(lo), mp.mpf(hi))
+                    for cs, lo, hi in _seeded_brackets(24)]
+        widths = [8 * mp.eps * max(abs(lo), abs(hi)) for _, lo, hi in brackets]
+        want = [bracketed_root(lambda t, c=c: _horner(c, t), lo, hi,
+                               _horner(c, lo), _horner(c, hi), w)
+                for (c, lo, hi), w in zip(brackets, widths)]
+        got = _batched(brackets, mpfs(widths), mpfs)
+        assert [v.man_exp for v in got] == [v.man_exp for v in want]
+        for b, w, width in zip(brackets, want, widths):
+            (one,) = _batched([b], mpfs([width]), mpfs)
+            assert one.man_exp == w.man_exp

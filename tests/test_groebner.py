@@ -16,7 +16,8 @@ import pytest
 from conicoffset import conics, reference
 from conicoffset.conics import ConicSpec, build_ideal, offset_poly_closed_form
 from conicoffset.errors import (ConicOffsetError, EliminationError, OrderError,
-                               ResourceLimitError, RingError, ZeroPolyError)
+                               PreconditionError, ResourceLimitError,
+                               RingError, ZeroPolyError)
 from conicoffset.fixtures import general_offset_poly
 from conicoffset.groebner import (GroebnerBasis, Ideal, _content, _make_entry,
                                   _normal_form_int, _Packing, buchberger,
@@ -192,6 +193,19 @@ def test_resource_limits():
     assert exc.value.stats.get("pairs_considered", 0) >= 3
     with pytest.raises(ResourceLimitError):
         buchberger(ideal, lex(ideal.ring), max_degree=2)
+
+
+@pytest.mark.parametrize("budget", [{"max_pairs": -1}, {"max_degree": -1},
+                                    {"max_pairs": 2.5}, {"max_degree": None}],
+                         ids=["pairs-negative", "degree-negative",
+                              "pairs-float", "degree-none"])
+def test_bad_budgets_are_preconditions(budget):
+    # a budget is an int >= 0, for one generator as for two; 0 stays valid
+    for gens in ((X ** 2 - Y,), (X ** 2 - Y, X * Y - 1)):
+        with pytest.raises(PreconditionError, match="ints >= 0"):
+            buchberger(Ideal(R2, gens), lex(R2), **budget)
+    assert buchberger(Ideal(R2, (X ** 2 - Y,)), lex(R2), max_pairs=0,
+                      max_degree=0).polys
 
 
 def test_input_validation():

@@ -1,5 +1,6 @@
 """The float layer stays float-only: curve.py and mesh.py import no mpmath
 and no private name of conics, whose exact layer owns every 60-digit step;
+the exact layer imports no numpy, as the float layer owns the float solver;
 curve.py's figures mark the pins of their own trace, not the catalogue."""
 
 import ast
@@ -27,6 +28,21 @@ def test_float_layer_imports_no_mpmath_and_no_private_conics_name(module):
             elif source.split(".")[-1] == "conics":
                 bad += [f"conics.{a.name}" for a in node.names
                         if a.name.startswith("_")]
+    assert bad == [], f"{module} imports {bad}"
+
+
+@pytest.mark.parametrize("module", ["poly.py", "groebner.py", "cardano.py",
+                                    "conics.py", "fixtures.py"])
+def test_exact_layer_imports_no_numpy(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bad += [a.name for a in node.names
+                    if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "numpy":
+                bad.append(node.module)
     assert bad == [], f"{module} imports {bad}"
 
 
