@@ -292,9 +292,12 @@ def real_roots_exact(cs):
 # ---------------------------------------------------------------------------
 
 def _dyadic_value(p, n, k):
-    """2^(kd) p(n/2^k), of the sign of p at n/2^k, for an integer list p."""
-    d = len(p) - 1
-    return sum(c * n**i << k * (d - i) for i, c in enumerate(p))
+    """2^(kd) p(n/2^k), of the sign of p at n/2^k, for an integer list p:
+    the sum of c_i n^i 2^(k(d-i)) by Horner's rule, from the top down."""
+    v = 0
+    for i, c in enumerate(reversed(p)):
+        v = v * n + (c << k * i)
+    return v
 
 
 def _real_roots_sturm(p):

@@ -613,7 +613,11 @@ def singular_locus(g: MultiPoly) -> list:
     (x, y) pairs in pairing order, each a Fraction or a RADICAL_DPS mpf.
 
     The eliminants of <g, grad g> (zero gradient components left out) are
-    solved by ``real_roots_exact``, and every (x root, y root) pair is judged
+    solved by ``real_roots_exact``.  They are completed from Euler's
+    h = d g - x g_x - y g_y, d being g's total degree: d g = h + x g_x +
+    y g_y, so <h, grad g> is the same ideal, with the same reduced basis,
+    and h has degree below d (g itself where h is 0, as for a constant or
+    homogeneous g).  Every (x root, y root) pair is judged
     once, at RADICAL_DPS: it is a point when g and each nonzero partial read
     0 there, by the module's rule, which weighs each value against its own
     terms' size, so a point far from the origin is judged at its own scale
@@ -631,9 +635,12 @@ def singular_locus(g: MultiPoly) -> list:
     """
     import mpmath as mp
     system = (g, *(q for q in gradient(g, ["x", "y"]) if not q.is_zero()))
+    d = g.degree()
+    h = MultiPoly(g.ring, {m: (d - sum(m)) * c for m, c in g.terms.items()
+                           if sum(m) < d})
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        xs, ys = (cardano.real_roots_exact(cs)
-                  for cs in _singular_eliminants(system))
+        xs, ys = (cardano.real_roots_exact(cs) for cs in
+                  _singular_eliminants((h or g, *system[1:])))
         bound = mp.mpf(10) ** -(RADICAL_DPS // 2)
         evaluate = _mp_evaluator(*system)
         vanishes = _per_mirror_class(g, lambda pt: all(

@@ -8,9 +8,10 @@ normalized offset polynomials carry coefficients anywhere between 1 and 1e8.
 Point evaluation is compile once, evaluate many: xy_evaluator turns an exact
 polynomial into a float closure once (coefficients converted and grouped by
 x-power), and the mesh loops call that closure; eval_poly is its one-point
-form.  The tracer runs the same groups over numpy arrays (_array_eval): the
-grid as one outer product (each group's Horner once along the y nodes, times
-the x nodes' powers), then its saddle centers and its edge solves in batches.
+form.  The tracer runs the same groups over numpy arrays (_array_eval): each
+group's Horner once along the y nodes (_y_pass), then the grid in bands of
+rows, each band those Horners times its x nodes' powers (_x_pass), then its
+saddle centers and its edge solves in batches.
 Bit identity is part of the contract: the closure's floating-point
 operations and their order are fixed, and _array_eval performs them
 elementwise, so its values are the closure's bit for bit, and traced
@@ -139,11 +140,26 @@ def _array_eval(groups, x, y) -> np.ndarray:
     the same operations in the same order on every element, so each value
     is the closure's float bit for bit (module docstring).  Over an outer
     grid (x a column, y a row) each group's Horner runs once along y."""
-    total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    return _x_pass(_y_pass(groups, y), x, y)
+
+
+def _y_pass(groups, y) -> list:
+    """The first half of _array_eval: each group's x-power with its Horner
+    in y.  The tracer runs it once along the y nodes for all its bands."""
+    out = []
     for xe, coeffs in groups:
         acc = 0.0
         for c in coeffs:
             acc = acc * y + c
+        out.append((xe, acc))
+    return out
+
+
+def _x_pass(ypass, x, y) -> np.ndarray:
+    """The second half of _array_eval: from 0.0, each group's Horner in y
+    times x to its power, added in group order."""
+    total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    for xe, acc in ypass:
         total = total + acc * np.float_power(x, xe)
     return total
 
@@ -298,6 +314,9 @@ _SEGMENT_EDGES = _segment_edges()
 
 # the largest trace resolution: 16 times offset_figure's default of 512
 MAX_RESOLUTION = 2 ** 13
+# the grid nodes that one band of the tracer evaluates at once, about 128 KiB
+# per float64 temporary
+_BAND_NODES = 2 ** 14
 
 
 def bracketed_roots(phi, lo, hi, flo, fhi, width):
@@ -391,8 +410,15 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     resolution an int (not a bool) of at least 8, the bbox four finite
     numbers and g finite on its grid (ParamError).  A resolution above
     MAX_RESOLUTION raises ResourceLimitError before any grid is allocated.
-    The sign grid and its temporaries, held at once, take about 16 bytes
-    per grid node: about 4 MiB at resolution 512, 1 GiB at MAX_RESOLUTION.
+
+    The grid is evaluated in bands of rows of about _BAND_NODES nodes, and
+    a band keeps only its crossing cells, with their global row-major
+    indices, so the cells come out in the same order as from one grid, and
+    the two values on a crossing edge are evaluated again (_array_eval gives
+    a node's float whatever array it is in).  Memory grows with the
+    resolution, not its square: a circle's trace peaks at about 0.6 MiB at
+    resolution 512 and 14 MiB at MAX_RESOLUTION (tracemalloc), where the
+    whole grid held at once took 4 MiB and 1 GiB.
     """
     if g.ring != ("x", "y"):
         raise RingError(f"trace needs a polynomial over (x, y), not {g.ring}")
@@ -410,24 +436,34 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     if not (xmax > xmin and ymax > ymin):
         raise ParamError("empty bounding box")
     groups = _xpow_groups(g)
+    n1 = resolution + 1
     with np.errstate(all="ignore"):
-        xs = np.linspace(xmin, xmax, resolution + 1)
-        ys = np.linspace(ymin, ymax, resolution + 1)
-        vals = _array_eval(groups, xs[:, None], ys[None, :])
-    if not all(np.isfinite(v).all() for v in (xs, ys, vals)):
+        xs = np.linspace(xmin, xmax, n1)
+        ys = np.linspace(ymin, ymax, n1)
+        ypass = _y_pass(groups, ys)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ParamError("bounding box or g not finite on the grid")
-
-    neg = vals < 0.0
-    codes = (neg[:-1, :-1].astype(np.int8)
-             | (neg[1:, :-1].astype(np.int8) << 1)
-             | (neg[1:, 1:].astype(np.int8) << 2)
-             | (neg[:-1, 1:].astype(np.int8) << 3))
-    crossing_cells = np.argwhere((codes != 0) & (codes != 15))
-    if crossing_cells.size == 0:
+    # the grid in bands of about _BAND_NODES nodes: the band of `band` cell
+    # rows from i0 evaluates node rows i0 .. i0 + band, its last shared with
+    # the next band, and keeps only its crossing cells, in row-major order
+    band = max(1, _BAND_NODES // n1 - 1)
+    cells = []
+    for i0 in range(0, resolution, band):
+        with np.errstate(all="ignore"):
+            vals = _x_pass(ypass, xs[i0:i0 + band + 1, None], ys)
+        if not np.isfinite(vals).all():
+            raise ParamError("bounding box or g not finite on the grid")
+        neg = vals < 0.0
+        codes = (neg[:-1, :-1].astype(np.int8)
+                 | (neg[1:, :-1].astype(np.int8) << 1)
+                 | (neg[1:, 1:].astype(np.int8) << 2)
+                 | (neg[:-1, 1:].astype(np.int8) << 3))
+        bi, bj = np.nonzero((codes != 0) & (codes != 15))
+        cells.append((bi + i0, bj, codes[bi, bj]))
+    ci, cj, cell_codes = (np.concatenate(v) for v in zip(*cells))
+    if ci.size == 0:
         return TracedCurve(polylines=(), bbox=(xmin, xmax, ymin, ymax),
                            resolution=resolution)
-    ci, cj = crossing_cells.T
-    cell_codes = codes[ci, cj]
     # saddle cells (codes 5 and 10) are told apart by the sign at the center
     saddle = (cell_codes == 5) | (cell_codes == 10)
     neg_center = np.zeros(len(cell_codes), dtype=int)  # a table index
@@ -439,7 +475,6 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     # cell's segments in table order; cell edges 0..3 are the edge along x
     # from node (i, j), along y from (i + 1, j), along x from (i, j + 1) and
     # along y from (i, j)
-    n1 = resolution + 1
     cell_edges = _SEGMENT_EDGES[cell_codes, neg_center]
     seg_cell, seg_slot = np.nonzero(cell_edges[..., 0] >= 0)
     edge_offset = np.array([0, 2 * n1 + 1, 2, 1])
@@ -466,7 +501,8 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     dx, dy = xs[ib] - xa, ys[jb] - ya
     t = bracketed_roots(
         lambda u, k: _array_eval(groups, xa[k] + u * dx[k], ya[k] + u * dy[k]),
-        np.zeros(len(ia)), np.ones(len(ia)), vals[ia, ja], vals[ib, jb],
+        np.zeros(len(ia)), np.ones(len(ia)), _array_eval(groups, xa, ya),
+        _array_eval(groups, xs[ib], ys[jb]),
         1e-13)  # the stop width, in edge units
     px, py = xa + t * dx, ya + t * dy
 

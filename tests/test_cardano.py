@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conicoffset import conics, reference
-from conicoffset.cardano import (_primitive, _real_roots_sturm, derivative,
+from conicoffset.cardano import (_dyadic_value, _primitive,
+                                 _real_roots_sturm, derivative,
                                  fraction_sqrt, normalize, poly_divmod,
                                  poly_gcd, real_cbrt, real_roots_cubic,
                                  real_roots_exact, real_roots_quadratic,
@@ -303,6 +305,17 @@ def test_sturm_roots_pinned():
             h.update(b"|")
     assert h.hexdigest() == \
         "e7e2201a9d62768ddf86a692133566edf3bd0c7339387c72d829ab3ddd8cdf0e"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=12),
+       st.integers(-10 ** 40, 10 ** 40), st.integers(0, 300))
+def test_dyadic_value_is_the_plain_sum(p, n, k):
+    # Horner's rule over the integers gives 2^(kd) p(n/2^k) as the plain
+    # sum of c_i n^i 2^(k(d-i)), each term with its own power of n
+    d = len(p) - 1
+    assert _dyadic_value(p, n, k) == sum(c * n ** i * 2 ** (k * (d - i))
+                                         for i, c in enumerate(p))
 
 
 def _sign_at(cs, t):

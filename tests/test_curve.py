@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conicoffset import curve
+from conicoffset.cardano import real_roots_exact, to_mpf
 from conicoffset.conics import (ConicSpec, hessian_definite,
                                 offset_poly_closed_form, r_crit,
                                 singular_locus, singular_points)
@@ -349,6 +350,31 @@ def test_trace_refuses_a_resolution_above_the_cap(resolution):
     assert peak < 1 << 20
 
 
+def _trace_peak(resolution):
+    tracemalloc.start()
+    try:
+        trace_implicit(CIRCLE, (-2, 2, -2, 2), resolution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_trace_memory_grows_with_the_resolution_not_its_square():
+    # the grid is evaluated in bands of rows that keep only their crossing
+    # cells; the whole grid, held at once, peaked at 4.2, 16.2 and 64.2 MiB
+    trace_implicit(CIRCLE, (-2, 2, -2, 2), 64)  # lazy imports out of the way
+    p512, p1024, p2048 = map(_trace_peak, (512, 1024, 2048))
+    assert p1024 < 3 * p512 and p2048 < 3 * p1024
+    assert p2048 < 8 << 20
+
+
+def test_trace_at_the_cap_stays_under_32_mib():
+    # the whole grid at MAX_RESOLUTION took about 1 GiB; in bands, 14 MiB
+    trace_implicit(CIRCLE, (-2, 2, -2, 2), 64)
+    assert _trace_peak(curve.MAX_RESOLUTION) < 32 << 20
+
+
 def test_trace_determinism():
     a = trace_implicit(CIRCLE, (-2, 2, -2, 2), 128)
     b = trace_implicit(CIRCLE, (-2, 2, -2, 2), 128)
@@ -370,6 +396,103 @@ def test_oracle_equivalence_hausdorff():
                and bbox[2] + cell < p.y < bbox[3] - cell]
         worst = dist_to_trace(tc, [p.x for p in pts], [p.y for p in pts]).max()
         assert worst <= 2 * cell, (conic.kind, worst, cell)
+
+
+# ---------------------------------------------------------------------------
+# Exact crossing counts: a trace crosses an axis-parallel line as often as g
+# has distinct real roots on it in the bbox, unless a feature of g is
+# thinner than a cell (ROADMAP item 14)
+# ---------------------------------------------------------------------------
+
+def root_count(g, axis, c, lo, hi):
+    """The distinct real roots in [lo, hi] of g on the line where coordinate
+    `axis` (0 for x, 1 for y) is the rational c, by real_roots_exact."""
+    cs = [F(0)] * (g.degree() + 1)
+    for m, v in g.terms.items():
+        cs[m[1 - axis]] += v * c ** m[axis]
+    lo, hi = to_mpf(lo), to_mpf(hi)
+    return sum(lo <= to_mpf(t) <= hi for t in real_roots_exact(cs))
+
+
+def crossings(tc, axis, c):
+    """The segments of the trace that cross that line, for a rational c that
+    no float equals: a coordinate is below c exactly when it is at most
+    float(c) < c, or below float(c) > c."""
+    f = float(c)
+    count = 0
+    for pl in tc.polylines:
+        v = np.array([tuple(p)[axis] for p in pl])
+        below = v <= f if f < c else v < f
+        count += np.count_nonzero(below[1:] != below[:-1])
+    return count
+
+
+def crossing_mismatches(g, bbox, resolution, lines=15):
+    """(axis, c, roots, crossings) for each line where the trace of g at
+    `resolution` crosses other than root_count says: `lines` lines x = c
+    and as many y = c, spread evenly over the bbox.  Each c is a third of
+    2^-21 off a dyadic, so it is no float, no grid value and no vertex's
+    coordinate, and a line within 4 cells (the splice reach) of a pin is
+    skipped.  The lines y = c run across every band of rows of the grid."""
+    tc = trace_implicit(g, bbox, resolution)
+    xmin, xmax, ymin, ymax = map(F, bbox)
+    cell = min(xmax - xmin, ymax - ymin) / resolution
+    out = []
+    for axis, (lo, hi), (a, b) in ((0, (xmin, xmax), (ymin, ymax)),
+                                   (1, (ymin, ymax), (xmin, xmax))):
+        for k in range(lines):
+            mid = lo + (hi - lo) * F(2 * k + 1, 2 * lines)
+            c = F(round(mid * 2 ** 20), 2 ** 20) + F(1, 3 * 2 ** 21)
+            if any(abs(c - F(tuple(p)[axis])) <= 4 * cell
+                   for p in tc.singular_vertices):
+                continue
+            want, got = root_count(g, axis, c, a, b), crossings(tc, axis, c)
+            if want != got:
+                out.append((axis, c, want, got))
+    return out
+
+
+@pytest.mark.parametrize("case_id", range(1, 10))
+def test_trace_crossings_match_exact_root_counts(case_id):
+    case = ref_case(case_id)
+    conic = conic_from_case(case)
+    r = F(case["r"])
+    g = offset_poly_closed_form(conic, r).g
+    assert crossing_mismatches(g, figure_bbox(conic, r), 256) == []
+
+
+def _regime_sweep():
+    # each kind at offsets in every regime: below, at and above r_crit, and
+    # for the central conics at and between b, a and a^2/b and beyond
+    out = []
+    for conic in (ConicSpec.parabola(F(1, 3)), ConicSpec.parabola(F(-3, 4))):
+        rc = r_crit(conic)
+        out += [(conic, r) for r in (rc / 3, rc, 2 * rc, 3 * rc)]
+    for conic in (ConicSpec.ellipse(3, F(3, 2)),
+                  ConicSpec.hyperbola(F(5, 2), F(3, 2))):
+        a, b, rc = conic.a, conic.b, r_crit(conic)
+        out += [(conic, r) for r in (rc / 2, rc, (rc + b) / 2, b, (b + a) / 2,
+                                     a, a * a / b, 2 * a * a / b)]
+    rect = ConicSpec.hyperbola(F(4, 3), F(4, 3))  # r_crit == a == b
+    out += [(rect, r) for r in (rect.b / 2, rect.b, 2 * rect.b, 3 * rect.b)]
+    return out
+
+
+@pytest.mark.parametrize("conic,r", _regime_sweep())
+def test_trace_crossings_match_exact_root_counts_in_every_regime(conic, r):
+    g = offset_poly_closed_form(conic, r).g
+    assert crossing_mismatches(g, figure_bbox(conic, r), 256) == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: two arcs of the "
+                   "swallowtail beside the node (0, 9.343), 0.054 apart, lie "
+                   "inside one cell, so the trace has 6 of the 8 crossings")
+def test_trace_keeps_the_swallowtail_arcs_inside_one_cell():
+    g = offset_poly_closed_form(ConicSpec.hyperbola(F(17, 4), 4), 5).g
+    tc = trace_implicit(g, (-20, 20, -20, 20), 512)
+    c = F(-1, 20)
+    assert root_count(g, 0, c, -20, 20) == 8
+    assert crossings(tc, 0, c) == 8
 
 
 def test_dist_to_trace_matches_segment_loop():

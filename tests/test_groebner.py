@@ -530,6 +530,27 @@ def test_eliminants_match_lex_oracle(seed):
         assert (got, got_err) == (want, want_err), (conic.describe(), r)
 
 
+@pytest.mark.parametrize("seed", [3, 5, 17])
+def test_locus_completes_the_euler_reduced_system(seed, monkeypatch):
+    # singular_locus completes <h, grad g> with h = d g - x g_x - y g_y, of
+    # degree below g's d: the ideal <g, grad g>, so the same eliminants and
+    # the same errors as the system of g itself
+    complete = conics._singular_eliminants
+    seen = []
+    monkeypatch.setattr(conics, "_singular_eliminants",
+                        lambda system: seen.append(system) or complete(system))
+    for conic, r in _eliminant_cases(seed):
+        g = offset_poly_closed_form(conic, r).g
+        gx, gy = gradient(g, ["x", "y"])
+        partials = tuple(q for q in (gx, gy) if not q.is_zero())
+        h = g.degree() * g - X * gx - Y * gy
+        _outcome(lambda: conics.singular_locus(g))
+        assert seen.pop() == (h, *partials)
+        assert h.degree() < g.degree()
+        assert _outcome(lambda: complete((h, *partials))) == \
+            _outcome(lambda: complete((g, *partials))), (conic.describe(), r)
+
+
 def test_eliminants_not_finite_raise_like_lex():
     # g = h^2 is singular along all of h = 0: no finite eliminant exists
     h = X ** 2 + Y ** 2 - 1
