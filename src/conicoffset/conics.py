@@ -10,23 +10,25 @@ r > 0 is the zero set of a single polynomial g(x, y) containing both parallel
 lines, one on each side of the base conic.
 
 Singular points have two independent routes.  ``singular_points`` reads the
-closed-form catalogue.  ``singular_points_via_elimination`` reports
-``singular_locus``, which serves any g (the tracer pins it too): one reduced
-grevlex Groebner basis of <g, g_x, g_y>, the minimal polynomials of
-multiplication by x and by y on the quotient ring (the generators of the
-elimination ideals in x alone and in y alone), their exact real roots, and
-one pass over the (x root, y root) pairs at RADICAL_DPS that keeps a pair
-where every polynomial of the system reads 0 (by the rule below); no Newton
-iteration is involved.  Each route only finds bare points; one report path
-tags them, and one complex-point rule counts the non-real singular points
-whose coordinates are each real or purely imaginary.  The tag rule: a point
-on the axis (x = 0) is virtual below r_crit and on-curve from r_crit up, the
-ellipse's equator pair (y = 0) is virtual above a^2/b, and every other point
-is split.  An ellipse's catalogue changes shape at b^2/a (r_crit), b, a and
-a^2/b, its smallest and largest radii of curvature (the paper ties critical
-offsets to curvature); above a^2/b the four split points are complex and the
-equator pair is an isolated real zero of g, and comparing r*b with a^2
-decides that exactly.
+closed-form catalogue, and a figure pins its bare points
+(``catalogue_pins``).  ``singular_points_via_elimination`` reports
+``singular_locus``, which serves any g (the tracer pins it for a g of no
+known conic): one reduced grevlex Groebner basis of <g, g_x, g_y>, the
+minimal polynomials of multiplication by x and by y on the quotient ring
+(the generators of the elimination ideals in x alone and in y alone), their
+exact real roots, and one pass over the (x root, y root) pairs at
+RADICAL_DPS that keeps a pair where every polynomial of the system reads 0
+(by the rule below); no Newton iteration is involved.  Each route only
+finds bare points; one report path tags them, and one complex-point rule
+counts the non-real singular points whose coordinates are each real or
+purely imaginary.  The tag rule: a point on the axis (x = 0) is virtual
+below r_crit and on-curve from r_crit up, the ellipse's equator pair
+(y = 0) is virtual above a^2/b, and every other point is split.  An
+ellipse's catalogue changes shape at b^2/a (r_crit), b, a and a^2/b, its
+smallest and largest radii of curvature (the paper ties critical offsets to
+curvature); above a^2/b the four split points are complex and the equator
+pair is an isolated real zero of g, and comparing r*b with a^2 decides that
+exactly.
 
 The split points are the offset's cusps: the conic's point where its radius
 of curvature equals r, moved by r along the normal toward the concave side
@@ -37,7 +39,8 @@ r >= r_crit (hyperbola).
 
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
 before rounding; discriminant decisions happen exactly on rationals.
-``hessian_definite`` tells the tracer which of its pins are isolated; it and
+``hessian_definite`` tells the tracer which points of a locus are isolated
+(a figure's pins take ``_tag``'s verdict instead); it and
 ``singular_locus`` read a value as 0 unless it exceeds 10^-(RADICAL_DPS/2)
 times its terms' summed size.  Both, and the report's gradient residuals,
 take one answer per mirror class of points (``_per_mirror_class``).  mpmath
@@ -538,6 +541,13 @@ def _catalogue(conic: ConicSpec, r: Fraction, regime: str) -> list:
     return points
 
 
+def _regime(conic: ConicSpec, r: Fraction) -> str:
+    """r against r_crit: SUBCRITICAL below it, CRITICAL at it, SUPERCRITICAL
+    above it."""
+    rc = r_crit(conic)
+    return SUBCRITICAL if r < rc else CRITICAL if r == rc else SUPERCRITICAL
+
+
 def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
     """Validate r, find the points with ``points_of(r, regime, g)``, tag them
     (``_tag``), attach gradient residuals, sort by (y, x), count the complex
@@ -552,8 +562,7 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
     """
     import mpmath as mp
     r = _offset(r)
-    rc = r_crit(conic)
-    regime = SUBCRITICAL if r < rc else CRITICAL if r == rc else SUPERCRITICAL
+    regime = _regime(conic, r)
     g = offset_poly_closed_form(conic, r).g
     gx, gy = gradient(g, ["x", "y"])
     points = []
@@ -568,8 +577,8 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
                                         residual_grad=residual((to_mpf(xv), to_mpf(yv)))))
     points.sort(key=lambda s: (to_float(s.y), to_float(s.x)))
     outside = conic.kind != PARABOLA and not (conic.a > conic.b > r)
-    return SingularPointReport(conic=conic, r=r, r_crit=rc, regime=regime,
-                               points=tuple(points),
+    return SingularPointReport(conic=conic, r=r, r_crit=r_crit(conic),
+                               regime=regime, points=tuple(points),
                                complex_count=_complex_count(conic, r, regime),
                                outside_reference_range=outside, source=source)
 
@@ -583,6 +592,21 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
     """
     return _report(conic, r, "closed-form",
                    lambda r, regime, g: _catalogue(conic, r, regime))
+
+
+def catalogue_pins(conic: ConicSpec, r) -> list:
+    """The catalogue's real singular points at offset r as the tracer's pins:
+    (x, y, isolated) triples sorted by (x, y), the order of
+    ``singular_locus``, each coordinate a Fraction or a RADICAL_DPS mpf.  A
+    point is isolated when ``_tag`` calls it virtual; nodes and cusps are
+    not.  No residuals: ``offset_figure`` passes these to its trace."""
+    import mpmath as mp
+    r = _offset(r)
+    regime = _regime(conic, r)
+    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
+        return sorted(((x, y, _tag(conic, r, regime, x, y) == VIRTUAL)
+                       for x, y in _catalogue(conic, r, regime)),
+                      key=lambda p: (to_mpf(p[0]), to_mpf(p[1])))
 
 
 def _singular_eliminants(system) -> list:

@@ -33,7 +33,8 @@ and no per-cell Python: each grid edge has an integer id (node index times
 2, plus 1 along y), a table gives every segment's two edge ids at once, one
 sort of those ids pairs each segment end with its partner across the edge,
 and the walk follows the partner ends.  Its singular points, and which are
-isolated, come from the exact layer (no mpmath here); each on-curve one is
+isolated, come from the exact layer (no mpmath here): the closed catalogue
+for a figure, singular_locus for any other g; each on-curve one is
 spliced into a polyline by one array pass over its segments, which picks
 the segment a scalar distance scan picks, near ties decided by math.hypot.
 """
@@ -47,7 +48,8 @@ import numpy as np
 
 from .cardano import to_float
 from .conics import (ConicSpec, ELLIPSE, PARABOLA, base_conic_poly,
-                     hessian_definite, offset_poly_closed_form, singular_locus)
+                     catalogue_pins, hessian_definite, offset_poly_closed_form,
+                     singular_locus)
 from .errors import (EliminationError, ParamError, PreconditionError,
                      ResourceLimitError, RingError, VarError)
 from .poly import MultiPoly
@@ -376,7 +378,8 @@ def bracketed_roots(phi, lo, hi, flo, fhi, width):
     return out
 
 
-def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
+def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
+                   pins=None) -> TracedCurve:
     """Marching-squares contour of g = 0 with each vertex solved on its edge.
 
     Cells are scanned row-major; saddle cells (two opposite sign pairs) are
@@ -398,27 +401,32 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     across its edge, and the walk follows those partner ends.
 
     When any cell crosses, the trace pins every real singular point of g in
-    the closed bbox: conics.singular_locus(g), rounded to float.  A pin with a
-    definite Hessian (conics.hessian_definite) is a virtual point, reported
-    only; nodes and cusps are spliced into the nearest segment of each
-    polyline within 4 cells, found by one array pass per polyline and pin
-    (_splice_segment), and none is dropped.  A locus that is not finite (g
-    has a repeated factor, as x^2*y has) gives no pins.  The pins cost one
-    exact Groebner completion of <g, g_x, g_y>: a few ms for a conic offset,
-    seconds or more for a dense g of degree 8; ResourceLimitError
-    propagates.  g must be over the ring ("x", "y") (RingError), the
-    resolution an int (not a bool) of at least 8, the bbox four finite
-    numbers and g finite on its grid (ParamError).  A resolution above
-    MAX_RESOLUTION raises ResourceLimitError before any grid is allocated.
+    the closed bbox, rounded to float.  A caller that knows them passes
+    `pins`, exact (x, y, isolated) triples in the order to splice them, as
+    offset_figure does from the closed catalogue; the trace keeps those in
+    the bbox.  Without `pins` (None) they are conics.singular_locus(g), and
+    a pin with a definite Hessian (conics.hessian_definite) is isolated.  An
+    isolated pin is a virtual point, reported only; nodes and cusps are
+    spliced into the nearest segment of each polyline within 4 cells, found
+    by one array pass per polyline and pin (_splice_segment), and none is
+    dropped.  A locus that is not finite (g has a repeated factor, as x^2*y
+    has) gives no pins.  The locus costs one exact Groebner completion of
+    <g, g_x, g_y>: a few ms for a conic offset, seconds or more for a dense
+    g of degree 8; ResourceLimitError propagates.  g must be over the ring
+    ("x", "y") (RingError), the resolution an int (not a bool) of at least
+    8, the bbox four finite numbers and g finite on its grid (ParamError).
+    A resolution above MAX_RESOLUTION raises ResourceLimitError before any
+    grid is allocated.
 
-    The grid is evaluated in bands of rows of about _BAND_NODES nodes, and
-    a band keeps only its crossing cells, with their global row-major
-    indices, so the cells come out in the same order as from one grid, and
-    the two values on a crossing edge are evaluated again (_array_eval gives
-    a node's float whatever array it is in).  Memory grows with the
-    resolution, not its square: a circle's trace peaks at about 0.6 MiB at
-    resolution 512 and 14 MiB at MAX_RESOLUTION (tracemalloc), where the
-    whole grid held at once took 4 MiB and 1 GiB.
+    The grid is evaluated in bands of rows of about _BAND_NODES nodes, each
+    node row once (a band takes the signs of its first row from the band
+    before), and a band keeps only its crossing cells, with their global
+    row-major indices, so the cells come out in the same order as from one
+    grid, and the two values on a crossing edge are evaluated again
+    (_array_eval gives a node's float whatever array it is in).  Memory
+    grows with the resolution, not its square: a circle's trace peaks at
+    about 0.6 MiB at resolution 512 and 14 MiB at MAX_RESOLUTION
+    (tracemalloc), where the whole grid held at once took 4 MiB and 1 GiB.
     """
     if g.ring != ("x", "y"):
         raise RingError(f"trace needs a polynomial over (x, y), not {g.ring}")
@@ -444,16 +452,19 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ParamError("bounding box or g not finite on the grid")
     # the grid in bands of about _BAND_NODES nodes: the band of `band` cell
-    # rows from i0 evaluates node rows i0 .. i0 + band, its last shared with
-    # the next band, and keeps only its crossing cells, in row-major order
+    # rows from i0 covers node rows i0 .. i0 + band, evaluates those after
+    # the signs of row i0 carried from the band before, and keeps only its
+    # crossing cells, in row-major order
     band = max(1, _BAND_NODES // n1 - 1)
     cells = []
+    last = np.empty((0, n1), dtype=bool)
     for i0 in range(0, resolution, band):
         with np.errstate(all="ignore"):
-            vals = _x_pass(ypass, xs[i0:i0 + band + 1, None], ys)
+            vals = _x_pass(ypass, xs[i0 + len(last):i0 + band + 1, None], ys)
         if not np.isfinite(vals).all():
             raise ParamError("bounding box or g not finite on the grid")
-        neg = vals < 0.0
+        neg = np.concatenate((last, vals < 0.0))
+        last = neg[-1:]
         codes = (neg[:-1, :-1].astype(np.int8)
                  | (neg[1:, :-1].astype(np.int8) << 1)
                  | (neg[1:, 1:].astype(np.int8) << 2)
@@ -531,7 +542,7 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
 
     cell = min(xmax - xmin, ymax - ymin) / resolution
     tips = _snap_singular_vertices(chains, px, py, g,
-                                   (xmin, xmax, ymin, ymax), cell)
+                                   (xmin, xmax, ymin, ymax), cell, pins)
     points = list(map(Point2, px.tolist(), py.tolist())) + tips
     polylines = [tuple(map(points.__getitem__, chain)) for chain in chains]
     polylines.sort(key=lambda pl: (pl[0].x, pl[0].y, len(pl)))
@@ -541,9 +552,10 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256) -> TracedCurve:
                        singular_vertices=tips)
 
 
-def _snap_singular_vertices(chains, px, py, g, bbox, cell):
+def _snap_singular_vertices(chains, px, py, g, bbox, cell, pins):
     """Pin the trace to the singular points of g (see trace_implicit) and
-    return them.
+    return them: the caller's `pins` in the bbox, or with `pins` None the
+    locus's, each isolated by its Hessian.
 
     `chains` are the polylines as lists of vertex numbers: vertex k is
     (px[k], py[k]) below len(px), and vertex len(px) + m is the m-th pin
@@ -552,15 +564,23 @@ def _snap_singular_vertices(chains, px, py, g, bbox, cell):
     dropped.  `cell` is the grid step of the shorter bbox side.
     """
     xmin, xmax, ymin, ymax = bbox
-    try:
-        locus = singular_locus(g)
-    except EliminationError:
-        return []  # a repeated factor: no finite set to pin
-    # Fractions and mpfs compare with floats exactly, past the float range too
-    pins = [(xv, yv) for xv, yv in locus if xmin <= xv <= xmax and ymin <= yv <= ymax]
-    tips = [Point2(float(xv), float(yv)) for xv, yv in pins]
-    on_curve = [n for n, isolated
-                in enumerate(hessian_definite(g, pins), start=len(px))
+
+    def inside(points):
+        # Fractions and mpfs compare with floats exactly, past the float
+        # range too
+        return [p for p in points
+                if xmin <= p[0] <= xmax and ymin <= p[1] <= ymax]
+    if pins is None:
+        try:
+            locus = inside(singular_locus(g))
+        except EliminationError:
+            return []  # a repeated factor: no finite set to pin
+        pins = [(*pt, isolated) for pt, isolated
+                in zip(locus, hessian_definite(g, locus))]
+    else:
+        pins = inside(pins)
+    tips = [Point2(float(xv), float(yv)) for xv, yv, _ in pins]
+    on_curve = [n for n, (*_, isolated) in enumerate(pins, start=len(px))
                 if not isolated]
     if not on_curve:
         return tips
@@ -691,8 +711,12 @@ def offset_figure(conic: ConicSpec, r, bbox=None, resolution: int = 512,
     """One-call reproduction of an offset-curve figure: base conic dashed,
     parallel lines solid, singular points marked.
 
-    The markers are the offset trace's pins, its singular_vertices (the real
-    singular points in the bbox), labelled S1..Sn in (y, x) order."""
+    The offset trace pins the closed catalogue's points
+    (conics.catalogue_pins), a virtual one marked but not spliced, and the
+    base conic's trace none, since a nondegenerate conic is smooth: a figure
+    runs no Groebner completion and no 60-digit Hessian test.  The markers
+    are the offset trace's pins, its singular_vertices (the real singular
+    points in the bbox), labelled S1..Sn in (y, x) order."""
     g = offset_poly_closed_form(conic, r).g
     if bbox is None:
         rf = float(r)
@@ -702,9 +726,10 @@ def offset_figure(conic: ConicSpec, r, bbox=None, resolution: int = 512,
         else:
             a, b = float(conic.a), float(conic.b)
             bbox = (-b - 3 * rf - 1, b + 3 * rf + 1, -a - 3 * rf - 1, a + 3 * rf + 1)
-    offset_curve = trace_implicit(g, bbox, resolution)
+    offset_curve = trace_implicit(g, bbox, resolution,
+                                  pins=catalogue_pins(conic, r))
     base = base_conic_poly(conic.kind, conic.param_map())
-    base_curve = trace_implicit(base, bbox, resolution)
+    base_curve = trace_implicit(base, bbox, resolution, pins=())
     markers = sorted(offset_curve.singular_vertices, key=lambda p: (p.y, p.x))
     return plot_svg([offset_curve, base_curve], markers, path=path,
                     styles=[("#1f77b4", None), ("#777777", "6,4")])

@@ -375,6 +375,22 @@ def test_trace_at_the_cap_stays_under_32_mib():
     assert _trace_peak(curve.MAX_RESOLUTION) < 32 << 20
 
 
+@pytest.mark.parametrize("resolution", [512, curve.MAX_RESOLUTION])
+def test_trace_evaluates_each_node_row_once(resolution, monkeypatch):
+    # a band takes the signs of its first node row from the band before;
+    # at the cap a band is one cell row, and evaluating both of its node
+    # rows took every row twice
+    x_pass, rows = curve._x_pass, []
+
+    def counting(ypass, x, y):
+        if np.ndim(x) == 2:  # node rows; the saddles and edges pass 1-D
+            rows.append(len(x))
+        return x_pass(ypass, x, y)
+    monkeypatch.setattr(curve, "_x_pass", counting)
+    trace_implicit(CIRCLE, (-2, 2, -2, 2), resolution)
+    assert sum(rows) == resolution + 1
+
+
 def test_trace_determinism():
     a = trace_implicit(CIRCLE, (-2, 2, -2, 2), 128)
     b = trace_implicit(CIRCLE, (-2, 2, -2, 2), 128)
@@ -652,6 +668,64 @@ def test_offset_figure_marks_its_trace_pins_inside_the_bbox(monkeypatch):
     assert svg.count("<circle") == len(markers) == 6
     xmin, xmax, ymin, ymax = offset_curve.bbox
     assert all(xmin <= p.x <= xmax and ymin <= p.y <= ymax for p in markers)
+
+
+def _reference_offsets():
+    return [(conic_from_case(ref_case(k)), F(ref_case(k)["r"]))
+            for k in range(1, 10)]
+
+
+@pytest.mark.parametrize("conic,r", _reference_offsets() + _regime_sweep())
+def test_figure_markers_equal_the_elimination_route(conic, r, monkeypatch):
+    # a figure pins the closed catalogue (ROADMAP item 18); its pins in the
+    # bbox are singular_locus's points, in its order, each spliced unless
+    # hessian_definite finds it isolated, so the offset trace is the one
+    # the elimination route draws
+    calls = []
+
+    def recording(*args, **kwargs):
+        out = trace_implicit(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+    monkeypatch.setattr(curve, "trace_implicit", recording)
+    offset_figure(conic, r, resolution=128)
+    (args, kwargs, traced), _ = calls  # the offset's trace, the base's
+    g, (xmin, xmax, ymin, ymax) = args[:2]
+    locus = [(x, y) for x, y in singular_locus(g)
+             if xmin <= x <= xmax and ymin <= y <= ymax]
+    pins = [p for p in kwargs["pins"]
+            if xmin <= p[0] <= xmax and ymin <= p[1] <= ymax]
+    assert [(float(x), float(y)) for x, y, _ in pins] == \
+        [(float(x), float(y)) for x, y in locus]
+    assert [isolated for *_, isolated in pins] == hessian_definite(g, locus)
+    assert traced.singular_vertices == \
+        tuple(Point2(float(x), float(y)) for x, y in locus)
+    assert traced == trace_implicit(g, args[1], 128)
+
+
+def test_a_figure_runs_no_elimination(monkeypatch):
+    # a figure pins the catalogue on its offset and nothing on its smooth
+    # base conic, so it never reaches the elimination route; a bare trace of
+    # g, as `conicoffset trace --g` draws it, still does
+    class Eliminated(Exception):
+        pass
+
+    def refuse(*args):
+        raise Eliminated
+
+    monkeypatch.setattr(curve, "singular_locus", refuse)
+    monkeypatch.setattr(curve, "hessian_definite", refuse)
+    hyperbola = ConicSpec.hyperbola(F(25, 3), F(4, 3))
+    for conic, r, markers in [
+        (ConicSpec.parabola(F(1, 3)), F(1, 3), 1),  # a virtual point
+        (ConicSpec.ellipse(3, F(3, 2)), F(4, 3), 6),
+        (hyperbola, 96, 6),  # the axis pair lies outside the bbox
+    ]:
+        svg = offset_figure(conic, r, resolution=64)
+        assert svg.count("<circle") == markers
+    g = offset_poly_closed_form(hyperbola, 96).g
+    with pytest.raises(Eliminated):
+        trace_implicit(g, figure_bbox(hyperbola, 96), 64)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ def test_exact_layer_imports_no_numpy(module):
 
 
 def test_figures_mark_the_trace_pins_not_the_catalogue():
-    # offset_figure's markers are its trace's singular_vertices; the
-    # closed-form catalogue stays out of the float layer
+    # offset_figure hands its trace the catalogue's bare points
+    # (catalogue_pins), not the report with 60-digit residuals, and its
+    # markers are still its own trace's pins inside the bbox
     tree = ast.parse((PACKAGE / "curve.py").read_text(encoding="utf-8"))
     names = [a.name for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom))
