@@ -1,16 +1,16 @@
-"""Exact univariate helpers, real cubic solving by Cardano's formulas, and
-real-root isolation for any square-free factor.
+"""Exact univariate helpers, the real roots of exact polynomials by Sturm
+isolation, and the closed catalogue's radicals.
 
 Polynomials here are ascending lists of Fractions.  The square-free split
 and ``poly_gcd`` clear denominators once and run over the integers, on
 primitive coefficient lists with pseudo-remainder gcds and exact integer
 division; only the factors they return become monic Fractions again.
-Discriminant signs are decided exactly on rationals; only the final radicals
-are evaluated numerically, with mpmath at the caller's working precision
-(``conics.RADICAL_DPS`` digits), entered through ``to_mpf``.  Any other
-square-free factor has its real roots isolated by a Sturm sequence and
-bisected until they are correctly rounded, all at dyadic points n/2^k, where
-every sign is that of one integer (``_dyadic_value``).
+``real_roots_exact`` uses no root formula: it isolates and bisects every
+root at dyadic points n/2^k, where each sign is that of one integer
+(``_dyadic_value``), until it is correctly rounded at the caller's working
+precision (``conics.RADICAL_DPS`` digits).  ``real_cbrt`` and ``sqrt_exact``
+are the closed catalogue's radicals, and ``real_roots_cubic`` is Cardano's
+cubic, which no route calls.  Exact values enter mpmath through ``to_mpf``.
 
 mpmath is imported inside the functions that compute with it, and numpy
 not at all, so a process that only builds offset polynomials or Groebner
@@ -187,24 +187,6 @@ def sqrt_exact(q: Fraction):
     return s if s is not None else mp.sqrt(to_mpf(q))
 
 
-# ---------------------------------------------------------------------------
-# closed-form real roots, degree <= 3
-# ---------------------------------------------------------------------------
-
-def real_roots_quadratic(cs):
-    c0, c1, c2 = cs
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return []
-    s = sqrt_exact(disc)
-    if not isinstance(s, Fraction):
-        c0, c1, c2 = map(to_mpf, cs)
-    # -c1 and s taken with the sign of -c1 add with no cancellation; the
-    # other root is c0/c2 over that one (Vieta), or its negative when c1 is 0
-    big = (-c1 - s if c1 > 0 else s - c1) / (2 * c2)
-    return sorted({big, c0 / (c2 * big) if c1 else -big})
-
-
 def real_roots_cubic(cs):
     """Real roots of an exact cubic, by Cardano with exact discriminant logic.
 
@@ -245,20 +227,21 @@ def real_roots_cubic(cs):
     return sorted([-to_mpf(d) / (r1 * r2), r1, r2])
 
 
+# ---------------------------------------------------------------------------
+# every real root: Sturm isolation, then bisection, on dyadics
+# ---------------------------------------------------------------------------
+
 def real_roots_exact(cs):
-    """All real roots of an exact univariate polynomial.
+    """All real roots of an exact univariate polynomial, sorted: Fractions
+    where they are found rational, otherwise mpmath floats correctly rounded
+    at the working precision.
 
-    Strategy: strip the root at zero, exploit evenness by substituting
-    z = t^2, split into square-free factors (Yun), and finish each factor of
-    degree <= 3 in closed form; any other factor goes to Sturm isolation
-    (_real_roots_sturm).  The conic offsets' eliminants always split into
-    closed-form factors, so their reports keep their exact values.
-
-    Returns a sorted list of roots, exact Fractions where they are found
-    rational and mpmath floats at the working precision otherwise: Cardano's
-    radicals, and Sturm roots correctly rounded.
+    The root at zero is stripped, an even polynomial is solved in z = t^2,
+    and each square-free factor (Yun) has its roots isolated by its Sturm
+    sequence (``_isolate``), then rounded once (``_round_root``), or of an
+    even polynomial taken once to t = sqrt(z) and -t (``_square_roots``).
+    No root formula is used, so these roots check the closed catalogue's.
     """
-    import mpmath as mp
     cs = normalize([Fraction(c) for c in cs])
     if not cs:
         raise ValueError("zero polynomial has every root")
@@ -266,30 +249,12 @@ def real_roots_exact(cs):
     while cs[0] == 0:
         cs = cs[1:]
         roots = {Fraction(0)}
-    if len(cs) == 1:
-        return sorted(roots, key=to_mpf)
-    if all(c == 0 for i, c in enumerate(cs) if i % 2 == 1) and len(cs) > 4:
-        for z in real_roots_exact(cs[::2]):
-            if z > 0:
-                v = sqrt_exact(z) if isinstance(z, Fraction) else mp.sqrt(z)
-                roots.update({v, -v})
-        return sorted(roots, key=to_mpf)
-    for _, factor in squarefree_decomposition(cs):
-        deg = len(factor) - 1
-        if deg == 1:
-            roots.add(-factor[0] / factor[1])
-        elif deg == 2:
-            roots.update(real_roots_quadratic(factor))
-        elif deg == 3:
-            roots.update(real_roots_cubic(factor))
-        else:
-            roots.update(_real_roots_sturm(_primitive(factor)))
+    even = not any(cs[1::2])
+    for _, factor in squarefree_decomposition(cs[::2] if even else cs):
+        for z in _isolate(_primitive(factor), even):
+            roots.update(_square_roots(*z) if even else [_round_root(*z)])
     return sorted(roots, key=to_mpf)
 
-
-# ---------------------------------------------------------------------------
-# any square-free factor: Sturm isolation, then bisection, on dyadics
-# ---------------------------------------------------------------------------
 
 def _dyadic_value(p, n, k):
     """2^(kd) p(n/2^k), of the sign of p at n/2^k, for an integer list p:
@@ -300,17 +265,18 @@ def _dyadic_value(p, n, k):
     return v
 
 
-def _real_roots_sturm(p):
-    """The real roots of a square-free primitive integer list p, degree >= 1.
+def _isolate(p, positive=False):
+    """The real roots of a square-free primitive integer list p, degree >= 1,
+    or only its positive ones, as isolating intervals (q, lo, hi, k): q, p
+    or a factor of it, has opposite signs at the ends n/2^k and its one root
+    between them.
 
     The Sturm sequence (p, p', then negated pseudo-remainders by positive-led
-    divisors over their positive contents, so no sign flips) counts the roots
-    in (a, b] as the drop in its sign changes from a to b, each sign read
-    from ``_dyadic_value``.  Bisection splits (-bound, bound] (Cauchy's
-    bound, rounded up to a power of two), as integer ends n at a shared k
-    for n/2^k, until each interval holds one root; then _round_root bisects
-    each to its correctly rounded mpf.  A midpoint that is a root is kept as
-    a Fraction and divided out, and the search starts over on the quotient.
+    divisors over their positive contents, so no sign flips) counts the
+    roots in (a, b] as the drop in its sign changes from a to b.  Bisection
+    splits (-bound, bound], or (0, bound] (Cauchy's bound, rounded up to a
+    power of two), until each interval holds one root.  A midpoint that is
+    a root is isolated by its linear factor, which is divided out of p.
     """
     seq = [p, derivative(p)]
     while len(seq[-1]) > 1:
@@ -324,41 +290,94 @@ def _real_roots_sturm(p):
         return sum(u != w for u, w in zip(signs, signs[1:]))
 
     bound = 1 << (2 + max(map(abs, p)) // p[-1]).bit_length()
-    todo = [(-bound, bound, 0, changes(-bound, 0), changes(bound, 0))]
+    start = 0 if positive else -bound
+    todo = [(start, bound, 0, changes(start, 0), changes(bound, 0))]
     brackets = []
     while todo:
         lo, hi, k, va, vb = todo.pop()
         if va - vb == 1:
-            brackets.append((lo, hi, k))
+            brackets.append((p, lo, hi, k))
         elif va > vb:
             mid, k = lo + hi, k + 1
             if not _dyadic_value(p, mid, k):
                 m = Fraction(mid, 1 << k)
-                rest = _int_exact_div(p, [-m.numerator, m.denominator])
-                return [m] + (_real_roots_sturm(rest) if len(rest) > 1 else [])
+                linear = [-m.numerator, m.denominator]
+                return [(linear, 2 * lo, 2 * hi, k)] + _isolate(
+                    _int_exact_div(p, linear), positive)
             vm = changes(mid, k)
             todo += [(2 * lo, mid, k, va, vm), (mid, 2 * hi, k, vm, vb)]
+    return brackets
 
-    return [_round_root(p, lo, hi, k) for lo, hi, k in brackets]
+
+def _bisect(p, lo, hi, k, done):
+    """Halve (lo/2^k, hi/2^k), at whose ends p has opposite signs, by the
+    sign of ``_dyadic_value`` at its midpoint until done(lo, hi, k); return
+    the last (lo, hi, k), or (mid, mid, k) where p is 0 at mid/2^k.  Of an
+    interval whose width is a power of two every dyadic inside is met as a
+    midpoint in time, a root on a rounding boundary included."""
+    lo_positive = _dyadic_value(p, lo, k) > 0
+    while not done(lo, hi, k):
+        mid, k = lo + hi, k + 1
+        v = _dyadic_value(p, mid, k)
+        if not v:
+            return mid, mid, k
+        lo, hi = (mid, 2 * hi) if (v > 0) == lo_positive else (2 * lo, mid)
+    return lo, hi, k
 
 
 def _round_root(p, lo, hi, k):
     """The one root of the integer list p in (lo/2^k, hi/2^k), at whose ends
-    p has opposite signs: correctly rounded to an mpf at the working
-    precision, or a Fraction if it is a dyadic midpoint.  Each step halves
-    the interval by the sign of ``_dyadic_value`` at its midpoint until both
-    ends round to one mpf, which the root rounds to too, as rounding is
-    monotone; the ends become mpfs only once they lie within an ulp of the
-    larger.  The ends stay aligned dyadics, so a root on a rounding boundary
-    is met as a midpoint.
+    p has opposite signs: a Fraction where it is found rational, otherwise
+    correctly rounded to an mpf at the working precision, once ``_bisect``
+    has narrowed the interval until both ends round to one mpf (built only
+    once they lie within an ulp of the larger).  A rational root n/d has d
+    dividing p's leading coefficient lc, so the fraction of denominator at
+    most lc nearest the last midpoint is its one candidate, tested exactly.
     """
     import mpmath as mp
-    prec, lo_positive = mp.mp.prec, _dyadic_value(p, lo, k) > 0
-    while ((hi - lo).bit_length() + prec > max(-lo, hi).bit_length() + 1
-           or mp.mpf((lo, -k)) != mp.mpf((hi, -k))):
-        mid, k = lo + hi, k + 1
-        v = _dyadic_value(p, mid, k)
-        if not v:
-            return Fraction(mid, 1 << k)
-        lo, hi = (mid, 2 * hi) if (v > 0) == lo_positive else (2 * lo, mid)
+    if len(p) == 2:
+        return Fraction(-p[0], p[1])
+    prec = mp.mp.prec
+    lo, hi, k = _bisect(p, lo, hi, k, lambda lo, hi, k: (
+        (hi - lo).bit_length() + prec <= max(-lo, hi).bit_length() + 1
+        and mp.mpf((lo, -k)) == mp.mpf((hi, -k))))
+    if lo == hi:
+        return Fraction(lo, 1 << k)
+    m = Fraction(lo + hi, 1 << k + 1).limit_denominator(p[-1])
+    n, d = m.numerator, m.denominator
+    if lo * d < n << k < hi * d and not sum(
+            c * n ** i * d ** (len(p) - 1 - i) for i, c in enumerate(p)):
+        return m
     return mp.mpf((lo, -k))
+
+
+def _square_roots(q, lo, hi, k):
+    """(t, -t) with t = sqrt(z) for the one root z of the integer list q in
+    (lo/2^k, hi/2^k), 0 <= lo < hi, at whose ends q has opposite signs.
+
+    A rational square z gives a Fraction.  Otherwise z's interval narrows by
+    ``_bisect`` to a guard of 8 bits past the working precision; scaled by
+    an even power of two, its ends' integer square roots, floor and ceiling
+    widened to a power-of-two width, bracket t.  Once their squares lie in
+    z's isolating interval, t is the one root of q(t^2) between them, and
+    ``_round_root`` rounds it there; otherwise the guard doubles.
+    """
+    import mpmath as mp
+    if len(q) == 2 and (t := fraction_sqrt(Fraction(-q[0], q[1]))):
+        return t, -t
+    prec, guard, low, high, k0 = mp.mp.prec, 8, lo, hi, k
+    while True:
+        lo, hi, k = _bisect(q, lo, hi, k, lambda lo, hi, k: lo > 0 and (
+            (hi - lo).bit_length() + prec + guard <= lo.bit_length()))
+        if lo == hi and (t := fraction_sqrt(Fraction(lo, 1 << k))):
+            return t, -t
+        s = max(0, 2 * (prec + guard) - lo.bit_length())
+        s += (k + s) % 2
+        t_lo = isqrt(lo << s)
+        t_hi = t_lo + (1 << (isqrt((hi << s) - 1) - t_lo).bit_length())
+        if (t_lo * t_lo >= low << k + s - k0
+                and t_hi * t_hi <= high << k + s - k0):
+            t = _round_root([c for v in q for c in (v, 0)][:-1],
+                            t_lo, t_hi, (k + s) // 2)
+            return t, -t
+        guard *= 2

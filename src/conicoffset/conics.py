@@ -646,8 +646,8 @@ def singular_locus(g: MultiPoly) -> list:
     0 there, by the module's rule, which weighs each value against its own
     terms' size, so a point far from the origin is judged at its own scale
     and a constant factor of g changes nothing (at an axis point g_x's terms
-    are all 0, and 0 reads 0).  The roots keep full relative
-    precision, so true points read far below the rule's bound and
+    are all 0, and 0 reads 0).  The roots are correctly
+    rounded, so true points read far below the rule's bound and
     cross-pairings of coordinates from two different points far above it.
     A verdict reads only |value| and size, so it is one per mirror class
     (``_per_mirror_class``): (x, y), (-x, y), (x, -y) and (-x, -y) are

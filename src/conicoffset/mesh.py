@@ -231,15 +231,17 @@ def load_mesh(source) -> Mesh:
 
 
 def mesh_figure(spec: MeshSpec, mesh: Mesh, resolution: int = 384, path=None) -> str:
-    """SVG overlay: the ellipse, its offset layers, and the mesh nodes."""
+    """SVG overlay: the ellipse, its offset layers, and the mesh nodes.  The
+    traces take no pins: below r_crit a layer's only real singular points
+    are the virtual axis pair, which is never spliced, nor marked here."""
     a, b = float(spec.ellipse.a), float(spec.ellipse.b)
     margin = spec.offsets[-1] + 0.4
     bbox = (-b - margin, b + margin, -a - margin, a + margin)
     base = base_conic_poly(ELLIPSE, spec.ellipse.param_map())
-    curves = [trace_implicit(base, bbox, resolution)]
+    curves = [trace_implicit(base, bbox, resolution, pins=())]
     for o in spec.offsets:
         g = offset_poly_closed_form(spec.ellipse, _as_fraction(o)).g
-        curves.append(trace_implicit(g, bbox, resolution))
+        curves.append(trace_implicit(g, bbox, resolution, pins=()))
     markers = mesh.flat_nodes()
     styles = [("#555555", "6,4")] + [("#1f77b4", None)] * len(spec.offsets)
     return plot_svg(curves, markers, path=path, styles=styles, labels=False)

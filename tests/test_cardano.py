@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicoffset import conics, reference
-from conicoffset.cardano import (_dyadic_value, _primitive,
-                                 _real_roots_sturm, derivative,
+from conicoffset.cardano import (_dyadic_value, _primitive, derivative,
                                  fraction_sqrt, normalize, poly_divmod,
                                  poly_gcd, real_cbrt, real_roots_cubic,
-                                 real_roots_exact, real_roots_quadratic,
-                                 squarefree_decomposition, to_mpf)
+                                 real_roots_exact, squarefree_decomposition,
+                                 to_mpf)
 from conicoffset.poly import content_normalize, gradient
 from conicoffset.verify import conic_from_case
 
@@ -86,8 +85,9 @@ def test_cubic_multiple_roots_exact():
 
 
 @pytest.mark.parametrize("solve,cs,tiny", [
-    # z^2 + z + 2/3 10^-200: -c1 + sqrt(disc) cancels to the tiny root
-    (real_roots_quadratic, [F(2, 3) / 10 ** 200, F(1), F(1)],
+    # z^2 + z + 2/3 10^-200: the root -2/3 10^-200 beside -1, to which the
+    # quadratic formula's -c1 + sqrt(disc) cancels
+    (real_roots_exact, [F(2, 3) / 10 ** 200, F(1), F(1)],
      -F(2, 3) / 10 ** 200),
     # one real root, 4/9 10^-270, beside a complex pair of modulus 4/3:
     # Cardano's shift -b/3 = 4/3 10^-90 cancels
@@ -118,7 +118,7 @@ def test_sturm_keeps_a_tiny_root():
     cubic = [-F(64, 27) / 10 ** 270, F(16, 3), -4 / F(10 ** 90), F(1)]
     with mp.workdps(60):
         tiny = to_mpf(F(4, 9) / 10 ** 270)
-        (alone,) = _real_roots_sturm(_primitive(cubic))
+        (alone,) = real_roots_exact(cubic)
         beside, five = real_roots_exact(poly_mul(cubic, [F(-5), F(1)]))
         assert five == 5
         for got in (alone, beside):
@@ -323,25 +323,109 @@ def _sign_at(cs, t):
     return (v > 0) - (v < 0)
 
 
+def _correctly_rounded(p, r):
+    """Is the root r of p (square-free) a Fraction root, or an mpf whose
+    rounding cell at the working precision holds its true root?  The cell
+    runs from r - ulp/2 to r + ulp/2, and p changes sign across it; below a
+    power of two the ulp is half as wide."""
+    if isinstance(r, F):
+        return _sign_at(p, r) == 0
+    sign, man, exp, bc = r._mpf_
+    x = F((-1) ** sign * man) * F(2) ** exp
+    half = F(2) ** (exp + bc - mp.mp.prec - 1)
+    below = half / 2 if man == 1 else half
+    return _sign_at(p, x - below) != _sign_at(p, x + half)
+
+
 @pytest.mark.parametrize("dps", [15, 60, 120])
 def test_sturm_roots_are_correctly_rounded(dps):
-    # the true root lies strictly inside the rounding cell of each mpf root
-    # r, between r - ulp/2 and r + ulp/2 at the working precision, so p
-    # changes sign there; below a power of two the ulp is half as wide
+    # every mpf root of a square-free factor is correctly rounded; one root
+    # of the sweep, -1/3 of its last isolation input, is rational and comes
+    # back as a Fraction, tested in integers from its final interval
     cubic = [-F(64, 27) / 10 ** 270, F(16, 3), -4 / F(10 ** 90), F(1)]
     count = 0
     with mp.workdps(dps):
         for cs in _sturm_sweep() + _isolation_inputs() + [cubic]:
             for _, factor in squarefree_decomposition(cs):
                 p = _primitive(factor)
-                for r in _real_roots_sturm(p):
-                    if isinstance(r, F):
-                        continue
-                    sign, man, exp, bc = r._mpf_
-                    x = F((-1) ** sign * man) * F(2) ** exp
-                    half = F(2) ** (exp + bc - mp.mp.prec - 1)
-                    below = half / 2 if man == 1 else half
-                    assert _sign_at(p, x - below) != _sign_at(p, x + half), \
-                        (p, r)
-                    count += 1
-    assert count == 144
+                for r in real_roots_exact(factor):
+                    assert _correctly_rounded(p, r), (p, r)
+                    count += not isinstance(r, F)
+    assert count == 143
+
+
+def _even_sweep():
+    """Seeded even polynomials of degree 6 and 8 in t, cubics and quartics
+    in z = t^2, some times a rational square (9t^2 - 4) and some squared;
+    first (4z - 1)(2z - 1 - 2 10^-200), whose root z = 1/2 + 10^-200 lies
+    that close to the end 1/2 of its isolating interval, so the integer
+    bracket of its square root squares to outside that interval until z is
+    narrowed further."""
+    rng = random.Random(1217)
+    z = poly_mul([F(-1), F(4)], [-1 - F(2, 10 ** 200), F(2)])
+    out = [[c for v in z for c in (v, F(0))][:-1]]
+    for n in range(40):
+        z = [F(rng.randint(-30, 30)) for _ in range(3 + n % 2)]
+        z.append(F(rng.randint(1, 9)))
+        if n % 5 == 1:
+            z = poly_mul(z, [F(-4), F(9)])
+        if n % 5 == 2:
+            z = poly_mul(z, z)
+        out.append([c for v in z for c in (v, F(0))][:-1])
+    return out
+
+
+def _squarefree_part(cs):
+    p = [F(1)]
+    for _, factor in squarefree_decomposition(cs):
+        p = poly_mul(p, factor)
+    return _primitive(p)
+
+
+@pytest.mark.parametrize("dps", [15, 60, 120])
+def test_real_roots_exact_are_correctly_rounded(dps):
+    # every root real_roots_exact returns, through the even substitution or
+    # not, is an exact Fraction root or correctly rounded, and t and -t are
+    # one value and its exact negation
+    count = 0
+    with mp.workdps(dps):
+        for cs in _sturm_sweep() + _even_sweep() + _reference_eliminants():
+            p = _squarefree_part(cs)
+            roots = real_roots_exact(cs)
+            for r in roots:
+                assert _correctly_rounded(p, r), (cs, r)
+                count += not isinstance(r, F)
+            if not any(cs[1::2]):
+                assert roots == [-r for r in reversed(roots)]
+    assert count == 226
+
+
+@pytest.mark.parametrize("factors,rational,irrational", [
+    ([[-1, 3], [2, 5]], [F(-2, 5), F(1, 3)], 0),
+    # the trigonometric form gave 0.19999999999999998 and 0.33333333333333337
+    ([[-1, 2], [-1, 3], [-1, 5]], [F(1, 5), F(1, 3), F(1, 2)], 0),
+    # the root (sqrt(13) - 3)/2 = 0.30 has 1/3, a root of the same factor,
+    # as its nearest fraction of denominator at most 3: the candidate lies
+    # outside its interval, and the root stays irrational
+    ([[-1, 3], [-1, 3, 1]], [F(1, 3)], 2),
+    # even: z = 4/9, 2 and -1 in z = t^2; t = 2/3 is exact, and sqrt(2) was
+    # rounded twice, 1.4142135623730949 at 15 digits
+    ([[-4, 0, 9], [-2, 0, -1, 0, 1]], [F(-2, 3), F(2, 3)], 2),
+    # t = 1 + 2^-53 lies halfway between two 53-bit floats, and the root
+    # 3 2^68 + 1 of z widens the bracket of t to several units: one of a
+    # width other than a power of two never met t as a midpoint, and its
+    # bisection at 15 digits did not end
+    ([[-(1 + F(1, 2 ** 53)) ** 2, 0, 1], [-3 * 2 ** 68 - 1, 0, 1]],
+     [-1 - F(1, 2 ** 53), 1 + F(1, 2 ** 53)], 2),
+])
+@pytest.mark.parametrize("dps", [15, 60])
+def test_rational_roots_of_any_factor_stay_fractions(factors, rational,
+                                                     irrational, dps):
+    p = [F(1)]
+    for factor in factors:
+        p = poly_mul(p, [F(c) for c in factor])
+    with mp.workdps(dps):
+        roots = real_roots_exact(p)
+        assert [r for r in roots if isinstance(r, F)] == rational
+        assert len(roots) == len(rational) + irrational
+        assert all(_correctly_rounded(_primitive(p), r) for r in roots)

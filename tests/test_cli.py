@@ -586,7 +586,10 @@ def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):
 # from curvature: their residual digits moved, nothing else did.  The
 # elimination-route hashes of the same cases were recorded again when the
 # closed-form solvers took their smallest root from Vieta's product: again
-# only residual digits moved
+# only residual digits moved.  The elimination-route hash of case 6 was
+# recorded again when every eliminant root came to be correctly rounded: the
+# split points' coordinates moved in their last digits, and their
+# residual_grad with them (3.74e-62 -> 6.39e-62)
 GOLDEN_SINGULAR = {
     1: ("4f9fddb063291d61b587ac0ee7f8f45f7ea80cc52a81cb0af56536afb9fbbbe2",
         "5acf3e3cc4a114bd25d34859d6553313ef09ba59f21ef6483ccfa56592e61d4a"),
@@ -599,7 +602,7 @@ GOLDEN_SINGULAR = {
     5: ("b1d36fc56d1210b533269701b0d1bfca6f4b7b4b90c539f7b96463c1c636c051",
         "0ca284aa975aa2d2ed5b41af244ac908c2a7dadd9e4d2921e9ac7176b659ae3a"),
     6: ("d77d441d7a65bed3a03e575f9cb8c22403d6b3a7cca39ae9f32584dc1a4b1a67",
-        "e8365b2221da7b53f999e70f95a6d7ea9468e1b213895f74034b89bbf6bfc348"),
+        "98bc55b5615db6d824e0fb077bfe91913aaa106ab8bc6fcf9e7f8eb053dfa240"),
     7: ("1728cdab981ed01a71d53126ce95715be293afc72d9307776df9ef65e69ca73a",
         "18a3f80316eb86a2a4e008aa404f101d6762fd82bb0a93969e4961ff6c6b704d"),
     8: ("a0a8ddc9601904c2357f4aff99cc2698e0172881d812daae4d85d8e5f0b04de7",

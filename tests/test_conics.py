@@ -457,14 +457,16 @@ CROSS_PAIRING = pytest.mark.xfail(strict=True, reason="cross-pairing, ROADMAP 1"
 
 
 @pytest.mark.parametrize("conic,r,count", [
-    pytest.param(*case, marks=CROSS_PAIRING) if k in (0, 2) else case
+    pytest.param(*case, marks=CROSS_PAIRING) if k == 0 else case
     for k, case in enumerate(NEAR_BOUNDARY_CASES)])
 def test_split_points_next_to_a_regime_boundary_by_elimination(conic, r,
                                                                count):
-    # the same points from the eliminants, whose closed-form roots must keep
-    # a root of size 10^-135 or 10^-270 beside roots of size 1; the parabola
-    # and ellipse(199/15, 8/5) still give 6 points for 3 and 12 for 6, as
-    # eliminant roots that close pair across
+    # the same points from the eliminants, whose roots must keep a root of
+    # size 10^-135 or 10^-270 beside roots of size 1.  For ellipse(199/15,
+    # 8/5) the equator pair's x and the split points' x are roots of two
+    # square-free factors under 10^-90 apart: correctly rounded, they are
+    # one mpf, so 3 x roots give the 6 points.  The parabola still gives 6
+    # points for 3: a Fraction y and an mpf y 10^-90 apart pair across
     _assert_split_points_near_boundary(
         singular_points_via_elimination(conic, r), conic, count)
 

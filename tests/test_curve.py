@@ -23,6 +23,7 @@ from conicoffset.curve import (Point2, bracketed_roots,
 from conicoffset.errors import (EliminationError, ParamError,
                                 PreconditionError, ResourceLimitError,
                                 RingError, VarError)
+from conicoffset.mesh import MeshSpec, generate_mesh, mesh_figure
 from conicoffset.poly import MultiPoly, gradient, parse_poly
 from conicoffset.reference import case as ref_case
 from conicoffset.verify import conic_from_case
@@ -705,8 +706,9 @@ def test_figure_markers_equal_the_elimination_route(conic, r, monkeypatch):
 
 def test_a_figure_runs_no_elimination(monkeypatch):
     # a figure pins the catalogue on its offset and nothing on its smooth
-    # base conic, so it never reaches the elimination route; a bare trace of
-    # g, as `conicoffset trace --g` draws it, still does
+    # base conic, and a mesh figure nothing on its ellipse or its layers, so
+    # neither reaches the elimination route; a bare trace of g, as
+    # `conicoffset trace --g` draws it, still does
     class Eliminated(Exception):
         pass
 
@@ -723,6 +725,11 @@ def test_a_figure_runs_no_elimination(monkeypatch):
     ]:
         svg = offset_figure(conic, r, resolution=64)
         assert svg.count("<circle") == markers
+    spec = MeshSpec(ellipse=ConicSpec.ellipse(4, 2), offsets=(0.2, 0.4, 0.6),
+                    y_stations=(1, 0, -1))
+    mesh = generate_mesh(spec)
+    svg = mesh_figure(spec, mesh, resolution=64)
+    assert svg.count("<circle") == mesh.rows * mesh.cols
     g = offset_poly_closed_form(hyperbola, 96).g
     with pytest.raises(Eliminated):
         trace_implicit(g, figure_bbox(hyperbola, 96), 64)

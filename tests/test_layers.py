@@ -1,7 +1,8 @@
 """The float layer stays float-only: curve.py and mesh.py import no mpmath
 and no private name of conics, whose exact layer owns every 60-digit step;
 the exact layer imports no numpy, as the float layer owns the float solver;
-curve.py's figures mark the pins of their own trace, not the catalogue."""
+curve.py's figures mark the pins of their own trace, not the catalogue; and
+the elimination route calls none of the closed catalogue's root formulas."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,37 @@ def test_figures_mark_the_trace_pins_not_the_catalogue():
              if isinstance(node, (ast.Import, ast.ImportFrom))
              for a in node.names]
     assert "singular_points" not in names
+
+
+def test_the_elimination_route_calls_no_closed_root_formula(monkeypatch):
+    # the two singular-point routes share no root formula: with Cardano's
+    # cubic, the real cube root and the rational square root refused, the
+    # elimination route still reports every reference offset, and the closed
+    # route, whose radicals they are, cannot, except for the parabola below
+    # and at r_crit (cases 1 and 2), whose points are rational
+    from fractions import Fraction
+
+    from conicoffset import cardano, reference
+    from conicoffset.conics import (singular_points,
+                                    singular_points_via_elimination)
+    from conicoffset.verify import conic_from_case
+
+    class ClosedForm(Exception):
+        pass
+
+    def refuse(*args):
+        raise ClosedForm
+
+    cases = [(conic_from_case(c), Fraction(c["r"]))
+             for c in map(reference.case, range(1, 10))]
+    want = [singular_points_via_elimination(*case).points for case in cases]
+    for name in ("real_roots_cubic", "real_cbrt", "sqrt_exact"):
+        monkeypatch.setattr(cardano, name, refuse)
+    refused = []
+    for case_id, case, points in zip(range(1, 10), cases, want):
+        assert singular_points_via_elimination(*case).points == points
+        try:
+            singular_points(*case)
+        except ClosedForm:
+            refused.append(case_id)
+    assert refused == list(range(3, 10))
