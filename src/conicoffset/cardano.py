@@ -5,10 +5,11 @@ Polynomials here are ascending lists of Fractions.  The square-free split
 and ``poly_gcd`` clear denominators once and run over the integers, on
 primitive coefficient lists with pseudo-remainder gcds and exact integer
 division; only the factors they return become monic Fractions again.
-``real_roots_exact`` uses no root formula: it isolates and bisects every
-root at dyadic points n/2^k, where each sign is that of one integer
-(``_dyadic_value``), until it is correctly rounded at the caller's working
-precision (``conics.RADICAL_DPS`` digits).  ``real_cbrt`` and ``sqrt_exact``
+``real_roots_exact`` uses no root formula: it isolates every root by Sturm
+sequences and refines it by quadratic interval refinement, at dyadic points
+n/2^k where each sign is that of one integer (``_dyadic_value``), until it
+is correctly rounded at the caller's working precision
+(``conics.RADICAL_DPS`` digits).  ``real_cbrt`` and ``sqrt_exact``
 are the closed catalogue's radicals, and ``real_roots_cubic`` is Cardano's
 cubic, which no route calls.  Exact values enter mpmath through ``to_mpf``.
 
@@ -228,7 +229,7 @@ def real_roots_cubic(cs):
 
 
 # ---------------------------------------------------------------------------
-# every real root: Sturm isolation, then bisection, on dyadics
+# every real root: Sturm isolation, then quadratic interval refinement
 # ---------------------------------------------------------------------------
 
 def real_roots_exact(cs):
@@ -236,11 +237,12 @@ def real_roots_exact(cs):
     where they are found rational, otherwise mpmath floats correctly rounded
     at the working precision.
 
-    The root at zero is stripped, an even polynomial is solved in z = t^2,
-    and each square-free factor (Yun) has its roots isolated by its Sturm
-    sequence (``_isolate``), then rounded once (``_round_root``), or of an
-    even polynomial taken once to t = sqrt(z) and -t (``_square_roots``).
-    No root formula is used, so these roots check the closed catalogue's.
+    The root at zero is stripped, and each square-free factor (Yun) has its
+    roots isolated by its Sturm sequence (``_isolate``) and rounded once
+    (``_round_root``).  An even polynomial is split in z = t^2, and each
+    factor q(z) goes back to q(t^2), isolated on its positive roots only;
+    -t is t's exact negation, since rounding to nearest is symmetric.  No
+    root formula is used, so these roots check the closed catalogue's.
     """
     cs = normalize([Fraction(c) for c in cs])
     if not cs:
@@ -251,8 +253,12 @@ def real_roots_exact(cs):
         roots = {Fraction(0)}
     even = not any(cs[1::2])
     for _, factor in squarefree_decomposition(cs[::2] if even else cs):
-        for z in _isolate(_primitive(factor), even):
-            roots.update(_square_roots(*z) if even else [_round_root(*z)])
+        q = _primitive(factor)
+        if even:
+            q = [c for v in q for c in (v, 0)][:-1]
+        for z in _isolate(q, even):
+            t = _round_root(*z)
+            roots.update((t, -t) if even else (t,))
     return sorted(roots, key=to_mpf)
 
 
@@ -267,9 +273,10 @@ def _dyadic_value(p, n, k):
 
 def _isolate(p, positive=False):
     """The real roots of a square-free primitive integer list p, degree >= 1,
-    or only its positive ones, as isolating intervals (q, lo, hi, k): q, p
-    or a factor of it, has opposite signs at the ends n/2^k and its one root
-    between them.
+    or only its positive ones (those of an even p, whose negative roots are
+    their negations), as isolating intervals (q, lo, hi, k): q, p or a
+    factor of it, has opposite signs at the ends n/2^k and its one root
+    between them, and hi - lo is a power of two.
 
     The Sturm sequence (p, p', then negated pseudo-remainders by positive-led
     divisors over their positive contents, so no sign flips) counts the
@@ -309,75 +316,54 @@ def _isolate(p, positive=False):
     return brackets
 
 
-def _bisect(p, lo, hi, k, done):
-    """Halve (lo/2^k, hi/2^k), at whose ends p has opposite signs, by the
-    sign of ``_dyadic_value`` at its midpoint until done(lo, hi, k); return
-    the last (lo, hi, k), or (mid, mid, k) where p is 0 at mid/2^k.  Of an
-    interval whose width is a power of two every dyadic inside is met as a
-    midpoint in time, a root on a rounding boundary included."""
-    lo_positive = _dyadic_value(p, lo, k) > 0
-    while not done(lo, hi, k):
-        mid, k = lo + hi, k + 1
-        v = _dyadic_value(p, mid, k)
-        if not v:
-            return mid, mid, k
-        lo, hi = (mid, 2 * hi) if (v > 0) == lo_positive else (2 * lo, mid)
-    return lo, hi, k
-
-
 def _round_root(p, lo, hi, k):
     """The one root of the integer list p in (lo/2^k, hi/2^k), at whose ends
     p has opposite signs: a Fraction where it is found rational, otherwise
-    correctly rounded to an mpf at the working precision, once ``_bisect``
-    has narrowed the interval until both ends round to one mpf (built only
-    once they lie within an ulp of the larger).  A rational root n/d has d
-    dividing p's leading coefficient lc, so the fraction of denominator at
-    most lc nearest the last midpoint is its one candidate, tested exactly.
+    correctly rounded to an mpf at the working precision, once both ends
+    round to one mpf (built only once they lie within an ulp of the larger).
+
+    Quadratic interval refinement (Abbott 2014): the secant through the
+    cached end values picks the point of a grid of 2^s cells nearest its
+    zero, and the sign there picks the cell beside it toward the root.
+    When p changes sign across that cell it is the new interval and s
+    doubles; otherwise s halves.  At s = 1 the grid point is the midpoint,
+    so the step is a bisection and always succeeds.  Every interval has
+    integer ends and a power-of-two width, so every dyadic inside it is
+    met as a grid point in time, a root on a rounding boundary included,
+    and returned exactly.  A rational root n/d has d dividing p's leading
+    coefficient lc, so the fraction of denominator at most lc nearest the
+    last interval's midpoint is its one candidate, tested exactly.
     """
     import mpmath as mp
     if len(p) == 2:
         return Fraction(-p[0], p[1])
-    prec = mp.mp.prec
-    lo, hi, k = _bisect(p, lo, hi, k, lambda lo, hi, k: (
-        (hi - lo).bit_length() + prec <= max(-lo, hi).bit_length() + 1
-        and mp.mpf((lo, -k)) == mp.mpf((hi, -k))))
-    if lo == hi:
-        return Fraction(lo, 1 << k)
+    prec, deg, s = mp.mp.prec, len(p) - 1, 1
+    f_lo, f_hi = _dyadic_value(p, lo, k), _dyadic_value(p, hi, k)
+    while not ((hi - lo).bit_length() + prec <= max(-lo, hi).bit_length() + 1
+               and mp.mpf((lo, -k)) == mp.mpf((hi, -k))):
+        # the grid (lo << s, hi << s) at scale 2^-(k + s) has cells of width
+        # hi - lo, and i is the inner grid point nearest the secant's zero
+        den = f_lo - f_hi
+        i = min(max(((f_lo << s + 1) + den) // (2 * den), 1), (1 << s) - 1)
+        w, ks = hi - lo, k + s
+        m = (lo << s) + i * w
+        v = _dyadic_value(p, m, ks)
+        if not v:
+            return Fraction(m, 1 << ks)
+        # e ends the cell beside m toward the root; the ends keep their values
+        e = m + w if (v > 0) == (f_lo > 0) else m - w
+        u = (f_lo << s * deg if e == lo << s else f_hi << s * deg
+             if e == hi << s else _dyadic_value(p, e, ks))
+        if not u:
+            return Fraction(e, 1 << ks)
+        if (u > 0) == (v > 0):  # s > 1 here: a bisection always lands
+            s //= 2
+            continue
+        (lo, f_lo), (hi, f_hi) = sorted([(m, v), (e, u)])
+        k, s = ks, 2 * s
     m = Fraction(lo + hi, 1 << k + 1).limit_denominator(p[-1])
     n, d = m.numerator, m.denominator
     if lo * d < n << k < hi * d and not sum(
             c * n ** i * d ** (len(p) - 1 - i) for i, c in enumerate(p)):
         return m
     return mp.mpf((lo, -k))
-
-
-def _square_roots(q, lo, hi, k):
-    """(t, -t) with t = sqrt(z) for the one root z of the integer list q in
-    (lo/2^k, hi/2^k), 0 <= lo < hi, at whose ends q has opposite signs.
-
-    A rational square z gives a Fraction.  Otherwise z's interval narrows by
-    ``_bisect`` to a guard of 8 bits past the working precision; scaled by
-    an even power of two, its ends' integer square roots, floor and ceiling
-    widened to a power-of-two width, bracket t.  Once their squares lie in
-    z's isolating interval, t is the one root of q(t^2) between them, and
-    ``_round_root`` rounds it there; otherwise the guard doubles.
-    """
-    import mpmath as mp
-    if len(q) == 2 and (t := fraction_sqrt(Fraction(-q[0], q[1]))):
-        return t, -t
-    prec, guard, low, high, k0 = mp.mp.prec, 8, lo, hi, k
-    while True:
-        lo, hi, k = _bisect(q, lo, hi, k, lambda lo, hi, k: lo > 0 and (
-            (hi - lo).bit_length() + prec + guard <= lo.bit_length()))
-        if lo == hi and (t := fraction_sqrt(Fraction(lo, 1 << k))):
-            return t, -t
-        s = max(0, 2 * (prec + guard) - lo.bit_length())
-        s += (k + s) % 2
-        t_lo = isqrt(lo << s)
-        t_hi = t_lo + (1 << (isqrt((hi << s) - 1) - t_lo).bit_length())
-        if (t_lo * t_lo >= low << k + s - k0
-                and t_hi * t_hi <= high << k + s - k0):
-            t = _round_root([c for v in q for c in (v, 0)][:-1],
-                            t_lo, t_hi, (k + s) // 2)
-            return t, -t
-        guard *= 2

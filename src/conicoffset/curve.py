@@ -166,6 +166,15 @@ def _x_pass(ypass, x, y) -> np.ndarray:
     return total
 
 
+def _floats(conic: ConicSpec, *rs) -> list:
+    """The conic's parameters (p, or a and b), then rs, as floats; a ParamError
+    where a parameter's float is 0 or infinite, or an r's is infinite."""
+    params = [to_float(v) for v in conic.param_map().values()]
+    if 0.0 in params:
+        raise ParamError("a conic parameter rounds to 0 as a float")
+    return params + [to_float(r) for r in rs]
+
+
 def conic_point_and_normal(conic: ConicSpec, t: float):
     """Base point beta(t) on the conic and the unit normal there.
 
@@ -174,16 +183,16 @@ def conic_point_and_normal(conic: ConicSpec, t: float):
     (mirror for the lower one via t -> t + branch flag, handled by caller).
     """
     if conic.kind == PARABOLA:
-        p = float(conic.p)
+        (p,) = _floats(conic)
         x0, y0 = t, t * t / (4.0 * p)
         # gradient of x^2 - 4 p y, normalized; points to the convex side
         nx, ny = 2.0 * x0, -4.0 * p
     elif conic.kind == ELLIPSE:
-        a, b = float(conic.a), float(conic.b)
+        a, b = _floats(conic)
         x0, y0 = b * math.cos(t), a * math.sin(t)
         nx, ny = x0 / (b * b), y0 / (a * a)
     else:
-        a, b = float(conic.a), float(conic.b)
+        a, b = _floats(conic)
         x0, y0 = b * math.sinh(t), a * math.cosh(t)
         nx, ny = -x0 / (b * b), y0 / (a * a)
     norm = math.hypot(nx, ny)
@@ -201,8 +210,8 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int) -> list:
     """
     if n < 2:
         raise ParamError("need n >= 2 sample parameters")
-    r = float(r)
-    if not (r > 0 and math.isfinite(r)):
+    *params, r = _floats(conic, r)
+    if not r > 0:
         raise ParamError("offset r must be positive and finite")
     pts = []
 
@@ -214,7 +223,7 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int) -> list:
             pts.append(Point2(x0 + sgn * r * nx, y0 + sgn * r * ny))
 
     if conic.kind == PARABOLA:
-        width = 12.0 * abs(float(conic.p))
+        width = 12.0 * abs(params[0])
         for t in np.linspace(-width, width, n):
             emit(t)
     elif conic.kind == ELLIPSE:
@@ -235,15 +244,15 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int) -> list:
 def curvature(conic: ConicSpec, t: float) -> float:
     """|beta' x beta''| / |beta'|^3 for the standard parameterizations."""
     if conic.kind == PARABOLA:
-        p = float(conic.p)
+        (p,) = _floats(conic)
         cross = abs(1.0 / (2.0 * p))
         speed2 = 1.0 + (t / (2.0 * p)) ** 2
     elif conic.kind == ELLIPSE:
-        a, b = float(conic.a), float(conic.b)
+        a, b = _floats(conic)
         cross = a * b
         speed2 = (b * math.sin(t)) ** 2 + (a * math.cos(t)) ** 2
     else:
-        a, b = float(conic.a), float(conic.b)
+        a, b = _floats(conic)
         cross = a * b
         speed2 = (b * math.cosh(t)) ** 2 + (a * math.sinh(t)) ** 2
     return cross / speed2 ** 1.5
@@ -257,7 +266,8 @@ def max_curvature(conic: ConicSpec) -> float:
     critical-offset formula, which it reciprocates.
     """
     if conic.kind == PARABOLA:
-        lo, hi = -4.0 * abs(float(conic.p)), 4.0 * abs(float(conic.p))
+        hi = 4.0 * abs(_floats(conic)[0])
+        lo = -hi
     elif conic.kind == ELLIPSE:
         lo, hi = 0.0, math.pi
     else:
@@ -719,12 +729,12 @@ def offset_figure(conic: ConicSpec, r, bbox=None, resolution: int = 512,
     points in the bbox), labelled S1..Sn in (y, x) order."""
     g = offset_poly_closed_form(conic, r).g
     if bbox is None:
-        rf = float(r)
+        *params, rf = _floats(conic, r)
         if conic.kind == PARABOLA:
-            p4 = 4 * abs(float(conic.p))
+            p4 = 4 * abs(params[0])
             bbox = (-2 * p4 - rf, 2 * p4 + rf, -p4 - rf, 3 * p4 + rf)
         else:
-            a, b = float(conic.a), float(conic.b)
+            a, b = params
             bbox = (-b - 3 * rf - 1, b + 3 * rf + 1, -a - 3 * rf - 1, a + 3 * rf + 1)
     offset_curve = trace_implicit(g, bbox, resolution,
                                   pins=catalogue_pins(conic, r))

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conicoffset import conics, reference
+from conicoffset import cardano, conics, reference
 from conicoffset.cardano import (_dyadic_value, _primitive, derivative,
                                  fraction_sqrt, normalize, poly_divmod,
                                  poly_gcd, real_cbrt, real_roots_cubic,
@@ -357,10 +357,9 @@ def test_sturm_roots_are_correctly_rounded(dps):
 def _even_sweep():
     """Seeded even polynomials of degree 6 and 8 in t, cubics and quartics
     in z = t^2, some times a rational square (9t^2 - 4) and some squared;
-    first (4z - 1)(2z - 1 - 2 10^-200), whose root z = 1/2 + 10^-200 lies
-    that close to the end 1/2 of its isolating interval, so the integer
-    bracket of its square root squares to outside that interval until z is
-    narrowed further."""
+    first (4t^2 - 1)(2t^2 - 1 - 2 10^-200), whose root t = 1/2 is rational
+    and whose root sqrt(1/2 + 10^-200) agrees with sqrt(1/2) to 200
+    digits."""
     rng = random.Random(1217)
     z = poly_mul([F(-1), F(4)], [-1 - F(2, 10 ** 200), F(2)])
     out = [[c for v in z for c in (v, F(0))][:-1]]
@@ -382,14 +381,37 @@ def _squarefree_part(cs):
     return _primitive(p)
 
 
+def _height_sweep():
+    """Seeded polynomials the sweeps above lack: even ones of degree 20 to
+    36 in t with integer coefficients up to 10^30, and products of a cubic
+    or quartic with a leading coefficient up to 9 and t - c/2^j, whose
+    dyadic root has a denominator 2^j of 2^4 to 2^64, larger than that
+    leading coefficient."""
+    rng = random.Random(3817)
+    out = []
+    for n in range(10):
+        z = [F(rng.randint(-10 ** 30, 10 ** 30)) for _ in range(10 + n % 9)]
+        z.append(F(rng.randint(1, 10 ** 30)))
+        out.append([c for v in z for c in (v, F(0))][:-1])
+    for n in range(10):
+        q = [F(rng.randint(-30, 30)) for _ in range(3 + n % 2)]
+        q.append(F(rng.randint(1, 9)))
+        j = rng.randint(4, 64)
+        c = rng.choice([-1, 1]) * rng.randrange(1, 1 << j + 2, 2)
+        out.append(poly_mul(q, [F(-c, 1 << j), F(1)]))
+    return out
+
+
 @pytest.mark.parametrize("dps", [15, 60, 120])
 def test_real_roots_exact_are_correctly_rounded(dps):
-    # every root real_roots_exact returns, through the even substitution or
-    # not, is an exact Fraction root or correctly rounded, and t and -t are
-    # one value and its exact negation
+    # every root real_roots_exact returns, of an even polynomial or not, is
+    # an exact Fraction root or correctly rounded, and t and -t are one
+    # value and its exact negation; the count was 226 before the height
+    # sweep added its 43 irrational roots
     count = 0
     with mp.workdps(dps):
-        for cs in _sturm_sweep() + _even_sweep() + _reference_eliminants():
+        for cs in (_sturm_sweep() + _even_sweep() + _height_sweep()
+                   + _reference_eliminants()):
             p = _squarefree_part(cs)
             roots = real_roots_exact(cs)
             for r in roots:
@@ -397,7 +419,29 @@ def test_real_roots_exact_are_correctly_rounded(dps):
                 count += not isinstance(r, F)
             if not any(cs[1::2]):
                 assert roots == [-r for r in reversed(roots)]
-    assert count == 226
+    assert count == 269
+
+
+def test_rounding_cost_grows_with_the_log_of_the_digits(monkeypatch):
+    # quadratic interval refinement doubles the bits it gains per step, so
+    # eight times the digits costs a few more sign evaluations, not eight
+    # times as many: plain bisection took 937 at 15 digits and 4,779 at 120
+    calls = 0
+
+    def counted(p, n, k):
+        nonlocal calls
+        calls += 1
+        return _dyadic_value(p, n, k)
+
+    monkeypatch.setattr(cardano, "_dyadic_value", counted)
+    eliminants, counts = _reference_eliminants(), []
+    for dps in (15, 120):
+        calls = 0
+        with mp.workdps(dps):
+            for cs in eliminants:
+                real_roots_exact(cs)
+        counts.append(calls)
+    assert counts[1] < 1.5 * counts[0], counts
 
 
 @pytest.mark.parametrize("factors,rational,irrational", [
@@ -411,10 +455,9 @@ def test_real_roots_exact_are_correctly_rounded(dps):
     # even: z = 4/9, 2 and -1 in z = t^2; t = 2/3 is exact, and sqrt(2) was
     # rounded twice, 1.4142135623730949 at 15 digits
     ([[-4, 0, 9], [-2, 0, -1, 0, 1]], [F(-2, 3), F(2, 3)], 2),
-    # t = 1 + 2^-53 lies halfway between two 53-bit floats, and the root
-    # 3 2^68 + 1 of z widens the bracket of t to several units: one of a
-    # width other than a power of two never met t as a midpoint, and its
-    # bisection at 15 digits did not end
+    # t = 1 + 2^-53 lies halfway between two 53-bit floats, so at 15 digits
+    # no interval around it rounds to one float: its refinement ends only
+    # by meeting t as a grid point, beside the root sqrt(3 2^68 + 1)
     ([[-(1 + F(1, 2 ** 53)) ** 2, 0, 1], [-3 * 2 ** 68 - 1, 0, 1]],
      [-1 - F(1, 2 ** 53), 1 + F(1, 2 ** 53)], 2),
 ])

@@ -104,6 +104,34 @@ def test_samples_structure_and_errors():
             parametric_offset_samples(conic, r, 5)
 
 
+_BIG, _TINY = F(10) ** 400, F(1, 10 ** 400)
+_FLOAT_CALLS = {
+    "offset_figure": lambda c, r: offset_figure(c, r, resolution=64),
+    "parametric_offset_samples": lambda c, r: parametric_offset_samples(c, r, 8),
+    "conic_point_and_normal": lambda c, r: conic_point_and_normal(c, 0.5),
+    "curvature": lambda c, r: curvature(c, 0.5),
+    "max_curvature": lambda c, r: max_curvature(c),
+}
+
+
+@pytest.mark.parametrize("call,conic,r", [
+    *((call, conic, r) for call in ("offset_figure", "parametric_offset_samples")
+      for conic, r in ((ConicSpec.parabola(1), _BIG),
+                       (ConicSpec.ellipse(_BIG, 1), F(1, 2)))),
+    *((call, conic, F(1)) for call in ("conic_point_and_normal", "curvature",
+                                       "max_curvature")
+      for conic in (ConicSpec.parabola(_BIG), ConicSpec.ellipse(_BIG, 1),
+                    ConicSpec.hyperbola(_BIG, 1))),
+    # p rounds to 0.0 as a float, which divided by zero
+    *((call, ConicSpec.parabola(_TINY), F(1)) for call in _FLOAT_CALLS),
+])
+def test_float_layer_refuses_parameters_past_the_float_range(call, conic, r):
+    # a conic parameter or r past the float range, or a parameter that
+    # rounds to 0, is a ParamError, not an OverflowError or ZeroDivisionError
+    with pytest.raises(ParamError):
+        _FLOAT_CALLS[call](conic, r)
+
+
 def test_trace_circle():
     tc = trace_implicit(CIRCLE, (-2, 2, -2, 2), 256)
     assert len(tc.polylines) == 1
