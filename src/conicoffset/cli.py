@@ -188,8 +188,7 @@ def cmd_offset_poly(args):
     if args.method == "closed":
         curve = offset_poly_closed_form(conic, r)
     else:
-        curve = offset_poly_elimination(conic, r, max_pairs=args.max_pairs,
-                                        max_degree=args.max_degree)
+        curve = offset_poly_elimination(conic, r)
     doc = {
         "conic": conic.describe(),
         "r": frac_str(curve.r),
@@ -320,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("offset-poly", help="implicit polynomial of the parallel lines")
     _add_conic_flags(o)
     o.add_argument("--method", choices=["closed", "elim"], default="closed")
-    o.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
-    o.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     o.add_argument("--out", help="write polynomial JSON here")
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=cmd_offset_poly)

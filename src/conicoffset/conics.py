@@ -13,7 +13,7 @@ Singular points have two independent routes.  ``singular_points`` reads the
 closed-form catalogue, and a figure pins its bare points
 (``catalogue_pins``).  ``singular_points_via_elimination`` reports
 ``singular_locus``, which serves any g (the tracer pins it for a g of no
-known conic): one reduced grevlex Groebner basis of <g, g_x, g_y>, the
+known conic): one grevlex completion of <g, g_x, g_y>, unreduced, the
 minimal polynomials of multiplication by x and by y on the quotient ring
 (the generators of the elimination ideals in x alone and in y alone), their
 exact real roots, and one pass over the (x root, y root) pairs at
@@ -62,7 +62,7 @@ from .cardano import to_float, to_mpf
 from .errors import (EliminationError, ParamError, ResourceLimitError,
                      RootPairingError)
 from .fixtures import CENTRAL_RING, PARABOLA_RING, general_offset_poly
-from .groebner import (DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, Ideal, buchberger,
+from .groebner import (DEFAULT_MAX_PAIRS, GroebnerBasis, Ideal, buchberger,
                        elimination_ideal, minimal_polynomials, reduce_basis)
 from .poly import (MultiPoly, block, content_normalize, gradient, grevlex,
                    substitute)
@@ -307,18 +307,18 @@ def offset_poly_closed_form(conic: ConicSpec, r) -> OffsetCurve:
     return OffsetCurve(conic=conic, r=r, g=g, source="closed-form")
 
 
-def offset_poly_elimination(conic: ConicSpec, r,
-                            max_pairs: int = DEFAULT_MAX_PAIRS,
-                            max_degree: int = DEFAULT_MAX_DEGREE) -> OffsetCurve:
-    """Derive the offset polynomial by Groebner elimination of (y0, x0), in
-    the grevlex/grevlex block order.  Every elimination order gives this
-    generator (a lex run: ``buchberger`` under ``lex``, ``reduce_basis``,
-    ``elimination_ideal``); it agrees up to a rational scalar with the
-    closed form, and the test suite enforces both."""
+def offset_poly_elimination(conic: ConicSpec, r) -> OffsetCurve:
+    """Derive the offset polynomial by Groebner elimination of (y0, x0): one
+    grevlex/grevlex block-order completion under ``buchberger``'s default
+    budgets, whose members in Q[x, y] alone are reduced (by the Elimination
+    Theorem, a Groebner basis of the elimination ideal).  Every elimination
+    order gives this generator (a lex run: ``buchberger`` under ``lex``,
+    ``reduce_basis``, ``elimination_ideal``); it agrees up to a rational
+    scalar with the closed form, and the test suite enforces both."""
     ideal = build_ideal(conic, r)
-    gb = reduce_basis(buchberger(ideal, block(ideal.ring, 2), max_pairs=max_pairs,
-                                 max_degree=max_degree))
-    kept = elimination_ideal(gb, {"x", "y"})
+    order = block(ideal.ring, 2)
+    members = elimination_ideal(buchberger(ideal, order), {"x", "y"})
+    kept = reduce_basis(GroebnerBasis(order, tuple(members))).polys
     if len(kept) != 1:
         raise EliminationError(
             f"expected one surviving generator, found {len(kept)}")
@@ -613,16 +613,16 @@ def _singular_eliminants(system) -> list:
     """The generators of the intersections of I = <system> with Q[x] and
     with Q[y], in the ring (x, y).
 
-    One reduced grevlex basis of I, then the minimal polynomial of
-    multiplication by x and by y on Q[x, y]/I
-    (``groebner.minimal_polynomials``).  Each comes back as its ascending
-    coefficient list, primitive with a positive leading coefficient.  Raises
-    EliminationError when the common zeros of the system are not finite.
+    The minimal polynomials of multiplication by x and by y on Q[x, y]/I
+    (``groebner.minimal_polynomials``), read from one grevlex completion of
+    I, unreduced: the staircase and every normal form are those of any
+    Groebner basis of I.  Each comes back as its ascending coefficient list,
+    primitive with a positive leading coefficient.  Raises EliminationError
+    when the common zeros of the system are not finite.
     """
     ring = ("x", "y")
-    gb = reduce_basis(buchberger(Ideal(ring, tuple(system)), grevlex(ring),
-                                 max_pairs=LOCUS_MAX_PAIRS,
-                                 max_degree=LOCUS_MAX_DEGREE))
+    gb = buchberger(Ideal(ring, tuple(system)), grevlex(ring),
+                    max_pairs=LOCUS_MAX_PAIRS, max_degree=LOCUS_MAX_DEGREE)
     out = []
     for pos, uni in enumerate(minimal_polynomials(gb, ring)):
         cs = [Fraction(0)] * (uni.degree() + 1)
@@ -639,16 +639,16 @@ def singular_locus(g: MultiPoly) -> list:
     The eliminants of <g, grad g> (zero gradient components left out) are
     solved by ``real_roots_exact``.  They are completed from Euler's
     h = d g - x g_x - y g_y, d being g's total degree: d g = h + x g_x +
-    y g_y, so <h, grad g> is the same ideal, with the same reduced basis,
-    and h has degree below d (g itself where h is 0, as for a constant or
-    homogeneous g).  Every (x root, y root) pair is judged
-    once, at RADICAL_DPS: it is a point when g and each nonzero partial read
-    0 there, by the module's rule, which weighs each value against its own
-    terms' size, so a point far from the origin is judged at its own scale
-    and a constant factor of g changes nothing (at an axis point g_x's terms
-    are all 0, and 0 reads 0).  The roots are correctly
-    rounded, so true points read far below the rule's bound and
-    cross-pairings of coordinates from two different points far above it.
+    y g_y, so <h, grad g> is the same ideal, and h has degree below d (g
+    itself where h is 0, as for a constant or homogeneous g).  Every
+    (x root, y root) pair is judged once, at RADICAL_DPS: it is a point when
+    g and each nonzero partial read 0 there, by the module's rule, which
+    weighs each value against its own terms' size, so a point far from the
+    origin is judged at its own scale and a constant factor of g changes
+    nothing (at an axis point g_x's terms are all 0, and 0 reads 0).  The
+    roots are correctly rounded, so true points read far below the rule's
+    bound and cross-pairings of coordinates from two different points far
+    above it.
     A verdict reads only |value| and size, so it is one per mirror class
     (``_per_mirror_class``): (x, y), (-x, y), (x, -y) and (-x, -y) are
     judged once when g is even or odd in both coordinates, and the output

@@ -224,6 +224,8 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int) -> list:
 
     if conic.kind == PARABOLA:
         width = 12.0 * abs(params[0])
+        if math.isinf(2.0 * width):
+            raise ParamError("the parabola's sweep passes the float range")
         for t in np.linspace(-width, width, n):
             emit(t)
     elif conic.kind == ELLIPSE:
@@ -267,6 +269,8 @@ def max_curvature(conic: ConicSpec) -> float:
     """
     if conic.kind == PARABOLA:
         hi = 4.0 * abs(_floats(conic)[0])
+        if math.isinf(2.0 * hi):
+            raise ParamError("the parabola's sweep passes the float range")
         lo = -hi
     elif conic.kind == ELLIPSE:
         lo, hi = 0.0, math.pi

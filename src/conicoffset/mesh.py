@@ -196,15 +196,13 @@ def generate_mesh(spec: MeshSpec) -> Mesh:
 
 
 def export_mesh(mesh: Mesh, path=None) -> str:
-    """Serialize the mesh as deterministic JSON (17 significant digits)."""
-    def fmt(v: float) -> float:
-        return float(f"{v:.17g}")
-
+    """Serialize the mesh as deterministic JSON; each coordinate is Python's
+    shortest repr that reads back as the same double."""
     doc = {
         "header": COLUMN_ORDER_NOTE,
         "rows": mesh.rows,
         "cols": mesh.cols,
-        "nodes": [[fmt(p.x), fmt(p.y)] for row in mesh.nodes for p in row],
+        "nodes": [[p.x, p.y] for row in mesh.nodes for p in row],
         "quad4": [list(e) for e in mesh.quad4],
         "quad9": [list(e) for e in mesh.quad9],
     }

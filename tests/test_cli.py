@@ -386,6 +386,16 @@ def test_offset_poly_has_no_elimination_order_option(capsys):
     assert "unrecognized arguments: --elim-order lex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-pairs", "--max-degree"])
+def test_offset_poly_has_no_budget_flags(capsys, flag):
+    # the completion runs under buchberger's default budgets
+    with pytest.raises(SystemExit) as exc:
+        main(["offset-poly", "--conic", "parabola", "--p", "1/3", "--r", "1/4",
+              "--method", "elim", flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
 def test_groebner_reads_stdin_by_default(tmp_path, capsys, monkeypatch):
     text = json.dumps([poly_to_dict(parse_poly(t, ("x", "y")))
                        for t in ("x^2-y", "x*y-1")])
@@ -518,28 +528,35 @@ def test_ellipse_offsets_at_and_beyond_a2_over_b(capsys, a, b, r):
         assert abs(pc["x_float"] - pe["x_float"]) <= 1e-9
 
 
-def test_exit_code_resource_limit(capsys):
-    code, _, err = run(capsys, "offset-poly", "--conic", "ellipse", "--a", "3",
-                       "--b", "3/2", "--r", "1/2", "--method", "elim",
-                       "--max-pairs", "2")
+def _ideal_file(tmp_path, gens):
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps([poly_to_dict(parse_poly(t, ("x", "y")))
+                               for t in gens]))
+    return str(src)
+
+
+def test_exit_code_resource_limit(tmp_path, capsys):
+    code, _, err = run(capsys, "groebner", "--in",
+                       _ideal_file(tmp_path, ["x^2-y", "x*y-1"]), "--vars",
+                       "x,y", "--order", "lex", "--max-pairs", "2")
     assert code == 3 and "resource limit" in err
 
 
 @pytest.mark.parametrize("flag", ["--max-pairs=-1", "--max-degree=-1"])
 def test_negative_budgets_exit_2(tmp_path, capsys, flag):
     # a negative budget is a parameter error, whether or not any S-pair
-    # would be processed: on one generator, on two, and through offset-poly
+    # would be processed: on one generator and on two; offset-poly has no
+    # budget flags, so argparse refuses it there
     for gens in (["x^2-y"], ["x^2-y", "x*y-1"]):
-        src = tmp_path / "ideal.json"
-        src.write_text(json.dumps([poly_to_dict(parse_poly(t, ("x", "y")))
-                                   for t in gens]))
-        code, out, err = run(capsys, "groebner", "--in", str(src), "--vars",
-                             "x,y", "--order", "lex", flag)
+        code, out, err = run(capsys, "groebner", "--in",
+                             _ideal_file(tmp_path, gens), "--vars", "x,y",
+                             "--order", "lex", flag)
         assert (code, out) == (2, "") and "ints >= 0" in err
-    code, out, err = run(capsys, "offset-poly", "--conic", "ellipse", "--a",
-                         "3", "--b", "3/2", "--r", "1/2", "--method", "elim",
-                         flag)
-    assert (code, out) == (2, "") and "ints >= 0" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["offset-poly", "--conic", "ellipse", "--a", "3", "--b", "3/2",
+              "--r", "1/2", "--method", "elim", flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def _outcome(capsys, argv):
@@ -551,17 +568,18 @@ def _outcome(capsys, argv):
     return code, out, err
 
 
-def test_shared_parser_matches_fresh_parser(capsys, monkeypatch):
+def test_shared_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
     # main reuses one parser per process; a sequence of calls through it,
     # failures included, prints and exits exactly as fresh parsers do
+    ideal = _ideal_file(tmp_path, ["x^2-y", "x*y-1"])
     calls = [
         ("classify", "--conic", "parabola", "--p", "-1/2", "--r", "1/4"),
         ("classify", "--conic", "ellipse", "--a=1/0", "--b", "1", "--r", "1/4"),
         ("singular", "--conic", "hyperbola", "--a", "3/2", "--b", "1",
          "--r", "4/3", "--method", "elimination", "--format", "json"),
         ("classify", "--conic", "ellipse", "--a", "1", "--b", "2", "--r", "1/4"),
-        ("offset-poly", "--conic", "ellipse", "--a", "3", "--b", "3/2",
-         "--r", "1/2", "--method", "elim", "--max-pairs", "2"),
+        ("groebner", "--in", ideal, "--vars", "x,y", "--order", "lex",
+         "--max-pairs", "2"),
         ("offset-poly", "--conic", "ellipse", "--a", "3", "--b", "3/2",
          "--r", "1/2", "--json"),
         ("mesh", "--a", "4", "--b", "2", "--offsets", "abc", "--stations", "1"),

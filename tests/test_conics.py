@@ -18,8 +18,8 @@ from conicoffset.conics import (ConicSpec, build_ideal, offset_poly_closed_form,
 from conicoffset.errors import ParamError, ResourceLimitError
 from conicoffset.fixtures import general_offset_poly
 from conicoffset.groebner import buchberger, elimination_ideal, reduce_basis
-from conicoffset.poly import (MultiPoly, content_normalize, gradient, lex,
-                              parse_poly, poly_dumps, substitute)
+from conicoffset.poly import (MultiPoly, block, content_normalize, gradient,
+                              lex, parse_poly, poly_dumps, substitute)
 from conicoffset.verify import conic_from_case, expected_points, proportional
 
 
@@ -177,6 +177,31 @@ def test_elimination_orders_agree():
                                 {"x", "y"})
     assert offset_poly_elimination(conic, r).g == \
         content_normalize(substitute(kept, {"y0": 0, "x0": 0}))
+
+
+@pytest.mark.parametrize("case_id", list(range(1, 10)))
+def test_the_eliminations_reduce_only_what_they_return(monkeypatch, case_id):
+    # offset_poly_elimination reduces only the members of its completion in
+    # Q[x, y], which reduce to the Q[x, y] members of the reduced basis, and
+    # singular_locus reads its eliminants from the unreduced completion
+    calls = []
+
+    def spy(gb):
+        out = reduce_basis(gb)
+        calls.append((gb.polys, out.polys))
+        return out
+    monkeypatch.setattr(conics, "reduce_basis", spy)
+    case = reference.case(case_id)
+    conic, r = conic_from_case(case), F(case["r"])
+    curve = offset_poly_elimination(conic, r)
+    ((given, reduced),) = calls
+    assert given and all(m[:2] == (0, 0) for p in given for m in p.terms)
+    ideal = build_ideal(conic, r)
+    full = reduce_basis(buchberger(ideal, block(ideal.ring, 2)))
+    assert list(reduced) == elimination_ideal(full, {"x", "y"})
+    calls.clear()
+    assert conics.singular_locus(curve.g)
+    assert calls == []
 
 
 def random_conics(kind, count, seed):

@@ -124,6 +124,11 @@ _FLOAT_CALLS = {
                     ConicSpec.hyperbola(_BIG, 1))),
     # p rounds to 0.0 as a float, which divided by zero
     *((call, ConicSpec.parabola(_TINY), F(1)) for call in _FLOAT_CALLS),
+    # p is a float but the parabola's sweep is not: its end 12|p| (4|p| in
+    # max_curvature) is inf at p = 1.5e308, and its span 24|p| at p = 1e307
+    *((call, ConicSpec.parabola(F("1.5e308")), F(1))
+      for call in ("parametric_offset_samples", "max_curvature")),
+    ("parametric_offset_samples", ConicSpec.parabola(F("1e307")), F(1)),
 ])
 def test_float_layer_refuses_parameters_past_the_float_range(call, conic, r):
     # a conic parameter or r past the float range, or a parameter that

@@ -222,8 +222,8 @@ def test_mesh_figure(reference_mesh, tmp_path):
 
 
 # Golden bytes of the reference mesh (see test_curve.py): export_mesh prints
-# 17 significant digits and the figure every traced vertex, so any change in
-# float order shows here.  The figure digest was recorded with the traced
+# each coordinate's shortest round-trip repr and the figure every traced
+# vertex, so any change in float order shows here.  The figure digest was recorded with the traced
 # vertices solved on their grid edges.
 GOLDEN_MESH_EXPORT = (
     "b6052af8463b07539685cc9edb9a0cd1461fa30fccce48235c64363d32e06873")
