@@ -47,8 +47,9 @@ hyperbola = ConicSpec.hyperbola(F(3, 2), 1)
 rep = show(hyperbola, F(4, 3))
 
 # The closed forms are cross-checked by an independent route: eliminate each
-# coordinate from <grad g, g>, solve the resulting cubics in x^2 / y^2 by
-# Cardano, and pair the roots by residual filtering.
+# coordinate from <g, grad g>, isolate the eliminants' real roots exactly, and
+# keep each (x, y) pair where g and its gradient read 0, evaluated exactly at
+# the rounded roots.
 alt = singular_points_via_elimination(hyperbola, F(4, 3))
 pairs = zip(sorted(s.as_floats() for s in rep.points),
             sorted(s.as_floats() for s in alt.points))

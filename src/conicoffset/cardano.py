@@ -11,7 +11,8 @@ n/2^k where each sign is that of one integer (``_dyadic_value``), until it
 is correctly rounded at the caller's working precision
 (``conics.RADICAL_DPS`` digits).  ``real_cbrt`` and ``sqrt_exact``
 are the closed catalogue's radicals, and ``real_roots_cubic`` is Cardano's
-cubic, which no route calls.  Exact values enter mpmath through ``to_mpf``.
+cubic, which no route calls.  Exact values enter mpmath through ``to_mpf``,
+and an mpf leaves it exactly through ``to_fraction``.
 
 mpmath is imported inside the functions that compute with it, and numpy
 not at all, so a process that only builds offset polynomials or Groebner
@@ -71,6 +72,18 @@ def to_mpf(v) -> mp.mpf:
     if isinstance(v, Fraction):
         return mp.mpf(v.numerator) / v.denominator
     return mp.mpf(v)
+
+
+def to_fraction(v) -> Fraction:
+    """v as an exact rational: an int or a Fraction as it is, an mpf as its
+    dyadic value, read without importing mpmath (``man_exp`` gives the
+    mantissa without its sign)."""
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v)
+    man, exp = v.man_exp
+    if v < 0:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def to_float(v) -> float:

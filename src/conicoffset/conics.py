@@ -16,9 +16,9 @@ closed-form catalogue, and a figure pins its bare points
 known conic): one grevlex completion of <g, g_x, g_y>, unreduced, the
 minimal polynomials of multiplication by x and by y on the quotient ring
 (the generators of the elimination ideals in x alone and in y alone), their
-exact real roots, and one pass over the (x root, y root) pairs at
-RADICAL_DPS that keeps a pair where every polynomial of the system reads 0
-(by the rule below); no Newton iteration is involved.  Each route only
+exact real roots, and one pass over the (x root, y root) pairs that keeps
+a pair where every polynomial of the system reads 0 (by the rule below); no
+Newton iteration is involved.  Each route only
 finds bare points; one report path tags them, and one complex-point rule
 counts the non-real singular points whose coordinates are each real or
 purely imaginary.  The tag rule: a point on the axis (x = 0) is virtual
@@ -38,14 +38,15 @@ for the ellipse <= a^2 as well: for r_crit <= r <= a^2/b (ellipse) or
 r >= r_crit (hyperbola).
 
 All singular-point radicals are evaluated at RADICAL_DPS decimal digits
-before rounding; discriminant decisions happen exactly on rationals.
+and rounded there; discriminant decisions happen exactly on rationals.
 ``hessian_definite`` tells the tracer which points of a locus are isolated
 (a figure's pins take ``_tag``'s verdict instead); it and
 ``singular_locus`` read a value as 0 unless it exceeds 10^-(RADICAL_DPS/2)
-times its terms' summed size.  Both, and the report's gradient residuals,
-take one answer per mirror class of points (``_per_mirror_class``).  mpmath
-is imported by the functions that evaluate, so building ideals and offset
-polynomials does not load it.
+times its terms' summed size.  Every such value, and every gradient residual
+of a report, is taken exactly, in integers, at the rounded point
+(``_exact_evaluator``); a float appears only in the residual's last step.
+mpmath is imported by the functions that compute radicals or roots, so
+building ideals and offset polynomials does not load it.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product
-from math import gcd
+from itertools import product
+from math import gcd, inf, isqrt, lcm
 
 from . import cardano
-from .cardano import to_float, to_mpf
+from .cardano import to_float, to_fraction, to_mpf
 from .errors import (EliminationError, ParamError, ResourceLimitError,
                      RootPairingError)
 from .fixtures import CENTRAL_RING, PARABOLA_RING, general_offset_poly
@@ -72,6 +73,8 @@ PARABOLA_SYMBOLIC_RING = ("y0", "x0") + PARABOLA_RING
 CENTRAL_SYMBOLIC_RING = ("y0", "x0") + CENTRAL_RING
 
 RADICAL_DPS = 60  # 50 guard digits past double precision
+# a value reads 0 when |value| * _ZERO_RATIO <= its terms' summed size
+_ZERO_RATIO = 10 ** (RADICAL_DPS // 2)
 # the most bits in the numerator or the denominator of an exact parameter.  It
 # admits 10^1000 (3,322 bits).  At this height, with a, b and r of unrelated
 # denominators, the elimination route of `singular` took 85 s on a 2-core
@@ -357,74 +360,63 @@ class SingularPointReport:
     source: str
 
 
-def _mp_evaluator(*polys):
-    """Compile polys over one ring for mpmath: ``evaluate(vals)``, vals in
-    ring order, yields each one's ``(value, size)`` in turn, the size being
-    the sum of its terms' absolute values (Higham, Accuracy and Stability of
-    Numerical Algorithms, 5.1).  Coefficients become mpfs once, at this
-    call's working precision, so compile under the evaluations'.  Per point
-    each power v ** e is computed once and shared; terms are summed from
-    mpf(0) in term order, so each value is its polynomial's term-by-term value
-    bit for bit, and each size its |coefficient| polynomial's at |vals|."""
-    import mpmath as mp
-    slot, program = {}, []
-    for poly in polys:
-        fresh = sorted({(i, e) for m in poly.terms for i, e in enumerate(m) if e}
-                       - slot.keys())
-        slot.update(zip(fresh, count(len(slot))))
-        terms = [(to_mpf(c), [slot[(i, e)] for i, e in enumerate(m) if e])
-                 for m, c in poly.terms.items()]
-        program.append((fresh, terms))
+def _exact_evaluator(*polys):
+    """Compile polys over ("x", "y") for exact evaluation at a point.
 
-    def evaluate(vals):
-        pw = []
-        for fresh, terms in program:
-            pw += [vals[i] ** e for i, e in fresh]
-            total = size = mp.mpf(0)
-            for term, factors in terms:
-                for k in factors:
-                    term *= pw[k]
-                total += term
-                size += abs(term)
-            yield total, size
+    ``evaluate(x, y)``, each coordinate a Fraction or an mpf taken at its
+    dyadic value (``to_fraction``), returns ``den`` and an iterator of each
+    polynomial's ``(value, size)`` in turn, so a caller that stops early
+    evaluates no more.  All are integers: at the point, a polynomial reads
+    value/den, and the sum of its terms' absolute values (Higham, Accuracy
+    and Stability of Numerical Algorithms, 5.1) reads size/den.  The
+    coefficients are cleared of denominators by one common multiple, and
+    each power x^i is taken as n^i d^(top - i) for x = n/d, top being the
+    largest exponent of x in the polys (so for y); both change no sign and
+    no ratio between any two of these numbers.  The power of two in d is
+    applied to each term as one shift, so a dyadic point (every mpf) costs
+    no multiplication by it.
+    """
+    mult = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    tops = [max((m[k] for p in polys for m in p.terms), default=0) for k in (0, 1)]
+    program = [[(c.numerator * (mult // c.denominator), i, j)
+                for (i, j), c in p.terms.items()] for p in polys]
+
+    def evaluate(x, y):
+        den, powers = mult, []
+        for v, top in zip((x, y), tops):
+            v = to_fraction(v)
+            n, d = v.numerator, v.denominator
+            k = (d & -d).bit_length() - 1  # d = q 2^k with q odd
+            q = d >> k
+            powers.append([(n ** e * q ** (top - e), k * (top - e))
+                           for e in range(top + 1)])
+            den *= d ** top
+        px, py = powers
+
+        def values():
+            for terms in program:
+                value = size = 0
+                for c, i, j in terms:
+                    (u, a), (w, b) = px[i], py[j]
+                    term = c * u * w << a + b
+                    value += term
+                    size += abs(term)
+                yield value, size
+        return den, values()
 
     return evaluate
 
 
-def _per_mirror_class(g: MultiPoly, judge):
-    """``judge`` of a point (mpfs in g's ring order), taken once per mirror
-    class of g and kept for this call.
-
-    A coordinate folds when g has a definite parity in it: every term's
-    exponent of it even, or every one odd.  Points that differ only in the
-    signs of folded coordinates are one class.  g's partial derivatives of
-    every order keep those parities, and mpmath rounds to nearest by
-    magnitude, so its products, sums and integer powers are odd functions,
-    fl(-v) = -fl(v) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2.1): at two points of one class each of these polynomials
-    reads, through ``_mp_evaluator``, the same value up to its parity sign,
-    bit for bit, and the same term size.  ``judge`` must read values only
-    through their magnitudes, or through products whose signs cancel; the
-    class is keyed by the points' exact mpf fields, so no rounding merges two
-    classes.  A g of no parity folds nothing and judges every point.
-    """
-    folds = [len({m[i] % 2 for m in g.terms}) == 1 for i in range(len(g.ring))]
-    memo = {}
-
-    def judged(pt):
-        key = tuple(v._mpf_[1:] if f else v._mpf_ for v, f in zip(pt, folds))
-        if key not in memo:
-            memo[key] = judge(pt)
-        return memo[key]
-
-    return judged
-
-
-def _max_abs_coeff(poly: MultiPoly) -> mp.mpf:
-    # rounding an integer to an mpf is monotone, so for the integer
-    # polynomials this sees the max of the exact values rounds to the max of
-    # the rounded ones
-    return to_mpf(max(abs(c) for c in poly.terms.values()))
+def _root_ratio(n: int, d: int) -> float:
+    """sqrt(n)/d for integers n >= 0 and d > 0, as a float: the root is
+    taken as isqrt(n 4^k) / 2^k with isqrt(n 4^k) >= 2^119 (unless n is 0),
+    so its floor moves it by under 2^-119 relatively, and the quotient is
+    rounded once by integer true division; inf past the float range."""
+    k = max(0, 120 - n.bit_length() // 2)
+    try:
+        return isqrt(n << 2 * k) / (d << k)
+    except OverflowError:
+        return inf
 
 
 def _signed_squares(conic: ConicSpec):
@@ -553,28 +545,29 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
     (``_tag``), attach gradient residuals, sort by (y, x), count the complex
     points and freeze the report.
 
-    ``g`` is the closed-form offset polynomial; the residuals use its raw
-    (not content-normalized) gradient.  ``points_of`` runs at RADICAL_DPS.
-    Every offset polynomial is even in x, and a central conic's in y too, so
-    mirror images of a point read g_x and g_y equal up to sign, bit for bit
-    (``_per_mirror_class``): the residual sqrt(g_x^2 + g_y^2)/scale is taken
-    once per class.
+    ``g`` is the closed-form offset polynomial, whose coefficients are
+    integers; the residuals use its raw (not content-normalized) gradient.
+    ``points_of`` runs at RADICAL_DPS.  A point's residual sqrt(g_x^2 +
+    g_y^2)/scale, scale being the largest |coefficient| of g, g_x and g_y,
+    is taken exactly at the reported (rounded) point and rounded to a float
+    once (``_root_ratio``), so a rational point reads 0.
     """
     import mpmath as mp
     r = _offset(r)
     regime = _regime(conic, r)
     g = offset_poly_closed_form(conic, r).g
     gx, gy = gradient(g, ["x", "y"])
-    points = []
+    scale = max(abs(c.numerator) for q in (g, gx, gy) for c in q.terms.values())
+    grad = _exact_evaluator(gx, gy)
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        scale = max(_max_abs_coeff(q) for q in (g, gx, gy))
-        grad = _mp_evaluator(gx, gy)
-        residual = _per_mirror_class(
-            g, lambda pt: float(mp.sqrt(sum(v ** 2 for v, _ in grad(pt))) / scale))
-        for xv, yv in points_of(r, regime, g):
-            x, y = (v if isinstance(v, Fraction) else to_float(v) for v in (xv, yv))
-            points.append(SingularPoint(x=x, y=y, tag=_tag(conic, r, regime, xv, yv),
-                                        residual_grad=residual((to_mpf(xv), to_mpf(yv)))))
+        found = points_of(r, regime, g)
+    points = []
+    for xv, yv in found:
+        den, ((vx, _), (vy, _)) = grad(xv, yv)
+        x, y = (v if isinstance(v, Fraction) else to_float(v) for v in (xv, yv))
+        points.append(SingularPoint(x=x, y=y, tag=_tag(conic, r, regime, xv, yv),
+                                    residual_grad=_root_ratio(vx * vx + vy * vy,
+                                                              den * scale)))
     points.sort(key=lambda s: (to_float(s.y), to_float(s.x)))
     outside = conic.kind != PARABOLA and not (conic.a > conic.b > r)
     return SingularPointReport(conic=conic, r=r, r_crit=r_crit(conic),
@@ -641,21 +634,18 @@ def singular_locus(g: MultiPoly) -> list:
     h = d g - x g_x - y g_y, d being g's total degree: d g = h + x g_x +
     y g_y, so <h, grad g> is the same ideal, and h has degree below d (g
     itself where h is 0, as for a constant or homogeneous g).  Every
-    (x root, y root) pair is judged once, at RADICAL_DPS: it is a point when
-    g and each nonzero partial read 0 there, by the module's rule, which
-    weighs each value against its own terms' size, so a point far from the
-    origin is judged at its own scale and a constant factor of g changes
-    nothing (at an axis point g_x's terms are all 0, and 0 reads 0).  The
-    roots are correctly rounded, so true points read far below the rule's
-    bound and cross-pairings of coordinates from two different points far
-    above it.
-    A verdict reads only |value| and size, so it is one per mirror class
-    (``_per_mirror_class``): (x, y), (-x, y), (x, -y) and (-x, -y) are
-    judged once when g is even or odd in both coordinates, and the output
-    keeps the pairing order.  Raises EliminationError when the zeros are not
-    finite (g has a repeated factor), and ResourceLimitError when the
-    Groebner completion of <g, grad g> processes more than LOCUS_MAX_PAIRS
-    S-pairs or meets a remainder of total degree above LOCUS_MAX_DEGREE.
+    (x root, y root) pair is judged once, exactly at the rounded roots
+    (``_exact_evaluator``): it is a point when g and each nonzero partial
+    read 0 there, by the module's rule, which weighs each value against its
+    own terms' size, so a point far from the origin is judged at its own
+    scale and a constant factor of g changes nothing (at an axis point g_x's
+    terms are all 0, and 0 reads 0).  The roots are correctly rounded at
+    RADICAL_DPS, so true points read far below the rule's bound and
+    cross-pairings of coordinates from two different points far above it.
+    Raises EliminationError when the zeros are not finite (g has a repeated
+    factor), and ResourceLimitError when the Groebner completion of <g, grad
+    g> processes more than LOCUS_MAX_PAIRS S-pairs or meets a remainder of
+    total degree above LOCUS_MAX_DEGREE.
     """
     import mpmath as mp
     system = (g, *(q for q in gradient(g, ["x", "y"]) if not q.is_zero()))
@@ -665,39 +655,30 @@ def singular_locus(g: MultiPoly) -> list:
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
         xs, ys = (cardano.real_roots_exact(cs) for cs in
                   _singular_eliminants((h or g, *system[1:])))
-        bound = mp.mpf(10) ** -(RADICAL_DPS // 2)
-        evaluate = _mp_evaluator(*system)
-        vanishes = _per_mirror_class(g, lambda pt: all(
-            abs(v) <= bound * size for v, size in evaluate(pt)))
-        return [(xv, yv) for xv, yv in product(xs, ys)
-                if vanishes((to_mpf(xv), to_mpf(yv)))]
+    evaluate = _exact_evaluator(*system)
+    return [(xv, yv) for xv, yv in product(xs, ys)
+            if all(abs(v) * _ZERO_RATIO <= size for v, size in evaluate(xv, yv)[1])]
 
 
 def hessian_definite(g: MultiPoly, points) -> list:
     """Per point of ``singular_locus(g)``: is g's Hessian definite (an isolated
-    zero, not a node or cusp)?  At RADICAL_DPS digits, by the module's rule
-    for 0, an entry that reads 0 is 0 (an exact 0 read 1.7e-49 at (0, 10/7)
-    on ellipse(7/4, 3/4) at r_crit), and det = a11 a22 - a12^2 must be
+    zero, not a node or cusp)?  The entries are taken exactly at the point
+    (``_exact_evaluator``; no mpmath is involved).  By the module's rule for
+    0, an entry that reads 0 is 0 (at (0, 10/7) on ellipse(7/4, 3/4) at
+    r_crit all three are exactly 0), and det = a11 a22 - a12^2 must be
     positive and not read 0 against its terms' size |a11 a22| + a12^2.
-
-    At a mirror image of a point each entry reads the same up to sign, bit
-    for bit (``_per_mirror_class``), and a11 and a22 change sign together,
-    so a11 a22 and a12^2 are the same: the verdict is taken once per class.
     """
-    import mpmath as mp
     if not points:
         return []
     gx, gy = gradient(g, ["x", "y"])
-    entries = (*gradient(gx, ["x", "y"]), *gradient(gy, ["y"]))
-    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        bound = mp.mpf(10) ** -(RADICAL_DPS // 2)
-        hessian = _mp_evaluator(*entries)
+    hessian = _exact_evaluator(*gradient(gx, ["x", "y"]), *gradient(gy, ["y"]))
 
-        def definite(pt):
-            a11, a12, a22 = (v if abs(v) > bound * s else 0 for v, s in hessian(pt))
-            return a11 * a22 - a12 * a12 > bound * (abs(a11 * a22) + a12 * a12)
-        definite = _per_mirror_class(g, definite)
-        return [definite((to_mpf(x), to_mpf(y))) for x, y in points]
+    def definite(x, y):
+        a11, a12, a22 = (v if abs(v) * _ZERO_RATIO > s else 0
+                         for v, s in hessian(x, y)[1])
+        det = a11 * a22 - a12 * a12
+        return det * _ZERO_RATIO > abs(a11 * a22) + a12 * a12
+    return [definite(x, y) for x, y in points]
 
 
 def singular_points_via_elimination(conic: ConicSpec, r) -> SingularPointReport:
@@ -705,7 +686,7 @@ def singular_points_via_elimination(conic: ConicSpec, r) -> SingularPointReport:
     polynomial through the shared report path, tagged by ``_tag``.
 
     Coordinates come out at RADICAL_DPS digits, and each candidate pair is
-    judged once at that precision (see ``singular_locus``).  Raises
+    judged once, exactly at those digits (see ``singular_locus``).  Raises
     RootPairingError when no real point survives the pairing, and
     ResourceLimitError past singular_locus's limits."""
     rep = _report(conic, r, "elimination", lambda r, regime, g: singular_locus(g))

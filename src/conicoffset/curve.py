@@ -184,17 +184,18 @@ def conic_point_and_normal(conic: ConicSpec, t: float):
     """
     if conic.kind == PARABOLA:
         (p,) = _floats(conic)
-        x0, y0 = t, t * t / (4.0 * p)
+        x0, y0 = t, t / (4.0 * p) * t
         # gradient of x^2 - 4 p y, normalized; points to the convex side
         nx, ny = 2.0 * x0, -4.0 * p
     elif conic.kind == ELLIPSE:
         a, b = _floats(conic)
         x0, y0 = b * math.cos(t), a * math.sin(t)
-        nx, ny = x0 / (b * b), y0 / (a * a)
+        # a b (x0 / b^2, y0 / a^2), with no square of a or b to overflow
+        nx, ny = a * math.cos(t), b * math.sin(t)
     else:
         a, b = _floats(conic)
         x0, y0 = b * math.sinh(t), a * math.cosh(t)
-        nx, ny = -x0 / (b * b), y0 / (a * a)
+        nx, ny = -a * math.sinh(t), b * math.cosh(t)
     norm = math.hypot(nx, ny)
     return (x0, y0), (nx / norm, ny / norm)
 
@@ -244,20 +245,20 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int) -> list:
 
 
 def curvature(conic: ConicSpec, t: float) -> float:
-    """|beta' x beta''| / |beta'|^3 for the standard parameterizations."""
+    """|beta' x beta''| / |beta'|^3 for the standard parameterizations; a
+    central conic's a b / s^3 is (a / s) (b / s) / s, s = |beta'| from
+    ``math.hypot``, so no square of a parameter overflows."""
     if conic.kind == PARABOLA:
         (p,) = _floats(conic)
         cross = abs(1.0 / (2.0 * p))
         speed2 = 1.0 + (t / (2.0 * p)) ** 2
-    elif conic.kind == ELLIPSE:
-        a, b = _floats(conic)
-        cross = a * b
-        speed2 = (b * math.sin(t)) ** 2 + (a * math.cos(t)) ** 2
+        return cross / speed2 ** 1.5
+    a, b = _floats(conic)
+    if conic.kind == ELLIPSE:
+        speed = math.hypot(b * math.sin(t), a * math.cos(t))
     else:
-        a, b = _floats(conic)
-        cross = a * b
-        speed2 = (b * math.cosh(t)) ** 2 + (a * math.sinh(t)) ** 2
-    return cross / speed2 ** 1.5
+        speed = math.hypot(b * math.cosh(t), a * math.sinh(t))
+    return a / speed * (b / speed) / speed
 
 
 def max_curvature(conic: ConicSpec) -> float:
@@ -728,7 +729,7 @@ def offset_figure(conic: ConicSpec, r, bbox=None, resolution: int = 512,
     The offset trace pins the closed catalogue's points
     (conics.catalogue_pins), a virtual one marked but not spliced, and the
     base conic's trace none, since a nondegenerate conic is smooth: a figure
-    runs no Groebner completion and no 60-digit Hessian test.  The markers
+    runs no Groebner completion and no Hessian test.  The markers
     are the offset trace's pins, its singular_vertices (the real singular
     points in the bbox), labelled S1..Sn in (y, x) order."""
     g = offset_poly_closed_form(conic, r).g

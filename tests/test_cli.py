@@ -51,14 +51,17 @@ def test_singular_json(capsys):
     assert doc["r_crit"] == "3/4"
 
 
+# recorded again when residuals came to be taken exactly at the rounded
+# point, not through a 60-digit evaluation: only the residual digits moved
+# (5.98e-62 -> 3.39e-62, 7.47e-63 -> 1.58e-63)
 SINGULAR_TEXT = """\
 r_crit = 3/4  regime = supercritical  6 real point(s), 2 complex
-  (-0.27684418911358416, -1.7450940736957248)  [split]  |grad| residual 5.98e-62
-  (0.27684418911358416, -1.7450940736957248)  [split]  |grad| residual 5.98e-62
-  (0, -1.1902380714238083)  [on-curve]  |grad| residual 7.47e-63
-  (0, 1.1902380714238083)  [on-curve]  |grad| residual 7.47e-63
-  (-0.27684418911358416, 1.7450940736957248)  [split]  |grad| residual 5.98e-62
-  (0.27684418911358416, 1.7450940736957248)  [split]  |grad| residual 5.98e-62
+  (-0.27684418911358416, -1.7450940736957248)  [split]  |grad| residual 3.39e-62
+  (0.27684418911358416, -1.7450940736957248)  [split]  |grad| residual 3.39e-62
+  (0, -1.1902380714238083)  [on-curve]  |grad| residual 1.58e-63
+  (0, 1.1902380714238083)  [on-curve]  |grad| residual 1.58e-63
+  (-0.27684418911358416, 1.7450940736957248)  [split]  |grad| residual 3.39e-62
+  (0.27684418911358416, 1.7450940736957248)  [split]  |grad| residual 3.39e-62
 """
 
 
@@ -607,42 +610,90 @@ def test_shared_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
 # only residual digits moved.  The elimination-route hash of case 6 was
 # recorded again when every eliminant root came to be correctly rounded: the
 # split points' coordinates moved in their last digits, and their
-# residual_grad with them (3.74e-62 -> 6.39e-62)
+# residual_grad with them (3.74e-62 -> 6.39e-62).  Cases 1-4 and 6-9 were
+# recorded again when residuals came to be taken exactly at the rounded
+# point: only residual_grad moved (GOLDEN_SINGULAR_POINTS, recorded before,
+# still holds), and the rational points of cases 1, 2 and 8 now read 0;
+# case 5's points are rational and read 0 before and after
 GOLDEN_SINGULAR = {
-    1: ("4f9fddb063291d61b587ac0ee7f8f45f7ea80cc52a81cb0af56536afb9fbbbe2",
-        "5acf3e3cc4a114bd25d34859d6553313ef09ba59f21ef6483ccfa56592e61d4a"),
-    2: ("41640d659a04abee06d2e178cece0fba3042b81e0b2d50f19c4e9aab40a935e2",
-        "976f7a2623c054190c5a99c0165b01523503f71ed2d4c6e604a5332606be7e74"),
-    3: ("74d6d3e72fb4cbca65b14827033af14108ff9b3385e034dc0c078028c47e91a4",
-        "dc7bb8a594acaa4448891102d1586b5fe6568859f55dde8f0281014c11311b65"),
-    4: ("b97c28de754b2181d6fd099e1bcc914dae6ce65095c3bf97bb8b07070b18210e",
-        "6340f552bfc461a497524b44630a774fb02029ee6ba0d77bef427dc8c97a6f5d"),
+    1: ("a2d7eab3efe77d465fdb6dadee43e8ca684323d0b54d386f98219add666743e4",
+        "9f225137e474b2c8a6dcc81d0c550b3e0d1e82699477f409820a0306fb462bc6"),
+    2: ("68515c34bee804bfd5b609b178a9f7985cc3a8609736815ebc93feafe7157e2a",
+        "ce3fa2f683f769ba4e08241397960acd9bb99af263a3b7a0632e4f68db7549d2"),
+    3: ("496857fb43c549b4c855b0e45b886ef31171146141ae3f4e508c73a6aae377f9",
+        "1f66dec9085506f26dbe52bd0fc6c8ef608bb1b01a8e653632670d9b5738ff35"),
+    4: ("decb642cff003b485c14dfdc5b5dccd059f20133361177aa4fdf10875ffc6562",
+        "d83832f74cfeaca63a301e8658665824fd4084d0ad4c37218169a530da7125bc"),
     5: ("b1d36fc56d1210b533269701b0d1bfca6f4b7b4b90c539f7b96463c1c636c051",
         "0ca284aa975aa2d2ed5b41af244ac908c2a7dadd9e4d2921e9ac7176b659ae3a"),
-    6: ("d77d441d7a65bed3a03e575f9cb8c22403d6b3a7cca39ae9f32584dc1a4b1a67",
-        "98bc55b5615db6d824e0fb077bfe91913aaa106ab8bc6fcf9e7f8eb053dfa240"),
-    7: ("1728cdab981ed01a71d53126ce95715be293afc72d9307776df9ef65e69ca73a",
-        "18a3f80316eb86a2a4e008aa404f101d6762fd82bb0a93969e4961ff6c6b704d"),
-    8: ("a0a8ddc9601904c2357f4aff99cc2698e0172881d812daae4d85d8e5f0b04de7",
-        "be1c24edeb6af497fdaf6bf83ca6927ea69468a949a6680f1fc9244a693d7fc3"),
-    9: ("588d6e1137289cbed59d2fe4e57b7713f7f120c729e94dc99364001bba75584d",
-        "9c6ef21658e74c4f63913bce34b437a5075d54af57e95266f5d19096122bc18d"),
+    6: ("67293906dc64ad5d3522aa3bf2bc153566a379ae63f9b5c074226de056419e62",
+        "e47c02bf8e52c8c339ff8482c014b5995aaf47b8b0d8378f25ca8664851ec2a2"),
+    7: ("b1ec0b967ad44f2668cb71d97c22f45926b21d3ebfe14651a6447324ee7026f5",
+        "050a8be32d4ccb866d322916fb7534f1484b9d6e472b0e32060e1cbb8973a953"),
+    8: ("1bfbfebc5965c4a6b1ae45325d1c19629cc54b70bc448c0876fe69a8fd4d2d08",
+        "e9e584312fe2800a3abcce8e3e88a2950ce87548712e8c3e9ff32f39a85fb37c"),
+    9: ("fe4428beda21d6cf6d20db1a62d3f3a478e353cfa44084fb241762239c18c18d",
+        "6a18d9f2768f1513c842139d3d5da7368cedf859a05281c66bc1ce46baaa8617"),
 }
 
 
-@pytest.mark.parametrize("case_id", sorted(GOLDEN_SINGULAR))
-def test_golden_singular_reports(capsys, case_id):
+# sha256 of the same reports with every point's residual_grad removed, in
+# the CLI's JSON form: the points, tags, counts and regime, which a change
+# to how residuals are evaluated must leave as they are
+GOLDEN_SINGULAR_POINTS = {
+    1: ("b01effc759f226bb2a7acc4e49e94e779174625ee87678925233efd420929b5a",
+        "3d3371cbbe3b4e43d1cac94be7cef9ba134f2d746b44097219272e81b9be1ab3"),
+    2: ("450cfd137039a6048fc1d97c167449a1e687ec37088915441d0cea8877f7603d",
+        "e300765184062c7f8cddf97a0bc9508d4d17ea29ccf699c8d1d960d3c4460e41"),
+    3: ("c00d70d3915a145ffe0f9811efb40318be828273c1fe4f0df308523d687d4277",
+        "79b25c8aac6f9ff96837d63aaddf6c0f327cde054cc70ffb34a47c15635c828d"),
+    4: ("294d58274caabb6dd6709ff0b5acd2b255d0bc8312e4b9c4f4ba0406fc0bf6cc",
+        "26d4a5605ccb9e409678d85c452042338c79147482961b4b9947453ab16a01ae"),
+    5: ("48c32c3735bc25eae27954d46c3220e26d022117917e92c4b3936e4d9af6674d",
+        "c736fd9845d1194be138982df8e8b5248f74ec24b7b684755a2dd429112b6389"),
+    6: ("f794c3a96de803cea22b924f655065983cf45f34bf7c21e274e1002a23be5c6e",
+        "2f88de0c81ee25e852f08771939827805932f36212fa3cd4cdeb142c9e09358c"),
+    7: ("91672d3080af368f1c4623db312655f2ebcf40717a78c1744bc8215f2f9c33ba",
+        "9413d71c6f17bebd27481b29f3e1a09db5efdf9016fb4917ffe1c9a62153b909"),
+    8: ("f201e608f8e2bc5430a077ff89098888b3df68e3ac5b867f0fbb76d21a87d8b5",
+        "2904a6edde51ab51da05e59d70db3cc17d0bf9d2a0a8df75129da40602b0c878"),
+    9: ("ff24f91f165afe2ee0cf4164306f2c072be2249ea1ad033fb38f37e1ca7a714c",
+        "3e255e21bb9704b882bf090f592e5266c380672d762d76a427f1ee7d17d523bc"),
+}
+
+
+def _singular_json_outputs(capsys, case_id):
+    # `singular --format json` stdout of a reference case, closed route first
     c = reference.case(case_id)
     conic = conic_from_case(c)
     flags = [f"--{k}={v}" for k, v in conic.params]
-    got = []
+    outs = []
     for method in ("closed", "elimination"):
         code, out, _ = run(capsys, "singular", "--conic", conic.kind, *flags,
                            f"--r={Fraction(c['r'])}", "--method", method,
                            "--format", "json")
         assert code == 0
-        got.append(hashlib.sha256(out.encode()).hexdigest())
-    assert tuple(got) == GOLDEN_SINGULAR[case_id]
+        outs.append(out)
+    return outs
+
+
+@pytest.mark.parametrize("case_id", sorted(GOLDEN_SINGULAR))
+def test_golden_singular_reports(capsys, case_id):
+    got = tuple(hashlib.sha256(out.encode()).hexdigest()
+                for out in _singular_json_outputs(capsys, case_id))
+    assert got == GOLDEN_SINGULAR[case_id]
+
+
+@pytest.mark.parametrize("case_id", sorted(GOLDEN_SINGULAR_POINTS))
+def test_golden_singular_points(capsys, case_id):
+    got = []
+    for out in _singular_json_outputs(capsys, case_id):
+        doc = json.loads(out)
+        for point in doc["points"]:
+            del point["residual_grad"]
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        got.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(got) == GOLDEN_SINGULAR_POINTS[case_id]
 
 
 def test_verify_paper_subset(capsys):

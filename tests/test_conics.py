@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -626,7 +627,7 @@ def test_via_elimination_honours_limits(monkeypatch):
 
 
 def _reference_eval_mp(poly, coords):
-    # verbatim copy of the per-call evaluator the compiled one replaced
+    # term by term at the working precision; coordinates may be mpcs
     vals = [coords[name] for name in poly.ring]
     total = mp.mpf(0)
     for m, c in poly.terms.items():
@@ -638,43 +639,58 @@ def _reference_eval_mp(poly, coords):
     return total
 
 
+def _fraction_sums(poly, x, y):
+    # the value of poly at exact (x, y) and its terms' summed size, as
+    # Fraction sums of c x^i y^j and of |c x^i y^j|
+    terms = [c * x ** i * y ** j for (i, j), c in poly.terms.items()]
+    return sum(terms, F(0)), sum(map(abs, terms), F(0))
+
+
+def _exact_coords(x, y):
+    # the exact value of a point whose coordinates are Fractions or mpfs
+    return [F(*mp.libmp.to_rational(v._mpf_)) if isinstance(v, mp.mpf) else v
+            for v in (x, y)]
+
+
 @pytest.mark.parametrize("case_id", range(1, 10))
 def test_mp_evaluator_bit_identical(case_id):
-    # eight polynomials compiled into one evaluator with one power table:
-    # every value is bit for bit the term-by-term value of its polynomial,
-    # and a consumer that stops early gets the same leading values
+    # eight polynomials compiled into one evaluator: at 40 seeded rationals
+    # and at RADICAL_DPS mpfs of either sign and of either sign of exponent,
+    # over the common denominator each value is the Fraction value of its
+    # polynomial at the point's exact value, and a consumer that stops early
+    # gets the same leading values
     case = reference.case(case_id)
     g = offset_poly_closed_form(conic_from_case(case), F(case["r"])).g
     gx, gy = gradient(g, ["x", "y"])
     gxx, gxy = gradient(gx, ["x", "y"])
     _, gyy = gradient(gy, ["x", "y"])
+    polys = (g, gx, gy, content_normalize(gx), content_normalize(gy),
+             gxx, gxy, gyy, g * F(-5, 3))
     rng = random.Random(2000 + case_id)
+    pts = [(F(rng.randint(-400, 400), rng.randint(1, 97)),
+            F(rng.randint(-400, 400), rng.randint(1, 97))) for _ in range(40)]
     with mp.workdps(conics.RADICAL_DPS):
-        pts = [(to_mpf(F(rng.randint(-400, 400), rng.randint(1, 97))),
-                to_mpf(F(rng.randint(-400, 400), rng.randint(1, 97))))
-               for _ in range(40)]
         pts += [(mp.sqrt(2), -mp.cbrt(3)), (mp.mpf(0), mp.mpf(-1) / 3),
-                (mp.mpf(5) / 7, mp.mpf(0)), (mp.mpf(0), mp.mpf(0))]
-        for p in (g, gx, gy):
-            # the max of the exact values rounds to the max of the rounded
-            want = max(abs(to_mpf(c)) for c in p.terms.values())
-            assert conics._max_abs_coeff(p)._mpf_ == want._mpf_
-        polys = (g, gx, gy, content_normalize(gx), content_normalize(gy),
-                 gxx, gxy, gyy)
-        ev = conics._mp_evaluator(*polys)
-        for x, y in pts:
-            want = [_reference_eval_mp(p, {"x": x, "y": y})._mpf_ for p in polys]
-            assert [v._mpf_ for v, _ in ev((x, y))] == want
-            for k in range(1, len(polys)):
-                head = [v._mpf_ for v, _ in itertools.islice(ev((x, y)), k)]
-                assert head == want[:k]
+                (mp.mpf(5) / 7, mp.mpf(0)), (mp.mpf(0), mp.mpf(0)),
+                (mp.mpf(-3) * 2 ** 70, mp.mpf(12))]
+    evaluate = conics._exact_evaluator(*polys)
+    for x, y in pts:
+        exact = _exact_coords(x, y)
+        want = [_fraction_sums(p, *exact)[0] for p in polys]
+        den, got = evaluate(x, y)
+        assert [F(v, den) for v, _ in got] == want, (x, y)
+        for k in range(1, len(polys)):
+            den, got = evaluate(x, y)
+            head = [F(v, den) for v, _ in itertools.islice(got, k)]
+            assert head == want[:k], (x, y, k)
 
 
 @pytest.mark.parametrize("case_id", range(1, 10))
 def test_mp_evaluator_sizes_are_the_abs_polynomial_at_abs_point(case_id):
-    # the size of each value, summed in the evaluator's one pass, is bit for
-    # bit the polynomial with |coefficients| evaluated term by term at
-    # (|x|, |y|): mpmath rounds a product or a sum alike whatever its sign
+    # the size of each value, summed in the evaluator's one pass, is over
+    # the common denominator the polynomial with |coefficients| at (|x|, |y|),
+    # for Fraction and mpf coordinates of either sign (man_exp gives the
+    # mantissa without its sign)
     case = reference.case(case_id)
     g = offset_poly_closed_form(conic_from_case(case), F(case["r"])).g
     gx, gy = gradient(g, ["x", "y"])
@@ -682,17 +698,34 @@ def test_mp_evaluator_sizes_are_the_abs_polynomial_at_abs_point(case_id):
     absolute = [MultiPoly(p.ring, {m: abs(c) for m, c in p.terms.items()})
                 for p in polys]
     rng = random.Random(3000 + case_id)
+    pts = [(F(rng.randint(-400, 400), rng.randint(1, 97)),
+            F(rng.randint(-400, 400), rng.randint(1, 97))) for _ in range(40)]
     with mp.workdps(conics.RADICAL_DPS):
-        pts = [(to_mpf(F(rng.randint(-400, 400), rng.randint(1, 97))),
-                to_mpf(F(rng.randint(-400, 400), rng.randint(1, 97))))
-               for _ in range(40)]
-        pts += [(-mp.sqrt(2), mp.cbrt(3)), (mp.mpf(0), mp.mpf(-1) / 3),
-                (mp.mpf(-5) / 7, mp.mpf(0)), (mp.mpf(0), mp.mpf(0))]
-        ev = conics._mp_evaluator(*polys)
-        for x, y in pts:
-            at = {"x": abs(x), "y": abs(y)}
-            want = [_reference_eval_mp(p, at)._mpf_ for p in absolute]
-            assert [size._mpf_ for _, size in ev((x, y))] == want
+        pts += [(-mp.sqrt(2), mp.cbrt(3)), (-mp.sqrt(2), -mp.cbrt(3)),
+                (mp.mpf(0), mp.mpf(-1) / 3), (mp.mpf(-5) / 7, mp.mpf(0)),
+                (mp.mpf(0), mp.mpf(0)), (mp.mpf(-3) * 2 ** 70, mp.mpf(12))]
+    evaluate = conics._exact_evaluator(*polys)
+    for x, y in pts:
+        at = [abs(v) for v in _exact_coords(x, y)]
+        want = [_fraction_sums(p, *at)[0] for p in absolute]
+        den, got = evaluate(x, y)
+        assert [F(size, den) for _, size in got] == want, (x, y)
+        # and it is the sum of the terms' absolute values at the point
+        assert want == [_fraction_sums(p, *_exact_coords(x, y))[1] for p in polys]
+
+
+def test_root_ratio_rounds_once_and_reads_inf_past_the_float_range():
+    # sqrt(n)/d as the residual takes it: the correctly rounded float, for
+    # n of up to 2000 bits and d of up to 1000; 0 reads 0.0, and past the
+    # float range inf, never OverflowError
+    rng = random.Random(41)
+    with mp.workdps(100):
+        for _ in range(300):
+            n = rng.getrandbits(rng.randint(1, 2000))
+            d = rng.getrandbits(rng.randint(1, 1000)) | 1
+            assert conics._root_ratio(n, d) == float(mp.sqrt(n) / d), (n, d)
+    assert conics._root_ratio(0, 7) == 0.0
+    assert conics._root_ratio(4 ** 1100, 3) == math.inf
 
 
 def test_via_elimination_subcritical_parabola_axis_only():
@@ -755,12 +788,13 @@ def test_ellipse_split_points_at_and_beyond_largest_curvature_radius(
 
 
 def _system_residual(g):
-    # at the working precision: g with its content-normalized gradient, and
-    # a point's residual, max |q(x, y)| over them over the largest coefficient
+    # at the working precision, term by term: g with its content-normalized
+    # gradient, and a point's residual, max |q(x, y)| over them over the
+    # largest coefficient
     system = [g] + [content_normalize(q) for q in gradient(g, ["x", "y"])]
-    evaluate = conics._mp_evaluator(*system)
-    scale = max(conics._max_abs_coeff(q) for q in system)
-    return system, lambda x, y: max(abs(v) for v, _ in evaluate((x, y))) / scale
+    scale = max(abs(to_mpf(c)) for q in system for c in q.terms.values())
+    return system, lambda x, y: max(
+        abs(_reference_eval_mp(q, {"x": x, "y": y})) for q in system) / scale
 
 
 def _independent_complex_count(g):
@@ -888,19 +922,21 @@ def test_pair_residuals_keep_clear_of_the_pairing_bound():
     # singular_locus judges each (x root, y root) pair once: it keeps a pair
     # when every polynomial of the system is at most 10^-30, half of
     # RADICAL_DPS, times the summed size of its terms there.  By that rule,
-    # and by the largest coefficient as it judged before, every pair reads at
-    # least 10 orders of magnitude from the bound (when this was written,
-    # kept at most 1.7e-61 and dropped at least 5.9e-14 by term size, kept
-    # at most 1.7e-59 and dropped at least 3.9e-16 by largest coefficient).
-    # Both keep the same pairs, exactly its points, in order; a root solver
-    # that loses digits shows up here first
+    # and by the largest coefficient as it judged before, both taken here at
+    # RADICAL_DPS, every pair reads at least 10 orders of magnitude from the
+    # bound (when this was written, kept at most 1.7e-61 and dropped at
+    # least 5.9e-14 by term size, kept at most 1.7e-59 and dropped at least
+    # 3.9e-16 by largest coefficient).  Both keep the same pairs, exactly
+    # its points, in order; a root solver that loses digits shows up here
+    # first
     inputs = list(_pairing_gap_inputs())
     assert len(inputs) == 74
     for conic, r in inputs:
         g = offset_poly_closed_form(conic, r).g
         with mp.workdps(conics.RADICAL_DPS):
             system, residual = _system_residual(g)
-            evaluate = conics._mp_evaluator(*system)
+            absolute = [MultiPoly(q.ring, {m: abs(c) for m, c in q.terms.items()})
+                        for q in system]
             xs, ys = (cardano.real_roots_exact(cs)
                       for cs in conics._singular_eliminants(system))
             kept = []
@@ -909,9 +945,12 @@ def test_pair_residuals_keep_clear_of_the_pairing_bound():
                 res = residual(*pt)
                 assert res < mp.mpf("1e-45") or res > mp.mpf("1e-20"), \
                     (conic, r, res)
+                at = {"x": pt[0], "y": pt[1]}
+                sizes = {"x": abs(pt[0]), "y": abs(pt[1])}
                 # an all-zero size (g_x at an axis point) has a zero value
-                rel = max(abs(v) / size if size else abs(v)
-                          for v, size in evaluate(pt))
+                rel = max(abs(v) / size if size else abs(v) for v, size in
+                          ((_reference_eval_mp(q, at), _reference_eval_mp(a, sizes))
+                           for q, a in zip(system, absolute)))
                 assert rel < mp.mpf("1e-45") or rel > mp.mpf("1e-20"), \
                     (conic, r, rel)
                 assert (res < mp.mpf("1e-45")) == (rel < mp.mpf("1e-45"))
@@ -931,6 +970,9 @@ def test_far_points_are_judged_at_their_own_scale():
     assert [(s.x, s.y, s.tag) for s in rep_c.points] == \
         [(s.x, s.y, s.tag) for s in rep_e.points] == \
         [(0, conic.p + r * r / (4 * conic.p), "virtual")]
+    # the point is rational and its residual is taken exactly: 0 (it read
+    # 2.4e239 through a 60-digit evaluation)
+    assert [s.residual_grad for s in rep_c.points + rep_e.points] == [0.0, 0.0]
     # parabola(1/3) at r = 10^200: the axis point (0, 7.5e399) joins the two
     # split points, and past the float range both routes refuse to report
     conic, r = ConicSpec.parabola(F(1, 3)), F(10) ** 200
@@ -996,44 +1038,6 @@ def test_hessian_definite_matches_catalogue_tags():
     assert seen == {("virtual", True), ("on-curve", False), ("split", False)}
 
 
-def _parity(q, i):
-    # +1 or -1 when every term of q has an even, or every one an odd,
-    # exponent of variable i; None otherwise
-    kinds = {m[i] % 2 for m in q.terms}
-    return (-1) ** kinds.pop() if len(kinds) == 1 else None
-
-
-def test_mirror_images_read_equal_up_to_parity_sign():
-    # the rule behind _per_mirror_class: at (-x, y), (x, -y) and (-x, -y)
-    # each of g and its first and second partials reads, bit for bit, its
-    # value at (x, y) times its parity sign, with the same term size
-    rng = random.Random(32)
-    checked = 0
-    for i in range(1, 10):
-        case = reference.case(i)
-        g = offset_poly_closed_form(conic_from_case(case), F(case["r"])).g
-        gx, gy = gradient(g, ["x", "y"])
-        polys = (g, gx, gy, *gradient(gx, ["x", "y"]), *gradient(gy, ["y"]))
-        with mp.workdps(conics.RADICAL_DPS):
-            evaluate = conics._mp_evaluator(*polys)
-            for _ in range(4):
-                x, y = (to_mpf(F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999)))
-                        for _ in "xy")
-                base = list(evaluate((x, y)))
-                for sx, sy in ((-1, 1), (1, -1), (-1, -1)):
-                    image = evaluate((sx * x, sy * y))
-                    for q, (v, size), (w, w_size) in zip(polys, base, image):
-                        px = 1 if sx > 0 else _parity(q, 0)
-                        py = 1 if sy > 0 else _parity(q, 1)
-                        if px is None or py is None:
-                            continue
-                        assert w._mpf_ == (v if px * py > 0 else -v)._mpf_, (i, q)
-                        assert w_size._mpf_ == size._mpf_, (i, q)
-                        checked += 1
-    # all nine offsets are even in x, and the six central ones in y too
-    assert checked == 4 * 6 * (9 + 6 * 2)
-
-
 def _no_parity_g():
     # the line pairs (x - 1)^2 = y^2 and 4 (x + 1)^2 = (y - 1)^2: g has no
     # parity in x or in y; its nodes (1, 0), (-1, 1) and (0, -1) share
@@ -1043,69 +1047,33 @@ def _no_parity_g():
     return ((x - 1) ** 2 - y ** 2) * (4 * (x + 1) ** 2 - (y - 1) ** 2)
 
 
-def test_each_mirror_class_is_judged_once():
-    # (u, v), (-u, v), (u, -v), (-u, -v): a coordinate folds exactly when g
-    # is even or odd in it, and each image takes its class's first verdict
-    x = MultiPoly.variable(("x", "y"), "x")
-    ellipse = offset_poly_closed_form(ELLIPSE_3, F(4, 3)).g
-    parabola = offset_poly_closed_form(ConicSpec.parabola(F(1, 3)), F(1)).g
-    cases = [(ellipse, [1, 1, 1, 1]), (ellipse * x, [1, 1, 1, 1]),
-             (parabola, [1, 1, 2, 2]), (ellipse * (x + 1), [1, 2, 1, 2]),
-             (_no_parity_g(), [1, 2, 3, 4])]
-    with mp.workdps(conics.RADICAL_DPS):
-        u, v = to_mpf(F(2, 3)), to_mpf(F(-5, 7))
-        for g, verdicts in cases:
-            calls = []
-            judged = conics._per_mirror_class(g, lambda pt: calls.append(pt) or len(calls))
-            assert [judged((su * u, sv * v)) for sv in (1, -1) for su in (1, -1)] \
-                == verdicts, g
-
-
-def _singular_outputs(conic, r):
-    # both routes' reports, and singular_locus and hessian_definite of g
-    g = offset_poly_closed_form(conic, r).g
+def test_g_without_parity_matches_the_oracle():
+    # a g of no parity: its locus is its three nodes and the three crossings
+    # of its line pairs, and none of them has a definite Hessian; the
+    # coordinates' other pairings, e.g. (-1, 0) and (0, 1), are no points
+    g = _no_parity_g()
     locus = conics.singular_locus(g)
-    reports = [[(s.x, s.y, s.tag, s.residual_grad.hex()) for s in route(conic, r).points]
-               for route in (singular_points, singular_points_via_elimination)]
-    return reports, locus, conics.hessian_definite(g, locus)
-
-
-def _judge_every_point(monkeypatch):
-    # the oracle: every (x root, y root) pair judged, every residual and
-    # every Hessian taken, at its own point
-    monkeypatch.setattr(conics, "_per_mirror_class", lambda g, judge: judge)
-
-
-def test_mirror_classes_change_no_report(monkeypatch):
-    # both routes' points, tags and residual bits, the locus and the Hessian
-    # verdicts, as the oracle that judges point by point gives them, on the
-    # 74 pairing-gap inputs (the nine reference cases among them)
-    inputs = list(_pairing_gap_inputs())
-    folded = [_singular_outputs(conic, r) for conic, r in inputs]
-    _judge_every_point(monkeypatch)
-    for (conic, r), out in zip(inputs, folded):
-        assert out == _singular_outputs(conic, r), (conic, r)
-
-
-def test_g_without_parity_matches_the_oracle(monkeypatch):
-    # a g of no parity folds nothing; a central offset times (x + 1) folds
-    # y alone.  Folding x or y in the first keeps false points
-    asymmetric = _no_parity_g()
-    tilted = offset_poly_closed_form(ELLIPSE_3, F(4, 3)).g * \
-        (MultiPoly.variable(("x", "y"), "x") + 1)
-
-    def outputs():
-        return [(locus, conics.hessian_definite(g, locus))
-                for g in (asymmetric, tilted)
-                for locus in [conics.singular_locus(g)]]
-
-    folded = outputs()
-    locus, definite = folded[0]
     assert [tuple(map(float, pt)) for pt in locus] == \
         [(-4, -5), (-2, 3), (-1, 1), (float(F(-2, 3)), float(F(5, 3))), (0, -1), (1, 0)]
-    assert definite == [False] * 6
-    _judge_every_point(monkeypatch)
-    assert folded == outputs()
+    assert conics.hessian_definite(g, locus) == [False] * 6
+
+
+def test_a_zero_hessian_reads_exactly_zero():
+    # ellipse(7/4, 3/4) at r_crit = 9/28: the on-curve points (0, +-10/7) are
+    # rational, and every Hessian entry of g is exactly 0 there (a 60-digit
+    # evaluation read 1.7e-49), so the Hessian is not definite
+    conic = ConicSpec.ellipse(F(7, 4), F(3, 4))
+    r = r_crit(conic)
+    assert r == F(9, 28)
+    g = offset_poly_closed_form(conic, r).g
+    locus = conics.singular_locus(g)
+    assert locus == [(0, F(-10, 7)), (0, F(10, 7))]
+    assert all(type(v) is F for pt in locus for v in pt)
+    gx, gy = gradient(g, ["x", "y"])
+    hessian = conics._exact_evaluator(*gradient(gx, ["x", "y"]), *gradient(gy, ["y"]))
+    for x, y in locus:
+        assert [v for v, _ in hessian(x, y)[1]] == [0, 0, 0]
+    assert conics.hessian_definite(g, locus) == [False, False]
 
 
 def test_ellipse_outside_reference_range_flag():

@@ -137,6 +137,27 @@ def test_float_layer_refuses_parameters_past_the_float_range(call, conic, r):
         _FLOAT_CALLS[call](conic, r)
 
 
+
+@pytest.mark.parametrize("k", [100, 150, 153, 154, 200, 300])
+@pytest.mark.parametrize("kind", ["parabola", "ellipse", "hyperbola"])
+def test_float_layer_oracles_at_height(kind, k):
+    # p, a and b = 10^k: each float oracle returns finite values.  A square
+    # of a parameter overflows from about 1.3e154 up, and the sweep's x0^2
+    # from p of about 1.1e153: samples read y = inf, the normals 0/0, and
+    # the curvatures raised OverflowError
+    big = 10 ** k
+    conic = {"parabola": lambda: ConicSpec.parabola(big),
+             "ellipse": lambda: ConicSpec.ellipse(2 * big, big),
+             "hyperbola": lambda: ConicSpec.hyperbola(big, big)}[kind]()
+    pts = parametric_offset_samples(conic, 1, 8)
+    assert len(pts) == 16
+    assert all(math.isfinite(v) for p in pts for v in (p.x, p.y))
+    (x0, y0), (nx, ny) = conic_point_and_normal(conic, 0.5)
+    assert all(map(math.isfinite, (x0, y0)))
+    assert math.hypot(nx, ny) == pytest.approx(1.0, abs=1e-15)
+    assert 0 < curvature(conic, 0.5) < math.inf
+    assert float(r_crit(conic)) * max_curvature(conic) == pytest.approx(1.0, rel=1e-9)
+
 def test_trace_circle():
     tc = trace_implicit(CIRCLE, (-2, 2, -2, 2), 256)
     assert len(tc.polylines) == 1

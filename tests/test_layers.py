@@ -1,10 +1,12 @@
 """The float layer stays float-only: curve.py and mesh.py import no mpmath
 and no private name of conics, whose exact layer owns every 60-digit step;
 the exact layer imports no numpy, as the float layer owns the float solver;
-curve.py's figures mark the pins of their own trace, not the catalogue; and
-the elimination route calls none of the closed catalogue's root formulas."""
+curve.py's figures mark the pins of their own trace, not the catalogue; the
+elimination route calls none of the closed catalogue's root formulas; and
+the Hessian test at rational points runs without mpmath."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,20 @@ def test_the_elimination_route_calls_no_closed_root_formula(monkeypatch):
         except ClosedForm:
             refused.append(case_id)
     assert refused == list(range(3, 10))
+
+
+def test_hessian_definite_at_rational_nodes_needs_no_mpmath(monkeypatch):
+    # the six rational nodes and line crossings of a g of no parity, with
+    # mpmath's import blocked: every entry is taken exactly, in integers
+    from fractions import Fraction
+
+    from conicoffset.conics import hessian_definite
+    from conicoffset.poly import MultiPoly
+
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    g = ((x - 1) ** 2 - y ** 2) * (4 * (x + 1) ** 2 - (y - 1) ** 2)
+    nodes = [(-4, -5), (-2, 3), (-1, 1), (Fraction(-2, 3), Fraction(5, 3)),
+             (0, -1), (1, 0)]
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    assert hessian_definite(g, [(Fraction(u), Fraction(v)) for u, v in nodes]) == \
+        [False] * 6
