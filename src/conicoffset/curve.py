@@ -11,7 +11,8 @@ x-power), and the mesh loops call that closure; eval_poly is its one-point
 form.  The tracer runs the same groups over numpy arrays (_array_eval): each
 group's Horner once along the y nodes (_y_pass), then the grid in bands of
 rows, each band those Horners times its x nodes' powers (_x_pass), then its
-saddle centers and its edge solves in batches.
+saddle centers and its edge solves in batches; the edge solve's last few
+brackets call the closure itself (_group_evaluator), one point at a time.
 Bit identity is part of the contract: the closure's floating-point
 operations and their order are fixed, and _array_eval performs them
 elementwise, so its values are the closure's bit for bit, and traced
@@ -27,7 +28,10 @@ traced vertices, would depend on the host.
 The tracer solves each vertex on its own grid edge: this layer's bracketed
 1-D solver, bracketed_roots (Illinois regula falsi with a bisection
 fallback), between the two grid nodes whose signs differ, run once per
-trace over every crossing edge, so no vertex leaves its edge.
+trace over every crossing edge, so no vertex leaves its edge.  It takes its
+steps in array rounds over all the running brackets, and the last
+_SCALAR_TAIL of them, mostly beside a double zero, in scalar steps, one
+bracket at a time: the same steps, so each vertex is the same float.
 Segments are chained through the edges they share, with no float tolerance
 and no per-cell Python: each grid edge has an integer id (node index times
 2, plus 1 along y), a table gives every segment's two edge ids at once, one
@@ -108,11 +112,15 @@ def _xpow_groups(g: MultiPoly, **params) -> tuple:
 
 
 def xy_evaluator(g: MultiPoly, **params):
-    """Compile g once (_xpow_groups) into a float evaluator (x, y) -> float:
-    Horner in y per group from 0.0, each group times x to its power added in
-    turn, the fixed order of the bit-identity contract (module docstring)."""
-    groups = _xpow_groups(g, **params)
+    """Compile g once (_xpow_groups) into a float evaluator (x, y) -> float
+    (_group_evaluator)."""
+    return _group_evaluator(_xpow_groups(g, **params))
 
+
+def _group_evaluator(groups):
+    """The float evaluator (x, y) -> float of compiled groups: Horner in y per
+    group from 0.0, each group times x to its power added in turn, the fixed
+    order of the bit-identity contract (module docstring)."""
     def evaluate(x, y) -> float:
         xv, yv = float(x), float(y)
         total = 0.0
@@ -181,7 +189,10 @@ def conic_point_and_normal(conic: ConicSpec, t: float):
     Parameterizations: parabola by x0 = t (vertex at t=0); ellipse by the
     angle t; hyperbola by the hyperbolic parameter t on the upper branch
     (mirror for the lower one via t -> t + branch flag, handled by caller).
+    A t, base point or normal past the float range is a ParamError.
     """
+    if not math.isfinite(t):
+        raise ParamError(f"the parameter t = {t!r} is not finite")
     if conic.kind == PARABOLA:
         (p,) = _floats(conic)
         x0, y0 = t, t / (4.0 * p) * t
@@ -194,10 +205,22 @@ def conic_point_and_normal(conic: ConicSpec, t: float):
         nx, ny = a * math.cos(t), b * math.sin(t)
     else:
         a, b = _floats(conic)
-        x0, y0 = b * math.sinh(t), a * math.cosh(t)
-        nx, ny = -a * math.sinh(t), b * math.cosh(t)
+        sh, ch = _sinh_cosh(t)
+        x0, y0 = b * sh, a * ch
+        nx, ny = -a * sh, b * ch
     norm = math.hypot(nx, ny)
+    if not all(map(math.isfinite, (x0, y0, norm))):
+        raise ParamError(f"the base point at t = {t!r} is past the float range")
     return (x0, y0), (nx / norm, ny / norm)
+
+
+def _sinh_cosh(t: float):
+    """sinh t and cosh t, each inf (sinh with the sign of t) past the float
+    range, where math's raise OverflowError."""
+    try:
+        return math.sinh(t), math.cosh(t)
+    except OverflowError:
+        return math.copysign(math.inf, t), math.inf
 
 
 def parametric_offset_samples(conic: ConicSpec, r: float, n: int) -> list:
@@ -247,18 +270,36 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int) -> list:
 def curvature(conic: ConicSpec, t: float) -> float:
     """|beta' x beta''| / |beta'|^3 for the standard parameterizations; a
     central conic's a b / s^3 is (a / s) (b / s) / s, s = |beta'| from
-    ``math.hypot``, so no square of a parameter overflows."""
+    ``math.hypot``, so no square of a parameter overflows.  Where the speed
+    or its cube passes the float range the curvature reads as a subnormal or
+    0.0 (a hyperbola's past |t| of about 710 is below 1e-600, so 0.0 is its
+    correct rounding); a t or a curvature past the float range is a
+    ParamError."""
+    if not math.isfinite(t):
+        raise ParamError(f"the parameter t = {t!r} is not finite")
     if conic.kind == PARABOLA:
         (p,) = _floats(conic)
         cross = abs(1.0 / (2.0 * p))
-        speed2 = 1.0 + (t / (2.0 * p)) ** 2
-        return cross / speed2 ** 1.5
-    a, b = _floats(conic)
-    if conic.kind == ELLIPSE:
-        speed = math.hypot(b * math.sin(t), a * math.cos(t))
+        u = t / (2.0 * p)
+        try:
+            k = cross / (1.0 + u ** 2) ** 1.5
+        except OverflowError:
+            # (1 + u^2)^1.5 past the float range, where 1 + u^2 is u^2 to
+            # far below an ulp
+            k = cross / abs(u) / abs(u) / abs(u)
     else:
-        speed = math.hypot(b * math.cosh(t), a * math.sinh(t))
-    return a / speed * (b / speed) / speed
+        a, b = _floats(conic)
+        if conic.kind == ELLIPSE:
+            speed = math.hypot(b * math.sin(t), a * math.cos(t))
+        else:
+            # where cosh t overflows the speed is inf and the curvature 0.0,
+            # its correct rounding: it is below 1 / (max(a, b) cosh(t)^3)
+            sh, ch = _sinh_cosh(t)
+            speed = math.hypot(b * ch, a * sh)
+        k = a / speed * (b / speed) / speed
+    if not math.isfinite(k):
+        raise ParamError(f"the curvature at t = {t!r} is past the float range")
+    return k
 
 
 def max_curvature(conic: ConicSpec) -> float:
@@ -334,14 +375,21 @@ MAX_RESOLUTION = 2 ** 13
 # the grid nodes that one band of the tracer evaluates at once, about 128 KiB
 # per float64 temporary
 _BAND_NODES = 2 ** 14
+# the running brackets at which bracketed_roots leaves its array rounds and
+# finishes each bracket alone in scalar steps: an array round pays tens of
+# microseconds of numpy calls whatever its size, a scalar step on an offset
+# polynomial 2 or 3; 32 and 64 were the fastest of 8 to 128 on figures
+_SCALAR_TAIL = 32
 
 
-def bracketed_roots(phi, lo, hi, flo, fhi, width):
+def bracketed_roots(phi, phi1, lo, hi, flo, fhi, width):
     """Roots of many brackets at once, as one array: bracket k holds the root
     of its function on [lo[k], hi[k]], floats or mpfs, given flo[k] and
     fhi[k], its values at the ends, of opposite signs.  phi(t, idx) returns
-    the values at the points t of the brackets numbered idx; `width` is one
-    stop width or one per bracket.
+    the values at the points t of the brackets numbered idx, and phi1(t, k)
+    the value at the one point t (a Python float or an mpf) of bracket k (an
+    int), bit for bit what phi gives there; `width` is one stop width or one
+    per bracket.
 
     Each bracket takes the steps of Illinois regula falsi (Dowell & Jarratt,
     BIT 1971) on its own: when the same end moves twice running, the other
@@ -350,9 +398,14 @@ def bracketed_roots(phi, lo, hi, flo, fhi, width):
     bracket, regula falsi alone walks into it until rounding fakes a sign
     change).  A bracket never widens.  It stops on an exact zero or once it
     is no wider than its width (a few ulps of lo and hi at least), and gives
-    the end with the smaller |phi|.  Every round evaluates phi once, on the
-    brackets still running; the arithmetic is elementwise, so a bracket's
-    steps and result do not depend on the others.  Its caller is the tracer.
+    the end with the smaller |phi|.  While more than _SCALAR_TAIL brackets
+    are running, each round evaluates phi once, on all of them, in
+    elementwise array arithmetic; the last few, mostly brackets that bisect
+    beside a double zero, then finish one at a time in scalar arithmetic
+    through phi1 (_finish_bracket), where a step costs no fixed set of numpy
+    calls.  Both are the same operations in the same order, so a bracket's
+    steps and result depend neither on the others nor on where it finishes.
+    Its caller is the tracer.
     """
     lo, hi, flo, fhi = (np.array(v) for v in (lo, hi, flo, fhi))
     out = np.where(flo == 0.0, lo, hi)  # an end that is a zero is the root
@@ -365,7 +418,7 @@ def bracketed_roots(phi, lo, hi, flo, fhi, width):
     state = (idx, lo[idx], hi[idx], flo[idx], fhi[idx], flo[idx], fhi[idx],
              np.zeros(n, int), np.zeros(n, int), width[idx])
     with np.errstate(all="ignore"):
-        while state[0].size:
+        while state[0].size > _SCALAR_TAIL:
             idx, lo, hi, flo, fhi, slo, shi, moved, run, width = state
             going = hi - lo > width
             if not going.all():
@@ -390,7 +443,36 @@ def bracketed_roots(phi, lo, hi, flo, fhi, width):
                 np.where(lo_moves, ft, np.where(halve, slo * 0.5, slo)),
                 np.where(lo_moves, np.where(halve, shi * 0.5, shi), ft),
                 side, run, width))
+        for k, *rest in zip(*(v.tolist() for v in state)):
+            out[k] = _finish_bracket(phi1, k, *rest)
     return out
+
+
+def _finish_bracket(phi1, k, lo, hi, flo, fhi, slo, shi, moved, run, width):
+    """Bracket k of bracketed_roots taken on from its running state, alone,
+    by the array rounds' steps in scalar arithmetic (Python floats or mpfs)."""
+    while hi - lo > width:
+        if run >= 3:
+            t = 0.5 * (lo + hi)
+        else:
+            rf = lo + (hi - lo) * (slo / (slo - shi))
+            t = rf if rf < hi else hi  # a NaN keeps hi, as np.where does
+        ft = phi1(t, k)
+        if ft == 0.0:
+            return t
+        lo_moves = (ft < 0.0) == (flo < 0.0)
+        side = -1 if lo_moves else 1
+        run = run + 1 if side == moved else 1
+        moved = side
+        if lo_moves:
+            lo, flo, slo = t, ft, ft
+            if run >= 2:
+                shi = shi * 0.5
+        else:
+            hi, fhi, shi = t, ft, ft
+            if run >= 2:
+                slo = slo * 0.5
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
@@ -525,8 +607,11 @@ def trace_implicit(g: MultiPoly, bbox, resolution: int = 256,
     ib, jb = ia + 1 - (edge_ids & 1), ja + (edge_ids & 1)
     xa, ya = xs[ia], ys[ja]
     dx, dy = xs[ib] - xa, ys[jb] - ya
+    evaluate = _group_evaluator(groups)
     t = bracketed_roots(
         lambda u, k: _array_eval(groups, xa[k] + u * dx[k], ya[k] + u * dy[k]),
+        lambda u, k: evaluate(float(xa[k]) + u * float(dx[k]),
+                              float(ya[k]) + u * float(dy[k])),
         np.zeros(len(ia)), np.ones(len(ia)), _array_eval(groups, xa, ya),
         _array_eval(groups, xs[ib], ys[jb]),
         1e-13)  # the stop width, in edge units

@@ -137,6 +137,31 @@ def test_float_layer_refuses_parameters_past_the_float_range(call, conic, r):
         _FLOAT_CALLS[call](conic, r)
 
 
+@pytest.mark.parametrize("call,conic,t,want", [
+    # cosh t overflows past |t| of about 710, and the parabola's base point
+    # y0 = t^2 / 4p and its speed cubed (1 + (t / 2p)^2)^1.5 pass the float
+    # range; the true curvatures, near 1e-1042 and 4e-480, round to 0.0
+    (curvature, ConicSpec.hyperbola(1, 1), 800.0, 0.0),
+    (conic_point_and_normal, ConicSpec.hyperbola(1, 1), 800.0, ParamError),
+    (curvature, ConicSpec.parabola(1), 1e160, 0.0),
+    (conic_point_and_normal, ConicSpec.parabola(1), 1e160, ParamError),
+    # a t that is not finite, and a curvature 1 / 2p past the float range
+    (curvature, ConicSpec.ellipse(2, 1), math.inf, ParamError),
+    (conic_point_and_normal, ConicSpec.ellipse(2, 1), math.nan, ParamError),
+    (curvature, ConicSpec.parabola(F("1e-320")), 0.5, ParamError),
+])
+def test_float_layer_at_a_parameter_t_past_the_float_range(call, conic, t,
+                                                           want):
+    # a ParamError or the correctly rounded curvature, not an
+    # OverflowError, a ValueError or an inf
+    if want is ParamError:
+        with pytest.raises(ParamError):
+            call(conic, t)
+    else:
+        got = call(conic, t)
+        assert got == want and math.copysign(1.0, got) == 1.0
+
+
 
 @pytest.mark.parametrize("k", [100, 150, 153, 154, 200, 300])
 @pytest.mark.parametrize("kind", ["parabola", "ellipse", "hyperbola"])
@@ -852,6 +877,40 @@ def test_golden_trace_vertices(case_id):
 
 
 @pytest.mark.parametrize("case_id", range(1, 10))
+def test_the_scalar_tail_moves_no_vertex(case_id, monkeypatch):
+    # both traces of offset_figure at resolution 512, the offset's and the
+    # base conic's, give the same vertices and SVG with the edge solve's
+    # scalar tail off and on, and the tail runs in each of them
+    case = ref_case(case_id)
+    conic, r = conic_from_case(case), F(case["r"])
+    trace, solve = curve.trace_implicit, curve.bracketed_roots
+    traces, tail_steps = [], []
+
+    def traced(*args, **kwargs):
+        traces.append(trace(*args, **kwargs))
+        return traces[-1]
+
+    def counted(phi, phi1, *args):
+        tail_steps.append(0)
+
+        def one(t, k):
+            tail_steps[-1] += 1
+            return phi1(t, k)
+        return solve(phi, one, *args)
+    monkeypatch.setattr(curve, "trace_implicit", traced)
+    monkeypatch.setattr(curve, "bracketed_roots", counted)
+    tail = curve._SCALAR_TAIL
+    monkeypatch.setattr(curve, "_SCALAR_TAIL", 0)
+    svg_off = offset_figure(conic, r)
+    assert len(traces) == 2 and tail_steps == [0, 0]
+    monkeypatch.setattr(curve, "_SCALAR_TAIL", tail)
+    assert offset_figure(conic, r) == svg_off
+    assert len(traces) == 4 and all(tail_steps[2:])
+    assert [trace_digest(tc) for tc in traces[:2]] == \
+        [trace_digest(tc) for tc in traces[2:]]
+
+
+@pytest.mark.parametrize("case_id", range(1, 10))
 def test_grid_is_xy_evaluator(case_id):
     # the trace's grid pass holds the scalar evaluator's floats node for
     # node, whatever SIMD loops numpy dispatches to on the host
@@ -932,6 +991,8 @@ def reference_trace(g, bbox, resolution):
     t = bracketed_roots(
         lambda u, k: curve._array_eval(groups, xa[k] + u * dx[k],
                                        ya[k] + u * dy[k]),
+        lambda u, k: float(curve._array_eval(groups, xa[k] + u * dx[k],
+                                             ya[k] + u * dy[k])),
         np.zeros(len(ia)), np.ones(len(ia)), vals[ia, ja], vals[ib, jb], 1e-13)
     vertex = dict(zip(by_edge, map(Point2, (xa + t * dx).tolist(),
                                    (ya + t * dy).tolist())))
@@ -1280,43 +1341,70 @@ def test_special_brackets_cover_every_exit():
     assert _steps(*overflow)[0][0] == overflow[2]
 
 
-def _batched(brackets, width, make_array):
+def _batched(brackets, width, make_array, steps=None):
+    # steps, a dict, counts the array rounds ("phi") and scalar steps ("phi1")
     coeffs = [c for c, _, _ in brackets]
+    steps = {} if steps is None else steps
+
+    def phi(t, idx):
+        steps["phi"] = steps.get("phi", 0) + 1
+        return make_array([_horner(coeffs[k], v)
+                           for k, v in zip(idx.tolist(), t.tolist())])
+
+    def phi1(t, k):
+        steps["phi1"] = steps.get("phi1", 0) + 1
+        return _horner(coeffs[k], t)
     return bracketed_roots(
-        lambda t, idx: make_array([_horner(coeffs[k], v)
-                                   for k, v in zip(idx.tolist(), t.tolist())]),
+        phi, phi1,
         make_array([lo for _, lo, _ in brackets]),
         make_array([hi for _, _, hi in brackets]),
         make_array([_horner(c, lo) for c, lo, _ in brackets]),
         make_array([_horner(c, hi) for c, _, hi in brackets]), width)
 
 
-def test_bracketed_roots_takes_the_scalar_steps_on_floats():
+def _tails(count):
+    # array rounds only, the module's tail, and scalar steps from the start,
+    # each with the steps it must take: array rounds, scalar steps or both
+    return ((0, {"phi"}), (curve._SCALAR_TAIL, {"phi", "phi1"}),
+            (count + 1, {"phi1"}))
+
+
+def test_bracketed_roots_takes_the_scalar_steps_on_floats(monkeypatch):
     brackets = _seeded_brackets(60)
     want = [bracketed_root(lambda t, c=c: _horner(c, t), lo, hi,
                            _horner(c, lo), _horner(c, hi), 1e-13)
             for c, lo, hi in brackets]
-    got = _batched(brackets, 1e-13, np.array)
-    assert got.dtype == np.float64
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-    for b, w in zip(brackets, want):
-        (one,) = _batched([b], 1e-13, np.array).tolist()
-        assert one.hex() == w.hex()
+    assert 0 < curve._SCALAR_TAIL < len(brackets)
+    for tail, taken in _tails(len(brackets)):
+        monkeypatch.setattr(curve, "_SCALAR_TAIL", tail)
+        steps = {}
+        got = _batched(brackets, 1e-13, np.array, steps)
+        assert set(steps) == taken
+        assert got.dtype == np.float64
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        for b, w in zip(brackets, want):
+            (one,) = _batched([b], 1e-13, np.array).tolist()
+            assert one.hex() == w.hex()
 
 
-def test_bracketed_roots_takes_the_scalar_steps_on_mpf():
+def test_bracketed_roots_takes_the_scalar_steps_on_mpf(monkeypatch):
     def mpfs(values):
         return np.array([mp.mpf(v) for v in values], dtype=object)
 
     with mp.workdps(60):
         brackets = [([mp.mpf(c) / 3 for c in cs], mp.mpf(lo), mp.mpf(hi))
-                    for cs, lo, hi in _seeded_brackets(24)]
+                    for cs, lo, hi in _seeded_brackets(48)]
         widths = [8 * mp.eps * max(abs(lo), abs(hi)) for _, lo, hi in brackets]
         want = [bracketed_root(lambda t, c=c: _horner(c, t), lo, hi,
                                _horner(c, lo), _horner(c, hi), w)
                 for (c, lo, hi), w in zip(brackets, widths)]
-        got = _batched(brackets, mpfs(widths), mpfs)
-        assert [v.man_exp for v in got] == [v.man_exp for v in want]
-        for b, w, width in zip(brackets, want, widths):
-            (one,) = _batched([b], mpfs([width]), mpfs)
-            assert one.man_exp == w.man_exp
+        assert 0 < curve._SCALAR_TAIL < len(brackets)
+        for tail, taken in _tails(len(brackets)):
+            monkeypatch.setattr(curve, "_SCALAR_TAIL", tail)
+            steps = {}
+            got = _batched(brackets, mpfs(widths), mpfs, steps)
+            assert set(steps) == taken
+            assert [v.man_exp for v in got] == [v.man_exp for v in want]
+            for b, w, width in zip(brackets, want, widths):
+                (one,) = _batched([b], mpfs([width]), mpfs)
+                assert one.man_exp == w.man_exp
