@@ -4,10 +4,12 @@ Below the critical offset r_crit (the semi-latus rectum, = 1/max curvature)
 the parallel lines are smooth and the variety carries an isolated "virtual"
 singular point.  At r_crit the point lands on the inner line as a cusp; above
 it, it splits into three (one per conic half for central conics).  The
-split points are the offset's cusps: the conic's point where its radius of
-curvature equals r, moved by r toward the concave side.  An ellipse has a
-second such offset, a^2/b = 1/min curvature, where the split points meet
-the x-axis and leave the real plane.
+tag "split" covers the offset's cusps: the conic's points where its radius
+of curvature equals r, moved by r toward the concave side.  It also covers
+the equator pair on the x-axis, a node, for the ellipse when a < r < a^2/b
+and for the hyperbola when r > a.  An ellipse has a second such offset,
+a^2/b = 1/min curvature, where the cusps meet the x-axis and leave the real
+plane.
 """
 
 from fractions import Fraction as F
@@ -38,9 +40,10 @@ ellipse = ConicSpec.ellipse(3, F(3, 2))
 show(ellipse, F(1, 2))
 show(ellipse, F(4, 3))
 
-# Beyond a^2/b, the ellipse's largest radius of curvature, the four split
-# points leave the real plane (real x, imaginary y): only the equator pair on
-# the x-axis stays real, and the split points join the complex count.
+# Beyond a^2/b, the ellipse's largest radius of curvature, the four cusps
+# leave the real plane (real x, imaginary y): only the equator pair on the
+# x-axis stays real, now an isolated (virtual) point, and the cusps join the
+# complex count.
 show(ConicSpec.ellipse(F(39, 4), 9), F(12))
 
 hyperbola = ConicSpec.hyperbola(F(3, 2), 1)

@@ -246,9 +246,9 @@ def real_roots_cubic(cs):
 # ---------------------------------------------------------------------------
 
 def real_roots_exact(cs):
-    """All real roots of an exact univariate polynomial, sorted: Fractions
-    where they are found rational, otherwise mpmath floats correctly rounded
-    at the working precision.
+    """All real roots of an exact univariate polynomial, sorted exactly
+    (``to_fraction``): Fractions where they are found rational, otherwise
+    mpmath floats correctly rounded at the working precision.
 
     The root at zero is stripped, and each square-free factor (Yun) has its
     roots isolated by its Sturm sequence (``_isolate``) and rounded once
@@ -272,7 +272,7 @@ def real_roots_exact(cs):
         for z in _isolate(q, even):
             t = _round_root(*z)
             roots.update((t, -t) if even else (t,))
-    return sorted(roots, key=to_mpf)
+    return sorted(roots, key=to_fraction)
 
 
 def _dyadic_value(p, n, k):

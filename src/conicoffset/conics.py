@@ -30,15 +30,17 @@ curvature); above a^2/b the four split points are complex and the equator
 pair is an isolated real zero of g, and comparing r*b with a^2 decides that
 exactly.
 
-The split points are the offset's cusps: the conic's point where its radius
-of curvature equals r, moved by r along the normal toward the concave side
-(``_split_squares``).  There |beta'|^2 = (a b r)^(2/3) in the standard
-parameterization, so they are real exactly when (a b r)^(2/3) >= b^2, and
-for the ellipse <= a^2 as well: for r_crit <= r <= a^2/b (ellipse) or
-r >= r_crit (hyperbola).
+The split tag covers the offset's cusps, and the equator pair, a node of g,
+for the ellipse when a < r < a^2/b and for the hyperbola when r > a.  A cusp
+is the conic's point where its radius of curvature equals r, moved by r
+along the normal toward the concave side (``_split_squares``).  There
+|beta'|^2 = (a b r)^(2/3) in the standard parameterization, so the cusps are
+real exactly when (a b r)^(2/3) >= b^2, and for the ellipse <= a^2 as well:
+for r_crit <= r <= a^2/b (ellipse) or r >= r_crit (hyperbola).
 
-All singular-point radicals are evaluated at RADICAL_DPS decimal digits
-and rounded there; discriminant decisions happen exactly on rationals.
+Only ``_catalogue``, ``singular_locus`` and ``reference.eval_radical``, which
+make 60-digit values, set mpmath's precision (to RADICAL_DPS, under
+``_RADICAL_LOCK``); every other decision and ordering is exact.
 ``hessian_definite`` tells the tracer which points of a locus are isolated
 (a figure's pins take ``_tag``'s verdict instead); it and
 ``singular_locus`` read a value as 0 unless it exceeds 10^-(RADICAL_DPS/2)
@@ -84,8 +86,8 @@ MAX_PARAM_BITS = 3400
 # the buchberger limits of singular_locus's completion of <g, g_x, g_y>
 LOCUS_MAX_PAIRS, LOCUS_MAX_DEGREE = DEFAULT_MAX_PAIRS, 200
 
-# mpmath's working precision is process-global; radical evaluation blocks
-# serialize on this lock so concurrent singular-point calls stay safe
+# mpmath's working precision is process-global; _catalogue, singular_locus and
+# reference.eval_radical, the only functions that set it, hold this lock there
 _RADICAL_LOCK = threading.RLock()
 
 PARABOLA, ELLIPSE, HYPERBOLA = "parabola", "ellipse", "hyperbola"
@@ -281,9 +283,9 @@ def offset_poly_closed_form(conic: ConicSpec, r) -> OffsetCurve:
     brings it back, then the integer content is divided out and the sign set
     by the grevlex-leading term.  That is term for term what
     ``content_normalize`` gives for the ``Fraction`` substitution, in the same
-    term order.  The order matters: the mp and float evaluators sum terms in
-    it, so it fixes their rounding (at r = a, r = b or r = r_crit some
-    monomials cancel and come back, e.g. ellipse(2, 1) at r = 1).
+    term order.  Only the float evaluators depend on that order: they sum
+    terms in it, so it fixes their rounding (at r = a, r = b or r = r_crit
+    some monomials cancel and come back, e.g. ellipse(2, 1) at r = 1).
     """
     r = _offset(r)
     names, tops, program, ranked = _closed_form_program(conic.kind)
@@ -502,35 +504,36 @@ def _tag(conic: ConicSpec, r: Fraction, regime: str, x, y) -> str:
 
 def _catalogue(conic: ConicSpec, r: Fraction, regime: str) -> list:
     """The closed form's real singular points as (x, y) pairs, each
-    coordinate a Fraction or an mpf at the working precision.  Each +- group
-    is a set, so a zero square gives one point."""
+    coordinate a Fraction or a RADICAL_DPS mpf.  Each +- group is a set, so
+    a zero square gives one point."""
     import mpmath as mp
-    if conic.kind == PARABOLA:
-        # beta(t) = (t, t^2/(4p)) has radius of curvature 2|p| s^3 with
-        # s^2 = 1 + (t/2p)^2, so s^2 = cbrt((r/2p)^2) at the cusp; moved by r
-        # toward the concave side it is (t (1 - s^2), p (3 s^2 - 1))
-        p = conic.p
-        points = [(Fraction(0), p + r * r / (4 * p))]
-        if regime == SUPERCRITICAL:
-            s2_1 = _cbrt_minus((r / (2 * p)) ** 2, Fraction(1))  # s^2 - 1
-            xs = mp.sqrt(to_mpf(4 * p * p) * s2_1 ** 3)
-            points += [(x, to_mpf(p) * (3 * s2_1 + 2)) for x in {xs, -xs}]
+    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
+        if conic.kind == PARABOLA:
+            # beta(t) = (t, t^2/(4p)) has radius of curvature 2|p| s^3 with
+            # s^2 = 1 + (t/2p)^2, so s^2 = cbrt((r/2p)^2) at the cusp; moved
+            # by r toward the concave side it is (t (1 - s^2), p (3 s^2 - 1))
+            p = conic.p
+            points = [(Fraction(0), p + r * r / (4 * p))]
+            if regime == SUPERCRITICAL:
+                s2_1 = _cbrt_minus((r / (2 * p)) ** 2, Fraction(1))  # s^2 - 1
+                xs = mp.sqrt(to_mpf(4 * p * p) * s2_1 ** 3)
+                points += [(x, to_mpf(p) * (3 * s2_1 + 2)) for x in {xs, -xs}]
+            return points
+        a, b = conic.a, conic.b
+        t12, t34 = _axis_squares(conic, r)
+        points = []
+        if t12 >= 0:
+            yv = cardano.sqrt_exact(t12)
+            points += [(Fraction(0), y) for y in {yv, -yv}]
+        if t34 >= 0:
+            xv = cardano.sqrt_exact(t34)
+            points += [(x, Fraction(0)) for x in {xv, -xv}]
+        # the ellipse's cusps are real only below a^2/b; at a^2/b they are
+        # the equator pair, above it they are complex
+        if regime == SUPERCRITICAL and (conic.kind == HYPERBOLA or r * b < a * a):
+            xs, ys = map(mp.sqrt, _split_squares(conic, r))
+            points += product({xs, -xs}, {ys, -ys})
         return points
-    a, b = conic.a, conic.b
-    t12, t34 = _axis_squares(conic, r)
-    points = []
-    if t12 >= 0:
-        yv = cardano.sqrt_exact(t12)
-        points += [(Fraction(0), y) for y in {yv, -yv}]
-    if t34 >= 0:
-        xv = cardano.sqrt_exact(t34)
-        points += [(x, Fraction(0)) for x in {xv, -xv}]
-    # the ellipse's split points are real only below a^2/b; at a^2/b they are
-    # the equator pair, above it they are complex
-    if regime == SUPERCRITICAL and (conic.kind == HYPERBOLA or r * b < a * a):
-        xs, ys = map(mp.sqrt, _split_squares(conic, r))
-        points += product({xs, -xs}, {ys, -ys})
-    return points
 
 
 def _regime(conic: ConicSpec, r: Fraction) -> str:
@@ -547,22 +550,19 @@ def _report(conic: ConicSpec, r, source: str, points_of) -> SingularPointReport:
 
     ``g`` is the closed-form offset polynomial, whose coefficients are
     integers; the residuals use its raw (not content-normalized) gradient.
-    ``points_of`` runs at RADICAL_DPS.  A point's residual sqrt(g_x^2 +
-    g_y^2)/scale, scale being the largest |coefficient| of g, g_x and g_y,
-    is taken exactly at the reported (rounded) point and rounded to a float
-    once (``_root_ratio``), so a rational point reads 0.
+    ``points_of`` gives Fraction or RADICAL_DPS mpf coordinates.  A point's
+    residual sqrt(g_x^2 + g_y^2)/scale, scale being the largest |coefficient|
+    of g, g_x and g_y, is taken exactly at the reported (rounded) point and
+    rounded to a float once (``_root_ratio``), so a rational point reads 0.
     """
-    import mpmath as mp
     r = _offset(r)
     regime = _regime(conic, r)
     g = offset_poly_closed_form(conic, r).g
     gx, gy = gradient(g, ["x", "y"])
     scale = max(abs(c.numerator) for q in (g, gx, gy) for c in q.terms.values())
     grad = _exact_evaluator(gx, gy)
-    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        found = points_of(r, regime, g)
     points = []
-    for xv, yv in found:
+    for xv, yv in points_of(r, regime, g):
         den, ((vx, _), (vy, _)) = grad(xv, yv)
         x, y = (v if isinstance(v, Fraction) else to_float(v) for v in (xv, yv))
         points.append(SingularPoint(x=x, y=y, tag=_tag(conic, r, regime, xv, yv),
@@ -589,17 +589,15 @@ def singular_points(conic: ConicSpec, r) -> SingularPointReport:
 
 def catalogue_pins(conic: ConicSpec, r) -> list:
     """The catalogue's real singular points at offset r as the tracer's pins:
-    (x, y, isolated) triples sorted by (x, y), the order of
+    (x, y, isolated) triples sorted exactly by (x, y), the order of
     ``singular_locus``, each coordinate a Fraction or a RADICAL_DPS mpf.  A
     point is isolated when ``_tag`` calls it virtual; nodes and cusps are
     not.  No residuals: ``offset_figure`` passes these to its trace."""
-    import mpmath as mp
     r = _offset(r)
     regime = _regime(conic, r)
-    with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        return sorted(((x, y, _tag(conic, r, regime, x, y) == VIRTUAL)
-                       for x, y in _catalogue(conic, r, regime)),
-                      key=lambda p: (to_mpf(p[0]), to_mpf(p[1])))
+    return sorted(((x, y, _tag(conic, r, regime, x, y) == VIRTUAL)
+                   for x, y in _catalogue(conic, r, regime)),
+                  key=lambda p: (to_fraction(p[0]), to_fraction(p[1])))
 
 
 def _singular_eliminants(system) -> list:
@@ -652,9 +650,9 @@ def singular_locus(g: MultiPoly) -> list:
     d = g.degree()
     h = MultiPoly(g.ring, {m: (d - sum(m)) * c for m, c in g.terms.items()
                            if sum(m) < d})
+    eliminants = _singular_eliminants((h or g, *system[1:]))
     with _RADICAL_LOCK, mp.workdps(RADICAL_DPS):
-        xs, ys = (cardano.real_roots_exact(cs) for cs in
-                  _singular_eliminants((h or g, *system[1:])))
+        xs, ys = map(cardano.real_roots_exact, eliminants)
     evaluate = _exact_evaluator(*system)
     return [(xv, yv) for xv, yv in product(xs, ys)
             if all(abs(v) * _ZERO_RATIO <= size for v, size in evaluate(xv, yv)[1])]
@@ -687,9 +685,9 @@ def singular_points_via_elimination(conic: ConicSpec, r) -> SingularPointReport:
 
     Coordinates come out at RADICAL_DPS digits, and each candidate pair is
     judged once, exactly at those digits (see ``singular_locus``).  Raises
-    RootPairingError when no real point survives the pairing, and
+    RootPairingError when no pair passes the module's exact zero rule, and
     ResourceLimitError past singular_locus's limits."""
     rep = _report(conic, r, "elimination", lambda r, regime, g: singular_locus(g))
     if not rep.points:
-        raise RootPairingError("no candidate survived residual filtering")
+        raise RootPairingError("no root pair passed the exact zero rule")
     return rep

@@ -268,13 +268,14 @@ def parametric_offset_samples(conic: ConicSpec, r: float, n: int) -> list:
 
 
 def curvature(conic: ConicSpec, t: float) -> float:
-    """|beta' x beta''| / |beta'|^3 for the standard parameterizations; a
-    central conic's a b / s^3 is (a / s) (b / s) / s, s = |beta'| from
-    ``math.hypot``, so no square of a parameter overflows.  Where the speed
-    or its cube passes the float range the curvature reads as a subnormal or
-    0.0 (a hyperbola's past |t| of about 710 is below 1e-600, so 0.0 is its
-    correct rounding); a t or a curvature past the float range is a
-    ParamError."""
+    """|beta' x beta''| / |beta'|^3 for the standard parameterizations.  A
+    central conic's a b / |beta'|^3 is b / s / a / s / a / s with s =
+    |beta'| / a (a >= b) from ``math.hypot``, so no square of a parameter
+    and no speed past the float range is formed.  Where s or its cube passes
+    the float range the curvature reads as a subnormal or 0.0 (a hyperbola's
+    past |t| of about 710 is below 1e-600, so 0.0 is its correct rounding);
+    a t or a curvature past the float range is a ParamError, as at s = 0
+    (b / a is 0.0 at a hyperbola's vertex, where a / b^2 is past it)."""
     if not math.isfinite(t):
         raise ParamError(f"the parameter t = {t!r} is not finite")
     if conic.kind == PARABOLA:
@@ -290,13 +291,11 @@ def curvature(conic: ConicSpec, t: float) -> float:
     else:
         a, b = _floats(conic)
         if conic.kind == ELLIPSE:
-            speed = math.hypot(b * math.sin(t), a * math.cos(t))
+            s = math.hypot(b / a * math.sin(t), math.cos(t))
         else:
-            # where cosh t overflows the speed is inf and the curvature 0.0,
-            # its correct rounding: it is below 1 / (max(a, b) cosh(t)^3)
             sh, ch = _sinh_cosh(t)
-            speed = math.hypot(b * ch, a * sh)
-        k = a / speed * (b / speed) / speed
+            s = math.hypot(b / a * ch, sh)
+        k = b / s / a / s / a / s if s else math.inf
     if not math.isfinite(k):
         raise ParamError(f"the curvature at t = {t!r} is past the float range")
     return k

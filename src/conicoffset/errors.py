@@ -41,8 +41,8 @@ class ResourceLimitError(ConicOffsetError):
 
 
 class RootPairingError(ConicOffsetError):
-    """No pair of eliminant roots survived residual pairing as a real
-    singular point."""
+    """No pair of eliminant roots reads as a real singular point by the
+    exact zero rule of ``conics.singular_locus``."""
 
 
 class RootRefineError(ConicOffsetError):

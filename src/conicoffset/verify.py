@@ -7,9 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import reference
+from .cardano import to_fraction
 from .conics import (ConicSpec, build_ideal, offset_poly_closed_form,
                      offset_poly_elimination, singular_points)
 from .groebner import buchberger, reduce_basis
@@ -48,8 +47,8 @@ def _match_points(report, case) -> float:
                  key=lambda t: (t[1], t[0]))
     if len(got) != len(expect):
         return float("inf")
-    return max(max(abs(mp.mpf(gx) - ex), abs(mp.mpf(gy) - ey))
-               for (gx, gy), (ex, ey) in zip(got, expect))
+    return max(abs(Fraction(g) - to_fraction(e))
+               for pair in zip(got, expect) for g, e in zip(*pair))
 
 
 def verify_example(case_id: int) -> dict:

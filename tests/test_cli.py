@@ -602,7 +602,7 @@ def test_shared_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
 
 # sha256 of `singular ... --format json` stdout for reference cases 1..9,
 # both routes; recorded before the elimination route moved from two lex runs
-# to one grevlex basis and compiled mp evaluators.  The closed-route hashes of
+# to one grevlex basis and compiled evaluators.  The closed-route hashes of
 # cases 3, 6 and 9 were recorded again when the split points were derived
 # from curvature: their residual digits moved, nothing else did.  The
 # elimination-route hashes of the same cases were recorded again when the

@@ -6,6 +6,8 @@ import itertools
 import math
 import pickle
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -315,7 +317,7 @@ HYPERBOLA_TERM_ORDER_SHA256 = (
 
 
 def test_hyperbola_closed_form_term_order_golden():
-    # the float and mp evaluators sum terms in this order, so it fixes their
+    # the float evaluators sum terms in this order, so it fixes their
     # rounding; poly_dumps sorts the terms and would not see a change
     h = hashlib.sha256()
     for conic, r in _hyperbola_term_order_cases():
@@ -495,6 +497,41 @@ def test_split_points_next_to_a_regime_boundary_by_elimination(conic, r,
     # points for 3: a Fraction y and an mpf y 10^-90 apart pair across
     _assert_split_points_near_boundary(
         singular_points_via_elimination(conic, r), conic, count)
+
+
+# (conic, r) where the catalogue holds the equator pair tagged split: the
+# ellipse with a < r < a^2/b and the hyperbola with r > a; and reference
+# cases 3, 6 and 9, whose split points are all cusps
+SPLIT_TAG_CASES = [(ELLIPSE_3, F(4)), (ELLIPSE_3, F(5)),
+                   (ConicSpec.hyperbola(F(3, 2), 1), F(2)),
+                   *((conic_from_case(reference.case(i)), F(reference.case(i)["r"]))
+                     for i in (3, 6, 9))]
+
+
+@pytest.mark.parametrize("conic,r", SPLIT_TAG_CASES)
+def test_split_tag_covers_the_cusps_and_the_equator_node(conic, r):
+    # g's Hessian, exactly at the rounded catalogue points: det/size reads -1
+    # at the equator pair (a node: g_xx g_yy <= 0) and 0 at every other split
+    # point (a cusp: the Hessian has rank 1), size being |g_xx g_yy| + g_xy^2
+    g = offset_poly_closed_form(conic, r).g
+    gx, gy = gradient(g, ["x", "y"])
+    hessian = conics._exact_evaluator(*gradient(gx, ["x", "y"]),
+                                      *gradient(gy, ["y"]))
+    regime = conics._regime(conic, r)
+    kinds = []
+    for x, y in conics._catalogue(conic, r, regime):
+        if conics._tag(conic, r, regime, x, y) != "split":
+            continue
+        a11, a12, a22 = (v for v, _ in hessian(x, y)[1])
+        det, size = a11 * a22 - a12 * a12, abs(a11 * a22) + a12 * a12
+        if y == 0:
+            assert F(det, size) < F(-1, 2), (x, y)
+        else:
+            assert abs(det) * 10 ** 30 <= size, (x, y)
+        kinds.append(y == 0)
+    cusps = 2 if conic.kind == "parabola" else 4
+    nodes = 2 if conic.kind != "parabola" and r > conic.a else 0
+    assert (kinds.count(False), kinds.count(True)) == (cusps, nodes)
 
 
 def _closed_route_sweep():
@@ -822,6 +859,21 @@ def _independent_complex_count(g):
         return count
 
 
+def test_real_roots_exact_orders_a_fraction_and_an_mpf_exactly():
+    # parabola(-1/3) 10^-90 past r_crit: its y-eliminant has a Fraction root
+    # and an mpf root 10^-90 apart, which the working precision alone cannot
+    # order; the roots come out ascending by their exact values
+    conic, r, _ = NEAR_BOUNDARY_CASES[0]
+    g = offset_poly_closed_form(conic, r).g
+    with mp.workdps(conics.RADICAL_DPS):
+        system, _ = _system_residual(g)
+        _, ys = conics._singular_eliminants(system)
+        roots = cardano.real_roots_exact(ys)
+    assert {type(v) for v in roots} == {F, mp.mpf}
+    exact = [cardano.to_fraction(v) for v in roots]
+    assert exact == sorted(exact) and len(set(exact)) == len(exact)
+
+
 # Inputs where a cross-pairing of eliminant roots has a residual between
 # 1e-35 and 1e-12, nearer a true point's than any other surveyed cross-pairing
 # (singular_locus once judged that band again at twice RADICAL_DPS); found in
@@ -1091,3 +1143,31 @@ def test_offset_curve_metadata():
     assert oc.source == "closed-form" and oc.g.ring == ("x", "y")
     oe = offset_poly_elimination(conic, F(1, 4))
     assert oe.source == "elimination"
+
+
+def test_singular_routes_and_radicals_are_thread_safe():
+    # mpmath's precision is process-global: 4 threads, 5 rounds each, run
+    # both singular-point routes, the catalogue's pins and the reference
+    # radicals at once, and every result equals the serial one; a thread
+    # whose precision another thread's scope reset would round differently
+    jobs = [(f, conic_from_case(reference.case(i)), F(reference.case(i)["r"]))
+            for i in (3, 6, 9) for f in (singular_points,
+                                         singular_points_via_elimination,
+                                         conics.catalogue_pins)]
+    radicals = [e for pair in reference.case(6)["singular_points"] for e in pair]
+
+    def run():
+        return ([f(conic, r) for f, conic, r in jobs],
+                [reference.eval_radical(e) for e in radicals])
+
+    serial = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda: [run() for _ in range(5)])
+                       for _ in range(4)]
+            rounds = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == serial for thread in rounds for got in thread)

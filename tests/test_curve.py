@@ -149,6 +149,8 @@ def test_float_layer_refuses_parameters_past_the_float_range(call, conic, r):
     (curvature, ConicSpec.ellipse(2, 1), math.inf, ParamError),
     (conic_point_and_normal, ConicSpec.ellipse(2, 1), math.nan, ParamError),
     (curvature, ConicSpec.parabola(F("1e-320")), 0.5, ParamError),
+    # b / a rounds to 0.0, and the vertex curvature a / b^2 is past the range
+    (curvature, ConicSpec.hyperbola(F("1e300"), F("1e-300")), 0.0, ParamError),
 ])
 def test_float_layer_at_a_parameter_t_past_the_float_range(call, conic, t,
                                                            want):
@@ -161,6 +163,24 @@ def test_float_layer_at_a_parameter_t_past_the_float_range(call, conic, t,
         got = call(conic, t)
         assert got == want and math.copysign(1.0, got) == 1.0
 
+
+
+@pytest.mark.parametrize("conic,t,want", [
+    # b cosh t passes the float range, but the curvature is a subnormal
+    (ConicSpec.hyperbola(F("1.7e308"), F("1.7e308")), 0.35,
+     "4.18309539621842637877121524282e-309"),
+    # b / a is tiny: a / b^2 at the vertex, and a speed that sinh t alone
+    # holds, b / a being 0.0 as a float
+    (ConicSpec.hyperbola(F("1e300"), 1), 0.0,
+     "1.0000000000000000525047602552e+300"),
+    (ConicSpec.hyperbola(2, F("5e-324")), 1e-200,
+     "1.23516411460311642676876261857e+276"),
+])
+def test_curvature_of_a_hyperbola_near_the_ends_of_the_float_range(conic, t,
+                                                                    want):
+    # against a b / |beta'|^3 at 30 digits (mpmath) for the parameters as
+    # floats; no absolute tolerance, so 0.0 does not pass for a subnormal
+    assert math.isclose(curvature(conic, t), float(want), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("k", [100, 150, 153, 154, 200, 300])

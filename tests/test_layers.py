@@ -2,8 +2,10 @@
 and no private name of conics, whose exact layer owns every 60-digit step;
 the exact layer imports no numpy, as the float layer owns the float solver;
 curve.py's figures mark the pins of their own trace, not the catalogue; the
-elimination route calls none of the closed catalogue's root formulas; and
-the Hessian test at rational points runs without mpmath."""
+elimination route calls none of the closed catalogue's root formulas; the
+Hessian test at rational points runs without mpmath; and only the three
+functions that make 60-digit values set mpmath's precision, each under
+_RADICAL_LOCK, while verify.py imports no mpmath."""
 
 import ast
 import sys
@@ -109,3 +111,51 @@ def test_hessian_definite_at_rational_nodes_needs_no_mpmath(monkeypatch):
     monkeypatch.setitem(sys.modules, "mpmath", None)
     assert hessian_definite(g, [(Fraction(u), Fraction(v)) for u, v in nodes]) == \
         [False] * 6
+
+
+_PRECISION_CALLS = {"workdps", "workprec", "extradps", "extraprec"}
+
+
+def _name(node):
+    # the last name of `mp.workdps`, `mpmath.mp.dps` or a bare `_RADICAL_LOCK`
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def test_only_the_radical_makers_set_mpmath_precision():
+    # mpmath's precision is process-global, so only the three functions that
+    # make 60-digit values set it, each in a `with` that also holds
+    # _RADICAL_LOCK; every other step orders and decides exactly, and
+    # verify.py compares points as Fractions, without mpmath
+    setters, unlocked = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner, locked = {}, set()
+        for node in ast.walk(tree):  # outer functions come first
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(id(inner), f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.With):
+                items = [item.context_expr for item in node.items]
+                if "_RADICAL_LOCK" in map(_name, items):
+                    locked.update(map(id, items))
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AugAssign) else [])
+            sets = (isinstance(node, ast.Call)
+                    and _name(node.func) in _PRECISION_CALLS)
+            if sets or any(_name(t) in ("dps", "prec") for t in targets):
+                where = owner.get(id(node), f"{path.stem}.<module>")
+                setters.add(where)
+                if id(node) not in locked:
+                    unlocked.append(where)
+    assert setters == {"conics._catalogue", "conics.singular_locus",
+                       "reference.eval_radical"}
+    assert unlocked == []
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names] + [
+        node.module or "" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)]
+    assert not any(m.split(".")[0] == "mpmath" for m in imported), imported
