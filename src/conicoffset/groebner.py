@@ -73,6 +73,18 @@ entries on the first read of ``polys``, through a constructor that skips
 re-validation, so the unreduced members that ``reduce_basis(buchberger(...))``
 drops are never converted.
 
+A lex completion of homogeneous generators has two stages in one
+``buchberger`` call, the order change behind Traverso's Hilbert-driven
+Buchberger (JSC 1996) in its simplest form: the ideal is completed and
+reduced under grevlex, where its basis is small, and the lex completion
+starts from that reduced basis, its members repacked for lex straight from
+their grevlex entries and taken lowest grevlex leading monomial first, in
+place of the generators.  Stats and budgets run across both stages.  A
+grevlex stage before every lex run was measured and not kept: it halved the
+symbolic central conics with r fixed but slowed those with r and b fixed by
+about 40%, so inhomogeneous ideals, like every other order, complete their
+generators directly.
+
 For a zero-dimensional ideal, ``minimal_polynomials`` gets the univariate
 eliminants from a basis in any order (typically a cheap grevlex one) by
 linear algebra in the quotient ring, in place of a lex completion.
@@ -91,8 +103,8 @@ from typing import Sequence
 
 from .errors import (EliminationError, OrderError, PreconditionError,
                      ResourceLimitError, RingError, ZeroPolyError)
-from .poly import (MonomialOrder, MultiPoly, content_normalize, leading_term,
-                   monomial_div, monomial_divides, monomial_lcm)
+from .poly import (MonomialOrder, MultiPoly, content_normalize, grevlex,
+                   leading_term, monomial_div, monomial_divides, monomial_lcm)
 
 DEFAULT_MAX_PAIRS = 200_000
 DEFAULT_MAX_DEGREE = 40
@@ -431,7 +443,13 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
                max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
     """Complete the ideal's generators to a (non-reduced) Groebner basis.
 
-    Signature-based completion; see the module docstring.  The stats count:
+    Signature-based completion; see the module docstring.  Under lex, when
+    every generator is homogeneous, the call runs in two stages: the ideal is
+    completed and reduced under grevlex, and the lex completion starts from
+    that reduced basis, its members taken in ascending grevlex order of their
+    leading monomials, in place of the generators.  Any other call completes
+    the generators directly.  The stats count, summed over both stages where
+    there are two:
 
     - ``pairs_considered``: S-pair signatures taken from the queue;
     - ``pairs_skipped_criteria``: those that led to no reduction, being the
@@ -439,37 +457,78 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
       a regular reducer of their leading term;
     - ``reductions``: normal forms computed, generators' included;
     - ``zero_reductions``: those that came to zero (each a syzygy);
-    - ``basis_size`` and ``coeff_bits_max``: members, and their largest
-      coefficient in bits.
+    - ``basis_size`` and ``coeff_bits_max``: members of the returned basis,
+      and their largest coefficient in bits.
 
     Raises ResourceLimitError, whose stats hold the counters so far, the
-    ``basis_size`` and the ``pending_pairs`` (signatures still queued), when
-    more than ``max_pairs`` S-pairs are processed, a member made from an
-    S-pair exceeds total degree ``max_degree``, or an exponent overflows its
-    packed field.  Generators are exempt from the degree cap.  A budget that
-    is not an int >= 0 raises PreconditionError.
+    ``basis_size`` and the ``pending_pairs`` (signatures still queued) of the
+    stage that stopped, when more than ``max_pairs`` S-pairs are processed
+    over both stages, a member made from an S-pair in either stage exceeds
+    total degree ``max_degree``, or an exponent overflows its packed field.
+    Generators are exempt from the degree cap, and so are the grevlex
+    stage's members where the lex stage starts from them.  A budget that is
+    not an int >= 0 raises PreconditionError.
     """
     if tuple(order.variables) != ideal.ring:
         raise OrderError("order variables do not match the ideal ring")
     if not all(isinstance(v, int) and v >= 0 for v in (max_pairs, max_degree)):
         raise PreconditionError("max_pairs and max_degree must be ints >= 0")
-    packing = _Packing(order, max_degree)
-    guard, units = packing.guard, packing.units
     stats = {"pairs_considered": 0, "pairs_skipped_criteria": 0,
              "reductions": 0, "zero_reductions": 0}
+    packing = _Packing(order, max_degree)
+    if order.kind == "lex" and all(
+            len({sum(m) for m in g.terms}) == 1 for g in ideal.generators):
+        first = _Packing(grevlex(ideal.ring), max_degree)
+        basis = _complete(first, _pack_generators(first, ideal, stats), stats,
+                          max_pairs, max_degree)
+        try:
+            _, reduced = _reduce_entries(basis, first.guard)
+        except ResourceLimitError as exc:
+            raise _limit(str(exc), stats, len(basis)) from None
+        # same field width, so every exponent repacks; ascending grevlex lm
+        gens = [_make_entry({packing.pack(first.unpack(m)): c
+                             for m, c in e[2].items()}) for e in reversed(reduced)]
+    else:
+        gens = _pack_generators(packing, ideal, stats)
+    basis = _complete(packing, gens, stats, max_pairs, max_degree)
+    stats["basis_size"] = len(basis)
+    stats["coeff_bits_max"] = _coeff_bits(basis)
+    return GroebnerBasis._from_packed(order, False, stats, packing, basis)
+
+
+def _limit(msg: str, stats: dict, basis_size: int, pending_pairs: int = 0):
+    """ResourceLimitError with the counters so far and a stage's sizes."""
+    stats["basis_size"] = basis_size
+    stats["pending_pairs"] = pending_pairs
+    return ResourceLimitError(msg, stats=dict(stats))
+
+
+def _pack_generators(packing: _Packing, ideal: Ideal, stats: dict) -> list:
+    try:
+        return [_make_entry(_int_terms(packing, g)) for g in ideal.generators]
+    except ResourceLimitError as exc:
+        raise _limit(str(exc), stats, 0) from None
+
+
+def _complete(packing: _Packing, gens: list, stats: dict,
+              max_pairs: int, max_degree: int) -> list:
+    """The signature-based completion of the entries ``gens`` under
+    ``packing``'s order: the basis entries, with the counters added to
+    ``stats``; ``max_pairs`` bounds ``stats["pairs_considered"]``, counted
+    from what it holds on entry."""
+    guard, units = packing.guard, packing.units
     basis: list = []
     lms: list = []  # packed leading monomials, parallel to basis
     lm_exps: list = []  # their exponent tuples, for pair lcms
     sigs: list = []  # signatures (Schreyer key, generator index), parallel
+    rewriters: list = [[] for _ in gens]  # index -> (key, lm, member) by age
     by_lm: list = []  # (leading monomial, signature) of every member, by lm
     sorted_lms: list = []  # the leading monomials of by_lm, for bisect
     syz: dict = {}  # generator index -> keys of the minimal syzygy signatures
     queue: list = []  # min-heap of signatures still to process
 
     def fail(msg):
-        stats["basis_size"] = len(basis)
-        stats["pending_pairs"] = len(queue)
-        return ResourceLimitError(msg, stats=dict(stats))
+        return _limit(msg, stats, len(basis), len(queue))
 
     def add_syzygy(key, i):
         # keep the set minimal; a key past its fields divides no signature
@@ -500,6 +559,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
                 s_n, s_j = (lcm_m - lm + key_n, i_n), (lcm_m - lm_j + key_j, i_j)
                 if s_n != s_j:
                     heapq.heappush(queue, max(s_n, s_j))
+        rewriters[i_n].append((key_n, lm, len(basis)))
         basis.append(entry)
         lms.append(lm)
         lm_exps.append(e_n)
@@ -517,10 +577,6 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
                    and (m - lm_j + sig_j[0], sig_j[1]) < sig
                    for lm_j, sig_j in below)
 
-    try:
-        gens = [_make_entry(_int_terms(packing, g)) for g in ideal.generators]
-    except ResourceLimitError as exc:
-        raise fail(str(exc)) from None
     # generator i has signature e_i, whose Schreyer key is its leading monomial
     for i, gen in enumerate(gens):
         heapq.heappush(queue, (gen[0], i))
@@ -543,12 +599,12 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
             if sig == last or any((kg - s) & guard == guard for s in syz.get(i, ())):
                 stats["pairs_skipped_criteria"] += 1
                 continue
-            # the member whose signature divides sig with the smallest
-            # multiplied leading monomial, the newest on ties
+            # the member of index i whose signature divides sig with the
+            # smallest multiplied leading monomial, the newest on ties
             best = None
-            for j, (key_j, i_j) in enumerate(sigs):
-                if i_j == i and (kg - key_j) & guard == guard:
-                    lead = key - key_j + lms[j]
+            for key_j, lm_j, j in rewriters[i]:
+                if (kg - key_j) & guard == guard:
+                    lead = key - key_j + lm_j
                     if best is None or lead <= best:
                         best, w = lead, j
             entry, u = basis[w], key - sigs[w][0]
@@ -579,10 +635,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
             if deg > max_degree:
                 raise fail(f"degree cap exceeded ({deg} > {max_degree})")
         add_member(_make_entry(rem), sig)
-
-    stats["basis_size"] = len(basis)
-    stats["coeff_bits_max"] = _coeff_bits(basis)
-    return GroebnerBasis._from_packed(order, False, stats, packing, basis)
+    return basis
 
 
 def minimalize(gb: GroebnerBasis) -> GroebnerBasis:
@@ -618,30 +671,36 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     divides it.  The result keeps its own entries for ``minimal_polynomials``.
     """
     packing, entries = _packed_basis(gb)
-    guard = packing.guard
+    try:
+        minimal_size, reduced_entries = _reduce_entries(entries, packing.guard)
+    except ResourceLimitError as exc:
+        partial = {k: v for k, v in gb.stats.items() if k != "coeff_bits_max"}
+        raise ResourceLimitError(str(exc), stats=partial) from None
+    stats = dict(gb.stats)
+    stats["minimal_size"] = minimal_size
+    stats["reduced_size"] = len(reduced_entries)
+    stats["coeff_bits_max"] = _coeff_bits(reduced_entries)
+    return GroebnerBasis._from_packed(gb.order, True, stats, packing, reduced_entries)
+
+
+def _reduce_entries(entries: list, guard: int) -> tuple:
+    """``(minimal_size, reduced)``: the entries minimalized and inter-reduced
+    as ``reduce_basis`` describes, largest leading monomial first."""
     kept: list = []
     for entry in sorted(entries, key=lambda e: e[0]):
         mg = entry[0] | guard
         if all((mg - k[0]) & guard != guard for k in kept):
             kept.append(entry)
-    reduced_entries = []
-    try:
-        for idx, entry in enumerate(kept):
-            others = [e for k, e in enumerate(kept) if k != idx]
-            rem, _, _ = _normal_form_int(entry[2], others, guard)
-            if rem:
-                new = _make_entry(rem)
-                reduced_entries.append(new)
-                kept[idx] = new
-    except ResourceLimitError as exc:
-        partial = {k: v for k, v in gb.stats.items() if k != "coeff_bits_max"}
-        raise ResourceLimitError(str(exc), stats=partial) from None
-    reduced_entries.sort(key=lambda e: e[0], reverse=True)
-    stats = dict(gb.stats)
-    stats["minimal_size"] = len(kept)
-    stats["reduced_size"] = len(reduced_entries)
-    stats["coeff_bits_max"] = _coeff_bits(reduced_entries)
-    return GroebnerBasis._from_packed(gb.order, True, stats, packing, reduced_entries)
+    reduced = []
+    for idx, entry in enumerate(kept):
+        others = [e for k, e in enumerate(kept) if k != idx]
+        rem, _, _ = _normal_form_int(entry[2], others, guard)
+        if rem:
+            new = _make_entry(rem)
+            reduced.append(new)
+            kept[idx] = new
+    reduced.sort(key=lambda e: e[0], reverse=True)
+    return len(kept), reduced
 
 
 def elimination_ideal(gb: GroebnerBasis, keep) -> list:

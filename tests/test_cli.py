@@ -767,6 +767,30 @@ def test_golden_groebner_json(tmp_path, capsys, name):
                    '"pending_pairs":3,"reductions":2,"zero_reductions":0})\n')
 
 
+def test_groebner_lex_json_on_the_symbolic_ellipse(tmp_path, capsys):
+    # the envelope ideal with a, b and r left symbolic is homogeneous, so
+    # lex runs a grevlex stage first; the basis hash was recorded with the
+    # direct lex completion, whose work counters read 2609, 2536 and 73
+    from conicoffset.conics import build_ideal
+    ideal = build_ideal("ellipse")
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps([poly_to_dict(g) for g in ideal.generators]))
+    code, out, _ = run(capsys, "groebner", "--in", str(src), "--vars",
+                       ",".join(ideal.ring), "--order", "lex", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert hashlib.sha256(json.dumps(doc["basis"]).encode()).hexdigest() == \
+        "5e36bceebb398037179a5f72576f80e94b8a6efed821c8a2b834e42744e6424c"
+    assert (doc["order"], doc["vars"]) == ("lex", list(ideal.ring))
+    stats = doc["stats"]
+    assert stats["basis_size"] == 34
+    assert stats["degree_multiset"] == [27, 25, 23, 23, 23, 23, 21, 21, 20, 20,
+                                        19, 18, 17, 16, 16, 15, 14, 13, 12, 11,
+                                        10, 10, 9, 8, 8, 7, 7, 7, 6, 5, 5, 4, 4, 2]
+    assert (stats["pairs_considered"], stats["pairs_skipped_criteria"],
+            stats["reductions"]) == (959, 905, 57)
+
+
 def test_cross_process_determinism(tmp_path):
     # byte-identical stdout across separate interpreter processes (different
     # hash seeds), for a representative subcommand mix
