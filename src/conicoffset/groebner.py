@@ -73,17 +73,22 @@ entries on the first read of ``polys``, through a constructor that skips
 re-validation, so the unreduced members that ``reduce_basis(buchberger(...))``
 drops are never converted.
 
-A lex completion of homogeneous generators has two stages in one
-``buchberger`` call, the order change behind Traverso's Hilbert-driven
-Buchberger (JSC 1996) in its simplest form: the ideal is completed and
-reduced under grevlex, where its basis is small, and the lex completion
-starts from that reduced basis, its members repacked for lex straight from
-their grevlex entries and taken lowest grevlex leading monomial first, in
-place of the generators.  Stats and budgets run across both stages.  A
-grevlex stage before every lex run was measured and not kept: it halved the
-symbolic central conics with r fixed but slowed those with r and b fixed by
-about 40%, so inhomogeneous ideals, like every other order, complete their
-generators directly.
+A lex completion has two stages in one ``buchberger`` call, the order change
+behind Traverso's Hilbert-driven Buchberger (JSC 1996) in its simplest form:
+the ideal is completed and reduced under grevlex, where its basis is small,
+and the lex completion starts from that reduced basis, its members repacked
+for lex straight from their grevlex entries and taken lowest grevlex leading
+monomial first, in place of the generators.  Homogeneous generators go
+through as they are.  Inhomogeneous ones are homogenized by a new last
+variable h, packed straight into the packing of ring + h, and the lex basis
+found over ring + h gives the ideal's with h set to 1, by dropping h's packed
+field.  That pays only when the homogenized ideal is saturated in h, which by
+Bayer's criterion (Bayer & Stillman, Invent. Math. 1987) holds when no
+member of its reduced grevlex basis, h last, is divisible by h: the symbolic
+central conics with r fixed halve, while those with r and b fixed would
+double.  So the grevlex stage stops at the first member that joins divisible
+by h, and such a call, like every other order, completes its generators
+directly.  Stats and budgets run across both stages.
 
 For a zero-dimensional ideal, ``minimal_polynomials`` gets the univariate
 eliminants from a basis in any order (typically a cheap grevlex one) by
@@ -103,7 +108,7 @@ from typing import Sequence
 
 from .errors import (EliminationError, OrderError, PreconditionError,
                      ResourceLimitError, RingError, ZeroPolyError)
-from .poly import (MonomialOrder, MultiPoly, content_normalize, grevlex,
+from .poly import (MonomialOrder, MultiPoly, content_normalize, grevlex, lex,
                    leading_term, monomial_div, monomial_divides, monomial_lcm)
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -202,11 +207,18 @@ class _Packing:
     block order.  With one field, ``top_degree`` of a polynomial's terms is
     that field of its largest monomial (grevlex) or one mask per term (lex),
     with no per-term Python call.
+
+    With ``h`` (lex only) one more variable, h, is packed after the ring's:
+    the ring's layout moves up by one field and h's raw field, with its guard
+    bit, takes the bottom.  Packed ints still compare like lex with h last,
+    the degree field holds the degree with h set to 1, and setting h to 1 is
+    one right shift by a field, to the ring's own packing.
     """
 
-    __slots__ = ("width", "mask", "guard", "units", "shifts", "degree_fields")
+    __slots__ = ("width", "mask", "guard", "units", "shifts", "degree_fields",
+                 "graded")
 
-    def __init__(self, order: MonomialOrder, bound: int):
+    def __init__(self, order: MonomialOrder, bound: int, h: bool = False):
         n = len(order.variables)
         self.width = width = max(MIN_FIELD_BITS, (2 * bound).bit_length())
         self.mask = (1 << width) - 1
@@ -237,6 +249,12 @@ class _Packing:
             shift += key_bits
         self.units = units
         self.degree_fields = degree_fields
+        self.graded = not low
+        if h:
+            self.shifts = [s + slot for s in self.shifts] + [0]
+            self.guard = self.guard << slot | 1 << width
+            self.units = [u << slot for u in units] + [1]
+            self.degree_fields = [(s + slot, k) for s, k in degree_fields]
 
     def pack(self, exps) -> int:
         if any(e >> self.width for e in exps):
@@ -258,16 +276,16 @@ class _Packing:
         """Largest total degree among some packed monomials.
 
         With one degree field it is read from that field alone: under lex it
-        is the lowest field, so one mask per term; under grevlex it is the
-        most significant, so the largest monomial has the largest degree.
+        lies below every raw field, so one mask per term; under grevlex it is
+        the most significant, so the largest monomial has the largest degree.
         The block order sums its two fields per term.
         """
         if len(self.degree_fields) > 1:
             return max(map(self.degree, terms))
         shift, k = self.degree_fields[0]
-        if shift:
+        if self.graded:
             return max(terms) >> shift & k
-        return max(map(k.__and__, terms))
+        return max(map((k << shift).__and__, terms)) >> shift
 
     def to_poly(self, ring: tuple, terms: dict) -> MultiPoly:
         mask, shifts = self.mask, self.shifts
@@ -283,12 +301,15 @@ class _Packing:
 # positive integer leading coefficient, the primitive term dict, and the
 # (monomial, coefficient) items of the terms other than the leading one.
 
-def _int_terms(packing: _Packing, p: MultiPoly) -> dict:
+def _int_terms(packing: _Packing, p: MultiPoly, homogenize: bool = False) -> dict:
     """Primitive integer terms of p, keyed by packed monomial: p times the
-    lcm of its denominators, divided by the gcd of the results."""
+    lcm of its denominators, divided by the gcd of the results.  With
+    ``homogenize``, each monomial m gets one more exponent, deg p - deg m,
+    that of the last variable of ``packing``'s ring."""
     den = lcm(*(c.denominator for c in p.terms.values()))
-    terms = {packing.pack(m): c.numerator * (den // c.denominator)
-             for m, c in p.terms.items()}
+    top = p.degree() if homogenize else None
+    terms = {packing.pack(m if top is None else (*m, top - sum(m))):
+             c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     g = _content(terms.values())
     return {m: c // g for m, c in terms.items()} if g > 1 else terms
 
@@ -438,18 +459,28 @@ def _packed_basis(gb: GroebnerBasis):
 # Buchberger completion
 # ---------------------------------------------------------------------------
 
+_COUNTERS = ("pairs_considered", "pairs_skipped_criteria", "reductions",
+             "zero_reductions")
+
+
 def buchberger(ideal: Ideal, order: MonomialOrder,
                max_pairs: int = DEFAULT_MAX_PAIRS,
                max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
     """Complete the ideal's generators to a (non-reduced) Groebner basis.
 
-    Signature-based completion; see the module docstring.  Under lex, when
-    every generator is homogeneous, the call runs in two stages: the ideal is
-    completed and reduced under grevlex, and the lex completion starts from
-    that reduced basis, its members taken in ascending grevlex order of their
-    leading monomials, in place of the generators.  Any other call completes
-    the generators directly.  The stats count, summed over both stages where
-    there are two:
+    Signature-based completion; see the module docstring.  Under lex the call
+    first tries two stages: the ideal is completed and reduced under grevlex,
+    and the lex completion starts from that reduced basis, its members taken
+    in ascending grevlex order of their leading monomials, in place of the
+    generators.  When every generator is homogeneous the stages run on them
+    as they are.  Otherwise they run on the generators homogenized by a new
+    last variable h, the grevlex stage stops at the first member that joins
+    divisible by h, and the lex basis returned is the lex stage's with h set
+    to 1.  Such a stop, or a ResourceLimitError anywhere on that path, hands
+    the call to the direct completion of the generators, with fresh counters
+    and full budgets; grevlex, the block order and every such lex call
+    complete their generators directly.  The stats count, summed over both
+    stages where two ran to the end:
 
     - ``pairs_considered``: S-pair signatures taken from the queue;
     - ``pairs_skipped_criteria``: those that led to no reduction, being the
@@ -466,34 +497,78 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     over both stages, a member made from an S-pair in either stage exceeds
     total degree ``max_degree``, or an exponent overflows its packed field.
     Generators are exempt from the degree cap, and so are the grevlex
-    stage's members where the lex stage starts from them.  A budget that is
-    not an int >= 0 raises PreconditionError.
+    stage's members where the lex stage starts from them.  Over ring + h the
+    cap reads a grevlex member's degree with h and a lex member's degree
+    with h set to 1, and h's exponent has a field of its own; a limit met
+    there is not raised, since the direct completion then runs.  A budget
+    that is not an int >= 0 raises PreconditionError.
     """
     if tuple(order.variables) != ideal.ring:
         raise OrderError("order variables do not match the ideal ring")
     if not all(isinstance(v, int) and v >= 0 for v in (max_pairs, max_degree)):
         raise PreconditionError("max_pairs and max_degree must be ints >= 0")
-    stats = {"pairs_considered": 0, "pairs_skipped_criteria": 0,
-             "reductions": 0, "zero_reductions": 0}
     packing = _Packing(order, max_degree)
-    if order.kind == "lex" and all(
-            len({sum(m) for m in g.terms}) == 1 for g in ideal.generators):
-        first = _Packing(grevlex(ideal.ring), max_degree)
-        basis = _complete(first, _pack_generators(first, ideal, stats), stats,
+    stats = dict.fromkeys(_COUNTERS, 0)
+    basis = (_through_grevlex(ideal, packing, stats, max_pairs, max_degree)
+             if order.kind == "lex" else None)
+    if basis is None:
+        stats = dict.fromkeys(_COUNTERS, 0)
+        basis = _complete(packing, _pack_generators(packing, ideal, stats), stats,
                           max_pairs, max_degree)
+    stats["basis_size"] = len(basis)
+    stats["coeff_bits_max"] = _coeff_bits(basis)
+    return GroebnerBasis._from_packed(order, False, stats, packing, basis)
+
+
+def _through_grevlex(ideal: Ideal, packing: _Packing, stats: dict,
+                     max_pairs: int, max_degree: int) -> list | None:
+    """The two-stage lex completion that ``buchberger`` describes: the lex
+    basis entries under ``packing``, or None when an inhomogeneous ideal's
+    grevlex stage meets a member divisible by h or a limit stops its path.
+
+    By Bayer's criterion (Bayer & Stillman, Invent. Math. 1987) the
+    homogenized ideal is saturated in h when no member of its reduced grevlex
+    basis, h last, is divisible by h; homogenizing pays off then, and a stop
+    leaves the call to the direct completion.  Saturation is not needed for
+    correctness: for f in the ideal, some h^k f^h lies in the homogenized
+    ideal, and since h is the lowest lex variable, setting h to 1 merges no
+    terms of a homogeneous member and keeps its leading term, so the lex
+    basis with h set to 1 is a lex basis of the ideal.
+    """
+    ring = ideal.ring
+    homogeneous = all(len({sum(m) for m in g.terms}) == 1
+                      for g in ideal.generators)
+    if homogeneous:
+        first, second, stop = _Packing(grevlex(ring), max_degree), packing, 0
+    else:
+        # a name longer than every variable's is not one of them
+        hring = (*ring, "h" * (1 + max(map(len, ring))))
+        first = _Packing(grevlex(hring), max_degree)
+        second = _Packing(lex(ring), max_degree, h=True)
+        stop = first.mask << first.shifts[-1]  # h's raw field
+    try:
+        gens = _pack_generators(first, ideal, stats, not homogeneous)
+        basis = _complete(first, gens, stats, max_pairs, max_degree, stop)
+        if basis is None:
+            return None
         try:
             _, reduced = _reduce_entries(basis, first.guard)
         except ResourceLimitError as exc:
             raise _limit(str(exc), stats, len(basis)) from None
         # same field width, so every exponent repacks; ascending grevlex lm
-        gens = [_make_entry({packing.pack(first.unpack(m)): c
+        gens = [_make_entry({second.pack(first.unpack(m)): c
                              for m, c in e[2].items()}) for e in reversed(reduced)]
-    else:
-        gens = _pack_generators(packing, ideal, stats)
-    basis = _complete(packing, gens, stats, max_pairs, max_degree)
-    stats["basis_size"] = len(basis)
-    stats["coeff_bits_max"] = _coeff_bits(basis)
-    return GroebnerBasis._from_packed(order, False, stats, packing, basis)
+        basis = _complete(second, gens, stats, max_pairs, max_degree)
+    except ResourceLimitError:
+        if homogeneous:
+            raise
+        return None
+    if homogeneous:
+        return basis
+    # h = 1: shift h's raw field out, leaving the ring's packing
+    slot = second.width + 1
+    return [(lm >> slot, lc, {m >> slot: c for m, c in terms.items()},
+             [(m >> slot, c) for m, c in tail]) for lm, lc, terms, tail in basis]
 
 
 def _limit(msg: str, stats: dict, basis_size: int, pending_pairs: int = 0):
@@ -503,19 +578,22 @@ def _limit(msg: str, stats: dict, basis_size: int, pending_pairs: int = 0):
     return ResourceLimitError(msg, stats=dict(stats))
 
 
-def _pack_generators(packing: _Packing, ideal: Ideal, stats: dict) -> list:
+def _pack_generators(packing: _Packing, ideal: Ideal, stats: dict,
+                     homogenize: bool = False) -> list:
     try:
-        return [_make_entry(_int_terms(packing, g)) for g in ideal.generators]
+        return [_make_entry(_int_terms(packing, g, homogenize))
+                for g in ideal.generators]
     except ResourceLimitError as exc:
         raise _limit(str(exc), stats, 0) from None
 
 
 def _complete(packing: _Packing, gens: list, stats: dict,
-              max_pairs: int, max_degree: int) -> list:
+              max_pairs: int, max_degree: int, stop: int = 0) -> list | None:
     """The signature-based completion of the entries ``gens`` under
     ``packing``'s order: the basis entries, with the counters added to
     ``stats``; ``max_pairs`` bounds ``stats["pairs_considered"]``, counted
-    from what it holds on entry."""
+    from what it holds on entry.  None, at once, when a member would join
+    whose leading monomial sets a bit of ``stop``."""
     guard, units = packing.guard, packing.units
     basis: list = []
     lms: list = []  # packed leading monomials, parallel to basis
@@ -634,7 +712,10 @@ def _complete(packing: _Packing, gens: list, stats: dict,
             deg = packing.top_degree(rem)
             if deg > max_degree:
                 raise fail(f"degree cap exceeded ({deg} > {max_degree})")
-        add_member(_make_entry(rem), sig)
+        entry = _make_entry(rem)
+        if entry[0] & stop:
+            return None
+        add_member(entry, sig)
     return basis
 
 

@@ -12,7 +12,7 @@ from conicoffset.cli import main
 from conicoffset.conics import ConicSpec, offset_poly_closed_form
 from conicoffset.mesh import MeshSpec, generate_mesh, mesh_figure
 from conicoffset.poly import (MultiPoly, format_poly, parse_poly, poly_from_dict,
-                              poly_to_dict)
+                              poly_to_dict, substitute)
 from conicoffset.verify import conic_from_case
 
 
@@ -787,6 +787,32 @@ def test_groebner_lex_json_on_the_symbolic_ellipse(tmp_path, capsys):
     assert stats["degree_multiset"] == [27, 25, 23, 23, 23, 23, 21, 21, 20, 20,
                                         19, 18, 17, 16, 16, 15, 14, 13, 12, 11,
                                         10, 10, 9, 8, 8, 7, 7, 7, 6, 5, 5, 4, 4, 2]
+    assert (stats["pairs_considered"], stats["pairs_skipped_criteria"],
+            stats["reductions"]) == (959, 905, 57)
+
+
+def test_groebner_lex_json_on_the_ellipse_with_r_fixed(tmp_path, capsys):
+    # with r fixed the envelope ideal is inhomogeneous, and its homogenization
+    # is saturated, so lex completes it over ring + h and sets h to 1; the
+    # basis hash, size and degrees were recorded with the direct lex
+    # completion, whose work counters read 2000, 1936 and 64
+    from conicoffset.conics import build_ideal
+    gens = [substitute(g, {"r": Fraction(9, 2)}) for g in build_ideal("ellipse").generators]
+    ring = gens[0].ring
+    src = tmp_path / "ideal.json"
+    src.write_text(json.dumps([poly_to_dict(g) for g in gens]))
+    code, out, _ = run(capsys, "groebner", "--in", str(src), "--vars",
+                       ",".join(ring), "--order", "lex", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert hashlib.sha256(json.dumps(doc["basis"]).encode()).hexdigest() == \
+        "c82e3a942a6257b2f3ccc9db885486727da6478dcb936d00cfeec5568d0b9ac9"
+    assert (doc["order"], doc["vars"]) == ("lex", list(ring))
+    stats = doc["stats"]
+    assert stats["basis_size"] == 31
+    assert stats["degree_multiset"] == [27, 25, 25, 25, 25, 23, 23, 20, 20, 18,
+                                        16, 16, 15, 14, 13, 12, 11, 10, 10, 10,
+                                        9, 8, 7, 7, 7, 6, 5, 5, 4, 4, 2]
     assert (stats["pairs_considered"], stats["pairs_skipped_criteria"],
             stats["reductions"]) == (959, 905, 57)
 

@@ -305,6 +305,32 @@ def test_packed_degree_matches_total_degree(order):
         assert pk.degree(pk.pack(u)) == sum(u)
 
 
+def test_packing_with_h_is_lex_with_h_last():
+    # R5's last variable plays h: lex over the first four packed with h
+    # compares, divides and multiplies like lex over all five, reads the
+    # degree with h set to 1, and shifts by one field to the ring's packing
+    ring = R5[:-1]
+    pk, base = _Packing(lex(ring), 40, h=True), _Packing(lex(ring), 40)
+    order, g, slot = lex(R5), pk.guard, pk.width + 1
+    rng = random.Random(18)
+    mons = _random_monomials(18)
+    mons += [_same_degree_partner(rng, u) for u in mons[:20]]
+    hits = 0
+    for u, v in itertools.product(mons[:60], repeat=2):
+        m, n = pk.pack(u), pk.pack(v)
+        assert (m < n) == (order.key(u) < order.key(v))
+        hits += ((m | g) - n) & g == g
+        assert (((m | g) - n) & g == g) == monomial_divides(v, u)
+    assert hits > 100
+    for u, v in zip(mons, reversed(mons)):
+        m = pk.pack(u)
+        assert pk.unpack(m) == u and m >> slot == base.pack(u[:-1])
+        assert m + pk.pack(v) == pk.pack(monomial_mul(u, v))
+        assert pk.degree(m) == sum(u[:-1])
+    terms = [pk.pack(u) for u in mons[:8]]
+    assert pk.top_degree(terms) == max(sum(u[:-1]) for u in mons[:8])
+
+
 def test_exponent_overflow_raises():
     o = lex(R2)
     wide = 1 << _Packing(o, 40).width
@@ -398,12 +424,15 @@ GOLDEN_UNIVARIATE = [
 
 # the lex families of the perfbench symbolic workload with parameters fixed,
 # at seed 7's round-0 draws: r fixed, then r and b fixed (max_degree=60);
-# recorded with the divisor-cache engine that preceded the order-prefix lookup
+# recorded with the divisor-cache engine that preceded the order-prefix lookup.
+# The r-fixed ideals homogenize to saturated ideals, so their counters sum a
+# grevlex stage and a lex stage over ring + h (2000, 1936, 64, 65 directly);
+# the r-and-b ones stop that grevlex stage and complete directly.
 GOLDEN_SYMBOLIC = {
     ("ellipse", (("r", F(9, 2)),)): (
-        "b6e61ae6bce17c7fb4ea75a87e322cae5f7a1ebe95dff5a67cefbd487786cf95", 2000, 1936, 64, 65),
+        "b6e61ae6bce17c7fb4ea75a87e322cae5f7a1ebe95dff5a67cefbd487786cf95", 959, 905, 57, 45),
     ("hyperbola", (("r", F(3)),)): (
-        "ca89f934068212cf30f95bbfe04d2e3bef1b5c30bc2afa2c15a6ae79b698b9ee", 2000, 1936, 64, 65),
+        "ca89f934068212cf30f95bbfe04d2e3bef1b5c30bc2afa2c15a6ae79b698b9ee", 959, 905, 57, 45),
     ("ellipse", (("r", F(1, 2)), ("b", F(6)))): (
         "7882433c3669c0d4c679b0f63a95eeccbbbf39e57053f5a6fa8f5ad46df92767", 453, 422, 32, 32),
     ("hyperbola", (("r", F(8, 3)), ("b", F(7, 4)))): (
@@ -721,9 +750,11 @@ def test_degree_cap_boundary(kind):
     assert gb.stats["reductions"] == (3 if kind == "lex" else 1)
     with pytest.raises(ResourceLimitError, match=rf"cap exceeded \({d} > {d - 1}\)"):
         buchberger(Ideal(R2, gens), order, max_degree=d - 1)
-    # generators are exempt, taken as they are or reduced
+    # generators are exempt, taken as they are or reduced; lex homogenizes
+    # these, and its lex stage starts from the reduced grevlex basis
+    # {x, y^30}, whose members are exempt as well
     gb = buchberger(Ideal(R2, (X, X + Y ** 50, X ** 30 + Y ** 30)), order, max_degree=d)
-    assert max(p.degree() for p in gb.polys) == 50
+    assert max(p.degree() for p in gb.polys) == (30 if kind == "lex" else 50)
 
 
 @pytest.mark.parametrize("name,kind", sorted(GOLDEN_SMALL))
@@ -934,14 +965,81 @@ def test_homogeneous_lex_matches_sympy():
             _sympy_reduced(sympy, ring, gens, "lex", "f5b"), gens
 
 
-def test_only_homogeneous_lex_runs_a_grevlex_stage(monkeypatch):
+def _random_inhomogeneous_ideals(seed, count):
+    """Seeded inhomogeneous ideals of two kinds, alternating.  Odd ones are
+    random homogeneous ideals in ring + h with h set to 1, where the h-free
+    part of generator i is x_i^d plus terms in the variables after x_i: those
+    parts make a regular sequence, so homogenizing gives the ideal back
+    saturated in h.  Even ones have random sparse generators, whose grevlex
+    stage over ring + h mostly meets a member divisible by h."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    for k in range(count):
+        ring = ("w", "x", "y", "z")[:rng.choice((3, 4))]
+        gens = []
+        if k % 2:
+            n = len(ring) - 1  # the last variable is h
+            for i in sorted(rng.sample(range(n), rng.randint(2, n))):
+                degree, later = rng.randint(1, 3), range(i + 1, n)
+                terms = {}
+                for _ in range(rng.randint(2, 4)):
+                    exps = [0] * len(ring)
+                    if later and rng.random() < 0.5:
+                        pool = later  # h-free, in the variables after x_i
+                    else:
+                        exps[-1], pool = 1, range(len(ring))  # h times any term
+                    for _ in range(degree - exps[-1]):
+                        exps[rng.choice(pool)] += 1
+                    terms[tuple(exps)] = coeff()
+                terms[tuple(degree if j == i else 0 for j in range(len(ring)))] = coeff()
+                gens.append(substitute(MultiPoly(ring, terms), {ring[-1]: 1}))
+        else:
+            ring = ring[:-1]
+            for _ in range(rng.randint(2, len(ring))):
+                gens.append(MultiPoly(ring, {tuple(rng.randint(0, 2) for _ in ring):
+                                             coeff() for _ in range(rng.randint(2, 4))}))
+        yield gens[0].ring, gens
+
+
+def test_inhomogeneous_lex_matches_sympy(monkeypatch):
+    from conicoffset import groebner
+    sympy = pytest.importorskip("sympy")
+    complete = groebner._complete
+    runs = []
+
+    def recording(packing, gens, *rest):
+        basis = complete(packing, gens, *rest)
+        runs.append((len(packing.units), basis is None))
+        return basis
+
+    monkeypatch.setattr(groebner, "_complete", recording)
+    through_h = stopped = 0
+    for ring, gens in _random_inhomogeneous_ideals(45, 30):
+        runs.clear()
+        gb = reduce_basis(buchberger(Ideal(ring, tuple(gens)), lex(ring)))
+        assert {content_normalize(p) for p in gb.polys} == \
+            _sympy_reduced(sympy, ring, gens, "lex", "f5b"), gens
+        h = len(ring) + 1
+        through_h += runs == [(h, False), (h, False)]
+        stopped += runs == [(h, True), (h - 1, False)]
+    # both sides of the saturation test are covered
+    assert through_h >= 5 and stopped >= 5
+
+
+def test_which_lex_calls_run_a_grevlex_stage(monkeypatch):
     from conicoffset import groebner
     runs = []
+    stopped = []
     complete = groebner._complete
 
     def recording(packing, gens, *rest):
         runs.append((packing, gens))
-        return complete(packing, gens, *rest)
+        basis = complete(packing, gens, *rest)
+        stopped.append(basis is None)
+        return basis
 
     monkeypatch.setattr(groebner, "_complete", recording)
     ideal = build_ideal("parabola")
@@ -950,9 +1048,25 @@ def test_only_homogeneous_lex_runs_a_grevlex_stage(monkeypatch):
         buchberger(ideal, order)
         assert len(runs) == 1
         runs.clear()
+    stopped.clear()
+    # an inhomogeneous ideal whose homogenization is saturated runs a grevlex
+    # stage and a lex stage, both over ring + h
     inhomogeneous = Ideal(ring, (ideal.generators[0] + 1, *ideal.generators[1:]))
     buchberger(inhomogeneous, lex(ring))
-    assert len(runs) == 1
+    assert [p.units for p, _ in runs] == [_Packing(grevlex((*ring, "h")), 40).units,
+                                          _Packing(lex(ring), 40, h=True).units]
+    assert stopped == [False, False]
+    runs.clear()
+    stopped.clear()
+    # the textbook ideal's grevlex stage meets a member divisible by h: it
+    # stops there, and one direct completion of the generators follows
+    textbook = _small_ideal("textbook")
+    buchberger(textbook, lex(R2))
+    (first, _), (direct, gens) = runs
+    assert first.units == _Packing(grevlex((*R2, "h")), 40).units
+    assert direct.units == _Packing(lex(R2), 40).units
+    assert [direct.to_poly(R2, e[2]) for e in gens] == list(textbook.generators)
+    assert stopped == [True, False]
     runs.clear()
     buchberger(ideal, lex(ring))
     (first, _), (second, gens) = runs
