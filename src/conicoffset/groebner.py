@@ -78,17 +78,18 @@ behind Traverso's Hilbert-driven Buchberger (JSC 1996) in its simplest form:
 the ideal is completed and reduced under grevlex, where its basis is small,
 and the lex completion starts from that reduced basis, its members repacked
 for lex straight from their grevlex entries and taken lowest grevlex leading
-monomial first, in place of the generators.  Homogeneous generators go
-through as they are.  Inhomogeneous ones are homogenized by a new last
-variable h, packed straight into the packing of ring + h, and the lex basis
-found over ring + h gives the ideal's with h set to 1, by dropping h's packed
-field.  That pays only when the homogenized ideal is saturated in h, which by
-Bayer's criterion (Bayer & Stillman, Invent. Math. 1987) holds when no
-member of its reduced grevlex basis, h last, is divisible by h: the symbolic
-central conics with r fixed halve, while those with r and b fixed would
-double.  So the grevlex stage stops at the first member that joins divisible
-by h, and such a call, like every other order, completes its generators
-directly.  Stats and budgets run across both stages.
+monomial first, in place of the generators.  Both stages run on the
+generators homogenized by a new last variable h (whose exponents are all 0
+in a homogeneous ideal), packed straight into the packing of ring + h, and
+the lex basis found there gives the ideal's with h set to 1, by dropping h's
+packed field.  That pays only when the homogenized ideal is saturated in h,
+which by Bayer's criterion (Bayer & Stillman, Invent. Math. 1987) holds when
+no member of its reduced grevlex basis, h last, is divisible by h: the
+symbolic central conics with r fixed halve, while those with r and b fixed
+would double.  So the grevlex stage stops at the first member that joins
+divisible by h, and such a call, like one whose path meets a limit other
+than the pair budget, goes on to complete its generators directly, as every
+other order does.  Stats and the pair budget run across all stages.
 
 For a zero-dimensional ideal, ``minimal_polynomials`` gets the univariate
 eliminants from a basis in any order (typically a cheap grevlex one) by
@@ -469,18 +470,16 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     """Complete the ideal's generators to a (non-reduced) Groebner basis.
 
     Signature-based completion; see the module docstring.  Under lex the call
-    first tries two stages: the ideal is completed and reduced under grevlex,
-    and the lex completion starts from that reduced basis, its members taken
-    in ascending grevlex order of their leading monomials, in place of the
-    generators.  When every generator is homogeneous the stages run on them
-    as they are.  Otherwise they run on the generators homogenized by a new
-    last variable h, the grevlex stage stops at the first member that joins
-    divisible by h, and the lex basis returned is the lex stage's with h set
-    to 1.  Such a stop, or a ResourceLimitError anywhere on that path, hands
-    the call to the direct completion of the generators, with fresh counters
-    and full budgets; grevlex, the block order and every such lex call
-    complete their generators directly.  The stats count, summed over both
-    stages where two ran to the end:
+    first tries two stages on the generators homogenized by a new last
+    variable h: the ideal is completed and reduced under grevlex, stopping
+    at the first member that joins divisible by h, and the lex completion
+    starts from that reduced basis, its members taken in ascending grevlex
+    order of their leading monomials, in place of the generators; the lex
+    basis returned is the lex stage's with h set to 1.  Such a stop, or a
+    limit other than the pair budget on that path, hands the call to the
+    direct completion of the generators, which goes on from the same
+    counters; grevlex and the block order complete their generators
+    directly.  The stats count, summed over every stage that ran:
 
     - ``pairs_considered``: S-pair signatures taken from the queue;
     - ``pairs_skipped_criteria``: those that led to no reduction, being the
@@ -494,12 +493,12 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     Raises ResourceLimitError, whose stats hold the counters so far, the
     ``basis_size`` and the ``pending_pairs`` (signatures still queued) of the
     stage that stopped, when more than ``max_pairs`` S-pairs are processed
-    over both stages, a member made from an S-pair in either stage exceeds
-    total degree ``max_degree``, or an exponent overflows its packed field.
-    Generators are exempt from the degree cap, and so are the grevlex
-    stage's members where the lex stage starts from them.  Over ring + h the
-    cap reads a grevlex member's degree with h and a lex member's degree
-    with h set to 1, and h's exponent has a field of its own; a limit met
+    over all its stages, a member made from an S-pair exceeds total degree
+    ``max_degree``, or an exponent overflows its packed field.  Generators
+    are exempt from the degree cap, and so are the grevlex stage's members
+    where the lex stage starts from them.  Over ring + h the cap reads a
+    grevlex member's degree with h and a lex member's degree with h set to
+    1, and h's exponent has a field of its own; a cap or an overflow met
     there is not raised, since the direct completion then runs.  A budget
     that is not an int >= 0 raises PreconditionError.
     """
@@ -509,10 +508,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
         raise PreconditionError("max_pairs and max_degree must be ints >= 0")
     packing = _Packing(order, max_degree)
     stats = dict.fromkeys(_COUNTERS, 0)
-    basis = (_through_grevlex(ideal, packing, stats, max_pairs, max_degree)
+    basis = (_through_grevlex(ideal, stats, max_pairs, max_degree)
              if order.kind == "lex" else None)
     if basis is None:
-        stats = dict.fromkeys(_COUNTERS, 0)
         basis = _complete(packing, _pack_generators(packing, ideal, stats), stats,
                           max_pairs, max_degree)
     stats["basis_size"] = len(basis)
@@ -520,51 +518,40 @@ def buchberger(ideal: Ideal, order: MonomialOrder,
     return GroebnerBasis._from_packed(order, False, stats, packing, basis)
 
 
-def _through_grevlex(ideal: Ideal, packing: _Packing, stats: dict,
-                     max_pairs: int, max_degree: int) -> list | None:
+def _through_grevlex(ideal: Ideal, stats: dict, max_pairs: int,
+                     max_degree: int) -> list | None:
     """The two-stage lex completion that ``buchberger`` describes: the lex
-    basis entries under ``packing``, or None when an inhomogeneous ideal's
-    grevlex stage meets a member divisible by h or a limit stops its path.
+    basis entries under the ring's lex packing, or None when its grevlex
+    stage meets a member divisible by h or a limit other than the pair
+    budget stops it.
 
-    By Bayer's criterion (Bayer & Stillman, Invent. Math. 1987) the
-    homogenized ideal is saturated in h when no member of its reduced grevlex
-    basis, h last, is divisible by h; homogenizing pays off then, and a stop
-    leaves the call to the direct completion.  Saturation is not needed for
-    correctness: for f in the ideal, some h^k f^h lies in the homogenized
-    ideal, and since h is the lowest lex variable, setting h to 1 merges no
-    terms of a homogeneous member and keeps its leading term, so the lex
-    basis with h set to 1 is a lex basis of the ideal.
+    Bayer's criterion picks where homogenizing pays (see the module
+    docstring); correctness does not rest on saturation: for f in the ideal,
+    some h^k f^h lies in the homogenized ideal, and since h is the lowest
+    lex variable, setting h to 1 merges no terms of a homogeneous member and
+    keeps its leading term, so the lex basis with h set to 1 is a lex basis
+    of the ideal.
     """
     ring = ideal.ring
-    homogeneous = all(len({sum(m) for m in g.terms}) == 1
-                      for g in ideal.generators)
-    if homogeneous:
-        first, second, stop = _Packing(grevlex(ring), max_degree), packing, 0
-    else:
-        # a name longer than every variable's is not one of them
-        hring = (*ring, "h" * (1 + max(map(len, ring))))
-        first = _Packing(grevlex(hring), max_degree)
-        second = _Packing(lex(ring), max_degree, h=True)
-        stop = first.mask << first.shifts[-1]  # h's raw field
+    # a name longer than every variable's is not one of them
+    hring = (*ring, "h" * (1 + max(map(len, ring))))
+    first = _Packing(grevlex(hring), max_degree)
+    second = _Packing(lex(ring), max_degree, h=True)
     try:
-        gens = _pack_generators(first, ideal, stats, not homogeneous)
-        basis = _complete(first, gens, stats, max_pairs, max_degree, stop)
+        gens = _pack_generators(first, ideal, stats, homogenize=True)
+        basis = _complete(first, gens, stats, max_pairs, max_degree,
+                          first.mask << first.shifts[-1])  # h's raw field
         if basis is None:
             return None
-        try:
-            _, reduced = _reduce_entries(basis, first.guard)
-        except ResourceLimitError as exc:
-            raise _limit(str(exc), stats, len(basis)) from None
+        _, reduced = _reduce_entries(basis, first.guard)
         # same field width, so every exponent repacks; ascending grevlex lm
         gens = [_make_entry({second.pack(first.unpack(m)): c
                              for m, c in e[2].items()}) for e in reversed(reduced)]
         basis = _complete(second, gens, stats, max_pairs, max_degree)
     except ResourceLimitError:
-        if homogeneous:
+        if stats["pairs_considered"] > max_pairs:
             raise
         return None
-    if homogeneous:
-        return basis
     # h = 1: shift h's raw field out, leaving the ring's packing
     slot = second.width + 1
     return [(lm >> slot, lc, {m >> slot: c for m, c in terms.items()},
@@ -573,9 +560,8 @@ def _through_grevlex(ideal: Ideal, packing: _Packing, stats: dict,
 
 def _limit(msg: str, stats: dict, basis_size: int, pending_pairs: int = 0):
     """ResourceLimitError with the counters so far and a stage's sizes."""
-    stats["basis_size"] = basis_size
-    stats["pending_pairs"] = pending_pairs
-    return ResourceLimitError(msg, stats=dict(stats))
+    return ResourceLimitError(msg, stats={**stats, "basis_size": basis_size,
+                                          "pending_pairs": pending_pairs})
 
 
 def _pack_generators(packing: _Packing, ideal: Ideal, stats: dict,

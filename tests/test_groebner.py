@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction as F
 from itertools import chain, islice
 from math import gcd
@@ -338,11 +339,13 @@ def test_exponent_overflow_raises():
         buchberger(Ideal(R2, (X ** wide - Y, X * Y - 1)), o)
     assert "overflow" in str(exc.value)
     assert exc.value.stats["pairs_considered"] == 0
-    # y^40000 fits a field, but reducing x^2 by x - y^40000 forms y^80000
+    # y^40000 fits a field, but reducing x^2 by x - y^40000 forms y^80000;
+    # the homogenized path's lex stage meets the degree cap first, after one
+    # reduction, and the direct completion goes on from its counters
     with pytest.raises(ResourceLimitError) as exc:
         buchberger(Ideal(R2, (X - Y ** 40000, X ** 2)), o)
     assert "overflow" in str(exc.value)
-    assert exc.value.stats["reductions"] == 1
+    assert exc.value.stats["reductions"] == 2
 
 
 @pytest.mark.parametrize("gens", [
@@ -383,21 +386,25 @@ def _fingerprint(gb):
             s["pairs_skipped_criteria"], s["reductions"], s["basis_size"])
 
 
+# The textbook and clo ideals stop their grevlex stage over ring + h at a
+# member divisible by h, so their lex counters add that stopped stage's work
+# to the direct completion's (4, 2, 2 and 7, 4, 3 directly).
 GOLDEN_SMALL = {
     ("textbook", "lex"): (
-        "8184753b008788e53e71bf47432f82d1d8e59cbf038dcc12893e8d15b237add0", 4, 2, 2, 4),
+        "8184753b008788e53e71bf47432f82d1d8e59cbf038dcc12893e8d15b237add0", 5, 2, 3, 4),
     ("textbook", "grevlex"): (
         "fd09c32d46c5899520267971d959672b7d62c58d6d160978171d4a50c801a7a9", 2, 1, 1, 3),
     ("textbook", "block"): (
         "8184753b008788e53e71bf47432f82d1d8e59cbf038dcc12893e8d15b237add0", 4, 2, 2, 4),
     ("clo", "lex"): (
-        "dd8a6d9eae4cddc4f1d00aa3003120d7e5c9166aebfd4878ff37611fd924cab7", 7, 4, 3, 5),
+        "dd8a6d9eae4cddc4f1d00aa3003120d7e5c9166aebfd4878ff37611fd924cab7", 8, 4, 4, 5),
     ("clo", "grevlex"): (
         "13aecab0a5608f5be93892d00bf547cb35debf8643fa0a628dbdc69f213fc0f7", 7, 4, 3, 5),
     ("case4", "grevlex"): (
         "e2346c20e11e1e4b913c3f5ee45e16a7357a61ec6fe341fb2ac0d732b7a5b7c0", 9, 6, 4, 6),
-    # homogeneous, so its counters sum a grevlex stage and a lex stage
-    # started from the reduced grevlex basis (219, 198, 21, 23 directly)
+    # homogeneous, so h is absent and its path never stops: its counters
+    # sum a grevlex stage and a lex stage started from the reduced grevlex
+    # basis (219, 198, 21, 23 directly)
     ("parabola-symbolic", "lex"): (
         "4815cb8d5c2df500c508d53fc0e5ba7c8c920512c94acae91d72d56ec464a424", 83, 63, 24, 14),
 }
@@ -415,10 +422,12 @@ GOLDEN_BLOCK_CASES = {
 }
 
 # the two lex runs of the elimination singular-point route on case 5
-# (ellipse a=3, b=3/2, r=3/4): keep x (ring y>x), then keep y (ring x>y)
+# (ellipse a=3, b=3/2, r=3/4): keep x (ring y>x), then keep y (ring x>y);
+# both stop their grevlex stage over ring + h, whose work the counters add
+# (166, 147, 19 and 267, 243, 24 directly)
 GOLDEN_UNIVARIATE = [
-    ("82473089ef5840cad07868686e16c8bfc88cf6c76025a22e924e0464cb4e241f", 166, 147, 19, 19),
-    ("fb8da81c41343f336557a038f874fd9f421c318945c85751a737af401a961c9f", 267, 243, 24, 24),
+    ("82473089ef5840cad07868686e16c8bfc88cf6c76025a22e924e0464cb4e241f", 168, 147, 21, 19),
+    ("fb8da81c41343f336557a038f874fd9f421c318945c85751a737af401a961c9f", 269, 243, 26, 24),
 ]
 
 
@@ -427,16 +436,17 @@ GOLDEN_UNIVARIATE = [
 # recorded with the divisor-cache engine that preceded the order-prefix lookup.
 # The r-fixed ideals homogenize to saturated ideals, so their counters sum a
 # grevlex stage and a lex stage over ring + h (2000, 1936, 64, 65 directly);
-# the r-and-b ones stop that grevlex stage and complete directly.
+# the r-and-b ones stop that grevlex stage and complete directly, and their
+# counters add the stopped stage's work (453, 422, 32 directly).
 GOLDEN_SYMBOLIC = {
     ("ellipse", (("r", F(9, 2)),)): (
         "b6e61ae6bce17c7fb4ea75a87e322cae5f7a1ebe95dff5a67cefbd487786cf95", 959, 905, 57, 45),
     ("hyperbola", (("r", F(3)),)): (
         "ca89f934068212cf30f95bbfe04d2e3bef1b5c30bc2afa2c15a6ae79b698b9ee", 959, 905, 57, 45),
     ("ellipse", (("r", F(1, 2)), ("b", F(6)))): (
-        "7882433c3669c0d4c679b0f63a95eeccbbbf39e57053f5a6fa8f5ad46df92767", 453, 422, 32, 32),
+        "7882433c3669c0d4c679b0f63a95eeccbbbf39e57053f5a6fa8f5ad46df92767", 454, 422, 33, 32),
     ("hyperbola", (("r", F(8, 3)), ("b", F(7, 4)))): (
-        "c108af5d63876018605783e397409af5295008c933c4306ef323fa5e1974403c", 453, 422, 32, 32),
+        "c108af5d63876018605783e397409af5295008c933c4306ef323fa5e1974403c", 454, 422, 33, 32),
 }
 
 
@@ -1068,14 +1078,21 @@ def test_which_lex_calls_run_a_grevlex_stage(monkeypatch):
     assert [direct.to_poly(R2, e[2]) for e in gens] == list(textbook.generators)
     assert stopped == [True, False]
     runs.clear()
+    stopped.clear()
+    # a homogeneous ideal takes the same path over ring + h, with h absent,
+    # so its grevlex stage never stops
     buchberger(ideal, lex(ring))
     (first, _), (second, gens) = runs
-    assert first.units == _Packing(grevlex(ring), 40).units
-    assert second.units == _Packing(lex(ring), 40).units
+    assert first.units == _Packing(grevlex((*ring, "h")), 40).units
+    assert second.units == _Packing(lex(ring), 40, h=True).units
+    assert stopped == [False, False]
     # the lex stage starts from the reduced grevlex basis, lowest lm first,
     # each member signed for a positive lex leading coefficient
     want = reduce_basis(buchberger(ideal, grevlex(ring))).polys[::-1]
-    got = [second.to_poly(ring, e[2]) for e in gens]
+    slot = second.width + 1
+    got = [_Packing(lex(ring), 40).to_poly(ring, {m >> slot: c for m, c in e[2].items()})
+           for e in gens]
+    assert not any(m & second.mask for e in gens for m in e[2])
     assert len(got) == len(want)
     assert all(p in (q, -q) for p, q in zip(got, want))
 
@@ -1107,12 +1124,83 @@ def test_homogeneous_lex_budgets_span_both_stages():
     with pytest.raises(ResourceLimitError):
         buchberger(ideal, order, max_pairs=both["pairs_considered"] - 1)
     assert buchberger(ideal, order, max_pairs=both["pairs_considered"]).stats == both
-    # a degree cap the lex stage passes, worded as the direct lex run words
-    # it; the grevlex members are of degree 4, so the cap was not hit there
+    # a degree cap the lex stage passes hands the call to the direct
+    # completion, which meets it too; the grevlex members are of degree 4, so
+    # the cap was not hit there
     with pytest.raises(ResourceLimitError) as exc:
         buchberger(ideal, order, max_degree=6)
     assert str(exc.value) == "degree cap exceeded (7 > 6)"
     assert exc.value.stats["pairs_considered"] > n
+
+
+def _ellipse_with_r_fixed():
+    # the envelope ideal of the ellipse with r = 9/2, as CI's timed groebner
+    # step writes it: inhomogeneous, and saturated once homogenized
+    gens = [substitute(g, {"r": F(9, 2)}) for g in build_ideal("ellipse").generators]
+    return Ideal(gens[0].ring, tuple(gens))
+
+
+def test_one_pair_budget_bounds_the_whole_lex_call(monkeypatch):
+    from conicoffset import groebner
+    complete = groebner._complete
+    added = []  # what each completion run adds to pairs_considered
+
+    def counting(packing, gens, stats, *rest):
+        before = stats["pairs_considered"]
+        try:
+            return complete(packing, gens, stats, *rest)
+        finally:
+            added.append(stats["pairs_considered"] - before)
+
+    monkeypatch.setattr(groebner, "_complete", counting)
+    ideal = _ellipse_with_r_fixed()
+    # the budget runs out on the homogenized path and is raised there, with
+    # no direct completion after it
+    with pytest.raises(ResourceLimitError,
+                       match=r"^pair budget exceeded \(900\)$") as exc:
+        buchberger(ideal, lex(ideal.ring), max_pairs=900)
+    assert exc.value.stats["pairs_considered"] == 901
+    assert sum(added) <= 901
+    gb = reduce_basis(buchberger(ideal, lex(ideal.ring), max_pairs=1500))
+    assert _fingerprint(gb)[0] == GOLDEN_SYMBOLIC[("ellipse", (("r", F(9, 2)),))][0]
+    # a stopped call counts its stopped stage and its direct completion
+    added.clear()
+    stats = buchberger(_small_ideal("textbook"), lex(R2)).stats
+    assert len(added) == 2 and stats["pairs_considered"] == sum(added)
+
+
+def test_lex_budgets_return_the_basis_or_raise():
+    # seeded budgets on random ideals of both kinds: each lex call returns the
+    # reduced basis of the default-budget call or raises, and its counters
+    # stay within its pair budget
+    rng = random.Random(46)
+    ideals = chain(_random_homogeneous_ideals(46, 20),
+                   _random_inhomogeneous_ideals(47, 20))
+    outcomes = Counter()
+    for ring, gens in ideals:
+        ideal, order = Ideal(ring, tuple(gens)), lex(ring)
+        full = buchberger(ideal, order)
+        want = reduce_basis(full).polys
+        pairs = full.stats["pairs_considered"]
+        degree = max(p.degree() for p in full.polys)
+        for _ in range(8):
+            max_pairs, max_degree = rng.randint(0, pairs + 2), rng.randint(0, degree + 2)
+            try:
+                gb = buchberger(ideal, order, max_pairs=max_pairs, max_degree=max_degree)
+            except ResourceLimitError as exc:
+                spent = exc.stats["pairs_considered"]
+                if str(exc).startswith("pair budget"):
+                    assert spent == max_pairs + 1
+                    outcomes["pair budget"] += 1
+                else:
+                    assert spent <= max_pairs
+                    outcomes["other limit"] += 1
+                continue
+            assert gb.stats["pairs_considered"] <= max_pairs
+            assert reduce_basis(gb).polys == want, (gens, max_pairs, max_degree)
+            outcomes["returned"] += 1
+    assert sum(outcomes.values()) == 320
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 # ---------------------------------------------------------------------------
