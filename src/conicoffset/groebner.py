@@ -71,7 +71,9 @@ so no ``Fraction`` round trip sits between the stages.  A basis without them
 is packed from its polys.  The ``MultiPoly`` outputs are built from the
 entries on the first read of ``polys``, through a constructor that skips
 re-validation, so the unreduced members that ``reduce_basis(buchberger(...))``
-drops are never converted.
+drops are never converted.  A member is unpacked one exponent field at a time
+over all of its monomials, and the fields are zipped into exponent tuples in
+term order, with no Python call per term beyond its ``Fraction``.
 
 A lex completion has two stages in one ``buchberger`` call, the order change
 behind Traverso's Hilbert-driven Buchberger (JSC 1996) in its simplest form:
@@ -289,10 +291,13 @@ class _Packing:
         return max(map((k << shift).__and__, terms)) >> shift
 
     def to_poly(self, ring: tuple, terms: dict) -> MultiPoly:
-        mask, shifts = self.mask, self.shifts
+        """The MultiPoly of packed terms, in their order: each exponent is
+        unpacked as one field over all monomials, and the fields are zipped
+        into the exponent tuples."""
+        mask = self.mask
+        fields = [[m >> s & mask for m in terms] for s in self.shifts]
         return MultiPoly._trusted(
-            ring, {tuple([m >> s & mask for s in shifts]): Fraction(c)
-                   for m, c in terms.items()})
+            ring, dict(zip(zip(*fields), map(Fraction, terms.values()))))
 
 
 # ---------------------------------------------------------------------------

@@ -539,13 +539,21 @@ def format_poly(p: MultiPoly, order: MonomialOrder | None = None) -> str:
 # JSON wire form
 # ---------------------------------------------------------------------------
 
-def poly_to_dict(p: MultiPoly, order: MonomialOrder | None = None) -> dict:
-    """JSON-ready form: variables plus terms (descending under `order`)."""
+def _descending_terms(p: MultiPoly, order: MonomialOrder | None) -> list:
+    """The (monomial, coefficient) items of p, descending under `order`
+    (grevlex by default)."""
     if order is None:
         order = grevlex(p.ring)
-    # under lex the order key is the exponent tuple itself
-    key = None if order.kind == "lex" else order.key
-    items = [(m, p.terms[m]) for m in sorted(p.terms, key=key, reverse=True)]
+    if order.kind == "lex":
+        # the order key is the exponent tuple itself, and no two are equal
+        return sorted(p.terms.items(), reverse=True)
+    key = order.key
+    return sorted(p.terms.items(), key=lambda t: key(t[0]), reverse=True)
+
+
+def poly_to_dict(p: MultiPoly, order: MonomialOrder | None = None) -> dict:
+    """JSON-ready form: variables plus terms (descending under `order`)."""
+    items = _descending_terms(p, order)
 
     def terms(digits):
         return [{"exp": list(m), "num": digits(c.numerator),
@@ -556,17 +564,44 @@ def poly_to_dict(p: MultiPoly, order: MonomialOrder | None = None) -> dict:
         return {"vars": list(p.ring), "terms": terms(int_to_str)}
 
 
+def _wire_int(value) -> int:
+    """An exponent, numerator or denominator of the wire form: an int or a
+    decimal string.  A float or a bool would be truncated, so it raises."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an int or a decimal string, not {value!r}")
+    return str_to_int(value)
+
+
 def poly_from_dict(data: Mapping) -> MultiPoly:
+    """The inverse of ``poly_to_dict``.  An exponent vector given twice
+    raises ValueError; a float or bool number raises TypeError."""
     ring = tuple(data["vars"])
     terms = {}
     for t in data["terms"]:
-        m = tuple(int(e) for e in t["exp"])
-        terms[m] = Fraction(str_to_int(t["num"]), str_to_int(t["den"]))
+        m = tuple(map(_wire_int, t["exp"]))
+        if m in terms:
+            raise ValueError(f"exponent vector {list(m)} given twice")
+        terms[m] = Fraction(_wire_int(t["num"]), _wire_int(t["den"]))
     return MultiPoly(ring, terms)
 
 
 def poly_dumps(p: MultiPoly, order: MonomialOrder | None = None) -> str:
-    return json.dumps(poly_to_dict(p, order), separators=(",", ":"))
+    """Compact JSON text of ``poly_to_dict(p, order)``, byte for byte what
+    ``json.dumps(..., separators=(",", ":"))`` writes of it.
+
+    The text is formatted directly, one ``%`` template per term, since
+    exponents and digits need no JSON escaping.  A number past the
+    int-to-str limit makes ``%d`` raise, and only then is the dict built
+    and dumped.
+    """
+    term = '{"exp":[%s],"num":"%%d","den":"%%d"}' % ",".join(["%d"] * len(p.ring))
+    head = json.dumps(list(p.ring), separators=(",", ":"))
+    try:
+        body = ",".join([term % (*m, c.numerator, c.denominator)
+                         for m, c in _descending_terms(p, order)])
+    except ValueError:  # a number past the int-to-str limit, rarely met
+        return json.dumps(poly_to_dict(p, order), separators=(",", ":"))
+    return f'{{"vars":{head},"terms":[{body}]}}'
 
 
 def poly_loads(text: str) -> MultiPoly:

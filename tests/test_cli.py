@@ -217,7 +217,10 @@ def test_negative_value_as_own_word(tmp_path, capsys, before, flag, value,
 
 
 # one polynomial each: not JSON, no "terms", an exponent vector of the wrong
-# length, a zero denominator
+# length, a zero denominator; then what the reader once misread and ran with,
+# exit 0: an exponent vector given twice (x + 1 - x, read as 1 - x), a float
+# exponent (x^2.7 - 1, read as x^2 - 1), a float numerator (1.5*x + 1, read
+# as x + 1) and a bool denominator (read as 1)
 BAD_POLY_JSON = {
     "not-json": '{"vars": ["x", "y"], "terms": [',
     "no-terms": '{"vars": ["x", "y"]}',
@@ -225,6 +228,18 @@ BAD_POLY_JSON = {
                       '[{"exp": [2], "num": "1", "den": "1"}]}',
     "zero-denominator": '{"vars": ["x", "y"], "terms": '
                         '[{"exp": [2, 0], "num": "1", "den": "0"}]}',
+    "repeated-exponent": '{"vars": ["x", "y"], "terms": '
+                         '[{"exp": [1, 0], "num": "1", "den": "1"}, '
+                         '{"exp": [0, 0], "num": "1", "den": "1"}, '
+                         '{"exp": [1, 0], "num": "-1", "den": "1"}]}',
+    "float-exponent": '{"vars": ["x", "y"], "terms": '
+                      '[{"exp": [2.7, 0], "num": "1", "den": "1"}, '
+                      '{"exp": [0, 0], "num": "-1", "den": "1"}]}',
+    "float-numerator": '{"vars": ["x", "y"], "terms": '
+                       '[{"exp": [1, 0], "num": 1.5, "den": "1"}, '
+                       '{"exp": [0, 0], "num": "1", "den": "1"}]}',
+    "bool-denominator": '{"vars": ["x", "y"], "terms": '
+                        '[{"exp": [1, 0], "num": "1", "den": true}]}',
 }
 
 

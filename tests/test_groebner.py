@@ -332,6 +332,49 @@ def test_packing_with_h_is_lex_with_h_last():
     assert pk.top_degree(terms) == max(sum(u[:-1]) for u in mons[:8])
 
 
+def _to_poly_per_term(packing, terms):
+    """The per-term build that ``to_poly`` unpacks by field, kept as its
+    oracle: one exponent tuple and one Fraction per term, in term order."""
+    mask, shifts = packing.mask, packing.shifts
+    return {tuple([m >> s & mask for s in shifts]): F(c)
+            for m, c in terms.items()}
+
+
+def _same_items(p, want):
+    items = list(p.terms.items())
+    assert items == list(want.items())
+    assert all(type(m) is tuple and all(type(e) is int for e in m)
+               and type(c) is F for m, c in items)
+
+
+def _like(order, ring):
+    # the same kind of order over another ring, a block one eliminating half
+    return dataclasses.replace(order, variables=ring,
+                               elim_count=order.elim_count and len(ring) // 2)
+
+
+@pytest.mark.parametrize("order", PACK_ORDERS, ids=lambda o: o.kind)
+def test_to_poly_matches_the_per_term_build(order):
+    # keys, Fraction values and insertion order are those of the per-term
+    # build, for random packed terms in no particular order and for every
+    # member of a reduced basis; the float evaluators sum in that order
+    pk = _Packing(order, 40)
+    rng = random.Random(47)
+    mons = _random_monomials(47, top=(1 << 16) - 1)
+    terms = {pk.pack(u): rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 300))
+             or 1 for u in mons}
+    _same_items(pk.to_poly(R5, terms), _to_poly_per_term(pk, terms))
+    _same_items(pk.to_poly(R5, {}), {})
+    ideal = build_ideal(ConicSpec.ellipse(3, F(3, 2)), F(1, 2))
+    for gb in (reduce_basis(buchberger(ideal, _like(order, ideal.ring))),
+               reduce_basis(buchberger(Ideal(R2, (X, X - 1)), _like(order, R2)))):
+        packing, entries = gb._packed
+        assert len(entries) == len(gb.polys)
+        for p, e in zip(gb.polys, entries):
+            _same_items(p, _to_poly_per_term(packing, e[2]))
+    assert gb.polys == (MultiPoly.const(R2, 1),)
+
+
 def test_exponent_overflow_raises():
     o = lex(R2)
     wide = 1 << _Packing(o, 40).width

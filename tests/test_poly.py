@@ -1,16 +1,20 @@
 """Polynomial substrate: arithmetic, orders, division, normalization, wire forms."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from conicoffset.conics import build_ideal
 from conicoffset.errors import OrderError, RingError, VarError, ZeroPolyError
+from conicoffset.groebner import buchberger, reduce_basis
 from conicoffset.poly import (MonomialOrder, MultiPoly, add, block,
                               content_normalize, format_poly, frac_str,
                               gradient, grevlex, int_to_str, leading_term, lex,
-                              mul, parse_poly, poly_dumps, poly_loads, rat,
-                              reduce, str_to_int, substitute)
+                              mul, parse_poly, poly_dumps, poly_from_dict,
+                              poly_loads, poly_to_dict, rat, reduce,
+                              str_to_int, substitute)
 
 R2 = ("x", "y")
 X = MultiPoly.variable(R2, "x")
@@ -241,6 +245,63 @@ def test_numbers_past_the_int_str_limit_keep_every_digit():
     assert format_poly(p) == f"{texts[0]}/3*x + 7/{texts[3]}"
     assert parse_poly(format_poly(p), R2) == p
     assert frac_str(F(-5, 3)) == "-5/3" and frac_str(F(big[2])) == texts[2]
+
+
+def _dumps_of_dict(p, order):
+    return json.dumps(poly_to_dict(p, order), separators=(",", ":"))
+
+
+def test_poly_dumps_writes_the_bytes_of_its_dict():
+    # poly_dumps formats its text directly; it must equal json.dumps of
+    # poly_to_dict under every order, for the zero polynomial, negative and
+    # non-integer coefficients, variable names JSON escapes, and numbers past
+    # the int-to-str limit, which take the fallback
+    rng = random.Random(47)
+    for ring in (R2, ("a", "b", "c"), ("\u00e9", 'q"', "t")):
+        n = len(ring)
+        polys = [MultiPoly.zero(ring), MultiPoly.const(ring, F(-3, 7))]
+        polys += [rand_poly(rng, ring, max_terms=12, max_coef=10 ** 30)
+                  for _ in range(30)]
+        big = MultiPoly(ring, {(1,) * n: F(10 ** 4300 + 7, 3),
+                               (0,) * n: F(-1, 10 ** 5000 + 1)})
+        polys += [big + q for q in polys[-5:]]
+        assert any(c < 0 for p in polys for c in p.terms.values())
+        assert any(c.denominator > 1 for p in polys for c in p.terms.values())
+        for p in polys:
+            for order in (lex(ring), grevlex(ring), block(ring, 1), None):
+                assert poly_dumps(p, order) == _dumps_of_dict(p, order)
+
+
+@pytest.mark.parametrize("kind", ["parabola", "ellipse", "hyperbola"])
+def test_poly_dumps_of_every_symbolic_basis_member(kind):
+    ideal = build_ideal(kind)
+    order = lex(ideal.ring)
+    gb = reduce_basis(buchberger(ideal, order, max_degree=60))
+    for p in gb.polys:
+        for o in (order, grevlex(ideal.ring), None):
+            assert poly_dumps(p, o) == _dumps_of_dict(p, o)
+
+
+def _wire(*terms):
+    return {"vars": ["x"], "terms": [{"exp": e, "num": num, "den": den}
+                                     for e, num, den in terms]}
+
+
+def test_wire_reader_rejects_what_it_would_misread():
+    # x + 1 - x once read as 1 - x: the last of a repeated exponent won
+    with pytest.raises(ValueError, match="given twice"):
+        poly_from_dict(_wire(([1], "1", "1"), ([0], "1", "1"), ([1], "-1", "1")))
+    # x^2.7 - 1 once read as x^2 - 1 and 1.5*x + 1 as x + 1: int() truncated
+    for bad in (([2.7], "1", "1"), ([2.0], "1", "1"), ([True], "1", "1"),
+                ([1], 1.5, "1"), ([1], 3.0, "1"), ([1], False, "1"),
+                ([1], "1", 2.0), ([1], "1", True)):
+        with pytest.raises(TypeError, match="int or a decimal string"):
+            poly_from_dict(_wire(bad, ([0], "-1", "1")))
+    # ints and decimal strings still read, past the int-to-str limit too
+    big = "7" * 5000
+    p = poly_from_dict(_wire(([2], 3, 4), (["1"], "-5", 1), ([0], big, "3")))
+    assert p == MultiPoly(("x",), {(2,): F(3, 4), (1,): -5,
+                                   (0,): F(str_to_int(big), 3)})
 
 
 def test_rat():
