@@ -607,20 +607,16 @@ def _singular_eliminants(system) -> list:
     The minimal polynomials of multiplication by x and by y on Q[x, y]/I
     (``groebner.minimal_polynomials``), read from one grevlex completion of
     I, unreduced: the staircase and every normal form are those of any
-    Groebner basis of I.  Each comes back as its ascending coefficient list,
-    primitive with a positive leading coefficient.  Raises EliminationError
-    when the common zeros of the system are not finite.
+    Groebner basis of I.  Each is returned as ``minimal_polynomials`` gives
+    it, the ascending list of its primitive ``int`` coefficients with a
+    positive leading one, which ``cardano.real_roots_exact`` reads as it is.
+    Raises EliminationError when the common zeros of the system are not
+    finite.
     """
     ring = ("x", "y")
     gb = buchberger(Ideal(ring, tuple(system)), grevlex(ring),
                     max_pairs=LOCUS_MAX_PAIRS, max_degree=LOCUS_MAX_DEGREE)
-    out = []
-    for pos, uni in enumerate(minimal_polynomials(gb, ring)):
-        cs = [Fraction(0)] * (uni.degree() + 1)
-        for m, c in uni.terms.items():
-            cs[m[pos]] = c
-        out.append(cs)
-    return out
+    return minimal_polynomials(gb, ring)
 
 
 def singular_locus(g: MultiPoly) -> list:

@@ -73,7 +73,8 @@ entries on the first read of ``polys``, through a constructor that skips
 re-validation, so the unreduced members that ``reduce_basis(buchberger(...))``
 drops are never converted.  A member is unpacked one exponent field at a time
 over all of its monomials, and the fields are zipped into exponent tuples in
-term order, with no Python call per term beyond its ``Fraction``.
+term order, with no Python call per term beyond its ``Fraction``.  The
+eliminants of ``minimal_polynomials`` leave as integer coefficient lists.
 
 A lex completion has two stages in one ``buchberger`` call, the order change
 behind Traverso's Hilbert-driven Buchberger (JSC 1996) in its simplest form:
@@ -111,8 +112,8 @@ from typing import Sequence
 
 from .errors import (EliminationError, OrderError, PreconditionError,
                      ResourceLimitError, RingError, ZeroPolyError)
-from .poly import (MonomialOrder, MultiPoly, content_normalize, grevlex, lex,
-                   leading_term, monomial_div, monomial_divides, monomial_lcm)
+from .poly import (MonomialOrder, MultiPoly, grevlex, lex, leading_term,
+                   monomial_div, monomial_divides, monomial_lcm)
 
 DEFAULT_MAX_PAIRS = 200_000
 DEFAULT_MAX_DEGREE = 40
@@ -166,20 +167,10 @@ class GroebnerBasis:
         # reached only when ``polys`` of a ``_from_packed`` basis is unset
         if name != "polys" or "_packed" not in self.__dict__:
             raise AttributeError(name)
-        polys = tuple(self._members(range(len(self._packed[1]))))
+        packing, entries = self._packed
+        polys = tuple(packing.to_poly(self.order.variables, e[2]) for e in entries)
         object.__setattr__(self, "polys", polys)
         return polys
-
-    def _members(self, indices) -> list:
-        """The members of a ``_from_packed`` basis at ``indices``, each
-        converted from its packed entry once: ``polys`` reuses the members
-        that ``elimination_ideal`` converted before it was read."""
-        packing, entries = self._packed
-        done = self.__dict__.setdefault("_converted", {})
-        for i in indices:
-            if i not in done:
-                done[i] = packing.to_poly(self.order.variables, entries[i][2])
-        return [done[i] for i in indices]
 
     def degree_multiset(self):
         return sorted((p.degree() for p in self.polys), reverse=True)
@@ -782,9 +773,9 @@ def elimination_ideal(gb: GroebnerBasis, keep) -> list:
     intersection of the ideal with the subring on `keep`, provided the basis
     order ranks every dropped variable above every kept one.  Support is
     read from the packed entries: a member is kept when none of its terms
-    sets a raw field of a dropped variable.  Only the kept members are
-    converted from their entries; they are the members a later read of
-    ``gb.polys`` gives.
+    sets a raw field of a dropped variable.  A basis whose ``polys`` are set
+    gives its own members; otherwise only the kept members are converted,
+    afresh, and a later read of ``gb.polys`` converts them again.
     """
     keep = set(keep)
     ring = gb.order.variables
@@ -800,7 +791,7 @@ def elimination_ideal(gb: GroebnerBasis, keep) -> list:
     kept = [i for i, e in enumerate(entries) if not any(m & fields for m in e[2])]
     if "polys" in gb.__dict__:
         return [gb.polys[i] for i in kept]
-    return gb._members(kept)
+    return [packing.to_poly(ring, entries[i][2]) for i in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -827,8 +818,9 @@ def _staircase(lms: list, units: list, guard: int) -> dict:
 
 
 def _krylov_relation(index: dict, unit: int, entries: list, guard: int) -> list:
-    """Coefficients c_0..c_n (ascending, rational) of the first linear
-    relation sum c_k NF(v^k) = 0, v the variable packed as ``unit``."""
+    """Coefficients c_0..c_n (ascending) of the first linear relation
+    sum c_k NF(v^k) = 0, v the variable packed as ``unit``: coprime ints
+    with c_n > 0, cleared of the relation's rational scales at the end."""
     # integer matrix N of multiplication by v on the standard monomials, as
     # columns of (row, value) pairs; the rational matrix is N / den.  A border
     # monomial's NF is its primitive remainder over the factor that
@@ -866,7 +858,11 @@ def _krylov_relation(index: dict, unit: int, entries: list, guard: int) -> list:
                 combo = ([a * x - b * y for x, y in zip(combo, rcombo)]
                          + [a * x for x in combo[len(rcombo):]])
         if not any(vec):
-            return [c * s for c, s in zip(combo, scales)]
+            rel = [c * s for c, s in zip(combo, scales)]
+            den = lcm(*(c.denominator for c in rel))
+            rel = [c.numerator * (den // c.denominator) for c in rel]
+            g = gcd(*rel) if rel[-1] > 0 else -gcd(*rel)
+            return [c // g for c in rel]
         g = gcd(*vec, *combo)
         rows.append((next(i for i, x in enumerate(vec) if x),
                      [x // g for x in vec], [x // g for x in combo]))
@@ -892,9 +888,10 @@ def minimal_polynomials(gb: GroebnerBasis, variables) -> list:
     a reduced lex basis with v last would hold (the change of order of
     Faugere, Gianni, Lazard & Mora, JSC 1993).  The matrix's columns at the
     border of the staircase are ``_normal_form_int`` remainders, brought to
-    one integer scale by the exact factor each one returns.  Each result is a
-    MultiPoly of the basis ring, primitive with a positive leading
-    coefficient.
+    one integer scale by the exact factor each one returns.  Each result is
+    the ascending coefficient list of that generator, c_0 first: primitive
+    ``int`` entries with a positive leading coefficient.  The unit ideal
+    gives ``[1]`` for every variable.
 
     Raises EliminationError when I is not zero-dimensional, that is when some
     variable has no pure power among the leading monomials.
@@ -911,18 +908,7 @@ def minimal_polynomials(gb: GroebnerBasis, variables) -> list:
                 f"ideal is not zero-dimensional: no leading monomial is a "
                 f"pure power of {name}")
     index = _staircase([e[0] for e in entries], packing.units, packing.guard)
-    out = []
-    for name in variables:
-        pos = ring.index(name)
-        if not index:  # I is the whole ring
-            out.append(MultiPoly.const(ring, 1))
-            continue
-        coeffs = _krylov_relation(index, packing.units[pos], entries, packing.guard)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if c:
-                exps = [0] * len(ring)
-                exps[pos] = k
-                terms[tuple(exps)] = c
-        out.append(content_normalize(MultiPoly(ring, terms)))
-    return out
+    if not index:  # I is the whole ring
+        return [[1] for _ in variables]
+    return [_krylov_relation(index, packing.units[ring.index(name)], entries,
+                             packing.guard) for name in variables]

@@ -573,9 +573,14 @@ def _wire_int(value) -> int:
 
 
 def poly_from_dict(data: Mapping) -> MultiPoly:
-    """The inverse of ``poly_to_dict``.  An exponent vector given twice
-    raises ValueError; a float or bool number raises TypeError."""
-    ring = tuple(data["vars"])
+    """The inverse of ``poly_to_dict``.  ``vars`` other than a list of
+    distinct strings, or an exponent vector given twice, raises ValueError;
+    a float or bool number raises TypeError."""
+    ring = data["vars"]
+    if not (isinstance(ring, list) and all(isinstance(v, str) for v in ring)
+            and len(set(ring)) == len(ring)):
+        raise ValueError(f"vars must be a list of distinct names, not {ring!r}")
+    ring = tuple(ring)
     terms = {}
     for t in data["terms"]:
         m = tuple(map(_wire_int, t["exp"]))

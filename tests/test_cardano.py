@@ -209,7 +209,8 @@ def _reference_eliminants():
         case = reference.case(case_id)
         g = conics.offset_poly_closed_form(conic_from_case(case), F(case["r"])).g
         system = (g, *(content_normalize(q) for q in gradient(g, ["x", "y"])))
-        out.extend(conics._singular_eliminants(system))
+        # the oracle divides with /, so it is given Fraction coefficients
+        out.extend([F(c) for c in cs] for cs in conics._singular_eliminants(system))
     return out
 
 

@@ -240,6 +240,12 @@ BAD_POLY_JSON = {
                        '{"exp": [0, 0], "num": "1", "den": "1"}]}',
     "bool-denominator": '{"vars": ["x", "y"], "terms": '
                         '[{"exp": [1, 0], "num": "1", "den": true}]}',
+    "repeated-vars": '{"vars": ["x", "x"], "terms": '
+                     '[{"exp": [1, 0], "num": "1", "den": "1"}, '
+                     '{"exp": [0, 1], "num": "1", "den": "1"}, '
+                     '{"exp": [0, 0], "num": "-2", "den": "1"}]}',
+    "string-vars": '{"vars": "xy", "terms": '
+                   '[{"exp": [1, 0], "num": "1", "den": "1"}]}',
 }
 
 
@@ -446,6 +452,7 @@ REFUSED_INPUTS = {
     "no-generators": ("groebner", "--in", "{empty}", "--vars", "x,y"),
     "polys-object": ("groebner", "--in", "{polys}", "--vars", "x,y"),
     "unknown-reference-id": ("verify-paper", "42"),
+    "reference-id-not-a-number": ("verify-paper", "abc"),
     "bbox-three-numbers": ("trace", "--g", "{g}", "--bbox=0,1,0"),
     "unknown-order": ("groebner", "--in", "{ideal}", "--vars", "x,y",
                       "--order", "foo"),

@@ -191,6 +191,8 @@ def test_spec_validation():
         MeshSpec(ellipse=ELL42, offsets=(0.2,), y_stations=(-1.0, 1.0))
     with pytest.raises(SpecError):
         MeshSpec(ellipse=ELL42, offsets=(), y_stations=(0.0,))
+    with pytest.raises(SpecError, match="at least one y-station"):
+        MeshSpec(ellipse=ELL42, offsets=(0.2,), y_stations=())
     for offsets, stations in (((math.nan,), (1.0,)), ((0.2,), (math.nan,)),
                               ((0.2, math.nan), (1.0,)),
                               ((0.2,), (math.inf, 1.0))):

@@ -297,6 +297,13 @@ def test_wire_reader_rejects_what_it_would_misread():
                 ([1], "1", 2.0), ([1], "1", True)):
         with pytest.raises(TypeError, match="int or a decimal string"):
             poly_from_dict(_wire(bad, ([0], "-1", "1")))
+    # x + x - 2 over vars (x, x) once read as x - 2, and vars "xy" as (x, y)
+    for ring in (["x", "x"], "xy", ["x", 1]):
+        with pytest.raises(ValueError, match="list of distinct names"):
+            poly_from_dict({"vars": ring, "terms": [
+                {"exp": [1, 0], "num": "1", "den": "1"},
+                {"exp": [0, 1], "num": "1", "den": "1"},
+                {"exp": [0, 0], "num": "-2", "den": "1"}]})
     # ints and decimal strings still read, past the int-to-str limit too
     big = "7" * 5000
     p = poly_from_dict(_wire(([2], 3, 4), (["1"], "-5", 1), ([0], big, "3")))
