@@ -1,18 +1,18 @@
 """Exact univariate helpers, the real roots of exact polynomials by Sturm
 isolation, and the closed catalogue's radicals.
 
-Polynomials here are ascending lists of Fractions.  The square-free split
-and ``poly_gcd`` clear denominators once and run over the integers, on
-primitive coefficient lists with pseudo-remainder gcds and exact integer
-division; only the factors they return become monic Fractions again.
-``real_roots_exact`` uses no root formula: it isolates every root by Sturm
-sequences and refines it by quadratic interval refinement, at dyadic points
-n/2^k where each sign is that of one integer (``_dyadic_value``), until it
-is correctly rounded at the caller's working precision
-(``conics.RADICAL_DPS`` digits).  ``real_cbrt`` and ``sqrt_exact``
-are the closed catalogue's radicals, and ``real_roots_cubic`` is Cardano's
-cubic, which no route calls.  Exact values enter mpmath through ``to_mpf``,
-and an mpf leaves it exactly through ``to_fraction``.
+Polynomials here are ascending coefficient lists.  The square-free split
+clears denominators once and runs over the integers, on primitive
+coefficient lists with pseudo-remainder gcds and exact integer division,
+and its factors stay primitive integer lists.  ``real_roots_exact`` uses
+no root formula: it isolates every root by Sturm sequences and refines it
+by quadratic interval refinement, at dyadic points n/2^k where each sign
+is that of one integer (``_dyadic_value``), until it is correctly rounded
+at the caller's working precision (``conics.RADICAL_DPS`` digits).
+``real_cbrt`` and ``sqrt_exact`` are the closed catalogue's radicals, and
+``real_roots_cubic`` is Cardano's cubic, which no route calls.  Exact
+values enter mpmath through ``to_mpf``, and an mpf leaves it exactly
+through ``to_fraction``.
 
 mpmath is imported inside the functions that compute with it, and numpy
 not at all, so a process that only builds offset polynomials or Groebner
@@ -58,11 +58,6 @@ def poly_divmod(a, b):
     return normalize(q), normalize(a)
 
 
-def poly_gcd(a, b):
-    """The monic gcd of two rational polynomials ([] when both are zero)."""
-    return _monic(_int_gcd(_primitive(a), _primitive(b)))
-
-
 def derivative(cs):
     return normalize([c * i for i, c in enumerate(cs)][1:])
 
@@ -98,10 +93,12 @@ def to_float(v) -> float:
 
 
 def squarefree_decomposition(cs):
-    """Yun's algorithm: [(multiplicity, monic square-free factor), ...].
+    """Yun's algorithm: [(multiplicity, square-free factor), ...], each
+    factor a primitive integer list.
 
     Runs on the primitive integer form of `cs`; the factors are unique up
-    to a scalar, so they equal the split computed over the rationals.
+    to a scalar, so they are the split computed over the rationals, made
+    primitive.
     """
     p = _primitive(cs)
     if len(p) <= 1:
@@ -114,7 +111,7 @@ def squarefree_decomposition(cs):
         y = _int_gcd(w, c)
         qi = _int_exact_div(w, y)
         if len(qi) > 1:
-            out.append((i, _monic(qi)))
+            out.append((i, qi))
         w = y
         c = _int_exact_div(c, y)
         i += 1
@@ -135,10 +132,6 @@ def _primitive(cs):
     if ints[-1] < 0:
         content = -content
     return [v // content for v in ints]
-
-
-def _monic(ints):
-    return [Fraction(v, ints[-1]) for v in ints] if ints else []
 
 
 def _pseudo_rem(a, b):
@@ -250,12 +243,13 @@ def real_roots_exact(cs):
     (``to_fraction``): Fractions where they are found rational, otherwise
     mpmath floats correctly rounded at the working precision.
 
-    The root at zero is stripped, and each square-free factor (Yun) has its
-    roots isolated by its Sturm sequence (``_isolate``) and rounded once
-    (``_round_root``).  An even polynomial is split in z = t^2, and each
-    factor q(z) goes back to q(t^2), isolated on its positive roots only;
-    -t is t's exact negation, since rounding to nearest is symmetric.  No
-    root formula is used, so these roots check the closed catalogue's.
+    The root at zero is stripped, and each square-free factor (Yun), a
+    primitive integer list as it comes, has its roots isolated by its Sturm
+    sequence (``_isolate``) and rounded once (``_round_root``).  An even
+    polynomial is split in z = t^2, and each factor q(z) goes back to
+    q(t^2), isolated on its positive roots only; -t is t's exact negation,
+    since rounding to nearest is symmetric.  No root formula is used, so
+    these roots check the closed catalogue's.
     """
     cs = normalize([Fraction(c) for c in cs])
     if not cs:
@@ -265,8 +259,7 @@ def real_roots_exact(cs):
         cs = cs[1:]
         roots = {Fraction(0)}
     even = not any(cs[1::2])
-    for _, factor in squarefree_decomposition(cs[::2] if even else cs):
-        q = _primitive(factor)
+    for _, q in squarefree_decomposition(cs[::2] if even else cs):
         if even:
             q = [c for v in q for c in (v, 0)][:-1]
         for z in _isolate(q, even):

@@ -134,16 +134,12 @@ def cmd_groebner(args):
     gens = []
     for p in polys_in:
         if tuple(p.ring) != variables:
-            terms = {}
-            for m, c in p.terms.items():
-                exps = [0] * len(variables)
-                for v, e in zip(p.ring, m):
-                    if e:
-                        if v not in variables:
-                            raise PreconditionError(f"variable {v!r} not in --vars")
-                        exps[variables.index(v)] = e
-                terms[tuple(exps)] = c
-            p = MultiPoly(variables, terms)
+            if missing := p.support_vars() - set(variables):
+                raise PreconditionError(f"variable {min(missing)!r} not in --vars")
+            index = {v: i for i, v in enumerate(p.ring)}
+            p = MultiPoly(variables, {
+                tuple(m[index[v]] if v in index else 0 for v in variables): c
+                for m, c in p.terms.items()})
         gens.append(p)
     if args.order == "lex":
         order = lex(variables)
@@ -177,8 +173,8 @@ def cmd_groebner(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(_dump(doc))
-    _emit(args, doc, text="\n".join(format_poly(p, order) for p in gb.polys)
-          + "\n" + _dump(doc["stats"]))
+    _emit(args, doc, text=None if args.json else "\n".join(
+        format_poly(p, order) for p in gb.polys) + "\n" + _dump(doc["stats"]))
     return EXIT_OK
 
 
@@ -199,8 +195,8 @@ def cmd_offset_poly(args):
     }
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(_dump(poly_to_dict(curve.g)))
-    _emit(args, doc, text=format_poly(curve.g))
+            fh.write(_dump(doc["g"]))
+    _emit(args, doc, text=None if args.json else format_poly(curve.g))
     return EXIT_OK
 
 

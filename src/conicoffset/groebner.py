@@ -434,18 +434,14 @@ def _packed_basis(gb: GroebnerBasis):
 
     Reuses the packed form the producing function left on ``gb`` when its
     fields are no narrower than a fresh packing's would be (no exponent sets
-    a field's top bit), and widens it otherwise.  A basis without one is
-    packed from its polys, made primitive.
+    a field's top bit).  Otherwise, and for a basis without one, the polys
+    are packed afresh, made primitive.
     """
     if gb._packed is not None:
         packing, entries = gb._packed
         top = packing.guard >> 1  # the highest raw bit of every field
         if not any(m & top for e in entries for m in e[2]):
             return packing, entries
-        bound = max(x for e in entries for m in e[2] for x in packing.unpack(m))
-        wide = _Packing(gb.order, bound)
-        return wide, [_make_entry({wide.pack(packing.unpack(m)): c
-                                   for m, c in e[2].items()}) for e in entries]
     bound = max((e for p in gb.polys for m in p.terms for e in m), default=0)
     packing = _Packing(gb.order, bound)
     entries = [_make_entry(_int_terms(packing, p)) for p in gb.polys]

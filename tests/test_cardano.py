@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicoffset import cardano, conics, reference
-from conicoffset.cardano import (_dyadic_value, _primitive, derivative,
-                                 fraction_sqrt, normalize, poly_divmod,
-                                 poly_gcd, real_cbrt, real_roots_cubic,
+from conicoffset.cardano import (_dyadic_value, _int_gcd, _primitive,
+                                 derivative, fraction_sqrt, normalize,
+                                 poly_divmod, real_cbrt, real_roots_cubic,
                                  real_roots_exact, squarefree_decomposition,
                                  to_mpf)
 from conicoffset.poly import content_normalize, gradient
@@ -42,9 +42,9 @@ def test_divmod_gcd():
     a = poly_mul([F(-1), F(1)], [F(2), F(1)])  # (t-1)(t+2)
     q, r = poly_divmod(a, [F(-1), F(1)])
     assert q == [F(2), F(1)] and r == []
-    g = poly_gcd(poly_mul(a, a), a)
-    assert g == [F(-2), F(-1), F(1)] or g == [c / g[-1] for c in g]  # monic
-    assert poly_gcd([F(1)], [F(3), F(1)]) == [F(1)]
+    # the integer gcd of primitive lists is primitive, positive-led
+    assert _int_gcd(_primitive(poly_mul(a, a)), _primitive(a)) == [-2, 1, 1]
+    assert _int_gcd([1], [3, 1]) == [1]
 
 
 def test_zero_polynomial_raises():
@@ -61,7 +61,9 @@ def test_squarefree_decomposition():
     p = poly_mul(poly_mul([F(-1), F(1)], [F(-1), F(1)]),
                  poly_mul(poly_mul([F(2), F(1)], [F(2), F(1)]), [F(2), F(1)]))
     parts = squarefree_decomposition(p)
-    assert [(m, len(q) - 1) for m, q in parts] == [(2, 1), (3, 1)]
+    assert parts == [(2, [-1, 1]), (3, [2, 1])]
+    # the factors are primitive integer lists, not Fractions
+    assert all(type(c) is int for _, q in parts for c in q)
 
 
 def test_cubic_three_real():
@@ -233,11 +235,14 @@ def _random_products(seed, count):
 def test_squarefree_matches_rational_oracle():
     inputs = _reference_eliminants() + _random_products(91, 300)
     for cs in inputs:
-        assert squarefree_decomposition(cs) == _old_squarefree_decomposition(cs)
+        # the oracle's factors are monic, so they agree once made primitive
+        assert squarefree_decomposition(cs) == [
+            (m, _primitive(q)) for m, q in _old_squarefree_decomposition(cs)]
     products = _random_products(92, 60)
     for a, b, c in zip(products, products[1:], products[2:]):
         ab, bc = poly_mul(a, b), poly_mul(b, c)
-        assert poly_gcd(ab, bc) == _old_poly_gcd(ab, bc)
+        assert _int_gcd(_primitive(ab), _primitive(bc)) == \
+            _primitive(_old_poly_gcd(ab, bc))
 
 
 def _isolation_inputs():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conicoffset import cli, reference
+from conicoffset import cli, reference, verify
 from conicoffset.cli import main
 from conicoffset.conics import ConicSpec, offset_poly_closed_form
 from conicoffset.mesh import MeshSpec, generate_mesh, mesh_figure
@@ -560,6 +561,22 @@ def _ideal_file(tmp_path, gens):
     return str(src)
 
 
+def test_json_calls_build_no_text(tmp_path, capsys, monkeypatch):
+    # under --json the text form is never printed, so it is never built
+    calls = [("offset-poly", "--conic", "parabola", "--p", "1/3", "--r", "1/4",
+              "--method", method, "--json") for method in ("closed", "elim")]
+    calls.append(("groebner", "--in", _ideal_file(tmp_path, ["x^2-y", "x*y-1"]),
+                  "--vars", "x,y", "--json"))
+    before = [run(capsys, *argv) for argv in calls]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("format_poly called under --json")
+
+    monkeypatch.setattr(cli, "format_poly", refuse)
+    assert [run(capsys, *argv) for argv in calls] == before
+    assert all(code == 0 for code, _, _ in before)
+
+
 def test_exit_code_resource_limit(tmp_path, capsys):
     code, _, err = run(capsys, "groebner", "--in",
                        _ideal_file(tmp_path, ["x^2-y", "x*y-1"]), "--vars",
@@ -684,6 +701,38 @@ GOLDEN_SINGULAR_POINTS = {
 }
 
 
+# sha256 of `singular --method elimination --format json` stdout at height,
+# the two 512-bit calls the CI also times: an ellipse of unrelated 512-bit
+# a, b and r with b^2/a < r < b (6 points, even eliminants), and a
+# supercritical parabola with p = b/3 (an eliminant in y not even)
+_R_512 = ("771024833935643188899194047865326518706142285444891156766480075117462389"
+           "737414861578182873770071338998115309539972343371870376321743581593989101"
+           "0442734703/9206034525486771524609370512783124285992842017084689997868265"
+           "487930811083912090260215522198967706005697090898284468240246202746665439"
+           "985575208085058004074")
+GOLDEN_SINGULAR_512 = {
+    "ellipse": (
+        ("--a=11479851613051394591753599638193309712564240198390353049607460260092"
+         "083540013990198291106641279536954577481289841824908172217487950303269258"
+         "277267674506253/11252902440338254723700328573479645349083170734400881577"
+         "653369204697464713988437276558869933437016166244999435983888723181106995"
+         "617257784120448400908638066",
+         "--b=10266255729150507993713571318117070082221305162249524126623561281269"
+         "333492243738450321877098919525267482013147150769087878587003580712842276"
+         "860268778953599/11848990604599178847402871399850522678430065311746563682"
+         "236234929863272460138425256985218966144907570334127998468282534310166670"
+         "329686645436615587100229183"),
+        "de383fc05e658923d210bece2e0276a9e9402732ef96e437db038ad4c8d4c214"),
+    "parabola": (
+        ("--p=10266255729150507993713571318117070082221305162249524126623561281269"
+         "333492243738450321877098919525267482013147150769087878587003580712842276"
+         "860268778953599/35546971813797536542208614199551568035290195935239691046"
+         "708704789589817380415275770955656898434722711002383995404847602930500010"
+         "989059936309846761300687549",),
+        "af2e163913f29ac5c166eb14362959dc26dbbc5aee7518dbdcd63af241e2325b"),
+}
+
+
 def _singular_json_outputs(capsys, case_id):
     # `singular --format json` stdout of a reference case, closed route first
     c = reference.case(case_id)
@@ -716,6 +765,32 @@ def test_golden_singular_points(capsys, case_id):
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         got.append(hashlib.sha256(text.encode()).hexdigest())
     assert tuple(got) == GOLDEN_SINGULAR_POINTS[case_id]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SINGULAR_512))
+def test_golden_singular_by_elimination_at_512_bits(capsys, kind):
+    flags, digest = GOLDEN_SINGULAR_512[kind]
+    code, out, _ = run(capsys, "singular", "--conic", kind, *flags,
+                       f"--r={_R_512}", "--method", "elimination",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_reports_a_wrong_point_count(monkeypatch):
+    # a case whose singular points come back one short fails its count, and
+    # its point error is inf rather than the error of a partial pairing
+    solve = verify.singular_points
+
+    def one_short(conic, r):
+        rep = solve(conic, r)
+        return dataclasses.replace(rep, points=rep.points[:-1])
+
+    monkeypatch.setattr(verify, "singular_points", one_short)
+    result = verify.verify_case(1)
+    assert result["checks"]["singular_count"] is False
+    assert result["checks"]["singular_max_abs_error"] == float("inf")
+    assert result["passed"] is False
 
 
 def test_verify_paper_subset(capsys):
